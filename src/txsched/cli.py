@@ -3,15 +3,19 @@
 Subcommands:
   solve       steady-state covariance -> holding costs -> value iteration
               (stopping solve when costs.c_stop is set); writes q_values.csv,
-              value_policy.csv, and thresholds.csv.
+              value_policy.csv, thresholds.csv, and solve_record.json (the
+              sha256 of the config sections that fix the solution).
   verify      runs the structural-verification battery and writes
               verify_report.json; nonzero exit on any asserted failure.
   simulate    Monte Carlo batch under --policy; writes simstats_<policy>.json
-              and optional per-step traces.
+              and optional per-step traces. --policy solved refuses a
+              value_policy.csv solved for another config.
   thresholds  prints the threshold table (from a prior solve if present,
               otherwise solving first).
 
-Exit codes: 0 ok, 2 config error, 3 convergence failure, 4 verification
+Exit codes: 0 ok, 2 config error (including a holding-cost table that
+overflows float64 before solver.tau_max or sim.horizon, and a solved policy
+that does not match the config), 3 convergence failure, 4 verification
 failure. All floats in CSV files are printed with 12 significant digits, LF
 line endings; JSON keys are sorted. Outputs are a pure function of (config,
 seed): reruns are byte-identical.
@@ -35,6 +39,12 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CONVERGENCE = 3
 EXIT_VERIFICATION = 4
+
+SOLVE_RECORD = "solve_record.json"
+
+
+class StalePolicyError(Exception):
+    """The solved policy on disk was not solved for the current config."""
 
 
 def _fmt(x: float) -> str:
@@ -92,10 +102,20 @@ def write_json(path: Path, obj):
         fh.write("\n")
 
 
+def _cost_table(cfg: RunConfig, ss, length: int, field: str):
+    """Holding-cost table up to ``length``; an overflow names the config
+    field that asked for that length."""
+    try:
+        return holding_cost_table(cfg.system, ss, length)
+    except OverflowError as exc:
+        raise ConfigError(field, f"{exc}; {field} = {length} needs holding "
+                                 "costs beyond the float64 range for this plant") from None
+
+
 def _pipeline(cfg: RunConfig):
     """Shared solve pipeline: covariance fixed point, cost table, solver."""
     ss = steady_state_covariance(cfg.system)
-    table = holding_cost_table(cfg.system, ss, cfg.solver.tau_max)
+    table = _cost_table(cfg, ss, cfg.solver.tau_max, "solver.tau_max")
     if cfg.is_stopping:
         prob = stopping.StoppingProblem(channel=cfg.channel, holding=table,
                                         cfg=cfg.solver, c_stop=cfg.c_stop)
@@ -112,6 +132,7 @@ def cmd_solve(cfg: RunConfig, quiet: bool = False) -> int:
     t0 = time.perf_counter()
     ss, table, sol = _pipeline(cfg)
     write_solution_csvs(sol, out_dir)
+    write_json(out_dir / SOLVE_RECORD, {"problem_sha256": cfg.problem_sha256})
     if cfg.is_stopping:
         th = stopping.extract_threshold(sol)
         write_thresholds_csv(th, out_dir)
@@ -185,7 +206,7 @@ def _verify_battery(cfg: RunConfig):
             "stop advantage nonincreasing" if sub else
             f"witness {sub.witness}, rise {sub.value}")
     ss = steady_state_covariance(cfg.system)
-    table = holding_cost_table(cfg.system, ss, cfg.solver.tau_max)
+    table = _cost_table(cfg, ss, cfg.solver.tau_max, "solver.tau_max")
     cost = belief_mdp.StageCost(
         holding=table,
         action_costs=np.zeros(cfg.channel.n_actions) if cfg.is_stopping
@@ -217,7 +238,20 @@ def _build_policy(cfg: RunConfig, name: str, out_dir: Path):
         path = out_dir / "value_policy.csv"
         if not path.exists():
             raise FileNotFoundError(f"{path} not found; run solve first")
+        record = out_dir / SOLVE_RECORD
+        solved_for = (json.loads(record.read_text(encoding="utf-8")).get("problem_sha256")
+                      if record.exists() else None)
+        if solved_for != cfg.problem_sha256:
+            found = f"records problem sha256 {solved_for}" if solved_for else "is missing"
+            raise StalePolicyError(
+                f"{path} was not solved for this config ({SOLVE_RECORD} {found}, "
+                f"this config has {cfg.problem_sha256}); run solve first")
         policy, grid_n, tau_max = read_value_policy_csv(path)
+        if (tau_max, grid_n) != (cfg.solver.tau_max, cfg.solver.grid_n):
+            raise StalePolicyError(
+                f"{path} holds a lattice with tau_max={tau_max}, grid_n={grid_n}, "
+                f"but the config has solver.tau_max={cfg.solver.tau_max}, "
+                f"solver.grid_n={cfg.solver.grid_n}; run solve first")
         return sim.LatticePolicy(policy, grid_n, tau_max)
     if name == "never-stop":
         return sim.never_stop
@@ -249,8 +283,10 @@ def cmd_simulate(cfg: RunConfig, policy_name: str, quiet: bool = False) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     policy = _build_policy(cfg, policy_name, out_dir)
     ss = steady_state_covariance(cfg.system)
-    table = holding_cost_table(cfg.system, ss,
-                               max(cfg.sim.horizon, cfg.solver.tau_max))
+    if cfg.sim.horizon >= cfg.solver.tau_max:
+        table = _cost_table(cfg, ss, cfg.sim.horizon, "sim.horizon")
+    else:
+        table = _cost_table(cfg, ss, cfg.solver.tau_max, "solver.tau_max")
     t0 = time.perf_counter()
     result = sim.run_batch(cfg.channel, table.costs, cfg.c_stop,
                            cfg.solver.gamma, policy, cfg.sim,
@@ -347,6 +383,9 @@ def main(argv=None) -> int:
         return cmd_thresholds(cfg, quiet=args.quiet)
     except (ConfigError, FileNotFoundError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except StalePolicyError as exc:
+        print(f"stale policy: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)

@@ -8,6 +8,8 @@ offending field by its dotted path.
 """
 
 import copy
+import hashlib
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +111,14 @@ class RunConfig:
         """Normalized configuration (defaults applied, numbers canonical);
         loading the serialized form reproduces this dict exactly."""
         return copy.deepcopy(self.raw)
+
+    @property
+    def problem_sha256(self) -> str:
+        """sha256 of the normalized sections that determine the solution
+        (system, channel, costs, solver); the output and sim sections are
+        left out, so ``--out`` and ``--seed`` do not change it."""
+        problem = {k: self.raw[k] for k in ("system", "channel", "costs", "solver")}
+        return hashlib.sha256(json.dumps(problem, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 def _parse_system(section):

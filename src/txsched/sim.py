@@ -12,6 +12,19 @@ observed next holding time.
 Replications use independent seed streams derived from the base seed by
 SplitMix64 (state = seed + (k+1) * golden gamma, mixed), so a (seed, config)
 pair fixes every run bit for bit.
+
+``run_batch`` advances the runs in lockstep: a block of runs steps together
+as numpy arrays, and runs that have stopped drop out of the block. The block
+size follows from the horizon and a fixed budget for the block's uniform
+matrix (``_BLOCK_BYTES``, 1 MiB: 326 runs at horizon 200). Each run still
+draws its uniforms from its own stream and every operation follows the order
+of the scalar ``run_episode``, so costs, beliefs and statistics equal those of
+a loop over ``run_episode`` bit for bit. ``run_episode`` remains the scalar
+reference and the source of per-step traces.
+
+Policies are callables ``(tau, b) -> action`` that accept either scalars or
+aligned arrays (returning an action of the same shape); action 0 continues
+and action 1 stops.
 """
 
 from dataclasses import dataclass
@@ -24,6 +37,9 @@ from .stochastic_orders import ZeroLikelihoodError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# byte budget for one lockstep block's uniform matrix (2*horizon+1 per run)
+_BLOCK_BYTES = 1 << 20
+_ZERO_LIKELIHOOD = "observed a zero-probability branch; channel tables are inconsistent"
 
 
 def splitmix64(seed: int, k: int) -> int:
@@ -35,14 +51,20 @@ def splitmix64(seed: int, k: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-# --- policies: callables (tau, belief) -> action ---
+def _stream(seed: int, k: int) -> np.random.Generator:
+    """Random stream of replication k."""
+    return np.random.default_rng(splitmix64(seed, k))
 
-def never_stop(tau: int, b: float) -> int:
-    return 0
+
+# --- policies: callables (tau, belief) -> action, on scalars or arrays ---
+# ([()] turns the 0-d result of a scalar call back into a scalar)
+
+def never_stop(tau, b):
+    return np.zeros_like(tau, dtype=np.int64)[()]
 
 
-def stop_immediately(tau: int, b: float) -> int:
-    return 1
+def stop_immediately(tau, b):
+    return np.ones_like(tau, dtype=np.int64)[()]
 
 
 class FixedThresholdPolicy:
@@ -53,13 +75,14 @@ class FixedThresholdPolicy:
             raise ValueError("threshold must lie in [0, 1]")
         self.threshold = threshold
 
-    def __call__(self, tau: int, b: float) -> int:
-        return 1 if b >= self.threshold else 0
+    def __call__(self, tau, b):
+        return np.greater_equal(b, self.threshold).astype(np.int64)
 
 
 class LatticePolicy:
     """Policy table on the (tau, belief-grid) lattice; off-grid beliefs act
-    by nearest-grid-point lookup and holding times clamp to the lattice."""
+    by nearest-grid-point lookup (halves round to even, as ``round`` does)
+    and holding times clamp to the lattice."""
 
     def __init__(self, policy: np.ndarray, grid_n: int, tau_max: int):
         policy = np.asarray(policy)
@@ -74,10 +97,9 @@ class LatticePolicy:
     def from_solution(cls, sol: Solution) -> "LatticePolicy":
         return cls(sol.policy, sol.grid_n, sol.tau_max)
 
-    def __call__(self, tau: int, b: float) -> int:
-        i = int(round(b * self.grid_n))
-        i = min(max(i, 0), self.grid_n)
-        return int(self.policy[min(tau, self.tau_max), i])
+    def __call__(self, tau, b):
+        i = np.clip(np.rint(np.multiply(b, self.grid_n)), 0, self.grid_n)
+        return self.policy[np.minimum(tau, self.tau_max), i.astype(np.int64)]
 
 
 @dataclass(frozen=True)
@@ -138,6 +160,21 @@ class SimStats:
     truncation_bias_bound: float
 
 
+def _holding_table(holding_costs, horizon: int) -> np.ndarray:
+    holding = np.asarray(holding_costs, dtype=float)
+    if len(holding) < horizon:
+        raise ValueError(f"holding cost table must cover tau < horizon "
+                         f"({horizon}), got length {len(holding)}")
+    return holding
+
+
+def _kernel(ch: ChannelModel) -> tuple:
+    """(p00, p10, p01, p11, lam0, lam1) of the channel's continue action."""
+    return tuple(float(x) for x in (ch.mode_kernel[0, 0, 0], ch.mode_kernel[0, 1, 0],
+                                    ch.mode_kernel[0, 0, 1], ch.mode_kernel[0, 1, 1],
+                                    ch.lam[0, 0], ch.lam[1, 0]))
+
+
 def run_episode(ch: ChannelModel, holding_costs: np.ndarray, c_stop: float,
                 gamma: float, policy, horizon: int,
                 rng: np.random.Generator) -> SimTrace:
@@ -149,16 +186,8 @@ def run_episode(ch: ChannelModel, holding_costs: np.ndarray, c_stop: float,
     initial mode, two per step), so the stream consumed is fixed regardless
     of early stopping.
     """
-    holding = np.asarray(holding_costs, dtype=float)
-    if len(holding) < horizon:
-        raise ValueError(f"holding cost table must cover tau < horizon "
-                         f"({horizon}), got length {len(holding)}")
-    p00 = float(ch.mode_kernel[0, 0, 0])
-    p10 = float(ch.mode_kernel[0, 1, 0])
-    p01 = float(ch.mode_kernel[0, 0, 1])
-    p11 = float(ch.mode_kernel[0, 1, 1])
-    lam0 = float(ch.lam[0, 0])
-    lam1 = float(ch.lam[1, 0])
+    holding = _holding_table(holding_costs, horizon)
+    p00, p10, p01, p11, lam0, lam1 = _kernel(ch)
     u = rng.random(2 * horizon + 1).tolist()
     theta = 0 if u[0] < ch.initial_mode_dist[0] else 1
     tau = 0
@@ -204,8 +233,7 @@ def run_episode(ch: ChannelModel, holding_costs: np.ndarray, c_stop: float,
         else:
             num, den = (1.0 - lam1) * bhat, 1.0 - p_succ
         if den <= 0.0:
-            raise ZeroLikelihoodError("observed a zero-probability branch; "
-                                      "channel tables are inconsistent")
+            raise ZeroLikelihoodError(_ZERO_LIKELIHOOD)
         b = min(max(num / den, 0.0), 1.0)
         disc *= gamma
     return SimTrace(t=np.array(rec_t, dtype=np.int64),
@@ -219,52 +247,103 @@ def run_episode(ch: ChannelModel, holding_costs: np.ndarray, c_stop: float,
                     stopped=stopped, stop_time=stop_time, discounted_cost=J)
 
 
+def _run_block(u: np.ndarray, ch: ChannelModel, holding: np.ndarray,
+               c_stop: float, gamma: float, policy, tally: dict) -> np.ndarray:
+    """Advance the episodes whose uniforms are the rows of ``u`` together and
+    return their discounted costs; the arithmetic is ``run_episode``'s,
+    elementwise. Adds the block's integer counts into ``tally``."""
+    p00, p10, p01, p11, lam0, lam1 = _kernel(ch)
+    p_stay, lam = np.array([p00, p10]), np.array([lam0, lam1])
+    costs = np.empty(u.shape[0])
+    rows = np.arange(u.shape[0])  # block rows of the runs still going
+    theta = np.where(u[:, 0] < ch.initial_mode_dist[0], 0, 1)
+    tau = np.zeros(u.shape[0], dtype=np.int64)
+    b = np.full(u.shape[0], ch.initial_belief)
+    J = np.zeros(u.shape[0])
+    disc = 1.0
+    for t in range(u.shape[1] // 2):
+        a = np.asarray(policy(tau, b))
+        if a.shape != tau.shape:
+            raise ValueError(f"policy returned shape {a.shape} for {tau.shape} states")
+        tally["occupancy"] += np.bincount(theta, minlength=2)
+        go = a == 0
+        if not go.all():
+            stop = a == 1
+            if not (go | stop).all():
+                raise ValueError(f"policy returned unknown action {a[~(go | stop)][0]}")
+            J[stop] += disc * c_stop
+            costs[rows[stop]] = J[stop]
+            tally["stops"][t] += np.count_nonzero(stop)
+            rows, theta, tau, b, J = rows[go], theta[go], tau[go], b[go], J[go]
+            if rows.size == 0:
+                return costs
+        J += disc * holding[tau]
+        theta = np.where(u[rows, 2 * t + 1] < p_stay[theta], 0, 1)
+        success = u[rows, 2 * t + 2] < lam[theta]
+        tally["attempts"] += np.bincount(theta, minlength=2)
+        tally["successes"] += np.bincount(theta[success], minlength=2)
+        tau = np.where(success, 0, tau + 1)
+        bhat = np.minimum(np.maximum(p01 * (1.0 - b) + p11 * b, 0.0), 1.0)
+        p_succ = lam0 * (1.0 - bhat) + lam1 * bhat
+        num = np.where(success, lam1 * bhat, (1.0 - lam1) * bhat)
+        den = np.where(success, p_succ, 1.0 - p_succ)
+        if (den <= 0.0).any():
+            raise ZeroLikelihoodError(_ZERO_LIKELIHOOD)
+        b = np.minimum(np.maximum(num / den, 0.0), 1.0)
+        disc *= gamma
+    costs[rows] = J
+    return costs
+
+
 def run_batch(ch: ChannelModel, holding_costs: np.ndarray, c_stop: float,
               gamma: float, policy, simcfg: SimConfig,
               collect_traces: bool = False):
     """Run ``n_runs`` independent episodes and aggregate their statistics.
 
-    Returns SimStats, or (SimStats, traces) when collect_traces is set. Means
-    use numpy's pairwise summation; the standard error is the sample standard
-    deviation over sqrt(n_runs).
+    The runs advance in lockstep blocks whose uniform matrix fits in
+    ``_BLOCK_BYTES`` (1 MiB); run k draws from its own SplitMix64-seeded stream as in
+    ``run_episode``, so the result equals a loop over ``run_episode`` bit for
+    bit, whatever the block size. Returns SimStats, or (SimStats, traces)
+    when collect_traces is set; the traces are ``run_episode`` replays of the
+    same streams. Means use numpy's pairwise summation; the standard error is
+    the sample standard deviation over sqrt(n_runs).
     """
-    costs = np.empty(simcfg.n_runs)
-    stop_hist: dict[int, int] = {}
-    occupancy = np.zeros(2, dtype=np.int64)
-    attempts = np.zeros(2, dtype=np.int64)
-    successes = np.zeros(2, dtype=np.int64)
-    traces = []
-    for k in range(simcfg.n_runs):
-        rng = np.random.default_rng(splitmix64(simcfg.seed, k))
-        tr = run_episode(ch, holding_costs, c_stop, gamma, policy,
-                         simcfg.horizon, rng)
-        costs[k] = tr.discounted_cost
-        if tr.stopped:
-            stop_hist[tr.stop_time] = stop_hist.get(tr.stop_time, 0) + 1
-        occupancy += np.bincount(tr.theta[tr.theta >= 0], minlength=2)[:2]
-        live = tr.theta_next >= 0
-        attempts += np.bincount(tr.theta_next[live], minlength=2)[:2]
-        successes += np.bincount(tr.theta_next[live],
-                                 weights=tr.success[live],
-                                 minlength=2)[:2].astype(np.int64)
-        if collect_traces:
-            traces.append(tr)
+    horizon, n_runs = simcfg.horizon, simcfg.n_runs
+    holding = _holding_table(holding_costs, horizon)
+    width = 2 * horizon + 1
+    block = max(1, _BLOCK_BYTES // (8 * width))
+    u = np.empty((min(block, n_runs), width))
+    costs = np.empty(n_runs)
+    tally = {"occupancy": np.zeros(2, dtype=np.int64),
+             "attempts": np.zeros(2, dtype=np.int64),
+             "successes": np.zeros(2, dtype=np.int64),
+             "stops": np.zeros(horizon, dtype=np.int64)}
+    for start in range(0, n_runs, block):
+        m = min(block, n_runs - start)
+        for j in range(m):
+            _stream(simcfg.seed, start + j).random(out=u[j])
+        costs[start:start + m] = _run_block(u[:m], ch, holding, c_stop, gamma,
+                                            policy, tally)
+    occupancy, attempts, successes = tally["occupancy"], tally["attempts"], tally["successes"]
     total_steps = int(occupancy.sum())
     occ = tuple((occupancy / total_steps).tolist()) if total_steps else (0.0, 0.0)
     rates = tuple(float(successes[m] / attempts[m]) if attempts[m] else float("nan")
                   for m in range(2))
-    max_stage = float(max(np.max(holding_costs[:simcfg.horizon]), c_stop))
-    bias = gamma**simcfg.horizon * max_stage / (1.0 - gamma)
+    max_stage = float(max(np.max(holding[:horizon]), c_stop))
+    bias = gamma**horizon * max_stage / (1.0 - gamma)
     stats = SimStats(
         mean_discounted_cost=float(np.mean(costs)),
-        stderr=float(np.std(costs, ddof=1) / np.sqrt(simcfg.n_runs))
-        if simcfg.n_runs > 1 else 0.0,
-        n_runs=simcfg.n_runs, horizon=simcfg.horizon,
-        stop_time_histogram=dict(sorted(stop_hist.items())),
+        stderr=float(np.std(costs, ddof=1) / np.sqrt(n_runs)) if n_runs > 1 else 0.0,
+        n_runs=n_runs, horizon=horizon,
+        stop_time_histogram={int(t): int(tally["stops"][t])
+                             for t in np.flatnonzero(tally["stops"])},
         mode_occupancy=occ, success_rate_per_mode=rates,
         attempts_per_mode=tuple(int(x) for x in attempts),
         truncation_bias_bound=float(bias))
-    return (stats, traces) if collect_traces else stats
+    if not collect_traces:
+        return stats
+    return stats, [run_episode(ch, holding, c_stop, gamma, policy, horizon,
+                               _stream(simcfg.seed, k)) for k in range(n_runs)]
 
 
 def validate_belief_consistency(trace: SimTrace, ch: ChannelModel) -> bool:

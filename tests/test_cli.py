@@ -234,6 +234,82 @@ class TestSimulate:
         assert header == "episode,t,theta,action,gamma_t,tau,belief,cost"
 
 
+class TestSolvedPolicyProvenance:
+    def test_solve_records_problem_hash(self, tmp_path):
+        p, _ = write_cfg(tmp_path)
+        assert main(["solve", "--config", str(p), "--quiet"]) == 0
+        record = json.loads((tmp_path / "out" / "solve_record.json").read_text())
+        assert record == {"problem_sha256": tx.load_config(p).problem_sha256}
+
+    def test_hash_ignores_output_and_sim_sections(self, tmp_path):
+        p1, _ = write_cfg(tmp_path, name="a.yaml")
+        p2, _ = write_cfg(tmp_path, {"output.directory": "other", "sim.seed": 5,
+                                     "sim.n_runs": 7}, name="b.yaml")
+        p3, _ = write_cfg(tmp_path, {"channel.lam_bad": 0.3}, name="c.yaml")
+        h1, h2, h3 = (tx.load_config(p).problem_sha256 for p in (p1, p2, p3))
+        assert h1 == h2 != h3
+
+    def test_policy_of_another_config_refused(self, tmp_path, capsys):
+        # same output directory and lattice shape, different channel: the
+        # policy on disk was solved for the first config only
+        p1, _ = write_cfg(tmp_path, name="a.yaml")
+        p2, _ = write_cfg(tmp_path, {"channel.lam_bad": 0.6}, name="b.yaml")
+        assert main(["solve", "--config", str(p1), "--quiet"]) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(p2), "--policy", "solved",
+                     "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "stale policy" in err and "not solved for this config" in err
+        assert not (tmp_path / "out" / "simstats_solved.json").exists()
+
+    def test_lattice_shape_mismatch_refused(self, tmp_path, capsys):
+        p1, _ = write_cfg(tmp_path, name="a.yaml")
+        p2, _ = write_cfg(tmp_path, {"solver.grid_n": 30, "solver.tau_max": 12,
+                                     "output.directory": "out2"}, name="b.yaml")
+        assert main(["solve", "--config", str(p1), "--quiet"]) == 0
+        assert main(["solve", "--config", str(p2), "--quiet"]) == 0
+        (tmp_path / "out2" / "value_policy.csv").write_bytes(
+            (tmp_path / "out" / "value_policy.csv").read_bytes())
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(p2), "--policy", "solved"]) == 2
+        err = capsys.readouterr().err
+        assert "tau_max=20, grid_n=40" in err and "solver.grid_n=30" in err
+
+    def test_missing_record_refused(self, tmp_path, capsys):
+        p, _ = write_cfg(tmp_path)
+        assert main(["solve", "--config", str(p), "--quiet"]) == 0
+        (tmp_path / "out" / "solve_record.json").unlink()
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(p), "--policy", "solved"]) == 2
+        assert "solve_record.json is missing" in capsys.readouterr().err
+
+    def test_out_and_seed_overrides_keep_the_policy_valid(self, tmp_path):
+        p, _ = write_cfg(tmp_path)
+        other = tmp_path / "elsewhere"
+        assert main(["solve", "--config", str(p), "--out", str(other), "--quiet"]) == 0
+        assert main(["simulate", "--config", str(p), "--out", str(other),
+                     "--policy", "solved", "--seed", "999", "--quiet"]) == 0
+        stats = json.loads((other / "simstats_solved.json").read_text())
+        assert stats["seed"] == 999
+
+
+class TestCostOverflow:
+    def test_simulate_long_horizon_unstable_plant(self, tmp_path, capsys):
+        p, _ = write_cfg(tmp_path, {"system.A": [[1.2]], "channel.lam_bad": 0.5,
+                                    "sim.horizon": 2000, "sim.n_runs": 4})
+        assert main(["simulate", "--config", str(p), "--policy", "never-stop"]) == 2
+        err = capsys.readouterr().err
+        assert "sim.horizon" in err and "overflow" in err
+        assert "Traceback" not in err
+
+    def test_solve_large_tau_max_unstable_plant(self, tmp_path, capsys):
+        p, _ = write_cfg(tmp_path, {"system.A": [[1.3]], "channel.lam_bad": 0.5,
+                                    "solver.tau_max": 1500})
+        assert main(["solve", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "solver.tau_max" in err and "overflow" in err
+
+
 class TestThresholdsCommand:
     def test_prints_table(self, tmp_path, capsys):
         p, _ = write_cfg(tmp_path)

@@ -1,12 +1,63 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import txsched as tx
+from txsched import sim
 
 
 @pytest.fixture(scope="module")
 def sim_table(plant, steady):
     return tx.holding_cost_table(plant, steady, 250)
+
+
+def oracle_batch(ch, holding_costs, c_stop, gamma, policy, simcfg):
+    """Reference aggregation: one scalar ``run_episode`` per run, on the same
+    per-run streams, summed episode by episode."""
+    costs = np.empty(simcfg.n_runs)
+    stop_hist = {}
+    occupancy = np.zeros(2, dtype=np.int64)
+    attempts = np.zeros(2, dtype=np.int64)
+    successes = np.zeros(2, dtype=np.int64)
+    for k in range(simcfg.n_runs):
+        rng = np.random.default_rng(tx.splitmix64(simcfg.seed, k))
+        tr = tx.run_episode(ch, holding_costs, c_stop, gamma, policy,
+                            simcfg.horizon, rng)
+        costs[k] = tr.discounted_cost
+        if tr.stopped:
+            stop_hist[tr.stop_time] = stop_hist.get(tr.stop_time, 0) + 1
+        occupancy += np.bincount(tr.theta[tr.theta >= 0], minlength=2)[:2]
+        live = tr.theta_next >= 0
+        attempts += np.bincount(tr.theta_next[live], minlength=2)[:2]
+        successes += np.bincount(tr.theta_next[live], weights=tr.success[live],
+                                 minlength=2)[:2].astype(np.int64)
+    total_steps = int(occupancy.sum())
+    occ = tuple((occupancy / total_steps).tolist()) if total_steps else (0.0, 0.0)
+    rates = tuple(float(successes[m] / attempts[m]) if attempts[m] else float("nan")
+                  for m in range(2))
+    max_stage = float(max(np.max(holding_costs[:simcfg.horizon]), c_stop))
+    return tx.SimStats(
+        mean_discounted_cost=float(np.mean(costs)),
+        stderr=float(np.std(costs, ddof=1) / np.sqrt(simcfg.n_runs))
+        if simcfg.n_runs > 1 else 0.0,
+        n_runs=simcfg.n_runs, horizon=simcfg.horizon,
+        stop_time_histogram=dict(sorted(stop_hist.items())),
+        mode_occupancy=occ, success_rate_per_mode=rates,
+        attempts_per_mode=tuple(int(x) for x in attempts),
+        truncation_bias_bound=float(gamma**simcfg.horizon * max_stage / (1.0 - gamma)))
+
+
+def assert_stats_equal(got, want):
+    """Field-by-field equality, NaN success rates counting as equal."""
+    def key(stats):
+        d = dict(stats.__dict__)
+        d["success_rate_per_mode"] = tuple(None if math.isnan(r) else r
+                                           for r in stats.success_rate_per_mode)
+        return d
+    assert key(got) == key(want)
 
 
 class TestSplitMix:
@@ -149,6 +200,139 @@ class TestRunBatch:
         assert abs(stats.mean_discounted_cost - v0) < slack
 
 
+CHANNELS = {
+    "ge": tx.make_gilbert_elliott(p00=0.9, p11=1.0, lam_good=0.9, lam_bad=0.2),
+    "ge-recovering": tx.make_gilbert_elliott(p00=0.8, p11=0.7, lam_good=0.95,
+                                             lam_bad=0.3, b0=0.4),
+    "persistent": tx.make_persistent_failure(0.15, 0.9, 0.2, b0=0.0),
+    "explicit": tx.ChannelModel(lam=[[0.85], [0.1]],
+                                mode_kernel=[[[0.92, 0.08], [0.05, 0.95]]],
+                                initial_mode_dist=[0.75, 0.25]),
+}
+
+
+def policy_kinds(stopping_solution):
+    return {"solved": tx.LatticePolicy.from_solution(stopping_solution),
+            "never-stop": tx.never_stop, "stop-now": tx.stop_immediately,
+            "threshold": tx.FixedThresholdPolicy(0.5)}
+
+
+class TestLockstepOracle:
+    """``run_batch`` advances runs in lockstep; its stats must equal the
+    episode-by-episode loop over ``run_episode`` exactly."""
+
+    @pytest.mark.parametrize("channel", sorted(CHANNELS))
+    @pytest.mark.parametrize("kind", ["solved", "never-stop", "stop-now", "threshold"])
+    def test_matches_scalar_loop(self, channel, kind, stopping_solution, sim_table):
+        policy = policy_kinds(stopping_solution)[kind]
+        cfgs = tx.SimConfig(horizon=80, n_runs=150, seed=20260811)
+        args = (CHANNELS[channel], sim_table.costs, 10.0, 0.95, policy, cfgs)
+        assert_stats_equal(tx.run_batch(*args), oracle_batch(*args))
+
+    @pytest.mark.parametrize("kind", ["solved", "never-stop", "threshold"])
+    def test_several_blocks_and_partial_last_block(self, kind, plant, steady,
+                                                   stopping_solution):
+        horizon = 1000
+        block = sim._BLOCK_BYTES // (8 * (2 * horizon + 1))
+        n_runs = 2 * block + 10
+        assert n_runs % block != 0 and n_runs > 2 * block
+        table = tx.holding_cost_table(plant, steady, horizon)
+        cfgs = tx.SimConfig(horizon=horizon, n_runs=n_runs, seed=4)
+        args = (CHANNELS["ge-recovering"], table.costs, 10.0, 0.95,
+                policy_kinds(stopping_solution)[kind], cfgs)
+        assert_stats_equal(tx.run_batch(*args), oracle_batch(*args))
+
+    @pytest.mark.parametrize("budget", [1, 8 * 121 * 7])
+    def test_block_size_does_not_change_result(self, budget, monkeypatch,
+                                               stopping_solution, sim_table):
+        cfgs = tx.SimConfig(horizon=60, n_runs=50, seed=8)
+        args = (CHANNELS["ge"], sim_table.costs, 10.0, 0.95,
+                policy_kinds(stopping_solution)["solved"], cfgs)
+        want = tx.run_batch(*args)
+        monkeypatch.setattr(sim, "_BLOCK_BYTES", budget)
+        assert_stats_equal(tx.run_batch(*args), want)
+
+    @pytest.mark.parametrize("kind", ["solved", "never-stop", "stop-now", "threshold"])
+    def test_horizon_one(self, kind, stopping_solution, sim_table):
+        cfgs = tx.SimConfig(horizon=1, n_runs=33, seed=3)
+        args = (CHANNELS["ge-recovering"], sim_table.costs, 10.0, 0.95,
+                policy_kinds(stopping_solution)[kind], cfgs)
+        assert_stats_equal(tx.run_batch(*args), oracle_batch(*args))
+
+    def test_single_run(self, sim_table):
+        cfgs = tx.SimConfig(horizon=30, n_runs=1, seed=11)
+        args = (CHANNELS["ge"], sim_table.costs, 10.0, 0.95, tx.never_stop, cfgs)
+        stats = tx.run_batch(*args)
+        assert stats.stderr == 0.0
+        assert_stats_equal(stats, oracle_batch(*args))
+
+    def test_traces_replay_the_same_streams(self, stopping_solution, sim_table):
+        cfgs = tx.SimConfig(horizon=40, n_runs=20, seed=21)
+        args = (CHANNELS["ge"], sim_table.costs, 10.0, 0.95,
+                policy_kinds(stopping_solution)["solved"], cfgs)
+        stats, traces = tx.run_batch(*args, collect_traces=True)
+        assert_stats_equal(stats, tx.run_batch(*args))
+        costs = [tr.discounted_cost for tr in traces]
+        assert stats.mean_discounted_cost == float(np.mean(costs))
+        assert all(tx.validate_belief_consistency(tr, CHANNELS["ge"]) for tr in traces)
+
+    def test_unknown_action_rejected(self, sim_table):
+        cfgs = tx.SimConfig(horizon=20, n_runs=5, seed=1)
+        with pytest.raises(ValueError, match="unknown action 2"):
+            tx.run_batch(CHANNELS["ge"], sim_table.costs, 10.0, 0.95,
+                         lambda tau, b: np.where(tau >= 3, 2, 0), cfgs)
+
+    def test_policy_shape_checked(self, sim_table):
+        cfgs = tx.SimConfig(horizon=20, n_runs=5, seed=1)
+        with pytest.raises(ValueError, match="shape"):
+            tx.run_batch(CHANNELS["ge"], sim_table.costs, 10.0, 0.95,
+                         lambda tau, b: 0, cfgs)
+
+    def test_zero_likelihood_raises(self, sim_table):
+        # the filter is certain of the unfavorable mode (lam 0) while the
+        # true mode is the favorable one (lam 1): a success has zero likelihood
+        ch = SimpleNamespace(mode_kernel=np.array([[[1.0, 0.0], [0.0, 1.0]]]),
+                             lam=np.array([[1.0], [0.0]]),
+                             initial_mode_dist=np.array([1.0, 0.0]),
+                             initial_belief=1.0)
+        cfgs = tx.SimConfig(horizon=5, n_runs=3, seed=1)
+        with pytest.raises(tx.ZeroLikelihoodError):
+            tx.run_batch(ch, sim_table.costs, 10.0, 0.95, tx.never_stop, cfgs)
+        with pytest.raises(tx.ZeroLikelihoodError):
+            tx.run_episode(ch, sim_table.costs, 10.0, 0.95, tx.never_stop, 5,
+                           np.random.default_rng(0))
+
+    def test_table_too_short(self, sim_table):
+        cfgs = tx.SimConfig(horizon=50, n_runs=5, seed=1)
+        with pytest.raises(ValueError, match="horizon"):
+            tx.run_batch(CHANNELS["ge"], sim_table.costs[:10], 10.0, 0.95,
+                         tx.never_stop, cfgs)
+
+
+@st.composite
+def tp2_channels(draw):
+    unit = st.floats(0.0, 1.0)
+    p00 = draw(unit)
+    p11 = draw(st.floats(1.0 - p00, 1.0))
+    lam_bad = draw(unit)
+    lam_good = draw(st.floats(lam_bad, 1.0))
+    return tx.make_gilbert_elliott(p00=p00, p11=p11, lam_good=lam_good,
+                                   lam_bad=lam_bad, b0=draw(unit))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(ch=tp2_channels(), seed=st.integers(0, 2**64 - 1),
+       horizon=st.integers(1, 40), n_runs=st.integers(1, 30),
+       threshold=st.floats(0.0, 1.0))
+def test_lockstep_equals_scalar_loop_on_random_channels(plant, steady, ch, seed,
+                                                        horizon, n_runs, threshold):
+    costs = tx.holding_cost_table(plant, steady, 40).costs
+    cfgs = tx.SimConfig(horizon=horizon, n_runs=n_runs, seed=seed)
+    for policy in (tx.FixedThresholdPolicy(threshold), tx.never_stop):
+        args = (ch, costs, 10.0, 0.95, policy, cfgs)
+        assert_stats_equal(tx.run_batch(*args), oracle_batch(*args))
+
+
 class TestPolicies:
     def test_lattice_policy_nearest_lookup(self, stopping_solution):
         pol = tx.LatticePolicy.from_solution(stopping_solution)
@@ -163,6 +347,38 @@ class TestPolicies:
         pol = tx.FixedThresholdPolicy(0.5)
         assert pol(0, 0.5) == 1
         assert pol(0, 0.49999) == 0
+
+    def test_lattice_policy_arrays_match_scalar_lookup(self):
+        # grid_n a power of two, so (i + 0.5) / grid_n * grid_n is an exact
+        # half and the round-half-to-even rule decides the lookup
+        grid_n, tau_max = 64, 12
+        table = np.random.default_rng(0).integers(0, 2, (tau_max + 1, grid_n + 1))
+        pol = tx.LatticePolicy(table, grid_n, tau_max)
+        halves = (np.arange(grid_n) + 0.5) / grid_n
+        assert np.all(halves * grid_n == np.arange(grid_n) + 0.5)
+        b = np.concatenate([halves, [0.0, 1.0, 0.3, 0.999]])
+        for tau in (0, 5, tau_max, tau_max + 1, 10 * tau_max):
+            taus = np.full(b.shape, tau, dtype=np.int64)
+            expect = [table[min(tau, tau_max), min(max(int(round(x * grid_n)), 0), grid_n)]
+                      for x in b.tolist()]
+            assert pol(taus, b).tolist() == expect
+            assert [pol(tau, x) for x in b.tolist()] == expect
+        # round() sends 2.5 to 2 and 3.5 to 4; so must the array lookup
+        assert np.array_equal(pol(np.zeros(2, dtype=np.int64), np.array([2.5, 3.5]) / grid_n),
+                              table[0, [2, 4]])
+
+    def test_fixed_threshold_arrays_ties_stop(self):
+        pol = tx.FixedThresholdPolicy(0.5)
+        b = np.array([0.0, 0.49999, 0.5, 0.50001, 1.0])
+        assert pol(np.zeros(5, dtype=np.int64), b).tolist() == [0, 0, 1, 1, 1]
+        assert [pol(0, x) for x in b.tolist()] == [0, 0, 1, 1, 1]
+
+    def test_constant_policies_on_arrays(self):
+        tau = np.arange(4)
+        b = np.linspace(0.0, 1.0, 4)
+        assert tx.never_stop(tau, b).tolist() == [0, 0, 0, 0]
+        assert tx.stop_immediately(tau, b).tolist() == [1, 1, 1, 1]
+        assert tx.never_stop(3, 0.2) == 0 and tx.stop_immediately(3, 0.2) == 1
 
     def test_threshold_range_checked(self):
         with pytest.raises(ValueError):
