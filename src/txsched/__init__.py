@@ -8,12 +8,11 @@ solver with structural verification (belief_mdp), the optimal-stopping layer
 (stopping), a closed-loop Monte Carlo simulator (sim), and a CLI (cli).
 """
 
-from .belief_mdp import (BeliefPoint, ContractionReport, SolverConfig, Solution,
-                         StageCost, belief_update, bellman_apply,
-                         check_contraction, observation_likelihood,
-                         predictive_belief, stage_cost, value_iterate,
-                         verify_update_monotonicity, verify_value_monotonicity,
-                         weight_profile, weighted_norm)
+from .belief_mdp import (ContractionReport, SolverConfig, Solution, StageCost,
+                         belief_update, bellman_apply, check_contraction,
+                         observation_likelihood, predictive_belief, stage_cost,
+                         value_iterate, verify_update_monotonicity,
+                         verify_value_monotonicity, weight_profile, weighted_norm)
 from .channel import (ChannelModel, check_mode_kernel_tp2, make_gilbert_elliott,
                       make_persistent_failure, sample_mode_step)
 from .config import ConfigError, RunConfig, load_config, parse_config

@@ -14,6 +14,9 @@ converges, so the truncation error is bounded). Convergence is measured in a
 weighted sup-norm whose weight grows along tau only when the plant is
 unstable, which is what keeps the operator an m-stage contraction despite
 unbounded costs.
+One kernel, _bellman, evaluates the operator for every solve and check, from
+a per-solve interpolation stencil; _require_contraction states the hypothesis
+they all rely on.
 """
 
 from dataclasses import dataclass
@@ -29,20 +32,6 @@ def _frozen(a):
     a = np.array(a)
     a.flags.writeable = False
     return a
-
-
-@dataclass(frozen=True)
-class BeliefPoint:
-    """Augmented state: holding time and belief of the unfavorable mode."""
-
-    tau: int
-    b: float
-
-    def __post_init__(self):
-        if self.tau < 0:
-            raise ValueError("tau must be nonnegative")
-        if not 0.0 <= self.b <= 1.0:
-            raise ValueError("belief must lie in [0, 1]")
 
 
 def predictive_belief(ch: ChannelModel, b: float, a: int = 0) -> float:
@@ -186,22 +175,80 @@ def _action_tables(ch: ChannelModel, grid: np.ndarray, a: int):
     return p_succ, np.clip(t_succ, 0.0, 1.0), np.clip(t_fail, 0.0, 1.0)
 
 
-def _sweep(Q, tables, cs, ca, gamma, grid):
-    """One Jacobi sweep of the Bellman operator over the whole lattice."""
-    tau_max = Q.shape[0] - 1
-    Vmin = Q.min(axis=2)
-    out = np.empty_like(Q)
-    for a, (p_succ, t_succ, t_fail) in enumerate(tables):
-        w_succ = np.interp(t_succ, grid, Vmin[0])
-        w_fail_rows = np.zeros((tau_max + 1, grid.size))
-        for r in range(1, tau_max + 1):  # row 0 unused: a failure always advances tau
-            w_fail_rows[r] = np.interp(t_fail, grid, Vmin[r])
-        cont = p_succ * w_succ
-        for tau in range(tau_max + 1):
-            nxt = min(tau + 1, tau_max)
-            out[tau, :, a] = (cs[tau] + ca[a]
-                              + gamma * (cont + (1.0 - p_succ) * w_fail_rows[nxt]))
+def _cell(t, grid):
+    """Left and right grid indices, cell width and offset of each t; at
+    t == grid[-1] the cell collapses (lo == hi, width 1, offset 0)."""
+    n = grid.size - 1
+    lo = np.searchsorted(grid, t, side="right") - 1  # grid[lo] <= t < grid[lo + 1]
+    hi = np.minimum(lo + 1, n)
+    dx = np.where(hi > lo, grid[hi] - grid[lo], 1.0)
+    return lo, hi, dx, t - grid[lo]
+
+
+def _stencil(ch: ChannelModel, grid: np.ndarray):
+    """Per-action interpolation stencil, fixed for a whole solve: the success
+    and failure probabilities and the cells of the two posterior branches."""
+    stencil = []
+    for a in range(ch.n_actions):
+        p_succ, t_succ, t_fail = _action_tables(ch, grid, a)
+        stencil.append((p_succ, 1.0 - p_succ, _cell(t_succ, grid), _cell(t_fail, grid)))
+    return stencil
+
+
+def _interp(V, cell):
+    """Piecewise-linear read of the rows of V at the cell's points, in
+    numpy.interp's own arithmetic ((V[hi] - V[lo]) / dx * off + V[lo]), so
+    the result matches it bit for bit."""
+    lo, hi, dx, off = cell
+    w = V.take(hi, axis=-1)
+    v_lo = V.take(lo, axis=-1)
+    w -= v_lo
+    w /= dx
+    w *= off
+    w += v_lo
+    return w
+
+
+def _bellman(V, stencil, cs, ca, gamma):
+    """Bellman expectation on the (tau, grid, action) lattice given the
+    continuation values V[tau, i]: stage cost plus the discounted success
+    branch (back to tau = 0) and failure branch (tau + 1, clamped at tau_max).
+    The only code that evaluates the operator."""
+    tau_max = V.shape[0] - 1
+    out = np.empty(V.shape + (len(stencil),))
+    for a, (p_succ, p_fail, succ, fail) in enumerate(stencil):
+        w = _interp(V[1:], fail)  # row r holds the value after a failure into tau = r + 1
+        w *= p_fail
+        w += p_succ * _interp(V[0], succ)
+        w *= gamma
+        c = cs[:tau_max + 1] + ca[a]
+        np.add(c[:tau_max, None], w, out=out[:tau_max, :, a])
+        np.add(c[tau_max], w[-1], out=out[tau_max, :, a])
     return out
+
+
+def _iterate(values, stencil, cs, ca, cfg, spectral_radius, what):
+    """Q <- _bellman(values(Q)) from Q = 0 until the weighted residual of a
+    sweep drops below cfg.vi_tol; returns (Q, sweeps, residual history)."""
+    Q = np.zeros((cfg.tau_max + 1, cfg.grid_n + 1, len(ca)))
+    history = []
+    for sweep in range(1, cfg.max_sweeps + 1):
+        Qn = _bellman(values(Q), stencil, cs, ca, cfg.gamma)
+        residual = weighted_norm(Qn - Q, spectral_radius, cfg.weight_eps)
+        history.append(residual)
+        Q = Qn
+        if residual < cfg.vi_tol:
+            return Q, sweep, history
+    raise ConvergenceError(
+        f"{what} did not reach tol {cfg.vi_tol} in {cfg.max_sweeps} sweeps "
+        f"(last residual {history[-1]:.3e})", residual=history[-1], history=history)
+
+
+def _check_problem(ch: ChannelModel, cost: StageCost, cfg: SolverConfig):
+    if cost.n_actions != ch.n_actions:
+        raise ValueError("cost and channel disagree on the number of actions")
+    if cost.holding.tau_max < cfg.tau_max:
+        raise ValueError("holding cost table is shorter than cfg.tau_max")
 
 
 def bellman_apply(ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
@@ -219,13 +266,9 @@ def bellman_apply(ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
     expected = (cfg.tau_max + 1, cfg.grid_n + 1, cost.n_actions)
     if Q.shape != expected:
         raise ValueError(f"Q must have shape {expected}, got {Q.shape}")
-    if cost.n_actions != ch.n_actions:
-        raise ValueError("cost and channel disagree on the number of actions")
-    if cost.holding.tau_max < cfg.tau_max:
-        raise ValueError("holding cost table is shorter than cfg.tau_max")
-    grid = cfg.belief_grid()
-    tables = [_action_tables(ch, grid, a) for a in range(ch.n_actions)]
-    return _sweep(Q, tables, cost.holding.costs, cost.action_costs, cfg.gamma, grid)
+    _check_problem(ch, cost, cfg)
+    return _bellman(Q.min(axis=2), _stencil(ch, cfg.belief_grid()),
+                    cost.holding.costs, cost.action_costs, cfg.gamma)
 
 
 @dataclass(frozen=True)
@@ -265,24 +308,22 @@ def greedy_policy(Q: np.ndarray, tie_break: str = "low") -> np.ndarray:
     return (Q.shape[2] - 1) - np.argmin(Q[:, :, ::-1], axis=2).astype(np.int64)
 
 
-def _require_margin(ch: ChannelModel, cost: StageCost, cfg: SolverConfig | None = None):
-    rho = cost.spectral_radius
-    if rho < 1.0:
-        return
-    lam_min = ch.min_success_prob()
-    bound = 1.0 - 1.0 / rho**2
-    if not lam_min > bound:
+def _require_contraction(lam_min: float, spectral_radius: float, eps: float):
+    """The convergence hypothesis of the solver and of its contraction
+    certificate, stated once. A stable plant (rho(A) < 1) has bounded costs,
+    and the operator contracts by gamma in the sup norm whatever lam is. An
+    unstable plant needs (1 - lam_min) * (rho + eps)^2 < 1, which implies the
+    success margin lam_min > 1 - 1/rho^2 and alpha = (1 - lam_min) * (rho^2 +
+    eps) < 1. Raises ValueError when the hypothesis fails."""
+    rho, fail = spectral_radius, 1.0 - lam_min
+    if rho >= 1.0 and fail * (rho + eps) ** 2 >= 1.0:
+        cause = ("the success margin lam_min > 1 - 1/rho(A)^2 fails, so the "
+                 "discounted cost need not be finite" if fail * rho**2 >= 1.0
+                 else "the success margin holds; decrease weight_eps")
         raise ValueError(
-            f"success margin violated: min success prob {lam_min} <= "
-            f"1 - 1/rho(A)^2 = {bound}; the discounted cost need not be finite")
-    if cfg is not None:
-        # the weighted-norm convergence argument needs the per-step weighted
-        # mass to shrink; a too-large eps can break it even under the margin
-        growth = (1.0 - lam_min) * (rho + cfg.weight_eps) ** 2
-        if growth >= 1.0:
-            raise ValueError(
-                f"contraction parameters invalid: (1-lam_min)*(rho+eps)^2 = "
-                f"{growth} >= 1; decrease weight_eps")
+            f"contraction hypothesis violated: (1-lam_min)*(rho+eps)^2 = "
+            f"{fail * (rho + eps) ** 2} >= 1 (min success prob {lam_min}, rho(A) = "
+            f"{rho}, weight_eps = {eps}, alpha = {fail * (rho**2 + eps)}); {cause}")
 
 
 def value_iterate(ch: ChannelModel, cost: StageCost, cfg: SolverConfig) -> Solution:
@@ -290,33 +331,17 @@ def value_iterate(ch: ChannelModel, cost: StageCost, cfg: SolverConfig) -> Solut
     sweep drops below cfg.vi_tol.
 
     Raises ConvergenceError (with the residual history) if max_sweeps is
-    exhausted, and ValueError if the channel's worst success probability is
-    too small for the plant's spectral radius.
+    exhausted, and ValueError if the contraction hypothesis fails.
     """
-    _require_margin(ch, cost, cfg)
-    if cost.n_actions != ch.n_actions:
-        raise ValueError("cost and channel disagree on the number of actions")
-    if cost.holding.tau_max < cfg.tau_max:
-        raise ValueError("holding cost table is shorter than cfg.tau_max")
+    _require_contraction(ch.min_success_prob(), cost.spectral_radius, cfg.weight_eps)
+    _check_problem(ch, cost, cfg)
     grid = cfg.belief_grid()
-    tables = [_action_tables(ch, grid, a) for a in range(ch.n_actions)]
-    s = weight_profile(cost.spectral_radius, cfg.weight_eps, cfg.tau_max)
-    Q = np.zeros((cfg.tau_max + 1, cfg.grid_n + 1, ch.n_actions))
-    history = []
-    for sweep in range(1, cfg.max_sweeps + 1):
-        Qn = _sweep(Q, tables, cost.holding.costs, cost.action_costs, cfg.gamma, grid)
-        residual = float(np.max(np.abs(Qn - Q).reshape(cfg.tau_max + 1, -1).max(axis=1) / s))
-        history.append(residual)
-        Q = Qn
-        if residual < cfg.vi_tol:
-            return Solution(Qfun=Q, V=Q.min(axis=2),
-                            policy=greedy_policy(Q, cfg.tie_break),
-                            belief_grid=grid, sweeps_used=sweep,
-                            final_residual=residual,
-                            residual_history=tuple(history))
-    raise ConvergenceError(
-        f"value iteration did not reach tol {cfg.vi_tol} in {cfg.max_sweeps} sweeps "
-        f"(last residual {history[-1]:.3e})", residual=history[-1], history=history)
+    Q, sweeps, history = _iterate(lambda Q: Q.min(axis=2), _stencil(ch, grid),
+                                  cost.holding.costs, cost.action_costs, cfg,
+                                  cost.spectral_radius, "value iteration")
+    return Solution(Qfun=Q, V=Q.min(axis=2), policy=greedy_policy(Q, cfg.tie_break),
+                    belief_grid=grid, sweeps_used=sweeps, final_residual=history[-1],
+                    residual_history=tuple(history))
 
 
 @dataclass(frozen=True)
@@ -492,21 +517,14 @@ def check_contraction(ch: ChannelModel, sys: LtiSystem, cost: StageCost,
     range of the worst-case weighted outcome mass below 1. Empirical part:
     the max over seeded random bounded Q pairs of the ratio
     ||T^m Q1 - T^m Q2|| / ||Q1 - Q2|| in the same norm. Raises ValueError
-    when (1 - lam_min) * (rho(A)^2 + eps) >= 1, the hypothesis under which
-    the certificate exists.
+    when the solver's contraction hypothesis fails (see _require_contraction).
     """
     lam_min = ch.min_success_prob()
     rho = sys.spectral_radius()
     eps = cfg.weight_eps
+    _require_contraction(lam_min, rho, eps)
     alpha = (1.0 - lam_min) * (rho**2 + eps)
-    if alpha >= 1.0:
-        raise ValueError(f"contraction hypothesis violated: "
-                         f"alpha = (1-lam_min)*(rho^2+eps) = {alpha} >= 1")
     base = max(rho + eps, 1.0)
-    if (1.0 - lam_min) * base**2 >= 1.0:
-        raise ValueError(
-            f"weighted mass diverges: (1-lam_min)*base^2 = "
-            f"{(1.0 - lam_min) * base**2} >= 1; decrease weight_eps")
     m_found = None
     bound_found = np.inf
     for m in range(1, m_max + 1):
@@ -520,23 +538,18 @@ def check_contraction(ch: ChannelModel, sys: LtiSystem, cost: StageCost,
         raise ConvergenceError(f"no contraction stage found up to m={m_max}")
     rng = np.random.default_rng(seed)
     shape = (cfg.tau_max + 1, cfg.grid_n + 1, ch.n_actions)
-    grid = cfg.belief_grid()
-    tables = [_action_tables(ch, grid, a) for a in range(ch.n_actions)]
-    s = weight_profile(rho, eps, cfg.tau_max)
-
-    def wnorm(f):
-        return float(np.max(np.abs(f).reshape(cfg.tau_max + 1, -1).max(axis=1) / s))
-
+    stencil = _stencil(ch, cfg.belief_grid())
+    cs, ca = cost.holding.costs, cost.action_costs
     worst_ratio = 0.0
     for _ in range(trials):
         Q1 = rng.uniform(0.0, 10.0, size=shape)
         Q2 = rng.uniform(0.0, 10.0, size=shape)
-        denom = wnorm(Q1 - Q2)
+        denom = weighted_norm(Q1 - Q2, rho, eps)
         A, B = Q1, Q2
         for _ in range(m_found):
-            A = _sweep(A, tables, cost.holding.costs, cost.action_costs, cfg.gamma, grid)
-            B = _sweep(B, tables, cost.holding.costs, cost.action_costs, cfg.gamma, grid)
-        ratio = wnorm(A - B) / denom if denom > 0 else 0.0
+            A = _bellman(A.min(axis=2), stencil, cs, ca, cfg.gamma)
+            B = _bellman(B.min(axis=2), stencil, cs, ca, cfg.gamma)
+        ratio = weighted_norm(A - B, rho, eps) / denom if denom > 0 else 0.0
         worst_ratio = max(worst_ratio, ratio)
     return ContractionReport(m=m_found, certified_bound=bound_found, alpha=alpha,
                              weight_base=base, empirical_max_ratio=worst_ratio,

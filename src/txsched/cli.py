@@ -10,8 +10,8 @@ Subcommands:
   simulate    Monte Carlo batch under --policy; writes simstats_<policy>.json
               and optional per-step traces. --policy solved refuses a
               value_policy.csv solved for another config.
-  thresholds  prints the threshold table (from a prior solve if present,
-              otherwise solving first).
+  thresholds  prints the threshold table (from a prior solve of the same
+              problem, by solve_record.json, otherwise solving first).
 
 Exit codes: 0 ok, 2 config error (including a holding-cost table that
 overflows float64 before solver.tau_max or sim.horizon, and a solved policy
@@ -187,7 +187,7 @@ def _verify_battery(cfg: RunConfig):
         f"{upd.n_update_checks} update checks, {upd.n_fsd_checks} dominance "
         f"checks" + ("" if upd.ok else
                      f"; violations {upd.update_violations[:3] + upd.fsd_violations[:3]}"))
-    _, _, sol = _pipeline(cfg)
+    _, table, sol = _pipeline(cfg)
     mono = belief_mdp.verify_value_monotonicity(sol)
     add("value_monotonicity", mono.ok,
         "V and Q nondecreasing in tau and belief" if mono.ok else
@@ -205,8 +205,6 @@ def _verify_battery(cfg: RunConfig):
         add("stop_advantage_monotone", bool(sub),
             "stop advantage nonincreasing" if sub else
             f"witness {sub.witness}, rise {sub.value}")
-    ss = steady_state_covariance(cfg.system)
-    table = _cost_table(cfg, ss, cfg.solver.tau_max, "solver.tau_max")
     cost = belief_mdp.StageCost(
         holding=table,
         action_costs=np.zeros(cfg.channel.n_actions) if cfg.is_stopping
@@ -233,19 +231,27 @@ def cmd_verify(cfg: RunConfig, quiet: bool = False) -> int:
     return EXIT_VERIFICATION if failed else EXIT_OK
 
 
+def _stale_reason(cfg: RunConfig, out_dir: Path):
+    """Why the solve artifacts in out_dir are not for cfg: None when
+    solve_record.json records cfg's problem hash, otherwise what it holds."""
+    record = out_dir / SOLVE_RECORD
+    solved_for = (json.loads(record.read_text(encoding="utf-8")).get("problem_sha256")
+                  if record.exists() else None)
+    if solved_for == cfg.problem_sha256:
+        return None
+    found = f"records problem sha256 {solved_for}" if solved_for else "is missing"
+    return f"{SOLVE_RECORD} {found}, this config has {cfg.problem_sha256}"
+
+
 def _build_policy(cfg: RunConfig, name: str, out_dir: Path):
     if name == "solved":
         path = out_dir / "value_policy.csv"
         if not path.exists():
             raise FileNotFoundError(f"{path} not found; run solve first")
-        record = out_dir / SOLVE_RECORD
-        solved_for = (json.loads(record.read_text(encoding="utf-8")).get("problem_sha256")
-                      if record.exists() else None)
-        if solved_for != cfg.problem_sha256:
-            found = f"records problem sha256 {solved_for}" if solved_for else "is missing"
+        stale = _stale_reason(cfg, out_dir)
+        if stale:
             raise StalePolicyError(
-                f"{path} was not solved for this config ({SOLVE_RECORD} {found}, "
-                f"this config has {cfg.problem_sha256}); run solve first")
+                f"{path} was not solved for this config ({stale}); run solve first")
         policy, grid_n, tau_max = read_value_policy_csv(path)
         if (tau_max, grid_n) != (cfg.solver.tau_max, cfg.solver.grid_n):
             raise StalePolicyError(
@@ -325,7 +331,7 @@ def cmd_thresholds(cfg: RunConfig, quiet: bool = False) -> int:
                                           "formulation")
     out_dir = Path(cfg.out_dir)
     path = out_dir / "thresholds.csv"
-    if not path.exists():
+    if not path.exists() or _stale_reason(cfg, out_dir):
         rc = cmd_solve(cfg, quiet=True)
         if rc != EXIT_OK:
             return rc

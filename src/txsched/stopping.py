@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief_mdp import (ConvergenceError, SolverConfig, Solution, StageCost,
-                         _action_tables, _require_margin, weight_profile)
+from .belief_mdp import (SolverConfig, Solution, StageCost, _iterate,
+                         _require_contraction, _stencil)
 from .channel import ChannelModel
 from .lti_estimation import HoldingCostTable
 from .stochastic_orders import CheckResult
@@ -51,53 +51,28 @@ class StoppingProblem:
         return StageCost(holding=self.holding, action_costs=np.array([0.0]))
 
 
-def _stopping_sweep(Qc, c_stop, table, cs, gamma, grid):
-    """One sweep of the continue branch; the stop branch is the constant."""
-    tau_max = Qc.shape[0] - 1
-    Vmin = np.minimum(Qc, c_stop)
-    p_succ, t_succ, t_fail = table
-    w_succ = np.interp(t_succ, grid, Vmin[0])
-    out = np.empty_like(Qc)
-    w_fail = np.zeros((tau_max + 1, grid.size))
-    for r in range(1, tau_max + 1):
-        w_fail[r] = np.interp(t_fail, grid, Vmin[r])
-    cont = p_succ * w_succ
-    for tau in range(tau_max + 1):
-        nxt = min(tau + 1, tau_max)
-        out[tau] = cs[tau] + gamma * (cont + (1.0 - p_succ) * w_fail[nxt])
-    return out
-
-
 def solve_stopping(prob: StoppingProblem) -> Solution:
     """Value iteration for the stopping problem from Q = 0.
 
-    Returns a two-action Solution whose stop slice equals c_stop exactly at
-    every lattice point; the policy stops on ties, matching the threshold
-    convention.
+    The continue branch is swept by the shared Bellman kernel with the
+    continuation value min(Q_continue, c_stop). Returns a two-action Solution
+    whose stop slice equals c_stop exactly at every lattice point; the policy
+    stops on ties, matching the threshold convention.
     """
     ch, cfg = prob.channel, prob.cfg
     cost = prob.stage_cost_bundle()
-    _require_margin(ch, cost, cfg)
+    _require_contraction(ch.min_success_prob(), cost.spectral_radius, cfg.weight_eps)
     grid = cfg.belief_grid()
-    table = _action_tables(ch, grid, 0)
-    s = weight_profile(cost.spectral_radius, cfg.weight_eps, cfg.tau_max)
-    Qc = np.zeros((cfg.tau_max + 1, cfg.grid_n + 1))
-    history = []
-    for sweep in range(1, cfg.max_sweeps + 1):
-        Qn = _stopping_sweep(Qc, prob.c_stop, table, prob.holding.costs, cfg.gamma, grid)
-        residual = float(np.max(np.abs(Qn - Qc).max(axis=1) / s))
-        history.append(residual)
-        Qc = Qn
-        if residual < cfg.vi_tol:
-            Qfun = np.stack([Qc, np.full_like(Qc, prob.c_stop)], axis=2)
-            policy = (Qfun[:, :, 1] <= Qfun[:, :, 0]).astype(np.int64)
-            return Solution(Qfun=Qfun, V=Qfun.min(axis=2), policy=policy,
-                            belief_grid=grid, sweeps_used=sweep,
-                            final_residual=residual, residual_history=tuple(history))
-    raise ConvergenceError(
-        f"stopping value iteration did not reach tol {cfg.vi_tol} in "
-        f"{cfg.max_sweeps} sweeps (last residual {history[-1]:.3e})",
-        residual=history[-1], history=history)
+    Q, sweeps, history = _iterate(lambda Q: np.minimum(Q[:, :, 0], prob.c_stop),
+                                  _stencil(ch, grid), cost.holding.costs,
+                                  cost.action_costs, cfg, cost.spectral_radius,
+                                  "stopping value iteration")
+    Qc = Q[:, :, 0]
+    Qfun = np.stack([Qc, np.full_like(Qc, prob.c_stop)], axis=2)
+    policy = (Qfun[:, :, 1] <= Qfun[:, :, 0]).astype(np.int64)
+    return Solution(Qfun=Qfun, V=Qfun.min(axis=2), policy=policy,
+                    belief_grid=grid, sweeps_used=sweeps,
+                    final_residual=history[-1], residual_history=tuple(history))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import txsched as tx
 from conftest import bayes_enumeration_oracle, random_channel
+from txsched.belief_mdp import _action_tables, _bellman, _stencil
 
 
 class TestBeliefPrimitives:
@@ -160,6 +162,161 @@ class TestBellman:
             out1 = tx.bellman_apply(ge_channel, cost, cfg, Q1)
             out2 = tx.bellman_apply(ge_channel, cost, cfg, Q2)
             assert np.all(out1 <= out2 + 1e-12)
+
+
+def rowwise_sweep(Q, tables, cs, ca, gamma, grid):
+    """Row-wise Bellman sweep with one np.interp call per tau row and action:
+    the reference the stencil kernel must match bit for bit."""
+    tau_max = Q.shape[0] - 1
+    Vmin = Q.min(axis=2)
+    out = np.empty_like(Q)
+    for a, (p_succ, t_succ, t_fail) in enumerate(tables):
+        w_succ = np.interp(t_succ, grid, Vmin[0])
+        w_fail_rows = np.zeros((tau_max + 1, grid.size))
+        for r in range(1, tau_max + 1):  # row 0 unused: a failure always advances tau
+            w_fail_rows[r] = np.interp(t_fail, grid, Vmin[r])
+        cont = p_succ * w_succ
+        for tau in range(tau_max + 1):
+            nxt = min(tau + 1, tau_max)
+            out[tau, :, a] = (cs[tau] + ca[a]
+                              + gamma * (cont + (1.0 - p_succ) * w_fail_rows[nxt]))
+    return out
+
+
+def rowwise_stopping_sweep(Qc, c_stop, table, cs, gamma, grid):
+    """Row-wise sweep of the continue branch of a stopping problem; the stop
+    branch is the constant c_stop."""
+    tau_max = Qc.shape[0] - 1
+    Vmin = np.minimum(Qc, c_stop)
+    p_succ, t_succ, t_fail = table
+    w_succ = np.interp(t_succ, grid, Vmin[0])
+    out = np.empty_like(Qc)
+    w_fail = np.zeros((tau_max + 1, grid.size))
+    for r in range(1, tau_max + 1):
+        w_fail[r] = np.interp(t_fail, grid, Vmin[r])
+    cont = p_succ * w_succ
+    for tau in range(tau_max + 1):
+        nxt = min(tau + 1, tau_max)
+        out[tau] = cs[tau] + gamma * (cont + (1.0 - p_succ) * w_fail[nxt])
+    return out
+
+
+def rowwise_solve(sweep, Q, s, cfg):
+    """Reference value iteration: sweep until the weighted residual drops
+    below cfg.vi_tol; returns (Q, residual history)."""
+    history = []
+    for _ in range(cfg.max_sweeps):
+        Qn = sweep(Q)
+        history.append(float(np.max(np.abs(Qn - Q).reshape(Q.shape[0], -1).max(axis=1) / s)))
+        Q = Qn
+        if history[-1] < cfg.vi_tol:
+            break
+    return Q, history
+
+
+# exact 0 and 1 entries give absorbing modes and posteriors at the grid ends
+_prob = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def tp2_channels(draw, max_actions=2):
+    """Channel with one or more actions, each with a TP2 mode kernel
+    (p00 + p11 >= 1) and lam_good >= lam_bad."""
+    lam, kernels = [], []
+    for _ in range(draw(st.integers(1, max_actions))):
+        p00 = draw(_prob)
+        p11 = draw(st.one_of(st.just(1.0), st.floats(1.0 - p00, 1.0)))
+        lam_bad = draw(_prob)
+        lam_good = draw(st.one_of(st.just(1.0), st.floats(lam_bad, 1.0)))
+        lam.append([lam_good, lam_bad])
+        kernels.append([[p00, 1.0 - p00], [1.0 - p11, p11]])
+    return tx.ChannelModel(lam=np.array(lam).T, mode_kernel=np.array(kernels))
+
+
+def _first_action(ch):
+    return tx.ChannelModel(lam=ch.lam[:, :1], mode_kernel=ch.mode_kernel[:1])
+
+
+def _random_costs(rng, tau_max):
+    return tx.HoldingCostTable(costs=np.cumsum(rng.uniform(0.0, 1.0, tau_max + 1)),
+                               spectral_radius=0.85)
+
+
+class TestStencilKernel:
+    """The stencil kernel against the row-wise np.interp sweep, with
+    np.array_equal: the stencil reproduces np.interp's arithmetic, so no
+    tolerance is needed."""
+
+    def test_posterior_at_grid_end(self, cost_table):
+        # absorbing unfavorable mode with lam_bad = 0: at b = 1 the failure
+        # posterior is exactly 1.0, where np.interp returns the last value
+        ch = tx.make_gilbert_elliott(0.9, 1.0, 0.9, 0.0)
+        cfg = tx.SolverConfig(gamma=0.95, tau_max=6, grid_n=7)
+        grid = cfg.belief_grid()
+        tables = [_action_tables(ch, grid, 0)]
+        assert tables[0][2][-1] == 1.0
+        cost = tx.StageCost(holding=cost_table, action_costs=np.array([0.5]))
+        Q = np.random.default_rng(1).uniform(0.0, 10.0, (7, 8, 1))
+        assert np.array_equal(tx.bellman_apply(ch, cost, cfg, Q),
+                              rowwise_sweep(Q, tables, cost_table.costs,
+                                            np.array([0.5]), 0.95, grid))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(ch=tp2_channels(), grid_n=st.integers(2, 2000), tau_max=st.integers(1, 80),
+           gamma=st.floats(0.01, 0.999), c_stop=st.floats(0.0, 20.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_sweep_equals_rowwise_interp(self, ch, grid_n, tau_max, gamma,
+                                             c_stop, seed):
+        rng = np.random.default_rng(seed)
+        holding = _random_costs(rng, tau_max)
+        ca = rng.uniform(0.0, 2.0, ch.n_actions)
+        cfg = tx.SolverConfig(gamma=gamma, tau_max=tau_max, grid_n=grid_n)
+        grid = cfg.belief_grid()
+        tables = [_action_tables(ch, grid, a) for a in range(ch.n_actions)]
+        Q = rng.uniform(0.0, 10.0, (tau_max + 1, grid_n + 1, ch.n_actions))
+        cost = tx.StageCost(holding=holding, action_costs=ca)
+        assert np.array_equal(tx.bellman_apply(ch, cost, cfg, Q),
+                              rowwise_sweep(Q, tables, holding.costs, ca, gamma, grid))
+        # the stopping solver's sweep: continuation value min(Q, c_stop), no fee
+        Qc = Q[:, :, 0]
+        got = _bellman(np.minimum(Qc, c_stop), _stencil(_first_action(ch), grid),
+                       holding.costs, np.array([0.0]), gamma)
+        assert np.array_equal(got[:, :, 0], rowwise_stopping_sweep(
+            Qc, c_stop, tables[0], holding.costs, gamma, grid))
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(ch=tp2_channels(), grid_n=st.integers(2, 300), tau_max=st.integers(1, 30),
+           gamma=st.floats(0.3, 0.9), c_stop=st.floats(0.5, 20.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_solves_equal_rowwise_value_iteration(self, ch, grid_n, tau_max, gamma,
+                                                  c_stop, seed):
+        rng = np.random.default_rng(seed)
+        holding = _random_costs(rng, tau_max)
+        ca = rng.uniform(0.0, 2.0, ch.n_actions)
+        cfg = tx.SolverConfig(gamma=gamma, tau_max=tau_max, grid_n=grid_n, vi_tol=1e-7)
+        grid = cfg.belief_grid()
+        tables = [_action_tables(ch, grid, a) for a in range(ch.n_actions)]
+        s = tx.weight_profile(holding.spectral_radius, cfg.weight_eps, tau_max)
+        shape = (tau_max + 1, grid_n + 1)
+
+        sol = tx.value_iterate(ch, tx.StageCost(holding=holding, action_costs=ca), cfg)
+        Q, hist = rowwise_solve(
+            lambda Q: rowwise_sweep(Q, tables, holding.costs, ca, gamma, grid),
+            np.zeros(shape + (ch.n_actions,)), s, cfg)
+        assert np.array_equal(sol.Qfun, Q)
+        assert sol.residual_history == tuple(hist)
+        assert sol.sweeps_used == len(hist)
+
+        sol = tx.solve_stopping(tx.StoppingProblem(channel=_first_action(ch),
+                                                   holding=holding, cfg=cfg,
+                                                   c_stop=c_stop))
+        Qc, hist = rowwise_solve(
+            lambda Qc: rowwise_stopping_sweep(Qc, c_stop, tables[0], holding.costs,
+                                              gamma, grid),
+            np.zeros(shape), s, cfg)
+        assert np.array_equal(sol.Qfun[:, :, 0], Qc)
+        assert sol.residual_history == tuple(hist)
+        assert sol.sweeps_used == len(hist)
 
 
 class TestValueIterate:
@@ -327,6 +484,43 @@ class TestContraction:
         cost = tx.StageCost(holding=cost_table, action_costs=np.array([0.0]))
         with pytest.raises(ValueError, match="alpha"):
             tx.check_contraction(ge_channel, sys_u, cost, solver_cfg, trials=1)
+
+    def test_stable_plant_with_lam_bad_zero(self, plant, cost_table, solver_cfg):
+        # stable plant: the norm is the plain sup norm and the operator
+        # contracts by gamma whatever the success probabilities are
+        ch = tx.make_gilbert_elliott(1.0, 1.0, 1.0, 0.0, b0=0.5)
+        cost = tx.StageCost(holding=cost_table, action_costs=np.array([0.0]))
+        rep = tx.check_contraction(ch, plant, cost, solver_cfg, trials=5)
+        assert rep.m == 1
+        assert rep.weight_base == 1.0
+        assert rep.certified_bound == pytest.approx(solver_cfg.gamma, rel=1e-12)
+        assert rep.ok
+
+    @pytest.mark.parametrize("A, lam_bad, eps, accepted", [
+        (0.85, 0.0, 0.01, True),  # stable: no condition on the success probabilities
+        (1.05, 0.5, 0.01, True),  # (1 - 0.5) * 1.06^2 < 1
+        (1.05, 0.5, 0.9, False),  # success margin holds, weight_eps too large
+        (1.2, 0.2, 0.01, False),  # success margin 1 - 1/1.2^2 > 0.2 fails
+    ])
+    def test_one_hypothesis_for_every_solver(self, A, lam_bad, eps, accepted):
+        sys_ = tx.LtiSystem(A=A, C=1.0, Q=0.3, R=0.3)
+        table = tx.holding_cost_table(sys_, tx.steady_state_covariance(sys_), 10)
+        ch = tx.make_gilbert_elliott(0.9, 1.0, 0.9, lam_bad)
+        cfg = tx.SolverConfig(gamma=0.9, tau_max=10, grid_n=4, weight_eps=eps)
+        cost = tx.StageCost(holding=table, action_costs=np.array([0.0]))
+        calls = (lambda: tx.value_iterate(ch, cost, cfg),
+                 lambda: tx.solve_stopping(tx.StoppingProblem(
+                     channel=ch, holding=table, cfg=cfg, c_stop=10.0)),
+                 lambda: tx.check_contraction(ch, sys_, cost, cfg, trials=1))
+        messages = set()
+        for call in calls:
+            if accepted:
+                call()
+                continue
+            with pytest.raises(ValueError, match="contraction hypothesis") as err:
+                call()
+            messages.add(str(err.value))
+        assert len(messages) == (0 if accepted else 1)
 
     def test_mass_ratio_bound_matches_lp(self):
         # the greedy fill must solve the capped weighted-mass maximization;

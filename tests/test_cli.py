@@ -172,6 +172,21 @@ class TestVerify:
         assert main(["solve", "--config", str(p), "--quiet"]) == 0
         assert not (tmp_path / "out" / "thresholds.csv").exists()
 
+    def test_stable_plant_with_lam_bad_zero(self, tmp_path, capsys):
+        # the unfavorable mode never delivers; the plant is stable, so the
+        # contraction holds in the plain sup norm and verify must pass
+        p, _ = write_cfg(tmp_path, {"channel.p00": 1.0, "channel.p11": 1.0,
+                                    "channel.lam_good": 1.0, "channel.lam_bad": 0.0,
+                                    "channel.b0": 0.5})
+        assert main(["solve", "--config", str(p), "--quiet"]) == 0
+        assert main(["verify", "--config", str(p), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+        statuses = [c["status"] for c in report["checks"]]
+        assert statuses.count("pass") == 9 and statuses.count("skip") == 1
+        contraction = next(c for c in report["checks"] if c["check"] == "contraction")
+        assert contraction["detail"].startswith("m=1, certified bound 0.95,")
+
     def test_non_tp2_mode_kernel_fails(self, tmp_path):
         p, _ = write_cfg(tmp_path, {"channel": {
             "type": "explicit",
@@ -317,6 +332,21 @@ class TestThresholdsCommand:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "tau,b_th,is_sentinel"
         assert len(lines) == BASE["solver"]["tau_max"] + 2
+
+    def test_table_of_another_config_resolved(self, tmp_path, capsys):
+        # a thresholds.csv left by a solve of another problem in the same
+        # directory is not printed: the command solves the current config
+        p1, _ = write_cfg(tmp_path, {"solver.tau_max": 60}, name="a.yaml")
+        p2, _ = write_cfg(tmp_path, {"solver.tau_max": 20, "solver.grid_n": 50},
+                          name="b.yaml")
+        assert main(["solve", "--config", str(p1), "--quiet"]) == 0
+        capsys.readouterr()
+        assert main(["thresholds", "--config", str(p2)]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0] == "tau,b_th,is_sentinel"
+        assert len(lines[1:]) == 21
+        record = json.loads((tmp_path / "out" / "solve_record.json").read_text())
+        assert record == {"problem_sha256": tx.load_config(p2).problem_sha256}
 
     def test_convergence_failure_exit_code(self, tmp_path, capsys):
         p, _ = write_cfg(tmp_path, {"solver.max_sweeps": 2,
