@@ -18,9 +18,8 @@ from .channel import (ChannelModel, check_mode_kernel_tp2, make_gilbert_elliott,
 from .config import ConfigError, RunConfig, load_config, parse_config
 from .folding import (FoldEquivalenceReport, FoldedTP2Report, composite_kernel,
                       composite_kernel_folded, folded_observation,
-                      folded_outcome_prob, holding_prob,
-                      unfolded_tp2_counterexample, verify_fold_equivalence,
-                      verify_folded_tp2)
+                      folded_outcome_prob, unfolded_tp2_counterexample,
+                      verify_fold_equivalence, verify_folded_tp2)
 from .lti_estimation import (ConvergenceError, HoldingCostTable, LtiSystem,
                              SteadyStateCov, SuccessMarginReport,
                              check_success_margin, holding_cost_table,

@@ -16,7 +16,9 @@ unstable, which is what keeps the operator an m-stage contraction despite
 unbounded costs.
 One kernel, _bellman, evaluates the operator for every solve and check, from
 a per-solve interpolation stencil; _require_contraction states the hypothesis
-they all rely on.
+they all rely on. The structural checks are closed forms over the whole
+lattice: verify_update_monotonicity decides the likelihood order on every
+ordered pair of states from one suffix minimum per action.
 """
 
 from dataclasses import dataclass
@@ -25,7 +27,7 @@ import numpy as np
 
 from .channel import ChannelModel
 from .lti_estimation import ConvergenceError, HoldingCostTable, LtiSystem
-from .stochastic_orders import FiniteDist, ZeroLikelihoodError, fsd_dominates
+from .stochastic_orders import ZeroLikelihoodError
 
 
 def _frozen(a):
@@ -140,17 +142,21 @@ class SolverConfig:
         return np.linspace(0.0, 1.0, self.grid_n + 1)
 
 
+def _weight_base(spectral_radius: float, eps: float) -> float:
+    return spectral_radius + eps if spectral_radius >= 1.0 else 1.0
+
+
 def weight_profile(spectral_radius: float, eps: float, tau_max: int) -> np.ndarray:
-    """Weights s(tau) = base^(2 tau) with base = max(rho + eps, 1).
+    """Weights s(tau) = base^(2 tau) with base = rho + eps for an unstable
+    plant (rho >= 1) and 1 for a stable one.
 
     The weight grows only for an unstable plant: that is the regime where the
     holding cost is unbounded and the plain sup-norm fails. For a stable plant
-    the base clamps to 1 and the norm degenerates to the ordinary sup-norm.
+    the norm is the ordinary sup-norm, also when rho + eps exceeds 1.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    base = max(spectral_radius + eps, 1.0)
-    return base ** (2.0 * np.arange(tau_max + 1))
+    return _weight_base(spectral_radius, eps) ** (2.0 * np.arange(tau_max + 1))
 
 
 def weighted_norm(f, spectral_radius: float, eps: float) -> float:
@@ -346,11 +352,12 @@ def value_iterate(ch: ChannelModel, cost: StageCost, cfg: SolverConfig) -> Solut
 
 @dataclass(frozen=True)
 class UpdateMonotonicityReport:
-    """Grid-sweep verdicts on the belief update and observation likelihood.
+    """Exhaustive verdicts on the belief update and observation likelihood.
 
     The belief update must be nondecreasing separately in tau, b, and y; the
     observation likelihood must move up in first-order stochastic dominance
-    as (tau, b) increase.
+    as (tau, b) increase. n_fsd_checks counts the ordered state pairs
+    certified.
     """
 
     ok: bool
@@ -363,66 +370,48 @@ class UpdateMonotonicityReport:
         return self.ok
 
 
-def _sigma_dist(ch, tau, b, a, union_support):
-    pmf = [observation_likelihood(ch, tau, b, y, a) for y in union_support]
-    return FiniteDist(np.asarray(pmf), support=np.asarray(union_support, dtype=float))
-
-
 def verify_update_monotonicity(ch: ChannelModel, tau_max: int = 60,
-                               grid_n: int = 200, n_samples: int = 10_000,
-                               seed: int = 20260811, tol: float = 1e-12,
+                               grid_n: int = 200, tol: float = 1e-12,
                                max_witnesses: int = 20) -> UpdateMonotonicityReport:
-    """Sweep the belief grid checking monotonicity of the posterior update in
-    each coordinate, and sample state pairs checking the stochastic-dominance
-    ordering of the observation likelihood.
+    """Check the posterior update for monotonicity in b and y on every grid
+    point, and the likelihood order on every ordered pair of lattice states.
 
-    Monotonicity in tau is constancy here (the update depends on tau only
-    through the support label), so that clause is checked on sampled tau
-    pairs; b and y run over the full grid.
+    Monotonicity in tau holds identically: the update reads tau only through
+    the support label {0, tau+1}, so there is nothing to check.
+
+    For (tau1, b1) <= (tau2, b2) the two likelihoods live on the union support
+    {0, tau1+1, tau2+1}. Their upper-tail gaps are 0 up to rounding at cut 0,
+    -p_fail(b2) at cut tau2+1, and p_fail(b1) - p_fail(b2) at cut tau1+1,
+    whatever the taus. So FSD holds on all T(T+1)/2 * G(G+1)/2 pairs of an
+    action (T = tau_max + 1, G = grid_n + 1) exactly when no p_fail[i1]
+    exceeds min(p_fail[i1:]) by more than tol: one suffix minimum decides
+    them all, with the same arithmetic as a pairwise tail-sum check. Each
+    violating b1 yields the witness (a, 0, b1, 0, b2, (cut,), gap) at the b2
+    of largest gap.
     """
     grid = np.linspace(0.0, 1.0, grid_n + 1)
-    update_viol = []
-    n_update = 0
+    update_viol, fsd_viol = [], []
     for a in range(ch.n_actions):
         p_succ, t_succ, t_fail = _action_tables(ch, grid, a)
         for name, t in (("b:success", t_succ), ("b:failure", t_fail)):
-            n_update += grid_n
             drops = np.nonzero(np.diff(t) < -tol)[0]
             for i in drops[:max_witnesses]:
                 update_viol.append((name, a, float(grid[i]), float(t[i + 1] - t[i])))
-        n_update += grid_n + 1
         gaps = np.nonzero(t_succ - t_fail > tol)[0]
         for i in gaps[:max_witnesses]:
             update_viol.append(("y", a, float(grid[i]), float(t_succ[i] - t_fail[i])))
-    rng = np.random.default_rng(seed)
-    for a in range(ch.n_actions):
-        taus = np.sort(rng.integers(0, tau_max + 1, size=(n_samples // 4, 2)), axis=1)
-        bs = rng.random(n_samples // 4)
-        ys = rng.integers(0, 2, size=n_samples // 4)
-        for (t1, t2), b, ybr in zip(taus, bs, ys):
-            n_update += 1
-            u1 = belief_update(ch, int(t1), float(b), 0 if ybr == 0 else int(t1) + 1, a)
-            u2 = belief_update(ch, int(t2), float(b), 0 if ybr == 0 else int(t2) + 1, a)
-            if u2 - u1 < -tol and len(update_viol) < max_witnesses:
-                update_viol.append(("tau", a, (int(t1), int(t2), float(b)), float(u2 - u1)))
-    fsd_viol = []
-    n_fsd = 0
-    for a in range(ch.n_actions):
-        taus = np.sort(rng.integers(0, tau_max + 1, size=(n_samples, 2)), axis=1)
-        idx = np.sort(rng.integers(0, grid_n + 1, size=(n_samples, 2)), axis=1)
-        for (t1, t2), (i1, i2) in zip(taus, idx):
-            n_fsd += 1
-            union = sorted({0, int(t1) + 1, int(t2) + 1})
-            d1 = _sigma_dist(ch, int(t1), float(grid[i1]), a, union)
-            d2 = _sigma_dist(ch, int(t2), float(grid[i2]), a, union)
-            res = fsd_dominates(d1, d2)
-            if not res and len(fsd_viol) < max_witnesses:
-                fsd_viol.append((a, int(t1), float(grid[i1]), int(t2), float(grid[i2]),
-                                 res.witness, res.value))
-    return UpdateMonotonicityReport(ok=not update_viol and not fsd_viol,
-                                    update_violations=tuple(update_viol),
-                                    fsd_violations=tuple(fsd_viol),
-                                    n_update_checks=n_update, n_fsd_checks=n_fsd)
+        p_fail = 1.0 - p_succ
+        suffix_min = np.minimum.accumulate(p_fail[::-1])[::-1]
+        for i in np.nonzero(p_fail - suffix_min > tol)[0][:max_witnesses - len(fsd_viol)]:
+            j = i + int(np.argmin(p_fail[i:]))
+            fsd_viol.append((a, 0, float(grid[i]), 0, float(grid[j]), (1.0,),
+                             float(p_fail[i] - p_fail[j])))
+    n_tau, n_b = tau_max + 1, grid_n + 1
+    return UpdateMonotonicityReport(
+        ok=not update_viol and not fsd_viol, update_violations=tuple(update_viol),
+        fsd_violations=tuple(fsd_viol),
+        n_update_checks=ch.n_actions * (3 * grid_n + 1),
+        n_fsd_checks=ch.n_actions * n_tau * (n_tau + 1) // 2 * n_b * (n_b + 1) // 2)
 
 
 @dataclass(frozen=True)
@@ -524,7 +513,7 @@ def check_contraction(ch: ChannelModel, sys: LtiSystem, cost: StageCost,
     eps = cfg.weight_eps
     _require_contraction(lam_min, rho, eps)
     alpha = (1.0 - lam_min) * (rho**2 + eps)
-    base = max(rho + eps, 1.0)
+    base = _weight_base(rho, eps)
     m_found = None
     bound_found = np.inf
     for m in range(1, m_max + 1):

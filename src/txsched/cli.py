@@ -16,9 +16,11 @@ Subcommands:
 Exit codes: 0 ok, 2 config error (including a holding-cost table that
 overflows float64 before solver.tau_max or sim.horizon, and a solved policy
 that does not match the config), 3 convergence failure, 4 verification
-failure. All floats in CSV files are printed with 12 significant digits, LF
-line endings; JSON keys are sorted. Outputs are a pure function of (config,
-seed): reruns are byte-identical.
+failure (a failed verify check, or a solve or thresholds whose stop region is
+not an upper belief interval at some tau; that solve writes no artifact).
+All floats in CSV files are printed with 12 significant digits, LF line
+endings; JSON keys are sorted. Outputs are a pure function of (config, seed):
+reruns are byte-identical.
 """
 
 import argparse
@@ -131,10 +133,12 @@ def cmd_solve(cfg: RunConfig, quiet: bool = False) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     ss, table, sol = _pipeline(cfg)
+    # a stop region without a threshold fails before any artifact is written,
+    # so no earlier solve's files are paired with this config's record
+    th = stopping.extract_threshold(sol) if cfg.is_stopping else None
     write_solution_csvs(sol, out_dir)
     write_json(out_dir / SOLVE_RECORD, {"problem_sha256": cfg.problem_sha256})
-    if cfg.is_stopping:
-        th = stopping.extract_threshold(sol)
+    if th is not None:
         write_thresholds_csv(th, out_dir)
     if not quiet:
         print(f"steady-state covariance trace: {_fmt(np.trace(ss.Pbar))}")
@@ -184,8 +188,8 @@ def _verify_battery(cfg: RunConfig):
     upd = belief_mdp.verify_update_monotonicity(
         cfg.channel, tau_max=cfg.solver.tau_max, grid_n=cfg.solver.grid_n)
     add("update_monotonicity", upd.ok,
-        f"{upd.n_update_checks} update checks, {upd.n_fsd_checks} dominance "
-        f"checks" + ("" if upd.ok else
+        f"{upd.n_update_checks} update checks, likelihood dominance on all "
+        f"{upd.n_fsd_checks} ordered state pairs" + ("" if upd.ok else
                      f"; violations {upd.update_violations[:3] + upd.fsd_violations[:3]}"))
     _, table, sol = _pipeline(cfg)
     mono = belief_mdp.verify_value_monotonicity(sol)
@@ -223,12 +227,13 @@ def cmd_verify(cfg: RunConfig, quiet: bool = False) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     results = _verify_battery(cfg)
     write_json(out_dir / "verify_report.json", {"checks": results})
-    failed = [r for r in results if r["status"] == "fail"]
+    count = {s: sum(r["status"] == s for r in results) for s in ("pass", "fail", "skip")}
     if not quiet:
         for r in results:
             print(f"{r['status'].upper():4s} {r['check']}: {r['detail']}")
-        print(f"{len(results) - len(failed)}/{len(results)} checks passed")
-    return EXIT_VERIFICATION if failed else EXIT_OK
+        print(f"{count['pass']}/{len(results)} checks passed"
+              + (f", {count['skip']} skipped" if count["skip"] else ""))
+    return EXIT_VERIFICATION if count["fail"] else EXIT_OK
 
 
 def _stale_reason(cfg: RunConfig, out_dir: Path):
@@ -396,6 +401,9 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
+    except stopping.StructureViolationError as exc:
+        print(f"verification failure: no threshold policy: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

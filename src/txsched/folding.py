@@ -9,9 +9,10 @@ kernel and the deterministic outcome-to-observation map are TP2 in every
 variable pair, and composing them reproduces the original composite kernel
 exactly.
 
-Kernels are represented as closures over the channel's success table and
-materialized into matrices only inside the verification routines; the solver
-itself only ever touches the two-point support.
+Kernels are functions of the channel's success table that broadcast over
+index arrays (scalars still give scalars), so the verification routines
+materialize whole slices in one expression; the solver itself only ever
+touches the two-point support.
 """
 
 from dataclasses import dataclass
@@ -22,51 +23,41 @@ from .channel import ChannelModel
 from .stochastic_orders import CheckResult, is_tp2
 
 
-def holding_prob(ch: ChannelModel, tau: int, tau_next: int, theta: int, a: int) -> float:
-    """Unfolded holding-time transition probability: success resets to 0,
-    failure advances to tau+1."""
-    lam = float(ch.lam[theta, a])
-    if tau_next == 0:
-        return lam
-    if tau_next == tau + 1:
-        return 1.0 - lam
-    return 0.0
-
-
-def folded_outcome_prob(ch: ChannelModel, delta: int, theta: int, a: int) -> float:
+def folded_outcome_prob(ch: ChannelModel, delta, theta, a):
     """Folded transition kernel over the outcome {0 success, 1 failure};
     independent of the current holding time."""
-    lam = float(ch.lam[theta, a])
-    return lam if delta == 0 else 1.0 - lam
+    lam = ch.lam[theta, a]
+    return np.where(np.equal(delta, 0), lam, 1.0 - lam)[()]
 
 
-def folded_observation(delta: int, tau: int, y: int) -> float:
+def folded_observation(delta, tau, y):
     """Deterministic map from (outcome, holding time) to the observed next
     holding time: success -> 0, failure -> tau+1."""
-    if delta == 0:
-        return 1.0 if y == 0 else 0.0
-    return 1.0 if y == tau + 1 else 0.0
+    hit = np.where(np.equal(delta, 0), np.equal(y, 0), np.equal(y, np.add(tau, 1)))
+    return hit.astype(float)[()]
 
 
-def composite_kernel(ch: ChannelModel, tau: int, theta: int, y: int, a: int) -> float:
-    """Probability of observing next holding time y from (tau, theta, a),
-    assembled through the unfolded route."""
-    if tau < 0:
+def _require_nonnegative(tau):
+    if np.any(np.less(tau, 0)):
         raise ValueError("tau must be nonnegative")
-    return holding_prob(ch, tau, y, theta, a)
 
 
-def composite_kernel_folded(ch: ChannelModel, tau: int, theta: int, y: int, a: int) -> float:
+def composite_kernel(ch: ChannelModel, tau, theta, y, a):
+    """Probability of observing next holding time y from (tau, theta, a),
+    assembled through the unfolded holding-time kernel: success resets to 0,
+    failure advances to tau+1."""
+    _require_nonnegative(tau)
+    lam = ch.lam[theta, a]
+    return np.where(np.equal(y, 0), lam,
+                    np.where(np.equal(y, np.add(tau, 1)), 1.0 - lam, 0.0))[()]
+
+
+def composite_kernel_folded(ch: ChannelModel, tau, theta, y, a):
     """Same probability assembled through the folded route: marginalize the
     binary outcome against the deterministic observation map."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    total = 0.0
-    for delta in (0, 1):
-        w = folded_observation(delta, tau, y)
-        if w:
-            total += w * folded_outcome_prob(ch, delta, theta, a)
-    return total
+    _require_nonnegative(tau)
+    return sum(folded_observation(d, tau, y) * folded_outcome_prob(ch, d, theta, a)
+               for d in (0, 1))
 
 
 @dataclass(frozen=True)
@@ -83,24 +74,24 @@ class FoldEquivalenceReport:
 
 def verify_fold_equivalence(ch: ChannelModel, tau_max: int = 60) -> FoldEquivalenceReport:
     """Compare the unfolded and folded composite kernels pointwise over
-    tau in 0..tau_max, both modes, y in 0..tau_max+1, and all actions.
+    tau in 0..tau_max, both modes, y in 0..tau_max+1, and all actions, as one
+    (action, theta, tau, y) array per assembly.
 
-    Both assemblies read the same success-probability entries, so equality is
-    required to be exact (max diff 0.0), not within a tolerance.
+    Both assemblies read the same success-probability entries, and the folded
+    one adds 1*lam + 0*(1-lam) == lam, so equality is required to be exact
+    (max diff 0.0), not within a tolerance. The witness (tau, theta, y, a) is
+    the first largest difference in (a, theta, tau, y) order.
     """
-    worst = 0.0
-    witness = None
-    for a in range(ch.n_actions):
-        for theta in (0, 1):
-            for tau in range(tau_max + 1):
-                for y in range(tau_max + 2):
-                    d = abs(composite_kernel(ch, tau, theta, y, a)
-                            - composite_kernel_folded(ch, tau, theta, y, a))
-                    if d > worst:
-                        worst = d
-                        witness = (tau, theta, y, a)
-    return FoldEquivalenceReport(identical=(worst == 0.0), max_abs_diff=worst,
-                                 witness=witness)
+    a, theta, tau, y = np.ix_(range(ch.n_actions), (0, 1), range(tau_max + 1),
+                              range(tau_max + 2))
+    diff = np.abs(composite_kernel(ch, tau, theta, y, a)
+                  - composite_kernel_folded(ch, tau, theta, y, a))
+    worst = float(diff.max())
+    if worst == 0.0:
+        return FoldEquivalenceReport(identical=True, max_abs_diff=0.0)
+    ia, ith, it, iy = np.unravel_index(int(np.argmax(diff)), diff.shape)
+    return FoldEquivalenceReport(identical=False, max_abs_diff=worst,
+                                 witness=(int(it), int(ith), int(iy), int(ia)))
 
 
 def unfolded_tp2_counterexample(lam: float) -> CheckResult:

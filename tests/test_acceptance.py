@@ -11,7 +11,8 @@ import pytest
 import yaml
 
 import txsched as tx
-from conftest import bayes_enumeration_oracle, fixed_point_oracle, random_channel
+from conftest import (bayes_enumeration_oracle, fixed_point_oracle, random_channel,
+                      sampled_update_monotonicity)
 from txsched.cli import main
 
 
@@ -70,12 +71,17 @@ def test_criterion_04_tp2_counterexample_and_folded_recovery(ge_channel):
 
 def test_criterion_05_update_monotone_and_likelihood_dominance(ge_channel):
     rep = tx.verify_update_monotonicity(ge_channel, tau_max=60, grid_n=200,
-                                        n_samples=10_000, seed=20260811,
                                         tol=1e-12)
-    ok = rep.ok and rep.n_fsd_checks == 10_000
+    # 61 * 62 / 2 ordered tau pairs times 201 * 202 / 2 ordered belief pairs
+    ok = rep.ok and rep.n_fsd_checks == 38_389_191
+    oracle = sampled_update_monotonicity(ge_channel, tau_max=60, grid_n=200,
+                                         n_samples=10_000, seed=20260811,
+                                         tol=1e-12)
+    ok = ok and oracle.ok and oracle.n_fsd_checks == 10_000
     report(5, f"belief update nondecreasing in tau, b, y over the 201-point "
               f"grid and tau <= 60 ({rep.n_update_checks} checks); likelihood "
-              f"dominance on {rep.n_fsd_checks} sampled state pairs", ok)
+              f"dominance on all {rep.n_fsd_checks} ordered state pairs, and "
+              f"on {oracle.n_fsd_checks} sampled pairs by the sampled oracle", ok)
 
 
 def test_criterion_06_value_monotonicity(ge_channel, cost_table):

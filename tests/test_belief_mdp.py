@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import txsched as tx
-from conftest import bayes_enumeration_oracle, random_channel
+from conftest import (bayes_enumeration_oracle, channels, random_channel,
+                      sampled_update_monotonicity)
 from txsched.belief_mdp import _action_tables, _bellman, _stencil
 
 
@@ -381,11 +382,11 @@ class TestValueIterate:
 
 class TestUpdateMonotonicity:
     def test_reference_channel_clean(self, ge_channel):
-        rep = tx.verify_update_monotonicity(ge_channel, tau_max=40, grid_n=100,
-                                            n_samples=2000)
+        rep = tx.verify_update_monotonicity(ge_channel, tau_max=40, grid_n=100)
         assert rep.ok
         assert rep.update_violations == ()
         assert rep.fsd_violations == ()
+        assert rep.n_fsd_checks == 41 * 42 // 2 * 101 * 102 // 2
 
     def test_update_values_increase_in_y(self, ge_channel):
         t0 = tx.belief_update(ge_channel, 3, 0.5, 0)
@@ -393,13 +394,38 @@ class TestUpdateMonotonicity:
         assert t0 <= t1
 
     def test_non_tp2_mode_kernel_not_asserted(self):
-        # hypothesis withdrawn: the report may contain violations, the call
-        # must still complete
+        # hypothesis withdrawn: the predictive belief falls as b rises, so
+        # the failure probability falls too and the likelihood order breaks
         ch = tx.ChannelModel(lam=np.array([[0.9], [0.2]]),
                              mode_kernel=np.array([[[0.4, 0.6], [0.7, 0.3]]]))
-        rep = tx.verify_update_monotonicity(ch, tau_max=10, grid_n=40,
-                                            n_samples=500)
-        assert rep.n_fsd_checks == 500
+        rep = tx.verify_update_monotonicity(ch, tau_max=10, grid_n=40)
+        assert rep.n_fsd_checks == 11 * 12 // 2 * 41 * 42 // 2
+        assert rep.fsd_violations
+        assert not rep.ok
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(ch=channels(lam_prob=st.floats(0.001, 0.999)), grid_n=st.integers(2, 60),
+           tau_max=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+    def test_closed_form_covers_sampled_oracle(self, ch, grid_n, tau_max, seed):
+        rep = tx.verify_update_monotonicity(ch, tau_max=tau_max, grid_n=grid_n)
+        oracle = sampled_update_monotonicity(ch, tau_max=tau_max, grid_n=grid_n,
+                                             n_samples=400, seed=seed)
+        # the update reads tau only through the support label
+        assert not [v for v in oracle.update_violations if v[0] == "tau"]
+        assert rep.update_violations == oracle.update_violations
+        assert bool(rep.fsd_violations) >= bool(oracle.fsd_violations)
+        assert rep.ok == (not rep.update_violations and not rep.fsd_violations)
+        n_tau, n_b = tau_max + 1, grid_n + 1
+        assert rep.n_fsd_checks == (ch.n_actions * n_tau * (n_tau + 1) // 2
+                                    * n_b * (n_b + 1) // 2)
+        for a, t1, b1, t2, b2, cut, gap in rep.fsd_violations:
+            union = sorted({0, t1 + 1, t2 + 1})
+            d1, d2 = (tx.FiniteDist([tx.observation_likelihood(ch, t, b, y, a)
+                                     for y in union], support=union)
+                      for t, b in ((t1, b1), (t2, b2)))
+            res = tx.fsd_dominates(d1, d2)
+            assert not res
+            assert (res.witness, res.value) == (cut, gap)
 
 
 class TestValueMonotonicity:
@@ -495,6 +521,21 @@ class TestContraction:
         assert rep.weight_base == 1.0
         assert rep.certified_bound == pytest.approx(solver_cfg.gamma, rel=1e-12)
         assert rep.ok
+
+    def test_stable_plant_near_unit_radius(self):
+        # 1 - weight_eps <= rho < 1: rho + eps exceeds 1, but the plant is
+        # stable, so the norm stays the sup norm and one stage contracts
+        sys_ = tx.LtiSystem(A=0.995, C=1.0, Q=0.3, R=0.3)
+        table = tx.holding_cost_table(sys_, tx.steady_state_covariance(sys_), 60)
+        ch = tx.make_gilbert_elliott(1.0, 1.0, 1.0, 0.0, b0=0.5)
+        cfg = tx.SolverConfig(gamma=0.999, tau_max=60, grid_n=20)
+        cost = tx.StageCost(holding=table, action_costs=np.array([0.0]))
+        rep = tx.check_contraction(ch, sys_, cost, cfg, trials=3)
+        assert rep.m == 1
+        assert rep.weight_base == 1.0
+        assert rep.certified_bound == pytest.approx(0.999, rel=1e-12)
+        assert rep.ok
+        assert np.array_equal(tx.weight_profile(0.995, 0.01, 60), np.ones(61))
 
     @pytest.mark.parametrize("A, lam_bad, eps, accepted", [
         (0.85, 0.0, 0.01, True),  # stable: no condition on the success probabilities

@@ -186,6 +186,10 @@ class TestVerify:
         assert statuses.count("pass") == 9 and statuses.count("skip") == 1
         contraction = next(c for c in report["checks"] if c["check"] == "contraction")
         assert contraction["detail"].startswith("m=1, certified bound 0.95,")
+        # a skipped check is reported as skipped, not counted as passed
+        assert main(["verify", "--config", str(p)]) == 0
+        out = capsys.readouterr().out.strip().split("\n")
+        assert out[-1] == "9/10 checks passed, 1 skipped"
 
     def test_non_tp2_mode_kernel_fails(self, tmp_path):
         p, _ = write_cfg(tmp_path, {"channel": {
@@ -347,6 +351,28 @@ class TestThresholdsCommand:
         assert len(lines[1:]) == 21
         record = json.loads((tmp_path / "out" / "solve_record.json").read_text())
         assert record == {"problem_sha256": tx.load_config(p2).problem_sha256}
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_stop_region_without_threshold(self, tmp_path, capsys):
+        # a non-TP2 channel whose stop region at tau = 4 is not an upper
+        # interval: solve fails cleanly and leaves the earlier solve's files,
+        # so thresholds does not print the earlier problem's table
+        p1, _ = write_cfg(tmp_path, name="a.yaml")
+        p2, _ = write_cfg(tmp_path, {"channel.p00": 0.27, "channel.p11": 0.47,
+                                     "channel.lam_good": 0.82, "channel.lam_bad": 0.003,
+                                     "solver.tau_max": 30, "solver.grid_n": 40},
+                          name="b.yaml")
+        assert main(["solve", "--config", str(p1), "--quiet"]) == 0
+        record = (tmp_path / "out" / "solve_record.json").read_bytes()
+        capsys.readouterr()
+        assert main(["solve", "--config", str(p2)]) == 4
+        captured = capsys.readouterr()
+        assert "tau=4" in captured.err and "Traceback" not in captured.err
+        assert (tmp_path / "out" / "solve_record.json").read_bytes() == record
+        assert main(["thresholds", "--config", str(p2)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tau=4" in captured.err and "Traceback" not in captured.err
 
     def test_convergence_failure_exit_code(self, tmp_path, capsys):
         p, _ = write_cfg(tmp_path, {"solver.max_sweeps": 2,

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import txsched as tx
-from conftest import random_channel
+import txsched.folding as folding
+from conftest import channels, random_channel
 
 
 class TestCompositeKernel:
@@ -44,6 +46,35 @@ class TestFoldEquivalence:
         for lam in (0.0, 1.0):
             ch = tx.make_gilbert_elliott(0.9, 1.0, lam, lam)
             assert tx.verify_fold_equivalence(ch, tau_max=10).identical
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(ch=channels(lam_prob=st.sampled_from([0.0, 1.0])),
+           tau_max=st.integers(0, 40))
+    def test_exact_at_degenerate_success_probs(self, ch, tau_max):
+        rep = tx.verify_fold_equivalence(ch, tau_max=tau_max)
+        assert rep.identical and rep.max_abs_diff == 0.0 and rep.witness is None
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(ch=channels(), tau=st.integers(0, 12), theta=st.integers(0, 1),
+           y=st.integers(0, 14))
+    def test_broadcast_matches_scalar(self, ch, tau, theta, y):
+        a = ch.n_actions - 1
+        taus, ys = np.arange(13)[:, None], np.arange(15)[None, :]
+        for kernel in (tx.composite_kernel, tx.composite_kernel_folded):
+            grid = kernel(ch, taus, theta, ys, a)
+            assert grid.shape == (13, 15)
+            assert grid[tau, y] == kernel(ch, tau, theta, y, a)
+            assert np.ndim(kernel(ch, tau, theta, y, a)) == 0
+
+    def test_witness_names_a_difference(self, ge_channel, monkeypatch):
+        # a folded route that drops the failure branch differs first at y = 1
+        monkeypatch.setattr(folding, "composite_kernel_folded",
+                            lambda ch, tau, theta, y, a: folding.composite_kernel(
+                                ch, tau, theta, y, a) * np.equal(y, 0))
+        rep = tx.verify_fold_equivalence(ge_channel, tau_max=5)
+        assert not rep.identical
+        assert rep.witness == (0, 1, 1, 0)
+        assert rep.max_abs_diff == 1.0 - 0.2
 
     def test_support_preserving(self, ge_channel):
         for tau in (0, 1, 5, 11):
