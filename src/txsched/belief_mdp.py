@@ -104,12 +104,6 @@ class StageCost:
         return self.holding.spectral_radius
 
 
-def stage_cost(cost: StageCost, tau: int, b: float, a: int) -> float:
-    """Expected instantaneous cost at (tau, b, a). The belief does not enter:
-    the holding cost is mode-independent, so averaging over modes cancels."""
-    return float(cost.holding.costs[tau] + cost.action_costs[a])
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs of the belief-grid value iteration."""

@@ -120,14 +120,3 @@ def check_mode_kernel_tp2(ch: ChannelModel) -> CheckResult:
             return CheckResult(False, witness=(a,) + res.witness, value=res.value)
     return CheckResult(True)
 
-
-def sample_mode_step(ch: ChannelModel, theta: int, action: int,
-                     rng: np.random.Generator) -> int:
-    """Draw the next mode from mode_kernel[action][theta] using a single
-    uniform variate (inversion against the cumulative row)."""
-    if theta not in (0, 1):
-        raise ValueError(f"theta must be 0 or 1, got {theta}")
-    if not 0 <= action < ch.n_actions:
-        raise ValueError(f"action out of range: {action}")
-    u = rng.random()
-    return 0 if u < ch.mode_kernel[action, theta, 0] else 1

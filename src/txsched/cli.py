@@ -9,15 +9,17 @@ Subcommands:
               verify_report.json; nonzero exit on any asserted failure.
   simulate    Monte Carlo batch under --policy; writes simstats_<policy>.json
               and optional per-step traces. --policy solved refuses a
-              value_policy.csv solved for another config.
+              missing value_policy.csv or one solved for another config.
   thresholds  prints the threshold table (from a prior solve of the same
               problem, by solve_record.json, otherwise solving first).
 
 Exit codes: 0 ok, 2 config error (including a holding-cost table that
 overflows float64 before solver.tau_max or sim.horizon, and a solved policy
-that does not match the config), 3 convergence failure, 4 verification
-failure (a failed verify check, or a solve or thresholds whose stop region is
-not an upper belief interval at some tau; that solve writes no artifact).
+that is missing or does not match the config, reported as "stale policy"),
+3 convergence failure (including a covariance fixed point under which the
+holding cost falls by more than rounding), 4 verification failure (a failed
+verify check, or a solve or thresholds whose stop region is not an upper
+belief interval at some tau; that solve writes no artifact).
 All floats in CSV files are printed with 12 significant digits, LF line
 endings; JSON keys are sorted. Outputs are a pure function of (config, seed):
 reruns are byte-identical.
@@ -46,7 +48,8 @@ SOLVE_RECORD = "solve_record.json"
 
 
 class StalePolicyError(Exception):
-    """The solved policy on disk was not solved for the current config."""
+    """The solved policy on disk is missing or was not solved for the current
+    config."""
 
 
 def _fmt(x: float) -> str:
@@ -252,7 +255,7 @@ def _build_policy(cfg: RunConfig, name: str, out_dir: Path):
     if name == "solved":
         path = out_dir / "value_policy.csv"
         if not path.exists():
-            raise FileNotFoundError(f"{path} not found; run solve first")
+            raise StalePolicyError(f"{path} not found; run solve first")
         stale = _stale_reason(cfg, out_dir)
         if stale:
             raise StalePolicyError(

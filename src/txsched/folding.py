@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelModel
-from .stochastic_orders import CheckResult, is_tp2
+from .stochastic_orders import CheckResult, _tp2_pass
 
 
 def folded_outcome_prob(ch: ChannelModel, delta, theta, a):
@@ -147,21 +147,8 @@ class FoldedTP2Report:
         return min(vals)
 
 
-def _min_minor(M) -> float:
-    M = np.asarray(M, dtype=float)
-    n, m = M.shape
-    y1, y2 = np.triu_indices(m, k=1)
-    best = np.inf
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            vals = M[i, y1] * M[j, y2] - M[i, y2] * M[j, y1]
-            best = min(best, float(np.min(vals)))
-    return best if np.isfinite(best) else 0.0
-
-
 def _check_matrix(kernel: str, variables: str, M) -> PairCheck:
-    return PairCheck(kernel=kernel, variables=variables, result=is_tp2(np.asarray(M)),
-                     min_minor=_min_minor(M))
+    return PairCheck(kernel, variables, *_tp2_pass(M))
 
 
 def verify_folded_tp2(ch: ChannelModel, tau_check: int = 6) -> FoldedTP2Report:
@@ -177,36 +164,36 @@ def verify_folded_tp2(ch: ChannelModel, tau_check: int = 6) -> FoldedTP2Report:
     lam[0,a] - lam[1,a], the quantity that makes the folded construction work.
     """
     checks = []
-    taus = range(tau_check + 1)
+    taus = np.arange(tau_check + 1)
+    both = np.array([0, 1])
     for a in range(ch.n_actions):
         # folded outcome kernel, (tau, theta) with delta fixed
         for delta in (0, 1):
-            M = [[folded_outcome_prob(ch, delta, th, a) for th in (0, 1)] for _ in taus]
+            M = np.broadcast_to(folded_outcome_prob(ch, delta, both, a), (taus.size, 2))
             checks.append(_check_matrix("folded_outcome", "(tau,theta)", M))
         # folded outcome kernel, (tau, delta) with theta fixed
         for theta in (0, 1):
-            M = [[folded_outcome_prob(ch, d, theta, a) for d in (0, 1)] for _ in taus]
+            M = np.broadcast_to(folded_outcome_prob(ch, both, theta, a), (taus.size, 2))
             checks.append(_check_matrix("folded_outcome", "(tau,delta)", M))
         # folded outcome kernel, (theta, delta) for each tau (tau-independent)
-        M = [[folded_outcome_prob(ch, d, th, a) for d in (0, 1)] for th in (0, 1)]
+        M = folded_outcome_prob(ch, both, both[:, None], a)
         checks.append(_check_matrix("folded_outcome", "(theta,delta)", M))
         # composite kernel, (tau, theta) with y fixed
         for y in range(tau_check + 2):
-            M = [[composite_kernel(ch, t, th, y, a) for th in (0, 1)] for t in taus]
+            M = composite_kernel(ch, taus[:, None], both, y, a)
             checks.append(_check_matrix("composite", "(tau,theta)", M))
         # composite kernel, (theta, y) with tau fixed
         for tau in taus:
-            M = [[composite_kernel(ch, tau, th, y, a) for y in range(tau + 2)]
-                 for th in (0, 1)]
+            M = composite_kernel(ch, tau, both[:, None], np.arange(tau + 2), a)
             checks.append(_check_matrix("composite", "(theta,y)", M))
     # observation map, (theta, y) with (delta, tau) fixed
     for delta in (0, 1):
         for tau in taus:
-            M = [[folded_observation(delta, tau, y) for y in range(tau + 2)]
-                 for _ in (0, 1)]
+            M = np.broadcast_to(folded_observation(delta, tau, np.arange(tau + 2)),
+                                (2, tau + 2))
             checks.append(_check_matrix("folded_observation", "(theta,y)", M))
     # observation map, (delta, y) with tau fixed
     for tau in taus:
-        M = [[folded_observation(d, tau, y) for y in range(tau + 2)] for d in (0, 1)]
+        M = folded_observation(both[:, None], tau, np.arange(tau + 2))
         checks.append(_check_matrix("folded_observation", "(delta,y)", M))
     return FoldedTP2Report(checks=tuple(checks))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import strategies as st
 
 import txsched as tx
+from orders import FiniteDist, fsd_dominates
 
 # reference configuration used across the suite
 A, C, Q, R = 0.85, 1.0, 0.3, 0.3
@@ -12,6 +13,17 @@ GAMMA = 0.95
 C_STOP = 10.0
 TAU_MAX = 60
 GRID_N = 200
+
+# stable plant whose converged holding-cost tail moves by one ulp either way
+# (a drop of 2.8e-17 at cost 0.128, tau = 14)
+ULP_NOISE_PLANT = {
+    "A": [[-0.7023184850446098, -0.8605688758044732],
+          [0.38391124510342695, 0.4526213427837305]],
+    "C": [[-0.958933707794222, 0.5623976772929592]],
+    "Q": [[0.060511580483270884, -0.06251590663141272],
+          [-0.06251590663141272, 0.06458662210992805]],
+    "R": [[0.5700258542633582]],
+}
 
 
 @pytest.fixture(scope="session")
@@ -97,7 +109,7 @@ def random_channel(rng, force_tp2=False):
 
 def _sigma_dist(ch, tau, b, a, union_support):
     pmf = [tx.observation_likelihood(ch, tau, b, y, a) for y in union_support]
-    return tx.FiniteDist(np.asarray(pmf), support=np.asarray(union_support, dtype=float))
+    return FiniteDist(np.asarray(pmf), support=np.asarray(union_support, dtype=float))
 
 
 def sampled_update_monotonicity(ch, tau_max=60, grid_n=200, n_samples=10_000,
@@ -142,7 +154,7 @@ def sampled_update_monotonicity(ch, tau_max=60, grid_n=200, n_samples=10_000,
             union = sorted({0, int(t1) + 1, int(t2) + 1})
             d1 = _sigma_dist(ch, int(t1), float(grid[i1]), a, union)
             d2 = _sigma_dist(ch, int(t2), float(grid[i2]), a, union)
-            res = tx.fsd_dominates(d1, d2)
+            res = fsd_dominates(d1, d2)
             if not res and len(fsd_viol) < max_witnesses:
                 fsd_viol.append((a, int(t1), float(grid[i1]), int(t2), float(grid[i2]),
                                  res.witness, res.value))

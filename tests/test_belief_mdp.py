@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 import txsched as tx
 from conftest import (bayes_enumeration_oracle, channels, random_channel,
                       sampled_update_monotonicity)
+from orders import FiniteDist, fsd_dominates, stage_cost
 from txsched.belief_mdp import _action_tables, _bellman, _stencil
 
 
@@ -70,12 +71,12 @@ class TestBeliefPrimitives:
 class TestStageCost:
     def test_belief_independent(self, cost_table):
         cost = tx.StageCost(holding=cost_table, action_costs=np.array([0.0, 2.5]))
-        assert tx.stage_cost(cost, 4, 0.2, 1) == tx.stage_cost(cost, 4, 0.9, 1)
-        assert tx.stage_cost(cost, 4, 0.2, 1) == cost_table.costs[4] + 2.5
+        assert stage_cost(cost, 4, 0.2, 1) == stage_cost(cost, 4, 0.9, 1)
+        assert stage_cost(cost, 4, 0.2, 1) == cost_table.costs[4] + 2.5
 
     def test_zero_holding(self, cost_table):
         cost = tx.StageCost(holding=cost_table, action_costs=np.array([0.0]))
-        assert tx.stage_cost(cost, 0, 0.5, 0) == cost_table.costs[0]
+        assert stage_cost(cost, 0, 0.5, 0) == cost_table.costs[0]
 
 
 class TestWeightedNorm:
@@ -420,10 +421,10 @@ class TestUpdateMonotonicity:
                                     * n_b * (n_b + 1) // 2)
         for a, t1, b1, t2, b2, cut, gap in rep.fsd_violations:
             union = sorted({0, t1 + 1, t2 + 1})
-            d1, d2 = (tx.FiniteDist([tx.observation_likelihood(ch, t, b, y, a)
-                                     for y in union], support=union)
+            d1, d2 = (FiniteDist([tx.observation_likelihood(ch, t, b, y, a)
+                                  for y in union], support=union)
                       for t, b in ((t1, b1), (t2, b2)))
-            res = tx.fsd_dominates(d1, d2)
+            res = fsd_dominates(d1, d2)
             assert not res
             assert (res.witness, res.value) == (cut, gap)
 

@@ -3,6 +3,7 @@ import pytest
 
 import txsched as tx
 from conftest import random_channel
+from orders import sample_mode_step
 
 
 class TestGilbertElliott:
@@ -80,12 +81,12 @@ class TestSampling:
     def test_deterministic_row(self):
         ch = tx.make_persistent_failure(1.0, 0.9, 0.2)
         rng = np.random.default_rng(0)
-        assert all(tx.sample_mode_step(ch, 0, 0, rng) == 1 for _ in range(50))
+        assert all(sample_mode_step(ch, 0, 0, rng) == 1 for _ in range(50))
 
     def test_empirical_frequencies(self, ge_channel):
         rng = np.random.default_rng(20260811)
         n = 100_000
-        hits = sum(tx.sample_mode_step(ge_channel, 0, 0, rng) == 0 for _ in range(n))
+        hits = sum(sample_mode_step(ge_channel, 0, 0, rng) == 0 for _ in range(n))
         p = ge_channel.mode_kernel[0, 0, 0]
         sigma = np.sqrt(p * (1 - p) / n)
         assert abs(hits / n - p) < 3 * sigma
@@ -94,16 +95,16 @@ class TestSampling:
         seqs = []
         for _ in range(2):
             rng = np.random.default_rng(7)
-            seqs.append([tx.sample_mode_step(ge_channel, 0, 0, rng)
+            seqs.append([sample_mode_step(ge_channel, 0, 0, rng)
                          for _ in range(200)])
         assert seqs[0] == seqs[1]
 
     def test_rejects_bad_arguments(self, ge_channel):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            tx.sample_mode_step(ge_channel, 2, 0, rng)
+            sample_mode_step(ge_channel, 2, 0, rng)
         with pytest.raises(ValueError):
-            tx.sample_mode_step(ge_channel, 0, 1, rng)
+            sample_mode_step(ge_channel, 0, 1, rng)
 
 
 class TestValidation:

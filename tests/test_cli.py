@@ -5,6 +5,7 @@ import pytest
 import yaml
 
 import txsched as tx
+from conftest import ULP_NOISE_PLANT
 from txsched.cli import main
 
 BASE = {
@@ -191,6 +192,14 @@ class TestVerify:
         out = capsys.readouterr().out.strip().split("\n")
         assert out[-1] == "9/10 checks passed, 1 skipped"
 
+    def test_plant_with_rounding_noise_in_cost_table(self, tmp_path, capsys):
+        p, _ = write_cfg(tmp_path, {"system": ULP_NOISE_PLANT})
+        assert main(["solve", "--config", str(p), "--quiet"]) == 0
+        assert main(["verify", "--config", str(p)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.strip().split("\n")[-1] == "10/10 checks passed"
+
     def test_non_tp2_mode_kernel_fails(self, tmp_path):
         p, _ = write_cfg(tmp_path, {"channel": {
             "type": "explicit",
@@ -208,6 +217,8 @@ class TestSimulate:
     def test_requires_prior_solve_for_solved_policy(self, tmp_path, capsys):
         p, _ = write_cfg(tmp_path)
         assert main(["simulate", "--config", str(p), "--policy", "solved"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("stale policy: ") and "value_policy.csv not found" in err
 
     def test_seed_repeat_identical_bytes(self, tmp_path):
         p, _ = write_cfg(tmp_path)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import txsched as tx
-from conftest import fixed_point_oracle
+from conftest import ULP_NOISE_PLANT, fixed_point_oracle
 
 
 def random_psd(rng, n):
@@ -146,6 +146,19 @@ class TestHoldingCostTable:
         ss = tx.steady_state_covariance(sys_)
         with pytest.raises(OverflowError, match="tau="):
             tx.holding_cost_table(sys_, ss, 2000)
+
+    def test_rounding_noise_in_converged_tail(self):
+        sys_ = tx.LtiSystem(**ULP_NOISE_PLANT)
+        table = tx.holding_cost_table(sys_, tx.steady_state_covariance(sys_), 20)
+        d = np.diff(table.costs)
+        assert d[13] < 0
+        assert np.all(d >= -4 * np.spacing(table.costs[:-1]))
+
+    def test_decrease_beyond_rounding_raises(self, plant, steady):
+        ss = tx.SteadyStateCov(Pbar=10 * steady.Pbar,
+                               spectral_radius_A=steady.spectral_radius_A)
+        with pytest.raises(tx.ConvergenceError, match="decreased at tau=1;"):
+            tx.holding_cost_table(plant, ss, 20)
 
     def test_requires_positive_tau_max(self, plant, steady):
         with pytest.raises(ValueError):

@@ -1,12 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import txsched as tx
-from txsched.stochastic_orders import random_mlr_pair
+from orders import (FiniteDist, KernelMatrix, bayes_posterior, fsd_dominates,
+                    is_submodular, kernel_preserves_mlr, mlr_dominates,
+                    random_mlr_pair, random_tp2_kernel, rowscan_is_tp2,
+                    rowscan_min_minor)
+from txsched.stochastic_orders import ORDER_TOL, _tp2_pass
 
 
 def dist(*pmf):
-    return tx.FiniteDist(np.array(pmf))
+    return FiniteDist(np.array(pmf))
 
 
 class TestFsd:
@@ -14,23 +20,23 @@ class TestFsd:
         rng = np.random.default_rng(0)
         for _ in range(10):
             p = rng.random(5) + 0.01
-            d = tx.FiniteDist(p / p.sum())
-            assert tx.fsd_dominates(d, d)
+            d = FiniteDist(p / p.sum())
+            assert fsd_dominates(d, d)
 
     def test_point_masses(self):
-        assert tx.fsd_dominates(dist(1.0, 0.0), dist(0.0, 1.0))
-        res = tx.fsd_dominates(dist(0.0, 1.0), dist(1.0, 0.0))
+        assert fsd_dominates(dist(1.0, 0.0), dist(0.0, 1.0))
+        res = fsd_dominates(dist(0.0, 1.0), dist(1.0, 0.0))
         assert not res
         assert res.witness == (1.0,)
 
     def test_binary_example(self):
-        assert tx.fsd_dominates(dist(0.9, 0.1), dist(0.5, 0.5))
+        assert fsd_dominates(dist(0.9, 0.1), dist(0.5, 0.5))
 
     def test_support_mismatch(self):
-        d1 = tx.FiniteDist([0.5, 0.5], support=[0, 1])
-        d2 = tx.FiniteDist([0.5, 0.5], support=[0, 2])
+        d1 = FiniteDist([0.5, 0.5], support=[0, 1])
+        d2 = FiniteDist([0.5, 0.5], support=[0, 2])
         with pytest.raises(ValueError):
-            tx.fsd_dominates(d1, d2)
+            fsd_dominates(d1, d2)
 
     def test_equivalent_to_increasing_expectations(self):
         rng = np.random.default_rng(1)
@@ -38,9 +44,9 @@ class TestFsd:
             n = rng.integers(2, 7)
             p1 = rng.random(n) + 0.01
             p2 = rng.random(n) + 0.01
-            d1 = tx.FiniteDist(p1 / p1.sum())
-            d2 = tx.FiniteDist(p2 / p2.sum())
-            res = tx.fsd_dominates(d1, d2)
+            d1 = FiniteDist(p1 / p1.sum())
+            d2 = FiniteDist(p2 / p2.sum())
+            res = fsd_dominates(d1, d2)
             if res:
                 for _ in range(10):
                     v = np.cumsum(rng.random(n))
@@ -58,11 +64,11 @@ class TestMlr:
         for _ in range(50):
             a, b = rng.random(2)
             d1, d2 = dist(1 - a, a), dist(1 - b, b)
-            assert bool(tx.mlr_dominates(d1, d2)) == (a <= b + 1e-12)
+            assert bool(mlr_dominates(d1, d2)) == (a <= b + 1e-12)
 
     def test_example_pair(self):
-        assert tx.mlr_dominates(dist(0.9, 0.1), dist(0.5, 0.5))
-        res = tx.mlr_dominates(dist(0.5, 0.5), dist(0.9, 0.1))
+        assert mlr_dominates(dist(0.9, 0.1), dist(0.5, 0.5))
+        res = mlr_dominates(dist(0.5, 0.5), dist(0.9, 0.1))
         assert not res
         assert res.witness == (0.0, 1.0)
         assert res.value == pytest.approx(-0.4, abs=1e-12)
@@ -72,8 +78,8 @@ class TestMlr:
         for _ in range(100):
             n = int(rng.integers(2, 8))
             d1, d2 = random_mlr_pair(n, rng)
-            assert tx.mlr_dominates(d1, d2)
-            assert tx.fsd_dominates(d1, d2)
+            assert mlr_dominates(d1, d2)
+            assert fsd_dominates(d1, d2)
 
 
 class TestTp2:
@@ -97,10 +103,10 @@ class TestTp2:
     def test_closure_under_composition(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
-            K1 = tx.random_tp2_kernel(4, 5, rng)
-            K2 = tx.random_tp2_kernel(5, 3, rng)
-            assert tx.is_tp2(K1)
-            assert tx.is_tp2(K2)
+            K1 = random_tp2_kernel(4, 5, rng)
+            K2 = random_tp2_kernel(5, 3, rng)
+            assert tx.is_tp2(K1.matrix)
+            assert tx.is_tp2(K2.matrix)
             assert tx.is_tp2(K1.matrix @ K2.matrix)
 
     def test_rejects_negative_entries(self):
@@ -118,27 +124,57 @@ class TestTp2:
         assert res.witness == ((0, 0), (1, 1))
 
 
+    def test_minor_pass_equals_rowscan_reference(self):
+        # every shape up to 6x8, with exact zeros: dense, 0/1, rank-one (its
+        # minors are rounding noise around 0) and TP2-kernel matrices, at
+        # tolerance 0 and the default
+        rng = np.random.default_rng(20261018)
+        verdicts = set()
+        for n, m in itertools.product(range(1, 7), range(1, 9)):
+            for _ in range(3):
+                zeros = rng.random((n, m)) < 0.3
+                u, v = rng.random(n) * (rng.random(n) > 0.3), rng.random(m)
+                for M in (np.where(zeros, 0.0, rng.random((n, m))),
+                          (rng.random((n, m)) < 0.5).astype(float),
+                          np.outer(u, v),
+                          random_tp2_kernel(n, m, rng).matrix):
+                    tol = float(rng.choice([0.0, ORDER_TOL]))
+                    got, smallest = _tp2_pass(M, tol)
+                    assert tx.is_tp2(M, tol) == got
+                    verdicts.add(got.holds)
+                    if m == 1 and n > 1:
+                        # no minor: trivially TP2 (the reference reduces an
+                        # empty array here)
+                        assert (got, smallest) == (tx.CheckResult(True), 0.0)
+                        continue
+                    ref = rowscan_is_tp2(M, tol)
+                    assert (got.holds, got.witness, got.value) == \
+                        (ref.holds, ref.witness, ref.value)
+                    assert smallest == rowscan_min_minor(M)
+        assert verdicts == {True, False}
+
+
 class TestKernelPreservesMlr:
     def test_agrees_with_tp2(self):
         rng = np.random.default_rng(6)
-        kernels = [tx.random_tp2_kernel(3, 4, rng) for _ in range(5)]
-        kernels += [tx.KernelMatrix(np.array([[0.4, 0.6], [0.7, 0.3]])),
-                    tx.KernelMatrix(np.eye(4))]
+        kernels = [random_tp2_kernel(3, 4, rng) for _ in range(5)]
+        kernels += [KernelMatrix(np.array([[0.4, 0.6], [0.7, 0.3]])),
+                    KernelMatrix(np.eye(4))]
         m = rng.random((3, 3)) + 0.05
-        kernels.append(tx.KernelMatrix(m / m.sum(axis=1, keepdims=True)))
+        kernels.append(KernelMatrix(m / m.sum(axis=1, keepdims=True)))
         for K in kernels:
-            preserved, idx = tx.kernel_preserves_mlr(K, trials=50, seed=9)
-            assert preserved == bool(tx.is_tp2(K))
+            preserved, idx = kernel_preserves_mlr(K, trials=50, seed=9)
+            assert preserved == bool(tx.is_tp2(K.matrix))
             assert (idx is None) == preserved
 
     def test_identity(self):
-        preserved, _ = tx.kernel_preserves_mlr(tx.KernelMatrix(np.eye(5)),
-                                               trials=20, seed=1)
+        preserved, _ = kernel_preserves_mlr(KernelMatrix(np.eye(5)),
+                                            trials=20, seed=1)
         assert preserved
 
     def test_violation_reports_trial(self):
-        preserved, idx = tx.kernel_preserves_mlr(
-            tx.KernelMatrix(np.array([[0.4, 0.6], [0.7, 0.3]])), trials=10, seed=2)
+        preserved, idx = kernel_preserves_mlr(
+            KernelMatrix(np.array([[0.4, 0.6], [0.7, 0.3]])), trials=10, seed=2)
         assert not preserved
         assert idx == 0  # the point-mass pair on the violating rows
 
@@ -146,43 +182,43 @@ class TestKernelPreservesMlr:
 class TestBayesPosterior:
     def test_identity_kernel_point_mass(self):
         prior = dist(0.25, 0.25, 0.25, 0.25)
-        K = tx.KernelMatrix(np.eye(4))
+        K = KernelMatrix(np.eye(4))
         for j in range(4):
-            post = tx.bayes_posterior(prior, K, j)
+            post = bayes_posterior(prior, K, j)
             assert post.pmf[j] == 1.0
 
     def test_reference_values(self):
         prior = dist(0.9, 0.1)
-        K = tx.KernelMatrix(np.array([[0.9, 0.1], [0.2, 0.8]]))
-        post = tx.bayes_posterior(prior, K, 0)
+        K = KernelMatrix(np.array([[0.9, 0.1], [0.2, 0.8]]))
+        post = bayes_posterior(prior, K, 0)
         assert post.pmf[0] == pytest.approx(0.81 / 0.83, rel=1e-14)
         assert post.pmf[1] == pytest.approx(0.02 / 0.83, rel=1e-14)
 
     def test_zero_evidence(self):
         prior = dist(1.0, 0.0)
-        K = tx.KernelMatrix(np.eye(2))
+        K = KernelMatrix(np.eye(2))
         with pytest.raises(tx.ZeroLikelihoodError):
-            tx.bayes_posterior(prior, K, 1)
+            bayes_posterior(prior, K, 1)
 
     def test_preserves_prior_mlr_order(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            K = tx.random_tp2_kernel(4, 4, rng)
+            K = random_tp2_kernel(4, 4, rng)
             p1, p2 = random_mlr_pair(4, rng)
             y = int(rng.integers(0, 4))
-            post1 = tx.bayes_posterior(p1, K, y)
-            post2 = tx.bayes_posterior(p2, K, y)
-            assert tx.mlr_dominates(post1, post2)
+            post1 = bayes_posterior(p1, K, y)
+            post2 = bayes_posterior(p2, K, y)
+            assert mlr_dominates(post1, post2)
 
     def test_increasing_in_observation_when_tp2(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
-            K = tx.random_tp2_kernel(4, 5, rng)
+            K = random_tp2_kernel(4, 5, rng)
             p = rng.random(4) + 0.05
-            prior = tx.FiniteDist(p / p.sum())
-            posts = [tx.bayes_posterior(prior, K, y) for y in range(5)]
+            prior = FiniteDist(p / p.sum())
+            posts = [bayes_posterior(prior, K, y) for y in range(5)]
             for y in range(4):
-                assert tx.mlr_dominates(posts[y], posts[y + 1])
+                assert mlr_dominates(posts[y], posts[y + 1])
 
 
 class TestSubmodular:
@@ -190,27 +226,27 @@ class TestSubmodular:
         rng = np.random.default_rng(9)
         f = rng.random(6)
         g = rng.random(4)
-        assert tx.is_submodular(f[:, None] + g[None, :])
+        assert is_submodular(f[:, None] + g[None, :])
 
     def test_two_by_two(self):
-        assert tx.is_submodular(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        res = tx.is_submodular(np.array([[0.0, 0.0], [0.0, 1.0]]))
+        assert is_submodular(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        res = is_submodular(np.array([[0.0, 0.0], [0.0, 1.0]]))
         assert not res
         assert res.witness == (0, 0, 1, 1)
 
     def test_tolerance(self):
-        assert tx.is_submodular(np.array([[0.0, 0.0], [0.0, 1e-10]]))
+        assert is_submodular(np.array([[0.0, 0.0], [0.0, 1e-10]]))
 
 
 class TestFiniteDist:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
-            tx.FiniteDist([0.5, 0.4])
+            FiniteDist([0.5, 0.4])
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            tx.FiniteDist([1.1, -0.1])
+            FiniteDist([1.1, -0.1])
 
     def test_rejects_unsorted_support(self):
         with pytest.raises(ValueError):
-            tx.FiniteDist([0.5, 0.5], support=[1, 0])
+            FiniteDist([0.5, 0.5], support=[1, 0])

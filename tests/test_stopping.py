@@ -3,6 +3,7 @@ import pytest
 
 import txsched as tx
 from conftest import random_channel
+from orders import is_submodular
 
 
 def small_problem(ge_channel, cost_table, c_stop, grid_n=40, tau_max=20):
@@ -233,7 +234,7 @@ class TestSubmodularity:
         # advantage is exactly their conjunction
         slices = [sol.Qfun[tau] for tau in range(0, sol.tau_max + 1, 6)]
         slices += [sol.Qfun[:, i, :] for i in range(0, sol.grid_n + 1, 25)]
-        assert verdict == all(bool(tx.is_submodular(S)) for S in slices)
+        assert verdict == all(bool(is_submodular(S)) for S in slices)
 
     def test_detects_violation(self, stopping_solution):
         Q = np.array(stopping_solution.Qfun)
