@@ -14,6 +14,12 @@ converges, so the truncation error is bounded). Convergence is measured in a
 weighted sup-norm whose weight grows along tau only when the plant is
 unstable, which is what keeps the operator an m-stage contraction despite
 unbounded costs.
+Every solve reports the error it certifies (Solution.certified_error), and
+cfg.vi_tol is the target for that error. For a stable plant the sweep stops
+on the MacQueen/Porteus span bound and returns the bound's midpoint; for an
+unstable plant it stops on the weighted residual r and certifies
+r * (L_1 + ... + L_m) / (1 - L_m), where L_j is the exact modulus of T^j on
+the lattice (_lattice_moduli), which check_contraction also reports.
 One kernel, _bellman, evaluates the operator for every solve and check, from
 a per-solve interpolation stencil; _require_contraction states the hypothesis
 they all rely on. The structural checks are closed forms over the whole
@@ -21,6 +27,7 @@ lattice: verify_update_monotonicity decides the likelihood order on every
 ordered pair of states from one suffix minimum per action.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,12 +160,17 @@ def weight_profile(spectral_radius: float, eps: float, tau_max: int) -> np.ndarr
     return _weight_base(spectral_radius, eps) ** (2.0 * np.arange(tau_max + 1))
 
 
+def _weighted_sup(abs_f, s) -> float:
+    """Sup over the lattice of abs_f / s(tau), given abs_f >= 0 and the
+    weights s; axis 0 of abs_f indexes tau."""
+    flat = abs_f.reshape(abs_f.shape[0], -1)
+    return float(np.max(flat.max(axis=1) / s)) if flat.size else 0.0
+
+
 def weighted_norm(f, spectral_radius: float, eps: float) -> float:
     """Sup over the lattice of |f| / s(tau); axis 0 of f indexes tau."""
     f = np.asarray(f, dtype=float)
-    s = weight_profile(spectral_radius, eps, f.shape[0] - 1)
-    flat = np.abs(f).reshape(f.shape[0], -1)
-    return float(np.max(flat.max(axis=1) / s)) if flat.size else 0.0
+    return _weighted_sup(np.abs(f), weight_profile(spectral_radius, eps, f.shape[0] - 1))
 
 
 def _action_tables(ch: ChannelModel, grid: np.ndarray, a: int):
@@ -227,21 +239,86 @@ def _bellman(V, stencil, cs, ca, gamma):
     return out
 
 
-def _iterate(values, stencil, cs, ca, cfg, spectral_radius, what):
-    """Q <- _bellman(values(Q)) from Q = 0 until the weighted residual of a
-    sweep drops below cfg.vi_tol; returns (Q, sweeps, residual history)."""
+def _iterate(values, ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
+             what: str, pinned: bool = False):
+    """Q <- _bellman(values(Q)) from Q = 0 until the error is certified below
+    cfg.vi_tol; returns (Q, sweeps, residual history, certified error).
+
+    The residual of a sweep is the weighted sup of d = Qn - Q. For a stable
+    plant (plain sup norm) the stopping rule is the MacQueen/Porteus span
+    bound: with k = gamma / (1 - gamma), the fixed point lies between
+    Qn + k * min d and Qn + k * max d, so the sweep stops once the half-width
+    k * (max d - min d) / 2 is below vi_tol and returns the midpoint. With a
+    branch pinned to a constant (``pinned``: the stop branch) the shift rule
+    T(Q + c) = TQ + gamma * c weakens to TQ <= T(Q + c) <= TQ + gamma * c
+    for c >= 0, so the bound holds once [min d, max d] is widened to include
+    0, the pinned branch's own increment. For an unstable plant the sweep
+    stops when the weighted residual r is below vi_tol, and _certify bounds
+    the error over m = 1 .. the analytic contraction stage.
+    """
+    rho = cost.spectral_radius
+    stencil = _stencil(ch, cfg.belief_grid())
+    cs, ca = cost.holding.costs, cost.action_costs
+    s = weight_profile(rho, cfg.weight_eps, cfg.tau_max)
+    k = cfg.gamma / (1.0 - cfg.gamma)
     Q = np.zeros((cfg.tau_max + 1, cfg.grid_n + 1, len(ca)))
+    d = np.empty_like(Q)
     history = []
     for sweep in range(1, cfg.max_sweeps + 1):
         Qn = _bellman(values(Q), stencil, cs, ca, cfg.gamma)
-        residual = weighted_norm(Qn - Q, spectral_radius, cfg.weight_eps)
-        history.append(residual)
+        np.subtract(Qn, Q, out=d)
+        if rho < 1.0:
+            lo, hi = float(d.min()), float(d.max())
+            history.append(max(hi, -lo))
+            if pinned:
+                lo, hi = min(lo, 0.0), max(hi, 0.0)
+            half = k * (hi - lo) / 2.0
+            if half < cfg.vi_tol:
+                return Qn + k * (hi + lo) / 2.0, sweep, history, half
+        else:
+            history.append(_weighted_sup(np.abs(d, out=d), s))
+            if history[-1] < cfg.vi_tol:
+                m, _ = _contraction_stage(ch.min_success_prob(),
+                                          _weight_base(rho, cfg.weight_eps),
+                                          cfg.gamma, cfg.tau_max)
+                moduli = _lattice_moduli(stencil, s, cfg.gamma, m) if m else []
+                return Qn, sweep, history, _certify(history[-1], moduli)
         Q = Qn
-        if residual < cfg.vi_tol:
-            return Q, sweep, history
     raise ConvergenceError(
         f"{what} did not reach tol {cfg.vi_tol} in {cfg.max_sweeps} sweeps "
         f"(last residual {history[-1]:.3e})", residual=history[-1], history=history)
+
+
+def _lattice_moduli(stencil, s, gamma, m):
+    """L_1..L_m: the Lipschitz moduli of T, T^2, ..., T^m on the lattice in
+    the weighted sup norm with weights s.
+
+    T is a stage cost plus gamma times a nonnegative kernel K_a
+    (interpolation weights times outcome probabilities) applied to min_a Q,
+    and min_a is 1-Lipschitz and monotone. So |T^j Q1 - T^j Q2| <= A_j *
+    ||Q1 - Q2|| entrywise, with A_0 = s and A_j = max_a gamma K_a A_{j-1}:
+    _bellman with zero costs. L_j = max(A_j / s), exact for the lattice
+    operator, so no pair of inputs can show a larger ratio."""
+    n_tau, n_b = s.size, stencil[0][0].size
+    zeros_c, zeros_a = np.zeros(n_tau), np.zeros(len(stencil))
+    A = np.repeat(s[:, None], n_b, axis=1)
+    moduli = []
+    for _ in range(m):
+        A = _bellman(A, stencil, zeros_c, zeros_a, gamma).max(axis=2)
+        moduli.append(float(np.max(A / s[:, None])))
+    return moduli
+
+
+def _certify(r, moduli):
+    """Smallest error bound r * (L_1 + ... + L_m) / (1 - L_m) over the m
+    with L_m < 1, for the iterate Qn whose residual ||Qn - Q|| is r.
+
+    From ||Qn - Q*|| <= ||T^m Qn - Qn|| + L_m ||Qn - Q*|| and T^j Qn =
+    T^(j+1) Q: ||T^m Qn - Qn|| <= sum_{j<m} ||T^(j+1) Qn - T^(j+1) Q|| <=
+    r * (L_1 + ... + L_m). inf when no m qualifies."""
+    bounds = [r * sum(moduli[:m]) / (1.0 - moduli[m - 1])
+              for m in range(1, len(moduli) + 1) if moduli[m - 1] < 1.0]
+    return min(bounds, default=math.inf)
 
 
 def _check_problem(ch: ChannelModel, cost: StageCost, cfg: SolverConfig):
@@ -273,7 +350,10 @@ def bellman_apply(ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
 
 @dataclass(frozen=True)
 class Solution:
-    """Converged Q-function, value function, and greedy policy on the lattice."""
+    """Converged Q-function, value function, and greedy policy on the lattice.
+
+    certified_error bounds the distance of Qfun from the lattice fixed point
+    in the solver's norm (inf when nothing is certified)."""
 
     Qfun: np.ndarray
     V: np.ndarray
@@ -282,6 +362,7 @@ class Solution:
     sweeps_used: int
     final_residual: float
     residual_history: tuple = ()
+    certified_error: float = math.inf
 
     def __post_init__(self):
         for name in ("Qfun", "V", "policy", "belief_grid"):
@@ -327,21 +408,21 @@ def _require_contraction(lam_min: float, spectral_radius: float, eps: float):
 
 
 def value_iterate(ch: ChannelModel, cost: StageCost, cfg: SolverConfig) -> Solution:
-    """Value iteration from Q = 0 until the weighted-norm residual of one
-    sweep drops below cfg.vi_tol.
+    """Value iteration from Q = 0 until the error is certified below
+    cfg.vi_tol (span bound for a stable plant, weighted residual for an
+    unstable one; see _iterate).
 
     Raises ConvergenceError (with the residual history) if max_sweeps is
     exhausted, and ValueError if the contraction hypothesis fails.
     """
     _require_contraction(ch.min_success_prob(), cost.spectral_radius, cfg.weight_eps)
     _check_problem(ch, cost, cfg)
-    grid = cfg.belief_grid()
-    Q, sweeps, history = _iterate(lambda Q: Q.min(axis=2), _stencil(ch, grid),
-                                  cost.holding.costs, cost.action_costs, cfg,
-                                  cost.spectral_radius, "value iteration")
+    Q, sweeps, history, certified = _iterate(lambda Q: Q.min(axis=2), ch, cost, cfg,
+                                             "value iteration")
     return Solution(Qfun=Q, V=Q.min(axis=2), policy=greedy_policy(Q, cfg.tie_break),
-                    belief_grid=grid, sweeps_used=sweeps, final_residual=history[-1],
-                    residual_history=tuple(history))
+                    belief_grid=cfg.belief_grid(), sweeps_used=sweeps,
+                    final_residual=history[-1], residual_history=tuple(history),
+                    certified_error=certified)
 
 
 @dataclass(frozen=True)
@@ -446,18 +527,18 @@ def verify_value_monotonicity(sol: Solution, tol: float = 1e-8) -> ValueMonotoni
 
 @dataclass(frozen=True)
 class ContractionReport:
-    """Analytic m-stage contraction certificate plus an empirical check."""
+    """Analytic m-stage contraction certificate plus the exact modulus of
+    T^m on the lattice."""
 
     m: int
     certified_bound: float
     alpha: float
     weight_base: float
-    empirical_max_ratio: float
-    trials: int
+    lattice_modulus: float
 
     @property
     def ok(self) -> bool:
-        return self.certified_bound < 1.0 and self.empirical_max_ratio < 1.0
+        return self.certified_bound < 1.0 and self.lattice_modulus < 1.0
 
     def __bool__(self) -> bool:
         return self.ok
@@ -490,17 +571,31 @@ def _mass_ratio_bound(tau: int, m: int, lam_min: float, base: float) -> float:
     return total
 
 
-def check_contraction(ch: ChannelModel, sys: LtiSystem, cost: StageCost,
-                      cfg: SolverConfig, trials: int = 100, seed: int = 20260811,
+def _contraction_stage(lam_min: float, base: float, gamma: float, tau_max: int,
+                       m_max: int = 500):
+    """The smallest m <= m_max with gamma^m * sup over the truncated tau range
+    of the worst-case weighted outcome mass below 1, and that bound; (None,
+    inf) when there is none."""
+    for m in range(1, m_max + 1):
+        value = gamma**m * max(_mass_ratio_bound(tau, m, lam_min, base)
+                               for tau in range(tau_max + 1))
+        if value < 1.0:
+            return m, value
+    return None, math.inf
+
+
+def check_contraction(ch: ChannelModel, sys: LtiSystem, cfg: SolverConfig,
                       m_max: int = 500) -> ContractionReport:
     """Certify the m-stage contraction of the Bellman operator in the
-    weighted sup-norm and measure it empirically.
+    weighted sup-norm.
 
     Analytic part: the smallest m with gamma^m * sup over the truncated tau
-    range of the worst-case weighted outcome mass below 1. Empirical part:
-    the max over seeded random bounded Q pairs of the ratio
-    ||T^m Q1 - T^m Q2|| / ||Q1 - Q2|| in the same norm. Raises ValueError
-    when the solver's contraction hypothesis fails (see _require_contraction).
+    range of the worst-case weighted outcome mass below 1; it certifies the
+    untruncated operator. Lattice part: the exact modulus L_m of T^m on the
+    solver's lattice (_lattice_moduli), which bounds the ratio
+    ||T^m Q1 - T^m Q2|| / ||Q1 - Q2|| for every pair. Raises ValueError when
+    the solver's contraction hypothesis fails (see _require_contraction) and
+    ConvergenceError when no m <= m_max qualifies.
     """
     lam_min = ch.min_success_prob()
     rho = sys.spectral_radius()
@@ -508,32 +603,10 @@ def check_contraction(ch: ChannelModel, sys: LtiSystem, cost: StageCost,
     _require_contraction(lam_min, rho, eps)
     alpha = (1.0 - lam_min) * (rho**2 + eps)
     base = _weight_base(rho, eps)
-    m_found = None
-    bound_found = np.inf
-    for m in range(1, m_max + 1):
-        worst = max(_mass_ratio_bound(tau, m, lam_min, base)
-                    for tau in range(cfg.tau_max + 1))
-        value = cfg.gamma**m * worst
-        if value < 1.0:
-            m_found, bound_found = m, value
-            break
-    if m_found is None:
+    m, bound = _contraction_stage(lam_min, base, cfg.gamma, cfg.tau_max, m_max)
+    if m is None:
         raise ConvergenceError(f"no contraction stage found up to m={m_max}")
-    rng = np.random.default_rng(seed)
-    shape = (cfg.tau_max + 1, cfg.grid_n + 1, ch.n_actions)
-    stencil = _stencil(ch, cfg.belief_grid())
-    cs, ca = cost.holding.costs, cost.action_costs
-    worst_ratio = 0.0
-    for _ in range(trials):
-        Q1 = rng.uniform(0.0, 10.0, size=shape)
-        Q2 = rng.uniform(0.0, 10.0, size=shape)
-        denom = weighted_norm(Q1 - Q2, rho, eps)
-        A, B = Q1, Q2
-        for _ in range(m_found):
-            A = _bellman(A.min(axis=2), stencil, cs, ca, cfg.gamma)
-            B = _bellman(B.min(axis=2), stencil, cs, ca, cfg.gamma)
-        ratio = weighted_norm(A - B, rho, eps) / denom if denom > 0 else 0.0
-        worst_ratio = max(worst_ratio, ratio)
-    return ContractionReport(m=m_found, certified_bound=bound_found, alpha=alpha,
-                             weight_base=base, empirical_max_ratio=worst_ratio,
-                             trials=trials)
+    moduli = _lattice_moduli(_stencil(ch, cfg.belief_grid()),
+                             weight_profile(rho, eps, cfg.tau_max), cfg.gamma, m)
+    return ContractionReport(m=m, certified_bound=bound, alpha=alpha,
+                             weight_base=base, lattice_modulus=moduli[-1])

@@ -4,9 +4,13 @@ Subcommands:
   solve       steady-state covariance -> holding costs -> value iteration
               (stopping solve when costs.c_stop is set); writes q_values.csv,
               value_policy.csv, thresholds.csv, and solve_record.json (the
-              sha256 of the config sections that fix the solution).
+              sha256 of the config sections that fix the solution). Prints
+              the sweep count and the certified error of the solution
+              (solver.vi_tol is its target), or "not certified".
   verify      runs the structural-verification battery and writes
-              verify_report.json; nonzero exit on any asserted failure.
+              verify_report.json; nonzero exit on any asserted failure. The
+              contraction check reports the analytic stage m and the exact
+              modulus of T^m on the solver's lattice.
   simulate    Monte Carlo batch under --policy; writes simstats_<policy>.json
               and optional per-step traces. --policy solved refuses a
               missing value_policy.csv or one solved for another config.
@@ -64,17 +68,20 @@ def _write_lines(path: Path, lines):
 
 def write_solution_csvs(sol, out_dir: Path):
     """q_values.csv: (tau, belief, action, q_value); value_policy.csv:
-    (tau, belief, value, policy)."""
-    q_lines = ["tau,belief,action,q_value"]
-    vp_lines = ["tau,belief,value,policy"]
-    grid = sol.belief_grid
-    for tau in range(sol.tau_max + 1):
-        for i, b in enumerate(grid):
-            for a in range(sol.n_actions):
-                q_lines.append(f"{tau},{_fmt(b)},{a},{_fmt(sol.Qfun[tau, i, a])}")
-            vp_lines.append(f"{tau},{_fmt(b)},{_fmt(sol.V[tau, i])},{sol.policy[tau, i]}")
-    _write_lines(out_dir / "q_values.csv", q_lines)
-    _write_lines(out_dir / "value_policy.csv", vp_lines)
+    (tau, belief, value, policy). Written one tau row at a time; each belief
+    string is formatted once."""
+    beliefs = [_fmt(b) for b in sol.belief_grid]
+    q_keys = [f",{b},{a}," for b in beliefs for a in range(sol.n_actions)]
+    vp_keys = [f",{b}," for b in beliefs]
+    with open(out_dir / "q_values.csv", "w", encoding="utf-8", newline="\n") as q_fh, \
+            open(out_dir / "value_policy.csv", "w", encoding="utf-8", newline="\n") as vp_fh:
+        q_fh.write("tau,belief,action,q_value\n")
+        vp_fh.write("tau,belief,value,policy\n")
+        for tau in range(sol.tau_max + 1):
+            q_fh.write("".join([f"{tau}{k}{_fmt(x)}\n" for k, x in zip(
+                q_keys, sol.Qfun[tau].ravel().tolist())]))
+            vp_fh.write("".join([f"{tau}{k}{_fmt(v)},{p}\n" for k, v, p in zip(
+                vp_keys, sol.V[tau].tolist(), sol.policy[tau].tolist())]))
 
 
 def write_thresholds_csv(th, out_dir: Path):
@@ -118,7 +125,8 @@ def _cost_table(cfg: RunConfig, ss, length: int, field: str):
 
 
 def _pipeline(cfg: RunConfig):
-    """Shared solve pipeline: covariance fixed point, cost table, solver."""
+    """Shared solve pipeline: covariance fixed point, cost table, solver;
+    returns (covariance, solution)."""
     ss = steady_state_covariance(cfg.system)
     table = _cost_table(cfg, ss, cfg.solver.tau_max, "solver.tau_max")
     if cfg.is_stopping:
@@ -128,14 +136,14 @@ def _pipeline(cfg: RunConfig):
     else:
         cost = belief_mdp.StageCost(holding=table, action_costs=cfg.action_costs)
         sol = belief_mdp.value_iterate(cfg.channel, cost, cfg.solver)
-    return ss, table, sol
+    return ss, sol
 
 
 def cmd_solve(cfg: RunConfig, quiet: bool = False) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    ss, table, sol = _pipeline(cfg)
+    ss, sol = _pipeline(cfg)
     # a stop region without a threshold fails before any artifact is written,
     # so no earlier solve's files are paired with this config's record
     th = stopping.extract_threshold(sol) if cfg.is_stopping else None
@@ -145,7 +153,9 @@ def cmd_solve(cfg: RunConfig, quiet: bool = False) -> int:
         write_thresholds_csv(th, out_dir)
     if not quiet:
         print(f"steady-state covariance trace: {_fmt(np.trace(ss.Pbar))}")
-        print(f"value iteration: {sol.sweeps_used} sweeps, "
+        certified = (f"certified error {sol.certified_error:.3e}"
+                     if np.isfinite(sol.certified_error) else "not certified")
+        print(f"value iteration: {sol.sweeps_used} sweeps, {certified}, "
               f"residual {sol.final_residual:.3e}, "
               f"{time.perf_counter() - t0:.2f}s")
         print(f"wrote {out_dir}/q_values.csv, {out_dir}/value_policy.csv"
@@ -194,7 +204,7 @@ def _verify_battery(cfg: RunConfig):
         f"{upd.n_update_checks} update checks, likelihood dominance on all "
         f"{upd.n_fsd_checks} ordered state pairs" + ("" if upd.ok else
                      f"; violations {upd.update_violations[:3] + upd.fsd_violations[:3]}"))
-    _, table, sol = _pipeline(cfg)
+    _, sol = _pipeline(cfg)
     mono = belief_mdp.verify_value_monotonicity(sol)
     add("value_monotonicity", mono.ok,
         "V and Q nondecreasing in tau and belief" if mono.ok else
@@ -212,16 +222,10 @@ def _verify_battery(cfg: RunConfig):
         add("stop_advantage_monotone", bool(sub),
             "stop advantage nonincreasing" if sub else
             f"witness {sub.witness}, rise {sub.value}")
-    cost = belief_mdp.StageCost(
-        holding=table,
-        action_costs=np.zeros(cfg.channel.n_actions) if cfg.is_stopping
-        else cfg.action_costs)
-    contraction = belief_mdp.check_contraction(cfg.channel, cfg.system, cost,
-                                               cfg.solver)
+    contraction = belief_mdp.check_contraction(cfg.channel, cfg.system, cfg.solver)
     add("contraction", contraction.ok,
         f"m={contraction.m}, certified bound {_fmt(contraction.certified_bound)}, "
-        f"empirical ratio {_fmt(contraction.empirical_max_ratio)} over "
-        f"{contraction.trials} trials")
+        f"lattice modulus {_fmt(contraction.lattice_modulus)}")
     return results
 
 

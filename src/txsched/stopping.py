@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .belief_mdp import (SolverConfig, Solution, StageCost, _iterate,
-                         _require_contraction, _stencil)
+                         _require_contraction)
 from .channel import ChannelModel
 from .lti_estimation import HoldingCostTable
 from .stochastic_orders import CheckResult
@@ -55,24 +55,25 @@ def solve_stopping(prob: StoppingProblem) -> Solution:
     """Value iteration for the stopping problem from Q = 0.
 
     The continue branch is swept by the shared Bellman kernel with the
-    continuation value min(Q_continue, c_stop). Returns a two-action Solution
-    whose stop slice equals c_stop exactly at every lattice point; the policy
-    stops on ties, matching the threshold convention.
+    continuation value min(Q_continue, c_stop), until the span bound (for a
+    stable plant; the stop branch is pinned) certifies the error below
+    cfg.vi_tol. Returns a two-action Solution whose stop slice equals c_stop
+    exactly at every lattice point; the policy stops on ties, matching the
+    threshold convention.
     """
     ch, cfg = prob.channel, prob.cfg
     cost = prob.stage_cost_bundle()
     _require_contraction(ch.min_success_prob(), cost.spectral_radius, cfg.weight_eps)
-    grid = cfg.belief_grid()
-    Q, sweeps, history = _iterate(lambda Q: np.minimum(Q[:, :, 0], prob.c_stop),
-                                  _stencil(ch, grid), cost.holding.costs,
-                                  cost.action_costs, cfg, cost.spectral_radius,
-                                  "stopping value iteration")
+    Q, sweeps, history, certified = _iterate(
+        lambda Q: np.minimum(Q[:, :, 0], prob.c_stop), ch, cost, cfg,
+        "stopping value iteration", pinned=True)
     Qc = Q[:, :, 0]
     Qfun = np.stack([Qc, np.full_like(Qc, prob.c_stop)], axis=2)
     policy = (Qfun[:, :, 1] <= Qfun[:, :, 0]).astype(np.int64)
     return Solution(Qfun=Qfun, V=Qfun.min(axis=2), policy=policy,
-                    belief_grid=grid, sweeps_used=sweeps,
-                    final_residual=history[-1], residual_history=tuple(history))
+                    belief_grid=cfg.belief_grid(), sweeps_used=sweeps,
+                    final_residual=history[-1], residual_history=tuple(history),
+                    certified_error=certified)
 
 
 @dataclass(frozen=True)

@@ -164,6 +164,48 @@ def sampled_update_monotonicity(ch, tau_max=60, grid_n=200, n_samples=10_000,
                                     n_update_checks=n_update, n_fsd_checks=n_fsd)
 
 
+def sampled_contraction_ratio(ch, sys, cost, cfg, m, trials=100, seed=20260811):
+    """Sampled reference for check_contraction's lattice modulus: the max
+    over seeded random bounded Q pairs of the ratio ||T^m Q1 - T^m Q2|| /
+    ||Q1 - Q2|| in the solver's weighted norm. It can only find pairs, so it
+    must never exceed the exact modulus."""
+    from txsched.belief_mdp import _bellman, _stencil
+    rho = sys.spectral_radius()
+    eps = cfg.weight_eps
+    rng = np.random.default_rng(seed)
+    shape = (cfg.tau_max + 1, cfg.grid_n + 1, ch.n_actions)
+    stencil = _stencil(ch, cfg.belief_grid())
+    cs, ca = cost.holding.costs, cost.action_costs
+    worst_ratio = 0.0
+    for _ in range(trials):
+        Q1 = rng.uniform(0.0, 10.0, size=shape)
+        Q2 = rng.uniform(0.0, 10.0, size=shape)
+        denom = tx.weighted_norm(Q1 - Q2, rho, eps)
+        A, B = Q1, Q2
+        for _ in range(m):
+            A = _bellman(A.min(axis=2), stencil, cs, ca, cfg.gamma)
+            B = _bellman(B.min(axis=2), stencil, cs, ca, cfg.gamma)
+        ratio = tx.weighted_norm(A - B, rho, eps) / denom if denom > 0 else 0.0
+        worst_ratio = max(worst_ratio, ratio)
+    return worst_ratio
+
+
+def rowlist_write_solution_csvs(sol, out_dir):
+    """Reference solution writer: every line held in a list, each belief
+    formatted once per row and action, written at the end."""
+    from txsched.cli import _fmt, _write_lines
+    q_lines = ["tau,belief,action,q_value"]
+    vp_lines = ["tau,belief,value,policy"]
+    grid = sol.belief_grid
+    for tau in range(sol.tau_max + 1):
+        for i, b in enumerate(grid):
+            for a in range(sol.n_actions):
+                q_lines.append(f"{tau},{_fmt(b)},{a},{_fmt(sol.Qfun[tau, i, a])}")
+            vp_lines.append(f"{tau},{_fmt(b)},{_fmt(sol.V[tau, i])},{sol.policy[tau, i]}")
+    _write_lines(out_dir / "q_values.csv", q_lines)
+    _write_lines(out_dir / "value_policy.csv", vp_lines)
+
+
 # exact 0 and 1 entries give absorbing modes and degenerate success rates
 _prob = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 

@@ -12,7 +12,7 @@ import yaml
 
 import txsched as tx
 from conftest import (bayes_enumeration_oracle, fixed_point_oracle, random_channel,
-                      sampled_update_monotonicity)
+                      sampled_contraction_ratio, sampled_update_monotonicity)
 from txsched.cli import main
 
 
@@ -139,25 +139,29 @@ def test_criterion_08_bayes_oracle():
 
 def test_criterion_09_contraction(plant, ge_channel, cost_table, solver_cfg):
     cost = tx.StageCost(holding=cost_table, action_costs=np.array([0.0]))
-    rep = tx.check_contraction(ge_channel, plant, cost, solver_cfg,
-                               trials=100, seed=20260811)
-    ok = rep.m == 1 and rep.empirical_max_ratio < 1.0 \
-        and rep.empirical_max_ratio <= solver_cfg.gamma + 1e-12
+    rep = tx.check_contraction(ge_channel, plant, solver_cfg)
+    ratio = sampled_contraction_ratio(ge_channel, plant, cost, solver_cfg, rep.m,
+                                      trials=100, seed=20260811)
+    ok = rep.m == 1 and rep.lattice_modulus <= solver_cfg.gamma + 1e-12 \
+        and ratio < 1.0 and ratio <= solver_cfg.gamma + 1e-12 \
+        and ratio <= rep.lattice_modulus + 1e-12
     sys_u = tx.LtiSystem(A=1.05, C=1.0, Q=0.3, R=0.3)
     ss_u = tx.steady_state_covariance(sys_u)
     table_u = tx.holding_cost_table(sys_u, ss_u, 60)
     ch_u = tx.make_gilbert_elliott(0.9, 1.0, 0.9, 0.5)
     cfg_u = tx.SolverConfig(gamma=0.95, tau_max=60, grid_n=60)
     cost_u = tx.StageCost(holding=table_u, action_costs=np.array([0.0]))
-    rep_u = tx.check_contraction(ch_u, sys_u, cost_u, cfg_u, trials=100,
-                                 seed=20260811)
+    rep_u = tx.check_contraction(ch_u, sys_u, cfg_u)
+    ratio_u = sampled_contraction_ratio(ch_u, sys_u, cost_u, cfg_u, rep_u.m,
+                                        trials=100, seed=20260811)
     ok = ok and rep_u.alpha < 1.0 and rep_u.certified_bound < 1.0 \
-        and rep_u.empirical_max_ratio < 1.0
-    report(9, f"reference config certifies m=1 (empirical ratio "
-              f"{rep.empirical_max_ratio:.3f} <= gamma); unstable case "
-              f"(rho=1.05, min success 0.5, alpha={rep_u.alpha:.3f}) finds "
-              f"m={rep_u.m} with empirical ratio "
-              f"{rep_u.empirical_max_ratio:.3f} < 1", ok)
+        and rep_u.lattice_modulus < 1.0 and ratio_u < 1.0 \
+        and ratio_u <= rep_u.lattice_modulus + 1e-12
+    report(9, f"reference config certifies m=1 (lattice modulus "
+              f"{rep.lattice_modulus:.3f} <= gamma, sampled ratio {ratio:.3f}); "
+              f"unstable case (rho=1.05, min success 0.5, alpha={rep_u.alpha:.3f}) "
+              f"finds m={rep_u.m} with lattice modulus "
+              f"{rep_u.lattice_modulus:.3f} < 1 (sampled ratio {ratio_u:.3f})", ok)
 
 
 def test_criterion_10_closed_loop_dominance(plant, steady, ge_channel,

@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import txsched as tx
 from conftest import (bayes_enumeration_oracle, channels, random_channel,
-                      sampled_update_monotonicity)
+                      sampled_contraction_ratio, sampled_update_monotonicity)
 from orders import FiniteDist, fsd_dominates, stage_cost
-from txsched.belief_mdp import _action_tables, _bellman, _stencil
+from txsched.belief_mdp import (_action_tables, _bellman, _certify, _lattice_moduli,
+                                _stencil)
 
 
 class TestBeliefPrimitives:
@@ -203,17 +206,26 @@ def rowwise_stopping_sweep(Qc, c_stop, table, cs, gamma, grid):
     return out
 
 
-def rowwise_solve(sweep, Q, s, cfg):
-    """Reference value iteration: sweep until the weighted residual drops
-    below cfg.vi_tol; returns (Q, residual history)."""
+def rowwise_solve(sweep, Q, s, cfg, pinned=False):
+    """Reference value iteration for a stable plant: sweep until the span
+    bound k * (max d - min d) / 2 (k = gamma / (1 - gamma), d the sweep's
+    increment, widened to include 0 when a branch is pinned) drops below
+    cfg.vi_tol and return the bound's midpoint; returns (Q, residual
+    history, certified error)."""
+    k = cfg.gamma / (1.0 - cfg.gamma)
     history = []
     for _ in range(cfg.max_sweeps):
         Qn = sweep(Q)
-        history.append(float(np.max(np.abs(Qn - Q).reshape(Q.shape[0], -1).max(axis=1) / s)))
+        d = Qn - Q
+        history.append(float(np.max(np.abs(d).reshape(Q.shape[0], -1).max(axis=1) / s)))
+        lo, hi = float(d.min()), float(d.max())
+        if pinned:
+            lo, hi = min(lo, 0.0), max(hi, 0.0)
+        half = k * (hi - lo) / 2.0
+        if half < cfg.vi_tol:
+            return Qn + k * (hi + lo) / 2.0, history, half
         Q = Qn
-        if history[-1] < cfg.vi_tol:
-            break
-    return Q, history
+    raise AssertionError("reference value iteration did not converge")
 
 
 # exact 0 and 1 entries give absorbing modes and posteriors at the grid ends
@@ -302,23 +314,113 @@ class TestStencilKernel:
         shape = (tau_max + 1, grid_n + 1)
 
         sol = tx.value_iterate(ch, tx.StageCost(holding=holding, action_costs=ca), cfg)
-        Q, hist = rowwise_solve(
+        Q, hist, half = rowwise_solve(
             lambda Q: rowwise_sweep(Q, tables, holding.costs, ca, gamma, grid),
             np.zeros(shape + (ch.n_actions,)), s, cfg)
         assert np.array_equal(sol.Qfun, Q)
         assert sol.residual_history == tuple(hist)
         assert sol.sweeps_used == len(hist)
+        assert sol.certified_error == half
 
         sol = tx.solve_stopping(tx.StoppingProblem(channel=_first_action(ch),
                                                    holding=holding, cfg=cfg,
                                                    c_stop=c_stop))
-        Qc, hist = rowwise_solve(
+        Qc, hist, half = rowwise_solve(
             lambda Qc: rowwise_stopping_sweep(Qc, c_stop, tables[0], holding.costs,
                                               gamma, grid),
-            np.zeros(shape), s, cfg)
+            np.zeros(shape), s, cfg, pinned=True)
         assert np.array_equal(sol.Qfun[:, :, 0], Qc)
         assert sol.residual_history == tuple(hist)
         assert sol.sweeps_used == len(hist)
+        assert sol.certified_error == half
+
+
+def _unstable_problem(tau_max, grid_n):
+    sys_u = tx.LtiSystem(A=1.05, C=1.0, Q=0.3, R=0.3)
+    table = tx.holding_cost_table(sys_u, tx.steady_state_covariance(sys_u), tau_max)
+    ch = tx.make_gilbert_elliott(0.9, 1.0, 0.9, 0.5)
+    return sys_u, table, ch, tx.SolverConfig(gamma=0.95, tau_max=tau_max, grid_n=grid_n)
+
+
+class TestCertifiedError:
+    """Every solve's certified_error bounds its distance, in the solver's
+    norm, from a solve with a much tighter tolerance (which carries its own
+    bound)."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(ch=tp2_channels(), grid_n=st.integers(2, 40), tau_max=st.integers(1, 20),
+           gamma=st.floats(0.3, 0.95), c_stop=st.floats(0.5, 20.0),
+           vi_tol=st.sampled_from([1e-3, 1e-5, 1e-7]), seed=st.integers(0, 2**32 - 1))
+    def test_span_bound_on_stable_plants(self, ch, grid_n, tau_max, gamma, c_stop,
+                                         vi_tol, seed):
+        rng = np.random.default_rng(seed)
+        holding = _random_costs(rng, tau_max)
+        cost = tx.StageCost(holding=holding, action_costs=rng.uniform(0.0, 2.0, ch.n_actions))
+        cfg = tx.SolverConfig(gamma=gamma, tau_max=tau_max, grid_n=grid_n, vi_tol=vi_tol)
+        tight = replace(cfg, vi_tol=1e-11, max_sweeps=20_000)
+        solvers = (lambda cfg: tx.value_iterate(ch, cost, cfg),
+                   lambda cfg: tx.solve_stopping(tx.StoppingProblem(
+                       channel=_first_action(ch), holding=holding, cfg=cfg, c_stop=c_stop)))
+        for solve in solvers:
+            sol, ref = solve(cfg), solve(tight)
+            assert sol.certified_error < vi_tol
+            assert np.max(np.abs(sol.Qfun - ref.Qfun)) \
+                <= sol.certified_error + ref.certified_error + 1e-12
+
+    @pytest.mark.parametrize("stopping", [False, True])
+    def test_weighted_bound_on_unstable_plant(self, stopping):
+        sys_u, table, ch, cfg = _unstable_problem(30, 30)
+        cfg = replace(cfg, vi_tol=1e-5)
+        tight = replace(cfg, vi_tol=1e-12)
+        if stopping:
+            sol, ref = (tx.solve_stopping(tx.StoppingProblem(
+                channel=ch, holding=table, cfg=c, c_stop=10.0)) for c in (cfg, tight))
+        else:
+            cost = tx.StageCost(holding=table, action_costs=np.array([0.0]))
+            sol, ref = (tx.value_iterate(ch, cost, c) for c in (cfg, tight))
+        # the sweep still stops on the weighted residual; the bound is larger
+        assert sol.final_residual < cfg.vi_tol < sol.certified_error < np.inf
+        dist = tx.weighted_norm(sol.Qfun - ref.Qfun, sys_u.spectral_radius(),
+                                cfg.weight_eps)
+        assert dist <= sol.certified_error + ref.certified_error + 1e-12
+
+    def test_certificate_takes_the_smallest_qualifying_stage(self):
+        assert _certify(2.0, [0.5]) == 2.0 * 0.5 / 0.5
+        moduli = [1.0087, 0.9896, 0.9569, 0.9179]
+        bounds = [sum(moduli[:m]) / (1.0 - moduli[m - 1]) for m in (2, 3, 4)]
+        assert _certify(1.0, moduli) == min(bounds) == bounds[2]
+        assert _certify(1.0, [1.01, 1.0]) == np.inf
+
+    def test_lattice_modulus_is_attained(self):
+        # with one action T^m is affine, so Q1 - Q2 = s attains the modulus
+        # exactly; the sampled ratio stays far below it
+        sys_u, table, ch, cfg = _unstable_problem(60, 60)
+        cost = tx.StageCost(holding=table, action_costs=np.array([0.0]))
+        s = tx.weight_profile(sys_u.spectral_radius(), cfg.weight_eps, cfg.tau_max)
+        moduli = _lattice_moduli(_stencil(ch, cfg.belief_grid()), s, cfg.gamma, 4)
+        Q1 = np.repeat(s[:, None, None], cfg.grid_n + 1, axis=1)
+        Q2 = np.zeros_like(Q1)
+        for m in range(1, 5):
+            Q1 = tx.bellman_apply(ch, cost, cfg, Q1)
+            Q2 = tx.bellman_apply(ch, cost, cfg, Q2)
+            ratio = tx.weighted_norm(Q1 - Q2, sys_u.spectral_radius(), cfg.weight_eps)
+            assert ratio == pytest.approx(moduli[m - 1], rel=1e-9)
+        assert moduli[0] > 1.0 > moduli[3]
+        rep = tx.check_contraction(ch, sys_u, cfg)
+        assert rep.m == 4 and rep.lattice_modulus == moduli[3]
+        assert sampled_contraction_ratio(ch, sys_u, cost, cfg, 4, trials=5) < moduli[3]
+
+    def test_general_problem_at_gamma_099_within_default_sweeps(self, plant, steady):
+        # two actions, gamma 0.99: the old residual rule needed 2 022 sweeps
+        ch = tx.ChannelModel(lam=np.array([[0.6, 0.95], [0.1, 0.5]]),
+                             mode_kernel=np.array([[[0.9, 0.1], [0.0, 1.0]],
+                                                   [[0.95, 0.05], [0.2, 0.8]]]))
+        cost = tx.StageCost(holding=tx.holding_cost_table(plant, steady, 60),
+                            action_costs=np.array([0.0, 1.0]))
+        cfg = tx.SolverConfig(gamma=0.99)
+        sol = tx.value_iterate(ch, cost, cfg)
+        assert sol.sweeps_used <= cfg.max_sweeps == 2000
+        assert sol.certified_error < cfg.vi_tol
 
 
 class TestValueIterate:
@@ -343,7 +445,7 @@ class TestValueIterate:
         cost = tx.StageCost(holding=cost_table, action_costs=np.array([0.0]))
         sol = tx.value_iterate(ge_channel, cost, cfg)
         hist = np.array(sol.residual_history)
-        assert hist[-1] < cfg.vi_tol
+        assert sol.certified_error < cfg.vi_tol
         assert np.all(np.diff(hist[2:]) <= 1e-15)
 
     def test_solution_invariants(self, ge_channel, cost_table):
@@ -479,10 +581,13 @@ class TestValueMonotonicity:
 class TestContraction:
     def test_reference_configuration(self, plant, ge_channel, cost_table, solver_cfg):
         cost = tx.StageCost(holding=cost_table, action_costs=np.array([0.0]))
-        rep = tx.check_contraction(ge_channel, plant, cost, solver_cfg, trials=30)
+        rep = tx.check_contraction(ge_channel, plant, solver_cfg)
+        ratio = sampled_contraction_ratio(ge_channel, plant, cost, solver_cfg, rep.m,
+                                          trials=30)
         assert rep.m == 1
         assert rep.certified_bound == pytest.approx(solver_cfg.gamma, rel=1e-12)
-        assert rep.empirical_max_ratio <= solver_cfg.gamma + 1e-12
+        assert rep.lattice_modulus <= solver_cfg.gamma + 1e-12
+        assert ratio <= rep.lattice_modulus + 1e-12
         assert rep.ok
 
     def test_equal_inputs(self, plant, ge_channel, cost_table, solver_cfg):
@@ -499,25 +604,28 @@ class TestContraction:
         ch = tx.make_gilbert_elliott(0.9, 1.0, 0.9, 0.5)
         cfg = tx.SolverConfig(gamma=0.95, tau_max=60, grid_n=60)
         cost = tx.StageCost(holding=table, action_costs=np.array([0.0]))
-        rep = tx.check_contraction(ch, sys_u, cost, cfg, trials=20)
+        rep = tx.check_contraction(ch, sys_u, cfg)
+        ratio = sampled_contraction_ratio(ch, sys_u, cost, cfg, rep.m, trials=20)
         assert rep.alpha == pytest.approx(0.5 * (1.05**2 + 0.01), rel=1e-12)
         assert rep.alpha < 1
         assert rep.m >= 1
         assert rep.certified_bound < 1.0
-        assert rep.empirical_max_ratio < 1.0
+        assert rep.lattice_modulus < 1.0
+        assert ratio <= rep.lattice_modulus + 1e-12
 
     def test_hypothesis_violation(self, ge_channel, cost_table, solver_cfg):
         sys_u = tx.LtiSystem(A=2.0, C=1.0, Q=0.3, R=0.3)
-        cost = tx.StageCost(holding=cost_table, action_costs=np.array([0.0]))
         with pytest.raises(ValueError, match="alpha"):
-            tx.check_contraction(ge_channel, sys_u, cost, solver_cfg, trials=1)
+            tx.check_contraction(ge_channel, sys_u, solver_cfg)
 
     def test_stable_plant_with_lam_bad_zero(self, plant, cost_table, solver_cfg):
         # stable plant: the norm is the plain sup norm and the operator
         # contracts by gamma whatever the success probabilities are
         ch = tx.make_gilbert_elliott(1.0, 1.0, 1.0, 0.0, b0=0.5)
         cost = tx.StageCost(holding=cost_table, action_costs=np.array([0.0]))
-        rep = tx.check_contraction(ch, plant, cost, solver_cfg, trials=5)
+        rep = tx.check_contraction(ch, plant, solver_cfg)
+        assert sampled_contraction_ratio(ch, plant, cost, solver_cfg, rep.m,
+                                         trials=5) <= rep.lattice_modulus + 1e-12
         assert rep.m == 1
         assert rep.weight_base == 1.0
         assert rep.certified_bound == pytest.approx(solver_cfg.gamma, rel=1e-12)
@@ -531,7 +639,9 @@ class TestContraction:
         ch = tx.make_gilbert_elliott(1.0, 1.0, 1.0, 0.0, b0=0.5)
         cfg = tx.SolverConfig(gamma=0.999, tau_max=60, grid_n=20)
         cost = tx.StageCost(holding=table, action_costs=np.array([0.0]))
-        rep = tx.check_contraction(ch, sys_, cost, cfg, trials=3)
+        rep = tx.check_contraction(ch, sys_, cfg)
+        assert sampled_contraction_ratio(ch, sys_, cost, cfg, rep.m,
+                                         trials=3) <= rep.lattice_modulus + 1e-12
         assert rep.m == 1
         assert rep.weight_base == 1.0
         assert rep.certified_bound == pytest.approx(0.999, rel=1e-12)
@@ -553,7 +663,7 @@ class TestContraction:
         calls = (lambda: tx.value_iterate(ch, cost, cfg),
                  lambda: tx.solve_stopping(tx.StoppingProblem(
                      channel=ch, holding=table, cfg=cfg, c_stop=10.0)),
-                 lambda: tx.check_contraction(ch, sys_, cost, cfg, trials=1))
+                 lambda: tx.check_contraction(ch, sys_, cfg))
         messages = set()
         for call in calls:
             if accepted:

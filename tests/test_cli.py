@@ -5,8 +5,8 @@ import pytest
 import yaml
 
 import txsched as tx
-from conftest import ULP_NOISE_PLANT
-from txsched.cli import main
+from conftest import ULP_NOISE_PLANT, rowlist_write_solution_csvs
+from txsched.cli import main, write_solution_csvs
 
 BASE = {
     "system": {"A": [[0.85]], "C": [[1.0]], "Q": [[0.3]], "R": [[0.3]]},
@@ -151,6 +151,61 @@ class TestSolve:
             t, b, v, pol = row.split(",")
             i = round(float(b) * cfg.solver.grid_n)
             assert int(pol) == sol.policy[int(t), i]
+
+
+    def test_prints_certified_error(self, tmp_path, capsys):
+        p, _ = write_cfg(tmp_path)
+        assert main(["solve", "--config", str(p)]) == 0
+        line = next(l for l in capsys.readouterr().out.split("\n")
+                    if l.startswith("value iteration: "))
+        err = float(line.split("certified error ")[1].split(",")[0])
+        assert 0.0 < err < BASE["solver"]["vi_tol"]
+
+    def test_unstable_plant_certificate(self, tmp_path, capsys, monkeypatch):
+        p, _ = write_cfg(tmp_path, {"system.A": [[1.05]], "channel.lam_bad": 0.5})
+        assert main(["solve", "--config", str(p)]) == 0
+        out = capsys.readouterr().out
+        assert "certified error " in out and "not certified" not in out
+        # no stage m with L_m < 1: the error is reported as not certified
+        monkeypatch.setattr("txsched.belief_mdp._lattice_moduli",
+                            lambda stencil, s, gamma, m: [1.5] * m)
+        assert main(["solve", "--config", str(p)]) == 0
+        assert ", not certified, " in capsys.readouterr().out
+
+    def test_general_problem_at_gamma_099_default_max_sweeps(self, tmp_path, capsys):
+        p, _ = write_cfg(tmp_path, {
+            "channel": {"type": "explicit", "lam": [[0.6, 0.95], [0.1, 0.5]],
+                        "mode_kernel": [[[0.9, 0.1], [0.0, 1.0]],
+                                        [[0.95, 0.05], [0.2, 0.8]]], "b0": 0.0},
+            "costs": {"c_a": [0.0, 1.0]}, "sim": None,
+            "solver": {"gamma": 0.99, "tau_max": 60, "grid_n": 200, "vi_tol": 1e-9}})
+        assert main(["solve", "--config", str(p)]) == 0
+        out = capsys.readouterr().out
+        assert "value iteration: 115 sweeps, certified error " in out
+
+    def test_streamed_csvs_equal_reference_writer(self, tmp_path):
+        p, _ = write_cfg(tmp_path, {"costs.c_stop": None})
+        assert main(["solve", "--config", str(p), "--quiet"]) == 0
+        cfg = tx.load_config(p)
+        rng = np.random.default_rng(5)
+        Q = rng.uniform(-1e3, 1e3, (4, 7, 3))
+        Q[0, 0] = (-0.0, 1e-300, 1e300)
+        Q[1, 2] = (np.nan, np.inf, 1.0 / 3.0)
+        odd = tx.Solution(Qfun=Q, V=Q.min(axis=2), policy=rng.integers(0, 3, (4, 7)),
+                          belief_grid=np.linspace(0.0, 1.0, 7), sweeps_used=1,
+                          final_residual=0.0)
+        ss = tx.steady_state_covariance(cfg.system)
+        cost = tx.StageCost(holding=tx.holding_cost_table(cfg.system, ss, cfg.solver.tau_max),
+                            action_costs=cfg.action_costs)
+        (tmp_path / "odd").mkdir()
+        write_solution_csvs(odd, tmp_path / "odd")
+        for sol, got in ((tx.value_iterate(cfg.channel, cost, cfg.solver), tmp_path / "out"),
+                         (odd, tmp_path / "odd")):
+            ref = got.with_name(got.name + "_ref")
+            ref.mkdir()
+            rowlist_write_solution_csvs(sol, ref)
+            for name in ("q_values.csv", "value_policy.csv"):
+                assert (got / name).read_bytes() == (ref / name).read_bytes()
 
 
 class TestVerify:

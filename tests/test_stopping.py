@@ -43,6 +43,7 @@ class TestSolveStopping:
 
     def test_matches_reference_fixture(self, stopping_solution):
         assert stopping_solution.final_residual < 1e-9
+        assert stopping_solution.certified_error < 1e-9
         assert stopping_solution.n_actions == 2
 
     def test_matches_independent_scalar_solver(self, ge_channel, cost_table):
@@ -110,6 +111,7 @@ class TestSolveStopping:
         sol = tx.solve_stopping(tx.StoppingProblem(channel=ch, holding=table,
                                                    cfg=cfg, c_stop=10.0))
         assert sol.final_residual < 1e-9
+        assert np.isfinite(sol.certified_error)
         assert tx.verify_value_monotonicity(sol).ok
         assert tx.verify_threshold_monotone(tx.extract_threshold(sol))
 
