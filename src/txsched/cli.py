@@ -13,13 +13,15 @@ Subcommands:
               modulus of T^m on the solver's lattice.
   simulate    Monte Carlo batch under --policy; writes simstats_<policy>.json
               and optional per-step traces. --policy solved refuses a
-              missing value_policy.csv or one solved for another config.
+              missing or malformed value_policy.csv, or one solved for
+              another config.
   thresholds  prints the threshold table (from a prior solve of the same
               problem, by solve_record.json, otherwise solving first).
 
 Exit codes: 0 ok, 2 config error (including a holding-cost table that
 overflows float64 before solver.tau_max or sim.horizon, and a solved policy
-that is missing or does not match the config, reported as "stale policy"),
+that is missing, malformed or does not match the config, reported as "stale
+policy"),
 3 convergence failure (including a covariance fixed point under which the
 holding cost falls by more than rounding), 4 verification failure (a failed
 verify check, or a solve or thresholds whose stop region is not an upper
@@ -33,6 +35,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -92,20 +95,30 @@ def write_thresholds_csv(th, out_dir: Path):
 
 
 def read_value_policy_csv(path: Path):
-    """Reconstruct (policy lattice, belief grid) from a prior solve."""
-    rows = path.read_text(encoding="utf-8").strip().split("\n")
-    if rows[0] != "tau,belief,value,policy":
-        raise ValueError(f"unexpected header in {path}: {rows[0]}")
-    taus, beliefs, policies = [], [], []
-    for row in rows[1:]:
-        t, b, _v, p = row.split(",")
-        taus.append(int(t))
-        beliefs.append(float(b))
-        policies.append(int(p))
-    tau_max = max(taus)
-    grid_n = len(set(beliefs)) - 1
-    policy = np.array(policies, dtype=np.int64).reshape(tau_max + 1, grid_n + 1)
-    return policy, grid_n, tau_max
+    """Reconstruct (policy lattice, grid_n, tau_max) from a prior solve's
+    value_policy.csv, reading only its tau and policy columns; a file that is
+    not a full lattice of stop/continue actions raises StalePolicyError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n")
+        if header != "tau,belief,value,policy":
+            raise ValueError(f"unexpected header {header!r}")
+        with warnings.catch_warnings():  # an empty table is refused below
+            warnings.simplefilter("ignore", UserWarning)
+            cols = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 3),
+                              dtype=np.int64, ndmin=2)
+        tau, policy = cols[:, 0], cols[:, 1]
+        n_tau = int(tau[-1]) + 1 if tau.size else 0
+        if n_tau < 1 or tau.size % n_tau or not np.array_equal(
+                tau, np.repeat(np.arange(n_tau), tau.size // n_tau)):
+            raise ValueError(f"{tau.size} rows do not cover tau = 0, ..., "
+                             "tau_max with one row per belief grid point")
+        if not np.isin(policy, (0, 1)).all():
+            raise ValueError("the policy column holds an action other than 0 and 1")
+    except ValueError as exc:
+        raise StalePolicyError(f"{path} is malformed ({exc}); run solve first") from None
+    grid_n = tau.size // n_tau - 1
+    return policy.reshape(n_tau, grid_n + 1), grid_n, n_tau - 1
 
 
 def write_json(path: Path, obj):
@@ -245,13 +258,19 @@ def cmd_verify(cfg: RunConfig, quiet: bool = False) -> int:
 
 def _stale_reason(cfg: RunConfig, out_dir: Path):
     """Why the solve artifacts in out_dir are not for cfg: None when
-    solve_record.json records cfg's problem hash, otherwise what it holds."""
+    solve_record.json records cfg's problem hash, otherwise what it holds
+    (or that it is missing or unreadable)."""
     record = out_dir / SOLVE_RECORD
-    solved_for = (json.loads(record.read_text(encoding="utf-8")).get("problem_sha256")
-                  if record.exists() else None)
-    if solved_for == cfg.problem_sha256:
-        return None
-    found = f"records problem sha256 {solved_for}" if solved_for else "is missing"
+    try:
+        solved_for = json.loads(record.read_text(encoding="utf-8")).get("problem_sha256")
+    except FileNotFoundError:
+        found = "is missing"
+    except (OSError, ValueError, AttributeError) as exc:
+        found = f"is unreadable ({exc})"
+    else:
+        if solved_for == cfg.problem_sha256:
+            return None
+        found = f"records problem sha256 {solved_for}" if solved_for else "is missing"
     return f"{SOLVE_RECORD} {found}, this config has {cfg.problem_sha256}"
 
 

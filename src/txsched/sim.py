@@ -10,17 +10,22 @@ matching the kernel factorization), and the belief then updates on the
 observed next holding time.
 
 Replications use independent seed streams derived from the base seed by
-SplitMix64 (state = seed + (k+1) * golden gamma, mixed), so a (seed, config)
-pair fixes every run bit for bit.
+SplitMix64 (state = seed + (k+1) * golden gamma, mixed): run k draws from
+``default_rng(splitmix64(seed, k))``, so a (seed, config) pair fixes every
+run bit for bit.
 
 ``run_batch`` advances the runs in lockstep: a block of runs steps together
-as numpy arrays, and runs that have stopped drop out of the block. The block
-size follows from the horizon and a fixed budget for the block's uniform
-matrix (``_BLOCK_BYTES``, 1 MiB: 326 runs at horizon 200). Each run still
-draws its uniforms from its own stream and every operation follows the order
-of the scalar ``run_episode``, so costs, beliefs and statistics equal those of
-a loop over ``run_episode`` bit for bit. ``run_episode`` remains the scalar
-reference and the source of per-step traces.
+as numpy arrays, and runs that have stopped drop out of the block. A block
+seeds all its streams in one vectorized pass: SplitMix64 and SeedSequence's
+pool hash run on uint64/uint32 arrays, and each run's PCG64 takes the hashed
+words through ``ISeedSequence``, so the streams are ``default_rng``'s. A
+block keeps, for each uniform, only the outcome of the comparisons its step
+makes, as a one-byte code (``_block_codes``). The block size follows from
+the horizon and a fixed budget for the code matrix (``_BLOCK_BYTES``, 1 MiB:
+2 614 runs at horizon 200). Every operation follows the order of the scalar
+``run_episode``, so costs, beliefs and statistics equal those of a loop over
+``run_episode`` bit for bit. ``run_episode`` remains the scalar reference and
+the source of per-step traces.
 
 Policies are callables ``(tau, b) -> action`` that accept either scalars or
 aligned arrays (returning an action of the same shape); action 0 continues
@@ -30,6 +35,7 @@ and action 1 stops.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .belief_mdp import Solution, belief_update
 from .channel import ChannelModel
@@ -37,14 +43,17 @@ from .stochastic_orders import ZeroLikelihoodError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-# byte budget for one lockstep block's uniform matrix (2*horizon+1 per run)
+# byte budget for one lockstep block's code matrix (2*horizon+1 bytes per run)
 _BLOCK_BYTES = 1 << 20
+# runs whose float uniforms are staged at once before becoming codes
+_STAGE_RUNS = 64
 _ZERO_LIKELIHOOD = "observed a zero-probability branch; channel tables are inconsistent"
 
 
-def splitmix64(seed: int, k: int) -> int:
+def splitmix64(seed: int, k):
     """Output of the SplitMix64 stream seeded at ``seed`` after k+1 advances,
-    used as the seed of replication k."""
+    used as the seed of replication k. ``k`` is an int, or a uint64 array
+    whose arithmetic wraps as the masks do."""
     z = (seed + (k + 1) * _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -54,6 +63,75 @@ def splitmix64(seed: int, k: int) -> int:
 def _stream(seed: int, k: int) -> np.random.Generator:
     """Random stream of replication k."""
     return np.random.default_rng(splitmix64(seed, k))
+
+
+def _hash_consts(init: int, mult: int, n: int) -> list:
+    """The n+1 values of a SeedSequence hash constant, which is multiplied by
+    ``mult`` (mod 2**32) after each use; they do not depend on the data."""
+    h = [init]
+    for _ in range(n):
+        h.append(h[-1] * mult & 0xFFFFFFFF)
+    return [np.uint32(x) for x in h]
+
+
+# numpy.random.SeedSequence with its default pool of 4 words: 4 hashmix
+# calls fill the pool and 12 mix it; generate_state(4, uint64) hashes 8 words
+_HASH_A = _hash_consts(0x43B0D7E5, 0x931E8875, 16)
+_HASH_B = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """Row i is ``SeedSequence(seeds[i]).generate_state(4, np.uint64)``, for a
+    uint64 array of seeds. SeedSequence splits a seed into little-endian
+    32-bit words and pads the pool with hashed zeros, so a seed below 2**32
+    hashes as the same seed with a zero high word."""
+    hashes = iter(zip(_HASH_A[:-1], _HASH_A[1:]))
+
+    def hashmix(x):
+        xor, mult = next(hashes)
+        x = (x ^ xor) * mult
+        return x ^ (x >> 16)
+
+    zero = np.zeros(seeds.shape, dtype=np.uint32)
+    entropy = [(seeds & 0xFFFFFFFF).astype(np.uint32),
+               (seeds >> 32).astype(np.uint32), zero, zero]
+    pool = [hashmix(x) for x in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                x = _MIX_L * pool[dst] - _MIX_R * hashmix(pool[src])
+                pool[dst] = x ^ (x >> 16)
+    state = np.empty((seeds.size, 8), dtype=np.uint32)
+    for i in range(8):
+        x = (pool[i % 4] ^ _HASH_B[i]) * _HASH_B[i + 1]
+        state[:, i] = x ^ (x >> 16)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedWords(ISeedSequence):
+    """Seed sequence that hands PCG64 the words ``_seed_words`` computed;
+    PCG64 runs its own 128-bit initialisation on them. PCG64 reads the words
+    by pointer, so ``words`` must be 4 C-contiguous uint64, as a row of
+    ``_seed_words`` is."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:  # PCG64's request
+            raise ValueError("holds only generate_state(4, np.uint64)")
+        return self.words
+
+
+def _block_streams(seed: int, start: int, m: int):
+    """The streams of runs start, ..., start+m-1, equal to ``_stream``'s,
+    seeded in one vectorized pass."""
+    runs = np.arange(start, start + m, dtype=np.uint64)
+    # a Python int seed keeps the arithmetic in uint64 (an int64 one would
+    # promote it to float64)
+    return (np.random.Generator(np.random.PCG64(_SeedWords(w)))
+            for w in _seed_words(splitmix64(int(seed), runs)))
 
 
 # --- policies: callables (tau, belief) -> action, on scalars or arrays ---
@@ -247,41 +325,65 @@ def run_episode(ch: ChannelModel, holding_costs: np.ndarray, c_stop: float,
                     stopped=stopped, stop_time=stop_time, discounted_cost=J)
 
 
-def _run_block(u: np.ndarray, ch: ChannelModel, holding: np.ndarray,
+def _block_codes(ch: ChannelModel, seed: int, start: int, codes: np.ndarray):
+    """Fill column j of ``codes`` from the 2*horizon+1 uniforms of run
+    start+j, keeping of each uniform u only the comparisons its step makes:
+    row 0 holds u < initial_mode_dist[0]; odd rows (mode transitions) hold
+    u < p00 in bit 0 and u < p10 in bit 1; even rows (outcomes) hold
+    u < lam0 in bit 0 and u < lam1 in bit 1. A step reads one contiguous
+    row."""
+    width, m = codes.shape
+    p00, p10, _, _, lam0, lam1 = _kernel(ch)
+    lo = np.array([float(ch.initial_mode_dist[0])] + [p00, lam0] * (width // 2))
+    hi = np.array([0.0] + [p10, lam1] * (width // 2))  # u < 0 never holds
+    streams = _block_streams(seed, start, m)
+    stage = np.empty((min(_STAGE_RUNS, m), width))
+    for c0 in range(0, m, _STAGE_RUNS):
+        u = stage[:min(_STAGE_RUNS, m - c0)]
+        for row in u:
+            next(streams).random(out=row)
+        codes[:, c0:c0 + len(u)] = ((u < lo) | ((u < hi).view(np.uint8) << 1)).T
+
+
+def _run_block(codes: np.ndarray, ch: ChannelModel, holding: np.ndarray,
                c_stop: float, gamma: float, policy, tally: dict) -> np.ndarray:
-    """Advance the episodes whose uniforms are the rows of ``u`` together and
-    return their discounted costs; the arithmetic is ``run_episode``'s,
-    elementwise. Adds the block's integer counts into ``tally``."""
-    p00, p10, p01, p11, lam0, lam1 = _kernel(ch)
-    p_stay, lam = np.array([p00, p10]), np.array([lam0, lam1])
-    costs = np.empty(u.shape[0])
-    rows = np.arange(u.shape[0])  # block rows of the runs still going
-    theta = np.where(u[:, 0] < ch.initial_mode_dist[0], 0, 1)
-    tau = np.zeros(u.shape[0], dtype=np.int64)
-    b = np.full(u.shape[0], ch.initial_belief)
-    J = np.zeros(u.shape[0])
+    """Advance the episodes whose ``_block_codes`` are the columns of
+    ``codes`` together and return their discounted costs; the arithmetic is
+    ``run_episode``'s, elementwise, with (code >> theta) & 1 in place of
+    u < p[theta]. Adds the block's integer counts into ``tally``."""
+    _, _, p01, p11, lam0, lam1 = _kernel(ch)
+    m = codes.shape[1]
+    costs = np.empty(m)
+    runs = np.arange(m)  # block columns of the runs still going
+    theta = 1 - codes[0]  # uint8 modes
+    tau = np.zeros(m, dtype=np.int64)
+    b = np.full(m, ch.initial_belief)
+    J = np.zeros(m)
     disc = 1.0
-    for t in range(u.shape[1] // 2):
+    for t in range(codes.shape[0] // 2):
         a = np.asarray(policy(tau, b))
         if a.shape != tau.shape:
             raise ValueError(f"policy returned shape {a.shape} for {tau.shape} states")
-        tally["occupancy"] += np.bincount(theta, minlength=2)
+        n_bad = np.count_nonzero(theta)
+        tally["occupancy"] += (theta.size - n_bad, n_bad)
         go = a == 0
         if not go.all():
             stop = a == 1
             if not (go | stop).all():
                 raise ValueError(f"policy returned unknown action {a[~(go | stop)][0]}")
             J[stop] += disc * c_stop
-            costs[rows[stop]] = J[stop]
+            costs[runs[stop]] = J[stop]
             tally["stops"][t] += np.count_nonzero(stop)
-            rows, theta, tau, b, J = rows[go], theta[go], tau[go], b[go], J[go]
-            if rows.size == 0:
+            runs, theta, tau, b, J = runs[go], theta[go], tau[go], b[go], J[go]
+            if runs.size == 0:
                 return costs
         J += disc * holding[tau]
-        theta = np.where(u[rows, 2 * t + 1] < p_stay[theta], 0, 1)
-        success = u[rows, 2 * t + 2] < lam[theta]
-        tally["attempts"] += np.bincount(theta, minlength=2)
-        tally["successes"] += np.bincount(theta[success], minlength=2)
+        theta = 1 - ((codes[2 * t + 1][runs] >> theta) & 1)
+        success = ((codes[2 * t + 2][runs] >> theta) & 1).view(bool)
+        n_bad, n_succ = np.count_nonzero(theta), np.count_nonzero(success)
+        n_bad_succ = np.count_nonzero(success & theta)
+        tally["attempts"] += (theta.size - n_bad, n_bad)
+        tally["successes"] += (n_succ - n_bad_succ, n_bad_succ)
         tau = np.where(success, 0, tau + 1)
         bhat = np.minimum(np.maximum(p01 * (1.0 - b) + p11 * b, 0.0), 1.0)
         p_succ = lam0 * (1.0 - bhat) + lam1 * bhat
@@ -291,7 +393,7 @@ def _run_block(u: np.ndarray, ch: ChannelModel, holding: np.ndarray,
             raise ZeroLikelihoodError(_ZERO_LIKELIHOOD)
         b = np.minimum(np.maximum(num / den, 0.0), 1.0)
         disc *= gamma
-    costs[rows] = J
+    costs[runs] = J
     return costs
 
 
@@ -300,19 +402,19 @@ def run_batch(ch: ChannelModel, holding_costs: np.ndarray, c_stop: float,
               collect_traces: bool = False):
     """Run ``n_runs`` independent episodes and aggregate their statistics.
 
-    The runs advance in lockstep blocks whose uniform matrix fits in
-    ``_BLOCK_BYTES`` (1 MiB); run k draws from its own SplitMix64-seeded stream as in
-    ``run_episode``, so the result equals a loop over ``run_episode`` bit for
-    bit, whatever the block size. Returns SimStats, or (SimStats, traces)
-    when collect_traces is set; the traces are ``run_episode`` replays of the
-    same streams. Means use numpy's pairwise summation; the standard error is
+    The runs advance in lockstep blocks whose one-byte code matrix fits in
+    ``_BLOCK_BYTES`` (1 MiB); run k draws from its own SplitMix64-seeded
+    stream as in ``run_episode``, so the result equals a loop over
+    ``run_episode`` bit for bit, whatever the block size. Returns SimStats,
+    or (SimStats, traces) when collect_traces is set; the traces are
+    ``run_episode`` replays of the same streams. Means use numpy's pairwise summation; the standard error is
     the sample standard deviation over sqrt(n_runs).
     """
     horizon, n_runs = simcfg.horizon, simcfg.n_runs
     holding = _holding_table(holding_costs, horizon)
     width = 2 * horizon + 1
-    block = max(1, _BLOCK_BYTES // (8 * width))
-    u = np.empty((min(block, n_runs), width))
+    block = max(1, _BLOCK_BYTES // width)
+    codes = np.empty((width, min(block, n_runs)), dtype=np.uint8)
     costs = np.empty(n_runs)
     tally = {"occupancy": np.zeros(2, dtype=np.int64),
              "attempts": np.zeros(2, dtype=np.int64),
@@ -320,10 +422,9 @@ def run_batch(ch: ChannelModel, holding_costs: np.ndarray, c_stop: float,
              "stops": np.zeros(horizon, dtype=np.int64)}
     for start in range(0, n_runs, block):
         m = min(block, n_runs - start)
-        for j in range(m):
-            _stream(simcfg.seed, start + j).random(out=u[j])
-        costs[start:start + m] = _run_block(u[:m], ch, holding, c_stop, gamma,
-                                            policy, tally)
+        _block_codes(ch, simcfg.seed, start, codes[:, :m])
+        costs[start:start + m] = _run_block(codes[:, :m], ch, holding, c_stop,
+                                            gamma, policy, tally)
     occupancy, attempts, successes = tally["occupancy"], tally["attempts"], tally["successes"]
     total_steps = int(occupancy.sum())
     occ = tuple((occupancy / total_steps).tolist()) if total_steps else (0.0, 0.0)

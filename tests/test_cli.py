@@ -6,7 +6,7 @@ import yaml
 
 import txsched as tx
 from conftest import ULP_NOISE_PLANT, rowlist_write_solution_csvs
-from txsched.cli import main, write_solution_csvs
+from txsched.cli import main, read_value_policy_csv, write_solution_csvs
 
 BASE = {
     "system": {"A": [[0.85]], "C": [[1.0]], "Q": [[0.3]], "R": [[0.3]]},
@@ -368,6 +368,58 @@ class TestSolvedPolicyProvenance:
         assert main(["simulate", "--config", str(p), "--policy", "solved"]) == 2
         assert "solve_record.json is missing" in capsys.readouterr().err
 
+    def test_reader_returns_the_solved_lattice(self, tmp_path):
+        p, _ = write_cfg(tmp_path)
+        assert main(["solve", "--config", str(p), "--quiet"]) == 0
+        cfg = tx.load_config(p)
+        ss = tx.steady_state_covariance(cfg.system)
+        table = tx.holding_cost_table(cfg.system, ss, cfg.solver.tau_max)
+        sol = tx.solve_stopping(tx.StoppingProblem(
+            channel=cfg.channel, holding=table, cfg=cfg.solver, c_stop=cfg.c_stop))
+        policy, grid_n, tau_max = read_value_policy_csv(tmp_path / "out" / "value_policy.csv")
+        assert (grid_n, tau_max) == (cfg.solver.grid_n, cfg.solver.tau_max)
+        assert policy.dtype == np.int64 and np.array_equal(policy, sol.policy)
+
+    @pytest.mark.parametrize("edit", ["cut_last_row", "cut_mid_row", "cut_all_rows",
+                                      "action_2"])
+    def test_malformed_policy_file_refused(self, tmp_path, capsys, edit):
+        p, _ = write_cfg(tmp_path)
+        assert main(["solve", "--config", str(p), "--quiet"]) == 0
+        path = tmp_path / "out" / "value_policy.csv"
+        lines = path.read_text().split("\n")[:-1]
+        kept = {"cut_last_row": lines[:-1],
+                "cut_mid_row": lines[:-1] + [lines[-1][:5]],
+                "cut_all_rows": lines[:1],
+                "action_2": lines[:-1] + [lines[-1][:-1] + "2"]}[edit]
+        path.write_text("\n".join(kept) + "\n")
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(p), "--policy", "solved"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"stale policy: {path} is malformed (")
+        assert err.rstrip().endswith("; run solve first")
+        assert not (tmp_path / "out" / "simstats_solved.json").exists()
+
+    def test_policy_file_with_bad_header_refused(self, tmp_path, capsys):
+        p, _ = write_cfg(tmp_path)
+        assert main(["solve", "--config", str(p), "--quiet"]) == 0
+        path = tmp_path / "out" / "value_policy.csv"
+        path.write_text(path.read_text().replace("tau,belief,value,policy",
+                                                 "tau,belief,policy,value", 1))
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(p), "--policy", "solved"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"stale policy: {path} is malformed (unexpected header")
+
+    def test_corrupt_record_refused(self, tmp_path, capsys):
+        p, _ = write_cfg(tmp_path)
+        assert main(["solve", "--config", str(p), "--quiet"]) == 0
+        (tmp_path / "out" / "solve_record.json").write_text('{"problem_sha256": "\x01')
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(p), "--policy", "solved"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("stale policy: ") and "solve_record.json is unreadable" in err
+        assert not (tmp_path / "out" / "simstats_solved.json").exists()
+
     def test_out_and_seed_overrides_keep_the_policy_valid(self, tmp_path):
         p, _ = write_cfg(tmp_path)
         other = tmp_path / "elsewhere"
@@ -417,6 +469,18 @@ class TestThresholdsCommand:
         assert len(lines[1:]) == 21
         record = json.loads((tmp_path / "out" / "solve_record.json").read_text())
         assert record == {"problem_sha256": tx.load_config(p2).problem_sha256}
+
+    def test_corrupt_record_resolved(self, tmp_path, capsys):
+        p, _ = write_cfg(tmp_path)
+        assert main(["solve", "--config", str(p), "--quiet"]) == 0
+        record = tmp_path / "out" / "solve_record.json"
+        record.write_text('{"problem_sha256": "\x01')
+        capsys.readouterr()
+        assert main(["thresholds", "--config", str(p)]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0] == "tau,b_th,is_sentinel"
+        assert json.loads(record.read_text()) == {
+            "problem_sha256": tx.load_config(p).problem_sha256}
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_stop_region_without_threshold(self, tmp_path, capsys):

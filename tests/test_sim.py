@@ -70,6 +70,55 @@ class TestSplitMix:
         assert len(seeds) == 1000
 
 
+class TestBatchedSeeding:
+    """``run_batch`` seeds a block's streams in one vectorized pass; they
+    must be ``default_rng(splitmix64(seed, k))``'s bit for bit."""
+
+    EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+    def test_vectorized_splitmix_matches_scalar(self):
+        for seed in self.EDGE_SEEDS:
+            runs = np.arange(3000, dtype=np.uint64)
+            assert sim.splitmix64(seed, runs).tolist() == [
+                tx.splitmix64(seed, k) for k in range(3000)]
+
+    def test_seed_words_match_seed_sequence(self):
+        rand = np.random.default_rng(7).integers(0, 2**64, 10_000, dtype=np.uint64)
+        seeds = np.concatenate([np.array(self.EDGE_SEEDS, dtype=np.uint64), rand])
+        words = sim._seed_words(seeds)
+        assert words.shape == (seeds.size, 4) and words.dtype == np.uint64
+        assert words.flags.c_contiguous  # PCG64 reads each row by pointer
+        for s, w in zip(seeds.tolist(), words):
+            assert np.array_equal(w, np.random.SeedSequence(s).generate_state(4, np.uint64))
+
+    @pytest.mark.parametrize("seed", [0, 20260811, 2**64 - 1])
+    def test_block_streams_match_default_rng(self, seed):
+        horizon, start = 50, 1000
+        for k, rng in enumerate(sim._block_streams(seed, start, 40), start):
+            want = np.random.default_rng(tx.splitmix64(seed, k)).random(2 * horizon + 1)
+            assert np.array_equal(rng.random(2 * horizon + 1), want)
+
+    def test_seed_words_refuse_other_requests(self):
+        seq = sim._SeedWords(sim._seed_words(np.array([5], dtype=np.uint64))[0])
+        with pytest.raises(ValueError):
+            seq.generate_state(8)
+
+    @pytest.mark.parametrize("channel", ["ge-recovering", "explicit"])
+    def test_codes_hold_the_step_comparisons(self, channel):
+        ch = CHANNELS[channel]
+        horizon, seed, start, m = 30, 2**64 - 1, 5, 70  # 70 runs: two stagings
+        codes = np.empty((2 * horizon + 1, m), dtype=np.uint8)
+        sim._block_codes(ch, seed, start, codes)
+        p_stay = ch.mode_kernel[0, :, 0]
+        lam = ch.lam[:, 0]
+        for j in range(m):
+            u = np.random.default_rng(tx.splitmix64(seed, start + j)).random(2 * horizon + 1)
+            assert codes[0, j] == (u[0] < ch.initial_mode_dist[0])
+            for t in range(horizon):
+                for row, p in ((2 * t + 1, p_stay), (2 * t + 2, lam)):
+                    assert codes[row, j] == ((u[row] < p[0]) | (u[row] < p[1]) << 1)
+
+
 class TestRunEpisode:
     def test_always_succeeds(self, ge_channel, sim_table):
         ch = tx.make_gilbert_elliott(0.9, 1.0, 1.0, 1.0)
@@ -233,7 +282,7 @@ class TestLockstepOracle:
     def test_several_blocks_and_partial_last_block(self, kind, plant, steady,
                                                    stopping_solution):
         horizon = 1000
-        block = sim._BLOCK_BYTES // (8 * (2 * horizon + 1))
+        block = sim._BLOCK_BYTES // (2 * horizon + 1)  # one byte per uniform
         n_runs = 2 * block + 10
         assert n_runs % block != 0 and n_runs > 2 * block
         table = tx.holding_cost_table(plant, steady, horizon)
@@ -242,7 +291,7 @@ class TestLockstepOracle:
                 policy_kinds(stopping_solution)[kind], cfgs)
         assert_stats_equal(tx.run_batch(*args), oracle_batch(*args))
 
-    @pytest.mark.parametrize("budget", [1, 8 * 121 * 7])
+    @pytest.mark.parametrize("budget", [1, 121 * 7])
     def test_block_size_does_not_change_result(self, budget, monkeypatch,
                                                stopping_solution, sim_table):
         cfgs = tx.SimConfig(horizon=60, n_runs=50, seed=8)
