@@ -25,7 +25,10 @@ policy"),
 3 convergence failure (including a covariance fixed point under which the
 holding cost falls by more than rounding), 4 verification failure (a failed
 verify check, or a solve or thresholds whose stop region is not an upper
-belief interval at some tau; that solve writes no artifact).
+belief interval at some tau; that solve writes no artifact), 5 model
+inconsistency (a simulated observation of zero likelihood: the channel's
+tables contradict each other), 141 standard output closed by its reader
+(`| head`; no message, like a process killed by SIGPIPE).
 All floats in CSV files are printed with 12 significant digits, LF line
 endings; JSON keys are sorted. Outputs are a pure function of (config, seed):
 reruns are byte-identical.
@@ -33,6 +36,8 @@ reruns are byte-identical.
 
 import argparse
 import json
+import operator
+import os
 import sys
 import time
 import warnings
@@ -45,11 +50,14 @@ from .channel import check_mode_kernel_tp2
 from .config import ConfigError, RunConfig, load_config
 from .lti_estimation import (ConvergenceError, check_success_margin,
                              holding_cost_table, steady_state_covariance)
+from .stochastic_orders import ZeroLikelihoodError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CONVERGENCE = 3
 EXIT_VERIFICATION = 4
+EXIT_MODEL = 5
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by it
 
 SOLVE_RECORD = "solve_record.json"
 
@@ -71,8 +79,12 @@ def _write_lines(path: Path, lines):
 
 def write_solution_csvs(sol, out_dir: Path):
     """q_values.csv: (tau, belief, action, q_value); value_policy.csv:
-    (tau, belief, value, policy). Written one tau row at a time; each belief
-    string is formatted once."""
+    (tau, belief, value, policy). Written one tau row at a time. Each belief
+    string is formatted once, and so is each distinct float of a row: V is
+    one of the row's Q values and a stopping problem's stop column is the
+    constant c_stop, so a row has at most two thirds as many distinct values
+    as cells, and a stopping row about a third. Values are told apart by their bits, which keeps -0.0 and 0.0 (and
+    NaN payloads) apart; the lines are joined in C by str.join over map."""
     beliefs = [_fmt(b) for b in sol.belief_grid]
     q_keys = [f",{b},{a}," for b in beliefs for a in range(sol.n_actions)]
     vp_keys = [f",{b}," for b in beliefs]
@@ -81,10 +93,15 @@ def write_solution_csvs(sol, out_dir: Path):
         q_fh.write("tau,belief,action,q_value\n")
         vp_fh.write("tau,belief,value,policy\n")
         for tau in range(sol.tau_max + 1):
-            q_fh.write("".join([f"{tau}{k}{_fmt(x)}\n" for k, x in zip(
-                q_keys, sol.Qfun[tau].ravel().tolist())]))
-            vp_fh.write("".join([f"{tau}{k}{_fmt(v)},{p}\n" for k, v, p in zip(
-                vp_keys, sol.V[tau].tolist(), sol.policy[tau].tolist())]))
+            row = np.concatenate([sol.Qfun[tau].ravel(), sol.V[tau]], dtype=np.float64)
+            bits, inverse = np.unique(row.view(np.uint64), return_inverse=True)
+            text = list(map(_fmt, bits.view(np.float64).tolist()))
+            cells = list(map(text.__getitem__, inverse.tolist()))
+            t = str(tau)
+            sep = "\n" + t
+            q_fh.write(t + sep.join(map(operator.add, q_keys, cells[:len(q_keys)])) + "\n")
+            vp_fh.write(t + sep.join(map("{}{},{}".format, vp_keys, cells[len(q_keys):],
+                                         sol.policy[tau].tolist())) + "\n")
 
 
 def write_thresholds_csv(th, out_dir: Path):
@@ -390,6 +407,19 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     return parse_config(raw)
 
 
+def _stdout_to_devnull():
+    """Point standard output at os.devnull once its reader has gone, so the
+    text still buffered, and the interpreter's flush at exit, go nowhere
+    instead of raising BrokenPipeError again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, sys.stdout.fileno())
+    except (AttributeError, OSError, ValueError):  # a stdout with no descriptor
+        sys.stdout = os.fdopen(devnull, "w")
+    else:
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="txsched",
@@ -412,12 +442,18 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         cfg = _apply_overrides(cfg, args)
         if args.command == "solve":
-            return cmd_solve(cfg, quiet=args.quiet)
-        if args.command == "verify":
-            return cmd_verify(cfg, quiet=args.quiet)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, args.policy, quiet=args.quiet)
-        return cmd_thresholds(cfg, quiet=args.quiet)
+            rc = cmd_solve(cfg, quiet=args.quiet)
+        elif args.command == "verify":
+            rc = cmd_verify(cfg, quiet=args.quiet)
+        elif args.command == "simulate":
+            rc = cmd_simulate(cfg, args.policy, quiet=args.quiet)
+        else:
+            rc = cmd_thresholds(cfg, quiet=args.quiet)
+        sys.stdout.flush()  # a reader that has gone shows here, not at exit
+        return rc
+    except BrokenPipeError:
+        _stdout_to_devnull()
+        return EXIT_BROKEN_PIPE
     except (ConfigError, FileNotFoundError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -430,6 +466,9 @@ def main(argv=None) -> int:
     except stopping.StructureViolationError as exc:
         print(f"verification failure: no threshold policy: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
+    except ZeroLikelihoodError as exc:
+        print(f"model inconsistency: {exc}", file=sys.stderr)
+        return EXIT_MODEL
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

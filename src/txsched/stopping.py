@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .belief_mdp import (SolverConfig, Solution, StageCost, _iterate,
-                         _require_contraction)
+                         _over_actions, _require_contraction)
 from .channel import ChannelModel
 from .lti_estimation import HoldingCostTable
 from .stochastic_orders import CheckResult
@@ -70,7 +70,7 @@ def solve_stopping(prob: StoppingProblem) -> Solution:
     Qc = Q[:, :, 0]
     Qfun = np.stack([Qc, np.full_like(Qc, prob.c_stop)], axis=2)
     policy = (Qfun[:, :, 1] <= Qfun[:, :, 0]).astype(np.int64)
-    return Solution(Qfun=Qfun, V=Qfun.min(axis=2), policy=policy,
+    return Solution(Qfun=Qfun, V=_over_actions(np.minimum, Qfun), policy=policy,
                     belief_grid=cfg.belief_grid(), sweeps_used=sweeps,
                     final_residual=history[-1], residual_history=tuple(history),
                     certified_error=certified)

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from conftest import (bayes_enumeration_oracle, channels, random_channel,
                       sampled_contraction_ratio, sampled_update_monotonicity)
 from orders import FiniteDist, fsd_dominates, stage_cost
 from txsched.belief_mdp import (_action_tables, _bellman, _certify, _lattice_moduli,
-                                _stencil)
+                                _over_actions, _stencil)
 
 
 class TestBeliefPrimitives:
@@ -421,6 +422,42 @@ class TestCertifiedError:
         sol = tx.value_iterate(ch, cost, cfg)
         assert sol.sweeps_used <= cfg.max_sweeps == 2000
         assert sol.certified_error < cfg.vi_tol
+
+
+# NaNs with three payloads (one negative, one signaling), signed zeros,
+# infinities, the smallest subnormal and two ordinary values that tie often
+SPECIAL_BITS = [0x7FF8000000000000, 0xFFF8000000000ABC, 0x7FF0000000000001,
+                0x0000000000000000, 0x8000000000000000, 0x7FF0000000000000,
+                0xFFF0000000000000, 0x0000000000000001, 0x3FF0000000000000,
+                0xBFF0000000000000]
+
+
+class TestActionReduction:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(n_actions=st.integers(1, 4), n_tau=st.integers(1, 4), n_b=st.integers(1, 12),
+           data=st.data())
+    def test_bit_identical_to_numpy_reduction(self, n_actions, n_tau, n_b, data):
+        # compared as bits, so the sign of a zero and a NaN's payload count
+        words = data.draw(st.lists(
+            st.one_of(st.sampled_from(SPECIAL_BITS), st.integers(0, 2**64 - 1)),
+            min_size=n_tau * n_b * n_actions, max_size=n_tau * n_b * n_actions))
+        Q = np.array(words, dtype=np.uint64).view(np.float64).reshape(n_tau, n_b, n_actions)
+        for ufunc, reduced in ((np.minimum, Q.min(axis=2)), (np.maximum, Q.max(axis=2))):
+            got = _over_actions(ufunc, Q)
+            assert got.shape == reduced.shape
+            assert np.array_equal(got.view(np.uint64), reduced.view(np.uint64))
+
+    @pytest.mark.parametrize("n_actions", [1, 2, 3, 4])
+    def test_every_tuple_of_special_values(self, n_actions):
+        cells = list(itertools.product(SPECIAL_BITS, repeat=n_actions))
+        Q = np.array(cells, dtype=np.uint64).view(np.float64).reshape(1, -1, n_actions)
+        for ufunc, reduced in ((np.minimum, Q.min(axis=2)), (np.maximum, Q.max(axis=2))):
+            assert np.array_equal(_over_actions(ufunc, Q).view(np.uint64),
+                                  reduced.view(np.uint64))
+        # the NaN-free lattice takes the elementwise path, also for a long row
+        finite = np.where(np.isnan(Q), 0.0, Q).repeat(8, axis=1)
+        assert np.array_equal(_over_actions(np.minimum, finite).view(np.uint64),
+                              finite.min(axis=2).view(np.uint64))
 
 
 class TestValueIterate:

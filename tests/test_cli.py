@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ import yaml
 
 import txsched as tx
 from conftest import ULP_NOISE_PLANT, rowlist_write_solution_csvs
-from txsched.cli import main, read_value_policy_csv, write_solution_csvs
+from txsched.cli import (EXIT_BROKEN_PIPE, EXIT_MODEL, main, read_value_policy_csv,
+                         write_solution_csvs)
 
 BASE = {
     "system": {"A": [[0.85]], "C": [[1.0]], "Q": [[0.3]], "R": [[0.3]]},
@@ -183,7 +186,7 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "value iteration: 115 sweeps, certified error " in out
 
-    def test_streamed_csvs_equal_reference_writer(self, tmp_path):
+    def test_streamed_csvs_equal_reference_writer(self, tmp_path, stopping_solution):
         p, _ = write_cfg(tmp_path, {"costs.c_stop": None})
         assert main(["solve", "--config", str(p), "--quiet"]) == 0
         cfg = tx.load_config(p)
@@ -194,18 +197,34 @@ class TestSolve:
         odd = tx.Solution(Qfun=Q, V=Q.min(axis=2), policy=rng.integers(0, 3, (4, 7)),
                           belief_grid=np.linspace(0.0, 1.0, 7), sweeps_used=1,
                           final_residual=0.0)
+        # one row with both zeros, two NaN payloads and repeated values, and
+        # a V that is none of its row's Q values (the writer tells values
+        # apart by their bits)
+        nan_a, nan_b = np.array([0x7FF8000000000001, 0xFFF8000000000ABC],
+                                dtype=np.uint64).view(np.float64)
+        Qh = np.array([[[0.0, -0.0], [nan_a, nan_b], [0.1, 0.1], [-0.0, 2.5]],
+                       [[1.0, 1.0], [0.0, 0.0], [-0.0, -0.0], [nan_b, 7.0]]])
+        Vh = np.array([[-0.0, nan_b, 0.25, 0.0], [1.0, -0.0, 0.0, 3.0]])
+        hand = tx.Solution(Qfun=Qh, V=Vh, policy=np.array([[0, 1, 0, 1], [1, 1, 0, 0]]),
+                           belief_grid=np.linspace(0.0, 1.0, 4), sweeps_used=1,
+                           final_residual=0.0)
         ss = tx.steady_state_covariance(cfg.system)
         cost = tx.StageCost(holding=tx.holding_cost_table(cfg.system, ss, cfg.solver.tau_max),
                             action_costs=cfg.action_costs)
-        (tmp_path / "odd").mkdir()
-        write_solution_csvs(odd, tmp_path / "odd")
+        for name, sol in (("odd", odd), ("hand", hand), ("stopping", stopping_solution)):
+            (tmp_path / name).mkdir()
+            write_solution_csvs(sol, tmp_path / name)
         for sol, got in ((tx.value_iterate(cfg.channel, cost, cfg.solver), tmp_path / "out"),
-                         (odd, tmp_path / "odd")):
+                         (odd, tmp_path / "odd"), (hand, tmp_path / "hand"),
+                         (stopping_solution, tmp_path / "stopping")):
             ref = got.with_name(got.name + "_ref")
             ref.mkdir()
             rowlist_write_solution_csvs(sol, ref)
             for name in ("q_values.csv", "value_policy.csv"):
                 assert (got / name).read_bytes() == (ref / name).read_bytes()
+        assert b"\n0,0,0,0\n0,0,1,-0\n" in (tmp_path / "hand" / "q_values.csv").read_bytes()
+        assert (tmp_path / "hand" / "value_policy.csv").read_text().splitlines()[1:5] == [
+            "0,0,-0,0", "0,0.333333333333,nan,1", "0,0.666666666667,0.25,0", "0,1,0,1"]
 
 
 class TestVerify:
@@ -509,3 +528,37 @@ class TestThresholdsCommand:
                                     "solver.vi_tol": 1e-14})
         assert main(["solve", "--config", str(p)]) == 3
         assert "convergence" in capsys.readouterr().err
+
+
+class TestExitCodes:
+    def test_closed_standard_output(self, tmp_path, capsys, monkeypatch):
+        # the reader of stdout has gone (`txsched thresholds ... | head -2`)
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        p, _ = write_cfg(tmp_path)
+        assert main(["solve", "--config", str(p), "--quiet"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["thresholds", "--config", str(p)]) == EXIT_BROKEN_PIPE == 141
+        err = capsys.readouterr().err
+        assert "config error" not in err and err == ""
+        # stdout now points at os.devnull, so the flush at exit stays quiet
+        assert not isinstance(sys.stdout, ClosedPipe)
+        print("after the reader has gone")
+        sys.stdout.close()
+
+    def test_zero_likelihood_is_a_model_inconsistency(self, tmp_path, capsys,
+                                                      monkeypatch):
+        def inconsistent(*args, **kwargs):
+            raise tx.ZeroLikelihoodError("observed a zero-probability branch; "
+                                         "channel tables are inconsistent")
+
+        monkeypatch.setattr("txsched.sim.run_batch", inconsistent)
+        p, _ = write_cfg(tmp_path)
+        assert main(["simulate", "--config", str(p), "--policy", "never-stop"]) \
+            == EXIT_MODEL == 5
+        err = capsys.readouterr().err
+        assert err.startswith("model inconsistency: observed a zero-probability branch")
+        assert "config error" not in err

@@ -280,8 +280,11 @@ class TestLockstepOracle:
 
     @pytest.mark.parametrize("kind", ["solved", "never-stop", "threshold"])
     def test_several_blocks_and_partial_last_block(self, kind, plant, steady,
-                                                   stopping_solution):
+                                                   stopping_solution, monkeypatch):
+        # a small code budget keeps the scalar oracle short; the 1 MiB
+        # budget's multi-block path runs in the benchmark's reference check
         horizon = 1000
+        monkeypatch.setattr(sim, "_BLOCK_BYTES", 16 * (2 * horizon + 1))
         block = sim._BLOCK_BYTES // (2 * horizon + 1)  # one byte per uniform
         n_runs = 2 * block + 10
         assert n_runs % block != 0 and n_runs > 2 * block
