@@ -14,12 +14,16 @@ converges, so the truncation error is bounded). Convergence is measured in a
 weighted sup-norm whose weight grows along tau only when the plant is
 unstable, which is what keeps the operator an m-stage contraction despite
 unbounded costs.
-Every solve reports the error it certifies (Solution.certified_error), and
-cfg.vi_tol is the target for that error. For a stable plant the sweep stops
-on the MacQueen/Porteus span bound and returns the bound's midpoint; for an
-unstable plant it stops on the weighted residual r and certifies
-r * (L_1 + ... + L_m) / (1 - L_m), where L_j is the exact modulus of T^j on
-the lattice (_lattice_moduli), which check_contraction also reports.
+Every solve reports the error it certifies (Solution.certified_error): an
+exact-arithmetic bound plus a bound on the sweep's float rounding.
+cfg.vi_tol is the target for that error. A solve starts from the solve on a
+10 times coarser grid, carried onto its own grid, when that grid has at
+least 20 cells (nested grids: 2000 cells are solved on 20, 200, then 2000).
+For a stable plant the sweep stops on the MacQueen/Porteus span bound and
+returns the bound's midpoint; for an unstable plant it stops on the
+weighted residual r and certifies r * (L_1 + ... + L_m) / (1 - L_m), where
+L_j is the exact modulus of T^j on the lattice (_lattice_moduli), which
+check_contraction also reports.
 One kernel, _bellman, evaluates the operator for every solve and check, from
 a per-solve interpolation stencil; _require_contraction states the hypothesis
 they all rely on. The structural checks are closed forms over the whole
@@ -28,7 +32,7 @@ ordered pair of states from one suffix minimum per action.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -256,10 +260,52 @@ def _bellman(V, stencil, cs, ca, gamma):
     return out
 
 
+# Every solve on a grid of grid_n cells starts from the solve on grid_n //
+# _COARSEN cells, carried onto its grid, while that grid has at least
+# _MIN_COARSE_GRID cells: grid 2000 is solved on 20, then 200, then 2000.
+_COARSEN, _MIN_COARSE_GRID = 10, 20
+_U = 2.0 ** -53  # unit roundoff of float64
+_SWEEP_ROUNDING = 16  # bound on one sweep's rounding per entry, in u * M (_magnitude)
+
+
+def _prolong(Q, coarse_grid, grid):
+    """Q on coarse_grid read at the points of grid along the belief axis
+    (axis 1), by piecewise-linear interpolation in np.interp's arithmetic."""
+    out = _interp(Q.swapaxes(1, 2), _cell(grid, coarse_grid)).swapaxes(1, 2)
+    return np.ascontiguousarray(out)
+
+
+def _magnitude(V, Qn):
+    """M = max(|V|, |Qn|) for the sweep Qn = fl(T Q) from the continuation
+    values V = values(Q); the sweep errs by at most _SWEEP_ROUNDING u M at
+    every entry, u the unit roundoff.
+
+    An interpolation (V[hi] - V[lo]) / dx * off + V[lo] is a convex
+    combination of two values of V (0 <= off <= dx), so its exact value is at
+    most M, and its four roundings err by at most (2 * 3 + 1) u M to first
+    order (the difference can reach 2M, and three roundings act on it). The
+    branch products, their sum and the factor gamma add 3 u M (p_succ +
+    p_fail <= 1 + u keeps the branch sum within M to first order). The sum
+    cs + ca, which can reach 2M since it is Qn less a value within M, and
+    the last addition add 3 u M. That is 13 u M to first order; 16 leaves
+    room for the terms of order u^2."""
+    return max(float(np.abs(V).max()), float(np.abs(Qn).max()))
+
+
 def _iterate(values, ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
-             what: str, pinned: bool = False):
-    """Q <- _bellman(values(Q)) from Q = 0 until the error is certified below
-    cfg.vi_tol; returns (Q, sweeps, residual history, certified error).
+             what: str, pinned: bool = False, final: bool = True):
+    """Q <- _bellman(values(Q)) until the error is certified below
+    cfg.vi_tol; returns (Q, sweeps, residual history, certified error,
+    coarse levels), where the levels list the coarser grids solved first as
+    (grid_n, sweeps) pairs, the coarsest first.
+
+    The sweep starts from the solve on a grid _COARSEN times coarser, carried
+    onto this grid by _prolong, when that grid has at least _MIN_COARSE_GRID
+    cells, and from Q = 0 otherwise (nested or one-way multigrid iteration).
+    A coarse level (``final`` False) that exhausts cfg.max_sweeps hands on its
+    last iterate; only the final grid raises ConvergenceError. Both stopping
+    rules below read only Qn = T(Q) and Q, so they certify the same bound
+    whatever Q the sweep started from.
 
     The residual of a sweep is the weighted sup of d = Qn - Q. For a stable
     plant (plain sup norm) the stopping rule is the MacQueen/Porteus span
@@ -272,17 +318,42 @@ def _iterate(values, ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
     0, the pinned branch's own increment. For an unstable plant the sweep
     stops when the weighted residual r is below vi_tol, and _certify bounds
     the error over m = 1 .. the analytic contraction stage.
+
+    Both bounds hold for exact arithmetic; the certified error adds the
+    rounding of the float sweep. Let |fl(TQ) - TQ| <= delta = 16 u M at every
+    entry (_magnitude) and D = max |d|. The exact increment is within
+    delta + u D of the computed d, which moves each end of the span interval
+    by at most (1 + k) delta + k u D in all; rounding k, the half-width and
+    the shift adds at most 8 u k D, and the midpoint's own sum u (M + k D).
+    So a stable solve certifies half-width + (1 + k) delta + u (M + 10 k D).
+    It stops once that is below vi_tol, or, for a vi_tol below about twice
+    the rounding floor, once the half-width is below the rounding term:
+    further sweeps could at most halve the bound, and a float fixed point
+    has half-width 0. An unstable solve certifies (1 + (m + 5) u) *
+    _certify(r + delta) + delta: the weighted norm is at most the plain sup
+    (s >= 1), the true residual is at most r (1 + 2 u) + delta, and the
+    certificate's own arithmetic errs by at most (m + 3) u relative, taking
+    the lattice moduli as computed.
     """
     rho = cost.spectral_radius
-    stencil = _stencil(ch, cfg.belief_grid())
+    grid = cfg.belief_grid()
+    stencil = _stencil(ch, grid)
     cs, ca = cost.holding.costs, cost.action_costs
     s = weight_profile(rho, cfg.weight_eps, cfg.tau_max)
     k = cfg.gamma / (1.0 - cfg.gamma)
-    Q = np.zeros((cfg.tau_max + 1, cfg.grid_n + 1, len(ca)))
+    if cfg.grid_n // _COARSEN >= _MIN_COARSE_GRID:
+        coarse = replace(cfg, grid_n=cfg.grid_n // _COARSEN)
+        Qc, sweeps, _, _, levels = _iterate(values, ch, cost, coarse, what, pinned,
+                                            final=False)
+        Q = _prolong(Qc, coarse.belief_grid(), grid)
+        levels += ((coarse.grid_n, sweeps),)
+    else:
+        Q, levels = np.zeros((cfg.tau_max + 1, cfg.grid_n + 1, len(ca))), ()
     d = np.empty_like(Q)
     history = []
     for sweep in range(1, cfg.max_sweeps + 1):
-        Qn = _bellman(values(Q), stencil, cs, ca, cfg.gamma)
+        V = values(Q)
+        Qn = _bellman(V, stencil, cs, ca, cfg.gamma)
         np.subtract(Qn, Q, out=d)
         if rho < 1.0:
             lo, hi = float(d.min()), float(d.max())
@@ -291,7 +362,11 @@ def _iterate(values, ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
                 lo, hi = min(lo, 0.0), max(hi, 0.0)
             half = k * (hi - lo) / 2.0
             if half < cfg.vi_tol:
-                return Qn + k * (hi + lo) / 2.0, sweep, history, half
+                M = _magnitude(V, Qn)
+                rounding = ((1.0 + k) * _SWEEP_ROUNDING * _U * M
+                            + _U * (M + 10.0 * k * history[-1]))
+                if half + rounding < cfg.vi_tol or half < rounding:
+                    return Qn + k * (hi + lo) / 2.0, sweep, history, half + rounding, levels
         else:
             history.append(_weighted_sup(np.abs(d, out=d), s))
             if history[-1] < cfg.vi_tol:
@@ -299,8 +374,13 @@ def _iterate(values, ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
                                           _weight_base(rho, cfg.weight_eps),
                                           cfg.gamma, cfg.tau_max)
                 moduli = _lattice_moduli(stencil, s, cfg.gamma, m) if m else []
-                return Qn, sweep, history, _certify(history[-1], moduli)
+                delta = _SWEEP_ROUNDING * _U * _magnitude(V, Qn)
+                certified = ((1.0 + (len(moduli) + 5) * _U)
+                             * _certify(history[-1] + delta, moduli) + delta)
+                return Qn, sweep, history, certified, levels
         Q = Qn
+    if not final:
+        return Q, cfg.max_sweeps, history, math.inf, levels
     raise ConvergenceError(
         f"{what} did not reach tol {cfg.vi_tol} in {cfg.max_sweeps} sweeps "
         f"(last residual {history[-1]:.3e})", residual=history[-1], history=history)
@@ -370,7 +450,10 @@ class Solution:
     """Converged Q-function, value function, and greedy policy on the lattice.
 
     certified_error bounds the distance of Qfun from the lattice fixed point
-    in the solver's norm (inf when nothing is certified)."""
+    in the solver's norm (inf when nothing is certified). sweeps_used and
+    residual_history are those of the final grid; coarse_levels lists the
+    coarser grids solved first to start it, as (grid_n, sweeps) pairs, the
+    coarsest first."""
 
     Qfun: np.ndarray
     V: np.ndarray
@@ -380,6 +463,7 @@ class Solution:
     final_residual: float
     residual_history: tuple = ()
     certified_error: float = math.inf
+    coarse_levels: tuple = ()
 
     def __post_init__(self):
         for name in ("Qfun", "V", "policy", "belief_grid"):
@@ -400,7 +484,25 @@ class Solution:
 
 def greedy_policy(Q: np.ndarray, tie_break: str = "low") -> np.ndarray:
     """Argmin over actions; ties go to the smallest index ('low') or the
-    largest ('high')."""
+    largest ('high').
+
+    One elementwise pass over the action slices in index order, moving to
+    action a on a strict < ('low') or on <= ('high') against the running
+    minimum, as np.argmin does on Q or on Q's reversed actions, which is
+    several times slower over a short action axis. The policy takes a by a
+    maximum, since a exceeds every earlier index, in the smallest unsigned
+    type that holds the last index. np.argmin takes the first NaN, which no
+    comparison does, so a Q holding a NaN (the running minimum then holds
+    one) goes to np.argmin itself."""
+    better = np.less if tie_break == "low" else np.less_equal
+    index = np.min_scalar_type(Q.shape[2] - 1).type
+    best = Q[:, :, 0]
+    policy = np.zeros(best.shape, dtype=index)
+    for a in range(1, Q.shape[2]):
+        np.maximum(policy, better(Q[:, :, a], best) * index(a), out=policy)
+        best = np.minimum(best, Q[:, :, a])
+    if not np.isnan(best).any():
+        return policy.astype(np.int64)
     if tie_break == "low":
         return np.argmin(Q, axis=2).astype(np.int64)
     return (Q.shape[2] - 1) - np.argmin(Q[:, :, ::-1], axis=2).astype(np.int64)
@@ -425,22 +527,23 @@ def _require_contraction(lam_min: float, spectral_radius: float, eps: float):
 
 
 def value_iterate(ch: ChannelModel, cost: StageCost, cfg: SolverConfig) -> Solution:
-    """Value iteration from Q = 0 until the error is certified below
-    cfg.vi_tol (span bound for a stable plant, weighted residual for an
-    unstable one; see _iterate).
+    """Value iteration until the error is certified below cfg.vi_tol (span
+    bound for a stable plant, weighted residual for an unstable one), from
+    the solve on a 10 times coarser grid when that grid has at least 20
+    cells and from Q = 0 otherwise; see _iterate.
 
     Raises ConvergenceError (with the residual history) if max_sweeps is
     exhausted, and ValueError if the contraction hypothesis fails.
     """
     _require_contraction(ch.min_success_prob(), cost.spectral_radius, cfg.weight_eps)
     _check_problem(ch, cost, cfg)
-    Q, sweeps, history, certified = _iterate(lambda Q: _over_actions(np.minimum, Q),
-                                             ch, cost, cfg, "value iteration")
+    Q, sweeps, history, certified, levels = _iterate(
+        lambda Q: _over_actions(np.minimum, Q), ch, cost, cfg, "value iteration")
     return Solution(Qfun=Q, V=_over_actions(np.minimum, Q),
                     policy=greedy_policy(Q, cfg.tie_break),
                     belief_grid=cfg.belief_grid(), sweeps_used=sweeps,
                     final_residual=history[-1], residual_history=tuple(history),
-                    certified_error=certified)
+                    certified_error=certified, coarse_levels=levels)
 
 
 @dataclass(frozen=True)

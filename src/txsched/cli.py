@@ -5,8 +5,11 @@ Subcommands:
               (stopping solve when costs.c_stop is set); writes q_values.csv,
               value_policy.csv, thresholds.csv, and solve_record.json (the
               sha256 of the config sections that fix the solution). Prints
-              the sweep count and the certified error of the solution
-              (solver.vi_tol is its target), or "not certified".
+              the sweep count of every belief grid the solve ran, the
+              final grid first ("value iteration: 3 sweeps on grid 2000
+              after 3 on grid 200 and 183 on grid 20, ..."), and the
+              certified error of the solution (solver.vi_tol is its
+              target), or "not certified".
   verify      runs the structural-verification battery and writes
               verify_report.json; nonzero exit on any asserted failure. The
               contraction check reports the analytic stage m and the exact
@@ -36,7 +39,6 @@ reruns are byte-identical.
 
 import argparse
 import json
-import operator
 import os
 import sys
 import time
@@ -79,29 +81,29 @@ def _write_lines(path: Path, lines):
 
 def write_solution_csvs(sol, out_dir: Path):
     """q_values.csv: (tau, belief, action, q_value); value_policy.csv:
-    (tau, belief, value, policy). Written one tau row at a time. Each belief
-    string is formatted once, and so is each distinct float of a row: V is
-    one of the row's Q values and a stopping problem's stop column is the
-    constant c_stop, so a row has at most two thirds as many distinct values
-    as cells, and a stopping row about a third. Values are told apart by their bits, which keeps -0.0 and 0.0 (and
-    NaN payloads) apart; the lines are joined in C by str.join over map."""
+    (tau, belief, value, policy). Written one tau row at a time, each row by
+    one %-format of a template built once per solve, which holds the belief
+    strings and action labels: %s for tau, %.12g for Q and V, %d for the
+    policy. '%.12g' % x equals _fmt(x) for every float, signed zeros, NaN
+    and infinities included."""
     beliefs = [_fmt(b) for b in sol.belief_grid]
-    q_keys = [f",{b},{a}," for b in beliefs for a in range(sol.n_actions)]
-    vp_keys = [f",{b}," for b in beliefs]
+    q_row = "".join(f"%s,{b},{a},%.12g\n" for b in beliefs for a in range(sol.n_actions))
+    vp_row = "".join(f"%s,{b},%.12g,%d\n" for b in beliefs)
+    q_args = [None] * (2 * len(beliefs) * sol.n_actions)
+    vp_args = [None] * (3 * len(beliefs))
     with open(out_dir / "q_values.csv", "w", encoding="utf-8", newline="\n") as q_fh, \
             open(out_dir / "value_policy.csv", "w", encoding="utf-8", newline="\n") as vp_fh:
         q_fh.write("tau,belief,action,q_value\n")
         vp_fh.write("tau,belief,value,policy\n")
         for tau in range(sol.tau_max + 1):
-            row = np.concatenate([sol.Qfun[tau].ravel(), sol.V[tau]], dtype=np.float64)
-            bits, inverse = np.unique(row.view(np.uint64), return_inverse=True)
-            text = list(map(_fmt, bits.view(np.float64).tolist()))
-            cells = list(map(text.__getitem__, inverse.tolist()))
             t = str(tau)
-            sep = "\n" + t
-            q_fh.write(t + sep.join(map(operator.add, q_keys, cells[:len(q_keys)])) + "\n")
-            vp_fh.write(t + sep.join(map("{}{},{}".format, vp_keys, cells[len(q_keys):],
-                                         sol.policy[tau].tolist())) + "\n")
+            q_args[::2] = [t] * (len(q_args) // 2)
+            q_args[1::2] = sol.Qfun[tau].ravel().tolist()
+            q_fh.write(q_row % tuple(q_args))
+            vp_args[::3] = [t] * len(beliefs)
+            vp_args[1::3] = sol.V[tau].tolist()
+            vp_args[2::3] = sol.policy[tau].tolist()
+            vp_fh.write(vp_row % tuple(vp_args))
 
 
 def write_thresholds_csv(th, out_dir: Path):
@@ -185,8 +187,10 @@ def cmd_solve(cfg: RunConfig, quiet: bool = False) -> int:
         print(f"steady-state covariance trace: {_fmt(np.trace(ss.Pbar))}")
         certified = (f"certified error {sol.certified_error:.3e}"
                      if np.isfinite(sol.certified_error) else "not certified")
-        print(f"value iteration: {sol.sweeps_used} sweeps, {certified}, "
-              f"residual {sol.final_residual:.3e}, "
+        after = " and ".join(f"{n} on grid {g}" for g, n in reversed(sol.coarse_levels))
+        print(f"value iteration: {sol.sweeps_used} sweeps on grid {sol.grid_n}"
+              + (f" after {after}" if after else "")
+              + f", {certified}, residual {sol.final_residual:.3e}, "
               f"{time.perf_counter() - t0:.2f}s")
         print(f"wrote {out_dir}/q_values.csv, {out_dir}/value_policy.csv"
               + (f", {out_dir}/thresholds.csv" if cfg.is_stopping else ""))

@@ -52,7 +52,9 @@ class StoppingProblem:
 
 
 def solve_stopping(prob: StoppingProblem) -> Solution:
-    """Value iteration for the stopping problem from Q = 0.
+    """Value iteration for the stopping problem, from the solve on a 10 times
+    coarser grid when that grid has at least 20 cells and from Q = 0
+    otherwise.
 
     The continue branch is swept by the shared Bellman kernel with the
     continuation value min(Q_continue, c_stop), until the span bound (for a
@@ -64,7 +66,7 @@ def solve_stopping(prob: StoppingProblem) -> Solution:
     ch, cfg = prob.channel, prob.cfg
     cost = prob.stage_cost_bundle()
     _require_contraction(ch.min_success_prob(), cost.spectral_radius, cfg.weight_eps)
-    Q, sweeps, history, certified = _iterate(
+    Q, sweeps, history, certified, levels = _iterate(
         lambda Q: np.minimum(Q[:, :, 0], prob.c_stop), ch, cost, cfg,
         "stopping value iteration", pinned=True)
     Qc = Q[:, :, 0]
@@ -73,7 +75,7 @@ def solve_stopping(prob: StoppingProblem) -> Solution:
     return Solution(Qfun=Qfun, V=_over_actions(np.minimum, Qfun), policy=policy,
                     belief_grid=cfg.belief_grid(), sweeps_used=sweeps,
                     final_residual=history[-1], residual_history=tuple(history),
-                    certified_error=certified)
+                    certified_error=certified, coarse_levels=levels)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ import txsched as tx
 from conftest import (bayes_enumeration_oracle, channels, random_channel,
                       sampled_contraction_ratio, sampled_update_monotonicity)
 from orders import FiniteDist, fsd_dominates, stage_cost
-from txsched.belief_mdp import (_action_tables, _bellman, _certify, _lattice_moduli,
-                                _over_actions, _stencil)
+from txsched.belief_mdp import (_action_tables, _bellman, _certify, _contraction_stage,
+                                _lattice_moduli, _over_actions, _prolong, _stencil,
+                                greedy_policy)
 
 
 class TestBeliefPrimitives:
@@ -207,26 +208,65 @@ def rowwise_stopping_sweep(Qc, c_stop, table, cs, gamma, grid):
     return out
 
 
-def rowwise_solve(sweep, Q, s, cfg, pinned=False):
-    """Reference value iteration for a stable plant: sweep until the span
-    bound k * (max d - min d) / 2 (k = gamma / (1 - gamma), d the sweep's
-    increment, widened to include 0 when a branch is pinned) drops below
-    cfg.vi_tol and return the bound's midpoint; returns (Q, residual
-    history, certified error)."""
+def rowwise_prolong(Q, coarse_grid, grid):
+    """Q on coarse_grid read at the points of grid by one np.interp call per
+    tau row (and action)."""
+    return np.apply_along_axis(lambda row: np.interp(grid, coarse_grid, row), 1, Q)
+
+
+U = 2.0 ** -53
+
+
+def rowwise_solve(make_sweep, values, tail, s, cfg, pinned=False, moduli=None,
+                  nested=True, final=True):
+    """Reference value iteration: make_sweep(grid) is the row-wise sweep on a
+    belief grid and values(Q) its continuation values.
+
+    With ``nested`` the solve starts from its own solve on grid_n // 10
+    cells, when that has at least 20, carried over by rowwise_prolong (a
+    coarse level out of sweeps hands on its last iterate), and otherwise from
+    zeros of shape (tau_max + 1, grid_n + 1) + tail. A stable plant
+    (``moduli`` None) stops on the span bound k * (max d - min d) / 2
+    (k = gamma / (1 - gamma), d the sweep's increment, widened to include 0
+    when a branch is pinned) plus the rounding term (1 + k) 16 u M +
+    u (M + 10 k max|d|), M = max(|values(Q)|, |Qn|), once that is below
+    cfg.vi_tol or the half-width is below the rounding term, and returns the
+    bound's midpoint. An unstable one stops on the weighted residual r and
+    certifies (1 + (m + 5) u) _certify(r + 16 u M, moduli) + 16 u M.
+    Returns (Q, residual history, certified error, coarse levels)."""
     k = cfg.gamma / (1.0 - cfg.gamma)
+    grid = cfg.belief_grid()
+    sweep = make_sweep(grid)
+    if nested and cfg.grid_n // 10 >= 20:
+        coarse = replace(cfg, grid_n=cfg.grid_n // 10)
+        Qc, hist, _, levels = rowwise_solve(make_sweep, values, tail, s, coarse, pinned,
+                                            moduli, final=False)
+        Q = rowwise_prolong(Qc, coarse.belief_grid(), grid)
+        levels += ((coarse.grid_n, len(hist)),)
+    else:
+        Q, levels = np.zeros((cfg.tau_max + 1, cfg.grid_n + 1) + tail), ()
     history = []
     for _ in range(cfg.max_sweeps):
         Qn = sweep(Q)
+        M = max(np.abs(values(Q)).max(), np.abs(Qn).max())
         d = Qn - Q
         history.append(float(np.max(np.abs(d).reshape(Q.shape[0], -1).max(axis=1) / s)))
-        lo, hi = float(d.min()), float(d.max())
-        if pinned:
-            lo, hi = min(lo, 0.0), max(hi, 0.0)
-        half = k * (hi - lo) / 2.0
-        if half < cfg.vi_tol:
-            return Qn + k * (hi + lo) / 2.0, history, half
+        if moduli is None:
+            lo, hi = float(d.min()), float(d.max())
+            if pinned:
+                lo, hi = min(lo, 0.0), max(hi, 0.0)
+            half = k * (hi - lo) / 2.0
+            rounding = (1.0 + k) * 16 * U * M + U * (M + 10.0 * k * history[-1])
+            if half < cfg.vi_tol and (half + rounding < cfg.vi_tol or half < rounding):
+                return Qn + k * (hi + lo) / 2.0, history, half + rounding, levels
+        elif history[-1] < cfg.vi_tol:
+            delta = 16 * U * M
+            return Qn, history, ((1.0 + (len(moduli) + 5) * U)
+                                 * _certify(history[-1] + delta, moduli) + delta), levels
         Q = Qn
-    raise AssertionError("reference value iteration did not converge")
+    if final:
+        raise AssertionError("reference value iteration did not converge")
+    return Q, history, np.inf, levels
 
 
 # exact 0 and 1 entries give absorbing modes and posteriors at the grid ends
@@ -309,31 +349,49 @@ class TestStencilKernel:
         holding = _random_costs(rng, tau_max)
         ca = rng.uniform(0.0, 2.0, ch.n_actions)
         cfg = tx.SolverConfig(gamma=gamma, tau_max=tau_max, grid_n=grid_n, vi_tol=1e-7)
-        grid = cfg.belief_grid()
-        tables = [_action_tables(ch, grid, a) for a in range(ch.n_actions)]
         s = tx.weight_profile(holding.spectral_radius, cfg.weight_eps, tau_max)
-        shape = (tau_max + 1, grid_n + 1)
 
         sol = tx.value_iterate(ch, tx.StageCost(holding=holding, action_costs=ca), cfg)
-        Q, hist, half = rowwise_solve(
-            lambda Q: rowwise_sweep(Q, tables, holding.costs, ca, gamma, grid),
-            np.zeros(shape + (ch.n_actions,)), s, cfg)
+        Q, hist, certified, levels = rowwise_solve(
+            lambda grid: _general_sweep(ch, holding, ca, gamma, grid),
+            lambda Q: Q.min(axis=2), (ch.n_actions,), s, cfg)
         assert np.array_equal(sol.Qfun, Q)
         assert sol.residual_history == tuple(hist)
         assert sol.sweeps_used == len(hist)
-        assert sol.certified_error == half
+        assert sol.certified_error == certified
+        assert sol.coarse_levels == levels
 
         sol = tx.solve_stopping(tx.StoppingProblem(channel=_first_action(ch),
                                                    holding=holding, cfg=cfg,
                                                    c_stop=c_stop))
-        Qc, hist, half = rowwise_solve(
-            lambda Qc: rowwise_stopping_sweep(Qc, c_stop, tables[0], holding.costs,
-                                              gamma, grid),
-            np.zeros(shape), s, cfg, pinned=True)
+        Qc, hist, certified, levels = rowwise_solve(
+            lambda grid: _stopping_sweep(ch, holding, c_stop, gamma, grid),
+            lambda Qc: np.minimum(Qc, c_stop), (), s, cfg, pinned=True)
         assert np.array_equal(sol.Qfun[:, :, 0], Qc)
         assert sol.residual_history == tuple(hist)
         assert sol.sweeps_used == len(hist)
-        assert sol.certified_error == half
+        assert sol.certified_error == certified
+        assert sol.coarse_levels == levels
+
+    @pytest.mark.parametrize("coarse_n, grid_n", [(20, 200), (200, 2000), (7, 73), (2, 3)])
+    def test_prolongation_equals_rowwise_interp(self, coarse_n, grid_n):
+        rng = np.random.default_rng(grid_n)
+        coarse_grid, grid = np.linspace(0.0, 1.0, coarse_n + 1), np.linspace(0.0, 1.0, grid_n + 1)
+        for shape in ((5, coarse_n + 1, 1), (3, coarse_n + 1, 3)):
+            Q = rng.uniform(-10.0, 10.0, shape)
+            got = _prolong(Q, coarse_grid, grid)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, rowwise_prolong(Q, coarse_grid, grid))
+
+
+def _general_sweep(ch, holding, ca, gamma, grid):
+    tables = [_action_tables(ch, grid, a) for a in range(ch.n_actions)]
+    return lambda Q: rowwise_sweep(Q, tables, holding.costs, ca, gamma, grid)
+
+
+def _stopping_sweep(ch, holding, c_stop, gamma, grid):
+    table = _action_tables(ch, grid, 0)
+    return lambda Qc: rowwise_stopping_sweep(Qc, c_stop, table, holding.costs, gamma, grid)
 
 
 def _unstable_problem(tau_max, grid_n):
@@ -366,7 +424,7 @@ class TestCertifiedError:
             sol, ref = solve(cfg), solve(tight)
             assert sol.certified_error < vi_tol
             assert np.max(np.abs(sol.Qfun - ref.Qfun)) \
-                <= sol.certified_error + ref.certified_error + 1e-12
+                <= sol.certified_error + ref.certified_error
 
     @pytest.mark.parametrize("stopping", [False, True])
     def test_weighted_bound_on_unstable_plant(self, stopping):
@@ -383,7 +441,77 @@ class TestCertifiedError:
         assert sol.final_residual < cfg.vi_tol < sol.certified_error < np.inf
         dist = tx.weighted_norm(sol.Qfun - ref.Qfun, sys_u.spectral_radius(),
                                 cfg.weight_eps)
-        assert dist <= sol.certified_error + ref.certified_error + 1e-12
+        assert dist <= sol.certified_error + ref.certified_error
+
+    @settings(max_examples=16, deadline=None, derandomize=True, database=None)
+    @given(ch=tp2_channels(), unstable=st.booleans(), grid_n=st.integers(200, 420),
+           tau_max=st.integers(1, 10), gamma=st.floats(0.3, 0.9),
+           c_stop=st.floats(0.5, 20.0), seed=st.integers(0, 2**32 - 1))
+    def test_nested_solve_within_certified_errors_of_cold_solve(
+            self, ch, unstable, grid_n, tau_max, gamma, c_stop, seed):
+        rng = np.random.default_rng(seed)
+        rho = 1.05 if unstable else 0.85
+        growth = rho ** (2 * np.arange(tau_max + 1))
+        holding = tx.HoldingCostTable(
+            costs=np.cumsum(rng.uniform(0.0, 1.0, tau_max + 1)) * growth, spectral_radius=rho)
+        if unstable:  # success at least 0.5 meets (1 - lam_min) (rho + eps)^2 < 1
+            ch = tx.ChannelModel(lam=0.5 + 0.5 * ch.lam, mode_kernel=ch.mode_kernel)
+        ca = rng.uniform(0.0, 2.0, ch.n_actions)
+        cfg = tx.SolverConfig(gamma=gamma, tau_max=tau_max, grid_n=grid_n, vi_tol=1e-7)
+        s = tx.weight_profile(rho, cfg.weight_eps, tau_max)
+        stop_ch = _first_action(ch)
+
+        def moduli(c):  # the unstable certificate's lattice moduli of the final grid
+            if not unstable:
+                return None
+            m, _ = _contraction_stage(c.min_success_prob(), rho + cfg.weight_eps, gamma,
+                                      tau_max)
+            return _lattice_moduli(_stencil(c, cfg.belief_grid()), s, gamma, m)
+
+        nested = (tx.value_iterate(ch, tx.StageCost(holding=holding, action_costs=ca), cfg),
+                  tx.solve_stopping(tx.StoppingProblem(channel=stop_ch, holding=holding,
+                                                       cfg=cfg, c_stop=c_stop)))
+        references = ((lambda grid: _general_sweep(ch, holding, ca, gamma, grid),
+                       lambda Q: Q.min(axis=2), (ch.n_actions,), False, moduli(ch)),
+                      (lambda grid: _stopping_sweep(ch, holding, c_stop, gamma, grid),
+                       lambda Qc: np.minimum(Qc, c_stop), (), True, moduli(stop_ch)))
+        for sol, (make_sweep, values, tail, pinned, mod) in zip(nested, references):
+            Q, hist, certified, levels = rowwise_solve(make_sweep, values, tail, s, cfg,
+                                                       pinned, mod)
+            assert np.array_equal(sol.Qfun[:, :, 0] if pinned else sol.Qfun, Q)
+            assert sol.residual_history == tuple(hist)
+            assert (sol.certified_error, sol.coarse_levels) == (certified, levels)
+            assert levels[-1][0] == grid_n // 10
+            Q, _, certified, levels = rowwise_solve(make_sweep, values, tail, s, cfg,
+                                                    pinned, mod, nested=False)
+            assert levels == ()
+            Q = Q.reshape(sol.Qfun.shape[:2] + (-1,))  # the stopping reference: continue only
+            dist = tx.weighted_norm(sol.Qfun[:, :, :Q.shape[2]] - Q, rho, cfg.weight_eps)
+            assert dist <= sol.certified_error + certified
+
+    def test_coarse_levels_hand_on_their_last_iterate(self):
+        # a cold solve of this problem needs 183 sweeps: within 150 only the
+        # nested solve certifies, after grid 20 ran out of sweeps
+        sys_u, table, ch, cfg = _unstable_problem(60, 2000)
+        cfg = replace(cfg, max_sweeps=150)
+        prob = tx.StoppingProblem(channel=ch, holding=table, cfg=cfg, c_stop=10.0)
+        sol = tx.solve_stopping(prob)
+        assert sol.coarse_levels[0] == (20, 150)
+        assert [g for g, _ in sol.coarse_levels] == [20, 200]
+        assert sol.sweeps_used < 150 and sol.final_residual < cfg.vi_tol
+        assert np.isfinite(sol.certified_error)
+        with pytest.raises(tx.ConvergenceError):
+            tx.solve_stopping(replace(prob, cfg=replace(cfg, grid_n=20)))
+
+    def test_rounding_floor_is_certified(self, ge_channel, cost_table, solver_cfg):
+        # vi_tol 1e-14 lies below the sweep's rounding: the solve reaches a
+        # float fixed point, and its bound is the rounding term, not 0
+        for grid_n in (20, 200):
+            cfg = replace(solver_cfg, grid_n=grid_n, vi_tol=1e-14)
+            sol = tx.solve_stopping(tx.StoppingProblem(channel=ge_channel, holding=cost_table,
+                                                       cfg=cfg, c_stop=10.0))
+            assert sol.residual_history[-1] == 0.0
+            assert 16 * U * 10.0 < sol.certified_error < 1e-12
 
     def test_certificate_takes_the_smallest_qualifying_stage(self):
         assert _certify(2.0, [0.5]) == 2.0 * 0.5 / 0.5
@@ -432,6 +560,16 @@ SPECIAL_BITS = [0x7FF8000000000000, 0xFFF8000000000ABC, 0x7FF0000000000001,
                 0xBFF0000000000000]
 
 
+def assert_argmin_policies(Q):
+    """greedy_policy against np.argmin: the first minimizer for tie_break
+    'low', the last for 'high' (the first of the reversed actions)."""
+    low = greedy_policy(Q, "low")
+    high = greedy_policy(Q, "high")
+    assert low.dtype == high.dtype == np.int64
+    assert np.array_equal(low, np.argmin(Q, axis=2))
+    assert np.array_equal(high, Q.shape[2] - 1 - np.argmin(Q[:, :, ::-1], axis=2))
+
+
 class TestActionReduction:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(n_actions=st.integers(1, 4), n_tau=st.integers(1, 4), n_b=st.integers(1, 12),
@@ -446,6 +584,7 @@ class TestActionReduction:
             got = _over_actions(ufunc, Q)
             assert got.shape == reduced.shape
             assert np.array_equal(got.view(np.uint64), reduced.view(np.uint64))
+        assert_argmin_policies(Q)
 
     @pytest.mark.parametrize("n_actions", [1, 2, 3, 4])
     def test_every_tuple_of_special_values(self, n_actions):
@@ -454,10 +593,12 @@ class TestActionReduction:
         for ufunc, reduced in ((np.minimum, Q.min(axis=2)), (np.maximum, Q.max(axis=2))):
             assert np.array_equal(_over_actions(ufunc, Q).view(np.uint64),
                                   reduced.view(np.uint64))
+        assert_argmin_policies(Q)
         # the NaN-free lattice takes the elementwise path, also for a long row
         finite = np.where(np.isnan(Q), 0.0, Q).repeat(8, axis=1)
         assert np.array_equal(_over_actions(np.minimum, finite).view(np.uint64),
                               finite.min(axis=2).view(np.uint64))
+        assert_argmin_policies(finite)
 
 
 class TestValueIterate:

@@ -184,7 +184,8 @@ class TestSolve:
             "solver": {"gamma": 0.99, "tau_max": 60, "grid_n": 200, "vi_tol": 1e-9}})
         assert main(["solve", "--config", str(p)]) == 0
         out = capsys.readouterr().out
-        assert "value iteration: 115 sweeps, certified error " in out
+        assert "value iteration: 73 sweeps on grid 200 after 107 on grid 20, certified error " \
+            in out
 
     def test_streamed_csvs_equal_reference_writer(self, tmp_path, stopping_solution):
         p, _ = write_cfg(tmp_path, {"costs.c_stop": None})
