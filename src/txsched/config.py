@@ -10,6 +10,7 @@ offending field by its dotted path.
 import copy
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,9 +55,32 @@ def _get(section, path, key, required=True, default=None):
     return section[key]
 
 
+# YAML 1.1 reads an exponent form as a number only with a dot in the
+# mantissa and a sign in the exponent (1.0e-9, 1.0e+9), so 1e-9 loads as a
+# string
+_EXPONENT_FORM = re.compile(r"([-+]?)([0-9]*)(?:\.([0-9]*))?[eE]([-+]?)([0-9]+)")
+
+
+def _not_a(kind, value, path):
+    """The error for a value that is not ``kind`` ("a number", "an
+    integer"); a string in exponent form is named as one that YAML 1.1 did
+    not read as a number, with a spelling that loads as one."""
+    form = _EXPONENT_FORM.fullmatch(value) if isinstance(value, str) else None
+    if form is not None:
+        sign, whole, frac, exp_sign, exp = form.groups()
+        # a dotted mantissa with a signed exponent loads as a number, so a
+        # string of that form was quoted
+        if (whole or frac) and not (frac is not None and exp_sign):
+            hint = ("write the integer in digits" if kind == "an integer" else
+                    f"write {sign}{whole or 0}.{frac or 0}e{exp_sign or '+'}{exp}")
+            return ConfigError(path, f"expected {kind}, got the string {value!r}, which "
+                                     f"YAML 1.1 does not read as a number; {hint}")
+    return ConfigError(path, f"expected {kind}, got {value!r}")
+
+
 def _number(value, path, lo=None, hi=None, strict_lo=False, strict_hi=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {value!r}")
+        raise _not_a("a number", value, path)
     x = float(value)
     if lo is not None and (x <= lo if strict_lo else x < lo):
         raise ConfigError(path, f"must be {'>' if strict_lo else '>='} {lo}, got {x}")
@@ -67,7 +91,7 @@ def _number(value, path, lo=None, hi=None, strict_lo=False, strict_hi=False):
 
 def _integer(value, path, lo=None, hi=None):
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(path, f"expected an integer, got {value!r}")
+        raise _not_a("an integer", value, path)
     if lo is not None and value < lo:
         raise ConfigError(path, f"must be >= {lo}, got {value}")
     if hi is not None and value > hi:
@@ -271,10 +295,11 @@ def parse_config(data: dict) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    """Load and validate a YAML configuration file."""
+    """Load and validate a YAML configuration file (with libyaml's parser
+    where PyYAML was built with it; both read the same YAML 1.1)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)
             where = f" (line {mark.line + 1}, column {mark.column + 1})" if mark else ""

@@ -19,12 +19,13 @@ as numpy arrays, and runs that have stopped drop out of the block. A block
 seeds all its streams in one vectorized pass: SplitMix64 and SeedSequence's
 pool hash run on uint64/uint32 arrays, and each run's PCG64 takes the hashed
 words through ``ISeedSequence``, so the streams are ``default_rng``'s. A
-block keeps, for each uniform, only the outcome of the comparisons its step
-makes, as a one-byte code (``_block_codes``). The block size follows from
-the horizon and a fixed budget for the code matrix (``_BLOCK_BYTES``, 1 MiB:
-2 614 runs at horizon 200). Every operation follows the order of the scalar
-``run_episode``, so costs, beliefs and statistics equal those of a loop over
-``run_episode`` bit for bit. ``run_episode`` remains the scalar reference and
+block keeps, for each step, only the outcomes of the four comparisons it
+makes with its two uniforms, as one nibble: two steps to a byte
+(``_block_codes``). The block size follows from the horizon and a fixed
+budget for the code matrix (``_BLOCK_BYTES``, 1 MiB: 10 381 runs at horizon
+200). Every operation follows the order of the scalar ``run_episode``, so
+costs, beliefs and statistics equal those of a loop over ``run_episode``
+bit for bit. ``run_episode`` remains the scalar reference and
 the source of per-step traces.
 
 Policies are callables ``(tau, b) -> action`` that accept either scalars or
@@ -43,7 +44,8 @@ from .stochastic_orders import ZeroLikelihoodError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-# byte budget for one lockstep block's code matrix (2*horizon+1 bytes per run)
+# byte budget for one lockstep block's code matrix (1 + ceil(horizon / 2)
+# bytes per run)
 _BLOCK_BYTES = 1 << 20
 # runs whose float uniforms are staged at once before becoming codes
 _STAGE_RUNS = 64
@@ -325,42 +327,51 @@ def run_episode(ch: ChannelModel, holding_costs: np.ndarray, c_stop: float,
                     stopped=stopped, stop_time=stop_time, discounted_cost=J)
 
 
-def _block_codes(ch: ChannelModel, seed: int, start: int, codes: np.ndarray):
+def _block_codes(ch: ChannelModel, seed: int, start: int, horizon: int,
+                 codes: np.ndarray):
     """Fill column j of ``codes`` from the 2*horizon+1 uniforms of run
-    start+j, keeping of each uniform u only the comparisons its step makes:
-    row 0 holds u < initial_mode_dist[0]; odd rows (mode transitions) hold
-    u < p00 in bit 0 and u < p10 in bit 1; even rows (outcomes) hold
-    u < lam0 in bit 0 and u < lam1 in bit 1. A step reads one contiguous
-    row."""
-    width, m = codes.shape
+    start+j, keeping of each uniform u only the comparisons its step makes.
+    Row 0 holds u_0 < initial_mode_dist[0]. Step t holds four bits in
+    nibble t % 2 of row 1 + t // 2: u_2t+1 < p00 in bit 0, u_2t+1 < p10 in
+    bit 1 (mode transition), u_2t+2 < lam0 in bit 2 and u_2t+2 < lam1 in
+    bit 3 (outcome). With an odd horizon the last high nibble stays 0."""
+    m = codes.shape[1]
     p00, p10, _, _, lam0, lam1 = _kernel(ch)
-    lo = np.array([float(ch.initial_mode_dist[0])] + [p00, lam0] * (width // 2))
-    hi = np.array([0.0] + [p10, lam1] * (width // 2))  # u < 0 never holds
+    # the two comparisons of each uniform as a 2-bit code, u < 0 never holding
+    lo = np.array([float(ch.initial_mode_dist[0])] + [p00, lam0] * horizon)
+    hi = np.array([0.0] + [p10, lam1] * horizon)
     streams = _block_streams(seed, start, m)
-    stage = np.empty((min(_STAGE_RUNS, m), width))
+    stage = np.empty((min(_STAGE_RUNS, m), 2 * horizon + 1))
     for c0 in range(0, m, _STAGE_RUNS):
         u = stage[:min(_STAGE_RUNS, m - c0)]
         for row in u:
             next(streams).random(out=row)
-        codes[:, c0:c0 + len(u)] = ((u < lo) | ((u < hi).view(np.uint8) << 1)).T
+        pair = (u < lo) | ((u < hi).view(np.uint8) << 1)
+        step = pair[:, 1::2] | (pair[:, 2::2] << 2)
+        block = codes[:, c0:c0 + len(u)]
+        block[0] = pair[:, 0]
+        block[1:1 + horizon // 2] = (step[:, 0:horizon - 1:2] | (step[:, 1::2] << 4)).T
+        if horizon % 2:
+            block[-1] = step[:, -1]
 
 
-def _run_block(codes: np.ndarray, ch: ChannelModel, holding: np.ndarray,
-               c_stop: float, gamma: float, policy, tally: dict) -> np.ndarray:
+def _run_block(codes: np.ndarray, horizon: int, ch: ChannelModel,
+               holding: np.ndarray, c_stop: float, gamma: float, policy,
+               tally: dict) -> np.ndarray:
     """Advance the episodes whose ``_block_codes`` are the columns of
     ``codes`` together and return their discounted costs; the arithmetic is
-    ``run_episode``'s, elementwise, with (code >> theta) & 1 in place of
-    u < p[theta]. Adds the block's integer counts into ``tally``."""
+    ``run_episode``'s, elementwise, with a bit of the step's nibble in place
+    of u < p[theta]. Adds the block's integer counts into ``tally``."""
     _, _, p01, p11, lam0, lam1 = _kernel(ch)
     m = codes.shape[1]
     costs = np.empty(m)
-    runs = np.arange(m)  # block columns of the runs still going
+    runs = None  # block columns of the runs still going, once one has stopped
     theta = 1 - codes[0]  # uint8 modes
     tau = np.zeros(m, dtype=np.int64)
     b = np.full(m, ch.initial_belief)
     J = np.zeros(m)
     disc = 1.0
-    for t in range(codes.shape[0] // 2):
+    for t in range(horizon):
         a = np.asarray(policy(tau, b))
         if a.shape != tau.shape:
             raise ValueError(f"policy returned shape {a.shape} for {tau.shape} states")
@@ -371,6 +382,8 @@ def _run_block(codes: np.ndarray, ch: ChannelModel, holding: np.ndarray,
             stop = a == 1
             if not (go | stop).all():
                 raise ValueError(f"policy returned unknown action {a[~(go | stop)][0]}")
+            if runs is None:
+                runs = np.arange(m)
             J[stop] += disc * c_stop
             costs[runs[stop]] = J[stop]
             tally["stops"][t] += np.count_nonzero(stop)
@@ -378,8 +391,10 @@ def _run_block(codes: np.ndarray, ch: ChannelModel, holding: np.ndarray,
             if runs.size == 0:
                 return costs
         J += disc * holding[tau]
-        theta = 1 - ((codes[2 * t + 1][runs] >> theta) & 1)
-        success = ((codes[2 * t + 2][runs] >> theta) & 1).view(bool)
+        row = codes[1 + t // 2] if runs is None else codes[1 + t // 2][runs]
+        nibble = 4 * (t & 1)
+        theta = 1 - ((row >> (theta + nibble)) & 1)
+        success = ((row >> (theta + (nibble + 2))) & 1).view(bool)
         n_bad, n_succ = np.count_nonzero(theta), np.count_nonzero(success)
         n_bad_succ = np.count_nonzero(success & theta)
         tally["attempts"] += (theta.size - n_bad, n_bad)
@@ -393,6 +408,8 @@ def _run_block(codes: np.ndarray, ch: ChannelModel, holding: np.ndarray,
             raise ZeroLikelihoodError(_ZERO_LIKELIHOOD)
         b = np.minimum(np.maximum(num / den, 0.0), 1.0)
         disc *= gamma
+    if runs is None:
+        return J
     costs[runs] = J
     return costs
 
@@ -402,17 +419,18 @@ def run_batch(ch: ChannelModel, holding_costs: np.ndarray, c_stop: float,
               collect_traces: bool = False):
     """Run ``n_runs`` independent episodes and aggregate their statistics.
 
-    The runs advance in lockstep blocks whose one-byte code matrix fits in
-    ``_BLOCK_BYTES`` (1 MiB); run k draws from its own SplitMix64-seeded
-    stream as in ``run_episode``, so the result equals a loop over
-    ``run_episode`` bit for bit, whatever the block size. Returns SimStats,
-    or (SimStats, traces) when collect_traces is set; the traces are
-    ``run_episode`` replays of the same streams. Means use numpy's pairwise summation; the standard error is
-    the sample standard deviation over sqrt(n_runs).
+    The runs advance in lockstep blocks whose code matrix, a nibble per
+    step, fits in ``_BLOCK_BYTES`` (1 MiB); run k draws from its own
+    SplitMix64-seeded stream as in ``run_episode``, so the result equals a
+    loop over ``run_episode`` bit for bit, whatever the block size. Returns
+    SimStats, or (SimStats, traces) when collect_traces is set; the traces
+    are ``run_episode`` replays of the same streams. Means use numpy's
+    pairwise summation; the standard error is the sample standard deviation
+    over sqrt(n_runs).
     """
     horizon, n_runs = simcfg.horizon, simcfg.n_runs
     holding = _holding_table(holding_costs, horizon)
-    width = 2 * horizon + 1
+    width = 1 + (horizon + 1) // 2
     block = max(1, _BLOCK_BYTES // width)
     codes = np.empty((width, min(block, n_runs)), dtype=np.uint8)
     costs = np.empty(n_runs)
@@ -422,9 +440,9 @@ def run_batch(ch: ChannelModel, holding_costs: np.ndarray, c_stop: float,
              "stops": np.zeros(horizon, dtype=np.int64)}
     for start in range(0, n_runs, block):
         m = min(block, n_runs - start)
-        _block_codes(ch, simcfg.seed, start, codes[:, :m])
-        costs[start:start + m] = _run_block(codes[:, :m], ch, holding, c_stop,
-                                            gamma, policy, tally)
+        _block_codes(ch, simcfg.seed, start, horizon, codes[:, :m])
+        costs[start:start + m] = _run_block(codes[:, :m], horizon, ch, holding,
+                                            c_stop, gamma, policy, tally)
     occupancy, attempts, successes = tally["occupancy"], tally["attempts"], tally["successes"]
     total_steps = int(occupancy.sum())
     occ = tuple((occupancy / total_steps).tolist()) if total_steps else (0.0, 0.0)

@@ -1,15 +1,22 @@
 import io
 import json
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 import txsched as tx
 from conftest import ULP_NOISE_PLANT, rowlist_write_solution_csvs
 from txsched.cli import (EXIT_BROKEN_PIPE, EXIT_MODEL, main, read_value_policy_csv,
                          write_solution_csvs)
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_FILES = ["configs/example.yaml", "bench/workloads/ref.yaml",
+                "bench/workloads/fine-unstable.yaml", "bench/workloads/general-slow.yaml"]
 
 BASE = {
     "system": {"A": [[0.85]], "C": [[1.0]], "Q": [[0.3]], "R": [[0.3]]},
@@ -85,6 +92,38 @@ class TestConfigValidation:
         cfg2 = tx.load_config(p2)
         assert cfg1.to_dict() == cfg2.to_dict()
 
+    def test_exponent_without_dot_named_as_a_string(self, tmp_path, capsys):
+        # YAML 1.1 reads 1e-9 as a string; the message says so and gives the
+        # spelling that loads as a number
+        p = tmp_path / "cfg.yaml"
+        text = (ROOT / "configs" / "example.yaml").read_text(encoding="utf-8")
+        p.write_text(text.replace("vi_tol: 1.0e-9", "vi_tol: 1e-9"), encoding="utf-8")
+        assert main(["solve", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "solver.vi_tol" in err and "'1e-9'" in err
+        assert "YAML 1.1 does not read as a number; write 1.0e-9" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field, text, hint", [
+        ("solver.gamma", "95e-2", "write 95.0e-2"), ("costs.c_stop", "1E1", "write 1.0e+1"),
+        ("sim.n_runs", "1e3", "write the integer in digits")])
+    def test_exponent_strings_rejected_with_a_hint(self, tmp_path, field, text, hint):
+        p, _ = write_cfg(tmp_path, {field: text})
+        with pytest.raises(tx.ConfigError, match=re.escape(hint)) as exc:
+            tx.load_config(p)
+        assert exc.value.path == field
+
+    def test_quoted_number_is_not_called_unread(self, tmp_path):
+        p, _ = write_cfg(tmp_path, {"solver.vi_tol": "1.0e-9"})
+        with pytest.raises(tx.ConfigError) as exc:
+            tx.load_config(p)
+        assert str(exc.value) == "solver.vi_tol: expected a number, got '1.0e-9'"
+
+    @pytest.mark.parametrize("path", CONFIG_FILES)
+    def test_libyaml_reads_what_the_python_loader_reads(self, path):
+        text = (ROOT / path).read_text(encoding="utf-8")
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.safe_load(text)
+
     def test_explicit_channel(self, tmp_path):
         p, _ = write_cfg(tmp_path, {"channel": {
             "type": "explicit",
@@ -93,6 +132,41 @@ class TestConfigValidation:
             "b0": 0.25}})
         cfg = tx.load_config(p)
         assert cfg.channel.initial_belief == 0.25
+
+
+@st.composite
+def configs(draw):
+    unit = st.floats(0.0, 1.0)
+    positive = st.floats(1e-12, 1e6)
+    p00, lam_bad = draw(unit), draw(unit)
+    return {
+        "system": {"A": [[draw(st.floats(-2.0, 2.0))]], "C": [[draw(st.floats(0.1, 10.0))]],
+                   "Q": [[draw(positive)]], "R": [[draw(positive)]]},
+        "channel": {"type": "ge", "p00": p00, "p11": draw(st.floats(1.0 - p00, 1.0)),
+                    "lam_good": draw(st.floats(lam_bad, 1.0)), "lam_bad": lam_bad,
+                    "b0": draw(unit)},
+        "costs": {"c_a": [0.0], "c_stop": draw(st.floats(0.0, 1e6))},
+        "solver": {"gamma": draw(st.floats(1e-9, 1.0, exclude_max=True)),
+                   "tau_max": draw(st.integers(1, 500)),
+                   "grid_n": draw(st.integers(2, 5000)),
+                   "vi_tol": draw(st.floats(1e-300, 1.0)),
+                   "weight_eps": draw(positive)},
+        "sim": {"horizon": draw(st.integers(1, 10**6)),
+                "n_runs": draw(st.integers(1, 10**6)),
+                "seed": draw(st.integers(0, 2**64 - 1))},
+    }
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=configs())
+def test_dumped_config_keeps_its_problem_hash(tmp_path_factory, data):
+    p = tmp_path_factory.mktemp("cfg") / "cfg.yaml"
+    p.write_text(yaml.safe_dump(data), encoding="utf-8")
+    cfg = tx.load_config(p)
+    p.write_text(yaml.safe_dump(cfg.to_dict()), encoding="utf-8")
+    again = tx.load_config(p)
+    assert again.problem_sha256 == cfg.problem_sha256
+    assert again.to_dict() == cfg.to_dict()
 
 
 class TestSolve:

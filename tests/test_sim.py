@@ -106,17 +106,22 @@ class TestBatchedSeeding:
     @pytest.mark.parametrize("channel", ["ge-recovering", "explicit"])
     def test_codes_hold_the_step_comparisons(self, channel):
         ch = CHANNELS[channel]
-        horizon, seed, start, m = 30, 2**64 - 1, 5, 70  # 70 runs: two stagings
-        codes = np.empty((2 * horizon + 1, m), dtype=np.uint8)
-        sim._block_codes(ch, seed, start, codes)
+        seed, start, m = 2**64 - 1, 5, 70  # 70 runs: two stagings
         p_stay = ch.mode_kernel[0, :, 0]
         lam = ch.lam[:, 0]
-        for j in range(m):
-            u = np.random.default_rng(tx.splitmix64(seed, start + j)).random(2 * horizon + 1)
-            assert codes[0, j] == (u[0] < ch.initial_mode_dist[0])
-            for t in range(horizon):
-                for row, p in ((2 * t + 1, p_stay), (2 * t + 2, lam)):
-                    assert codes[row, j] == ((u[row] < p[0]) | (u[row] < p[1]) << 1)
+        for horizon in (30, 31):
+            codes = np.empty((1 + (horizon + 1) // 2, m), dtype=np.uint8)
+            sim._block_codes(ch, seed, start, horizon, codes)
+            for j in range(m):
+                u = np.random.default_rng(tx.splitmix64(seed, start + j)).random(2 * horizon + 1)
+                assert codes[0, j] == (u[0] < ch.initial_mode_dist[0])
+                for t in range(horizon):
+                    nibble = (codes[1 + t // 2, j] >> 4 * (t % 2)) & 0xF
+                    want = [u[2 * t + 1] < p_stay[0], u[2 * t + 1] < p_stay[1],
+                            u[2 * t + 2] < lam[0], u[2 * t + 2] < lam[1]]
+                    assert [bool(nibble >> bit & 1) for bit in range(4)] == want
+                if horizon % 2:
+                    assert codes[-1, j] >> 4 == 0  # the last high nibble is unused
 
 
 class TestRunEpisode:
@@ -284,8 +289,9 @@ class TestLockstepOracle:
         # a small code budget keeps the scalar oracle short; the 1 MiB
         # budget's multi-block path runs in the benchmark's reference check
         horizon = 1000
-        monkeypatch.setattr(sim, "_BLOCK_BYTES", 16 * (2 * horizon + 1))
-        block = sim._BLOCK_BYTES // (2 * horizon + 1)  # one byte per uniform
+        width = 1 + (horizon + 1) // 2  # one byte, then a nibble per step
+        monkeypatch.setattr(sim, "_BLOCK_BYTES", 16 * width)
+        block = sim._BLOCK_BYTES // width
         n_runs = 2 * block + 10
         assert n_runs % block != 0 and n_runs > 2 * block
         table = tx.holding_cost_table(plant, steady, horizon)
@@ -303,6 +309,31 @@ class TestLockstepOracle:
         want = tx.run_batch(*args)
         monkeypatch.setattr(sim, "_BLOCK_BYTES", budget)
         assert_stats_equal(tx.run_batch(*args), want)
+
+    @pytest.mark.parametrize("horizon", [1, 3, 81])
+    @pytest.mark.parametrize("kind", ["solved", "never-stop", "threshold"])
+    def test_odd_horizon(self, kind, horizon, stopping_solution, sim_table):
+        # the last code row holds one step in its low nibble
+        cfgs = tx.SimConfig(horizon=horizon, n_runs=70, seed=13)
+        args = (CHANNELS["explicit"], sim_table.costs, 10.0, 0.95,
+                policy_kinds(stopping_solution)[kind], cfgs)
+        assert_stats_equal(tx.run_batch(*args), oracle_batch(*args))
+
+    def test_reference_batch_is_one_block(self, monkeypatch, sim_table):
+        # the 1 MiB budget holds the reference config's 10 000 runs of 200
+        # steps: 101 code bytes each
+        shapes = []
+        run_block = sim._run_block
+
+        def spy(codes, *args):
+            shapes.append(codes.shape)
+            return run_block(codes, *args)
+
+        monkeypatch.setattr(sim, "_run_block", spy)
+        cfgs = tx.SimConfig(horizon=200, n_runs=10_000, seed=20260811)
+        tx.run_batch(CHANNELS["ge"], sim_table.costs, 10.0, 0.95,
+                     tx.stop_immediately, cfgs)
+        assert shapes == [(101, 10_000)]
 
     @pytest.mark.parametrize("kind", ["solved", "never-stop", "stop-now", "threshold"])
     def test_horizon_one(self, kind, stopping_solution, sim_table):
