@@ -9,10 +9,9 @@ solver with structural verification (belief_mdp), the optimal-stopping layer
 """
 
 from .belief_mdp import (ContractionReport, SolverConfig, Solution, StageCost,
-                         belief_update, bellman_apply, check_contraction,
-                         observation_likelihood, predictive_belief,
-                         value_iterate, verify_update_monotonicity,
-                         verify_value_monotonicity, weight_profile, weighted_norm)
+                         belief_update, check_contraction, observation_likelihood,
+                         predictive_belief, value_iterate, verify_update_monotonicity,
+                         verify_value_monotonicity, weight_profile)
 from .channel import (ChannelModel, check_mode_kernel_tp2, make_gilbert_elliott,
                       make_persistent_failure)
 from .config import ConfigError, RunConfig, load_config, parse_config
@@ -27,7 +26,7 @@ from .lti_estimation import (ConvergenceError, HoldingCostTable, LtiSystem,
                              time_update)
 from .sim import (FixedThresholdPolicy, LatticePolicy, SimConfig, SimStats,
                   SimTrace, never_stop, run_batch, run_episode, splitmix64,
-                  stop_immediately, validate_belief_consistency)
+                  stop_immediately)
 from .stochastic_orders import CheckResult, ZeroLikelihoodError, is_tp2
 from .stopping import (StoppingProblem, StructureViolationError,
                        ThresholdFunction, extract_threshold, solve_stopping,

@@ -171,12 +171,6 @@ def _weighted_sup(abs_f, s) -> float:
     return float(np.max(flat.max(axis=1) / s)) if flat.size else 0.0
 
 
-def weighted_norm(f, spectral_radius: float, eps: float) -> float:
-    """Sup over the lattice of |f| / s(tau); axis 0 of f indexes tau."""
-    f = np.asarray(f, dtype=float)
-    return _weighted_sup(np.abs(f), weight_profile(spectral_radius, eps, f.shape[0] - 1))
-
-
 def _action_tables(ch: ChannelModel, grid: np.ndarray, a: int):
     """Per-action grid tables: success likelihood and the two posterior
     branches (tau-independent)."""
@@ -426,26 +420,6 @@ def _check_problem(ch: ChannelModel, cost: StageCost, cfg: SolverConfig):
         raise ValueError("cost and channel disagree on the number of actions")
     if cost.holding.tau_max < cfg.tau_max:
         raise ValueError("holding cost table is shorter than cfg.tau_max")
-
-
-def bellman_apply(ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
-                  Q: np.ndarray) -> np.ndarray:
-    """One application of the Bellman operator on the (tau, grid, action)
-    lattice.
-
-    The observation sum runs over the two-point support; the continuation
-    value at the updated belief is read from min over actions of Q by
-    piecewise-linear interpolation, and a failure at tau = tau_max is clamped
-    back to tau_max. Pure Jacobi update: every output entry depends only on
-    the input Q.
-    """
-    Q = np.asarray(Q, dtype=float)
-    expected = (cfg.tau_max + 1, cfg.grid_n + 1, cost.n_actions)
-    if Q.shape != expected:
-        raise ValueError(f"Q must have shape {expected}, got {Q.shape}")
-    _check_problem(ch, cost, cfg)
-    return _bellman(_over_actions(np.minimum, Q), _stencil(ch, cfg.belief_grid()),
-                    cost.holding.costs, cost.action_costs, cfg.gamma)
 
 
 @dataclass(frozen=True)

@@ -81,29 +81,51 @@ def _write_lines(path: Path, lines):
 
 def write_solution_csvs(sol, out_dir: Path):
     """q_values.csv: (tau, belief, action, q_value); value_policy.csv:
-    (tau, belief, value, policy). Written one tau row at a time, each row by
-    one %-format of a template built once per solve, which holds the belief
-    strings and action labels: %s for tau, %.12g for Q and V, %d for the
-    policy. '%.12g' % x equals _fmt(x) for every float, signed zeros, NaN
-    and infinities included."""
+    (tau, belief, value, policy). Written one tau row at a time, each by a
+    %-format of a template holding the belief strings and action labels: %s
+    for tau, %.12g for Q and V, %d for the policy ('%.12g' % x equals _fmt(x)
+    for every float). A Q column of one bit pattern over the lattice (the
+    stop column) is formatted once, as a literal in the Q template. A V cell
+    with those bits whose policy names that action is that literal too; its
+    row is joined from per-belief pieces with tau between them."""
     beliefs = [_fmt(b) for b in sol.belief_grid]
-    q_row = "".join(f"%s,{b},{a},%.12g\n" for b in beliefs for a in range(sol.n_actions))
+    n_b, n_a = len(beliefs), sol.n_actions
+    q_bits, v_bits = (np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+                      for x in (sol.Qfun, sol.V))
+    const = [a for a in range(n_a) if (q_bits[..., a] == q_bits[0, 0, a]).all()]
+    lits = {a: _fmt(sol.Qfun[0, 0, a]) for a in const}
+    var = [a for a in range(n_a) if a not in lits]
+    q_row = "".join(f"%s,{b},{a},{lits.get(a, '%.12g')}\n" for b in beliefs for a in range(n_a))
+    # per belief, each action's tau slot (None), then its value slot unless a literal
+    slots = [s for a in range(n_a) for s in ((None, a) if a in var else (None,))]
+    q_args = [None] * (len(slots) * n_b)
     vp_row = "".join(f"%s,{b},%.12g,%d\n" for b in beliefs)
-    q_args = [None] * (2 * len(beliefs) * sol.n_actions)
-    vp_args = [None] * (3 * len(beliefs))
+    vp_args = [None] * (3 * n_b)
+    # what follows tau in a V row: row 0 %-slots, row 1 + j the literal of const[j]
+    vp_pieces = np.array([[f",{b},%.12g,%d\n" for b in beliefs]] + [
+        [f",{b},{lits[a]},{a}\n" for b in beliefs] for a in const], dtype=object)
     with open(out_dir / "q_values.csv", "w", encoding="utf-8", newline="\n") as q_fh, \
             open(out_dir / "value_policy.csv", "w", encoding="utf-8", newline="\n") as vp_fh:
         q_fh.write("tau,belief,action,q_value\n")
         vp_fh.write("tau,belief,value,policy\n")
         for tau in range(sol.tau_max + 1):
             t = str(tau)
-            q_args[::2] = [t] * (len(q_args) // 2)
-            q_args[1::2] = sol.Qfun[tau].ravel().tolist()
+            for c, a in enumerate(slots):
+                q_args[c::len(slots)] = [t] * n_b if a is None else sol.Qfun[tau, :, a].tolist()
             q_fh.write(q_row % tuple(q_args))
-            vp_args[::3] = [t] * len(beliefs)
-            vp_args[1::3] = sol.V[tau].tolist()
-            vp_args[2::3] = sol.policy[tau].tolist()
-            vp_fh.write(vp_row % tuple(vp_args))
+            # the masks are disjoint: the policy names one action per cell
+            piece = sum((1 + j) * ((v_bits[tau] == q_bits[0, 0, a]) & (sol.policy[tau] == a))
+                        for j, a in enumerate(const))
+            if np.any(piece):
+                slot = piece == 0
+                args = [None] * (2 * int(slot.sum()))
+                args[::2], args[1::2] = sol.V[tau][slot].tolist(), sol.policy[tau][slot].tolist()
+                vp_fh.write((t + t.join(vp_pieces[piece, np.arange(n_b)].tolist())) % tuple(args))
+            else:
+                vp_args[::3] = [t] * n_b
+                vp_args[1::3] = sol.V[tau].tolist()
+                vp_args[2::3] = sol.policy[tau].tolist()
+                vp_fh.write(vp_row % tuple(vp_args))
 
 
 def write_thresholds_csv(th, out_dir: Path):

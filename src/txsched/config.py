@@ -81,7 +81,7 @@ def _not_a(kind, value, path):
 def _number(value, path, lo=None, hi=None, strict_lo=False, strict_hi=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _not_a("a number", value, path)
-    x = float(value)
+    x = float(_finite_array(value, path))
     if lo is not None and (x <= lo if strict_lo else x < lo):
         raise ConfigError(path, f"must be {'>' if strict_lo else '>='} {lo}, got {x}")
     if hi is not None and (x >= hi if strict_hi else x > hi):
@@ -99,11 +99,25 @@ def _integer(value, path, lo=None, hi=None):
     return value
 
 
-def _matrix(value, path):
+def _finite_array(value, path):
+    """``value`` as a float array; NaN, an infinity, or an integer beyond the
+    float64 range is a config error."""
     try:
         M = np.asarray(value, dtype=float)
+    except OverflowError:
+        raise ConfigError(path, "must be finite, got an integer beyond the float64 "
+                                "range") from None
     except (TypeError, ValueError) as exc:
         raise ConfigError(path, f"not a numeric array: {exc}") from None
+    if not np.isfinite(M).all():
+        at = tuple(int(i) for i in np.argwhere(~np.isfinite(M))[0])
+        raise ConfigError(path, f"must be finite, got {M[at]}"
+                                + (f" at index {list(at)}" if at else ""))
+    return M
+
+
+def _matrix(value, path):
+    M = _finite_array(value, path)
     if M.ndim == 0:
         M = M.reshape(1, 1)
     elif M.ndim == 1:
@@ -181,11 +195,7 @@ def _parse_channel(section):
     if ctype == "explicit":
         _reject_unknown(sec, "channel", ("type", "lam", "mode_kernel", "b0"))
         lam = _matrix(_get(sec, "channel", "lam"), "channel.lam")
-        kern_raw = _get(sec, "channel", "mode_kernel")
-        try:
-            kern = np.asarray(kern_raw, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("channel.mode_kernel", f"not numeric: {exc}") from None
+        kern = _finite_array(_get(sec, "channel", "mode_kernel"), "channel.mode_kernel")
         b0 = _number(_get(sec, "channel", "b0"), "channel.b0", lo=0.0, hi=1.0)
         try:
             ch = ChannelModel(lam=lam, mode_kernel=kern,

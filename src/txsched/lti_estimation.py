@@ -165,7 +165,8 @@ def steady_state_covariance(sys: LtiSystem, tol: float = 1e-12,
 
     Applies measurement_update(time_update(.)) until the sup-norm of the
     iterate difference drops below tol. Raises ConvergenceError with the last
-    residual if max_iter is exhausted.
+    residual if max_iter is exhausted, and at once when the residual is no
+    longer finite (an overflowing or NaN iterate never converges).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -173,12 +174,17 @@ def steady_state_covariance(sys: LtiSystem, tol: float = 1e-12,
         raise ValueError("max_iter must be positive")
     X = np.zeros((sys.n, sys.n))
     residual = np.inf
-    for _ in range(max_iter):
-        Xn = measurement_update(sys, time_update(sys, X))
-        residual = float(np.max(np.abs(Xn - X)))
-        X = Xn
-        if residual < tol:
-            return SteadyStateCov(Pbar=X, spectral_radius_A=sys.spectral_radius())
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, max_iter + 1):
+            Xn = measurement_update(sys, time_update(sys, X))
+            residual = float(np.max(np.abs(Xn - X)))
+            if not np.isfinite(residual):
+                raise ConvergenceError(
+                    f"covariance recursion iterate became non-finite at iteration {k} "
+                    f"(residual {residual})", residual=residual)
+            X = Xn
+            if residual < tol:
+                return SteadyStateCov(Pbar=X, spectral_radius_A=sys.spectral_radius())
     raise ConvergenceError(
         f"covariance recursion did not converge in {max_iter} iterations "
         f"(last residual {residual:.3e})", residual=residual)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .belief_mdp import Solution, belief_update
+from .belief_mdp import Solution
 from .channel import ChannelModel
 from .stochastic_orders import ZeroLikelihoodError
 
@@ -463,17 +463,3 @@ def run_batch(ch: ChannelModel, holding_costs: np.ndarray, c_stop: float,
         return stats
     return stats, [run_episode(ch, holding, c_stop, gamma, policy, horizon,
                                _stream(simcfg.seed, k)) for k in range(n_runs)]
-
-
-def validate_belief_consistency(trace: SimTrace, ch: ChannelModel) -> bool:
-    """Recompute the belief sequence from (tau, action, outcome) and compare
-    bitwise against the logged beliefs."""
-    b = ch.initial_belief
-    for i in range(len(trace)):
-        if trace.belief[i] != b:
-            return False
-        if trace.action[i] == 1:
-            return True
-        y = 0 if trace.success[i] == 1 else int(trace.tau[i]) + 1
-        b = belief_update(ch, int(trace.tau[i]), b, y, 0)
-    return True

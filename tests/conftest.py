@@ -3,6 +3,7 @@ import pytest
 from hypothesis import strategies as st
 
 import txsched as tx
+from oracles import weighted_norm
 from orders import FiniteDist, fsd_dominates
 
 # reference configuration used across the suite
@@ -180,12 +181,12 @@ def sampled_contraction_ratio(ch, sys, cost, cfg, m, trials=100, seed=20260811):
     for _ in range(trials):
         Q1 = rng.uniform(0.0, 10.0, size=shape)
         Q2 = rng.uniform(0.0, 10.0, size=shape)
-        denom = tx.weighted_norm(Q1 - Q2, rho, eps)
+        denom = weighted_norm(Q1 - Q2, rho, eps)
         A, B = Q1, Q2
         for _ in range(m):
             A = _bellman(A.min(axis=2), stencil, cs, ca, cfg.gamma)
             B = _bellman(B.min(axis=2), stencil, cs, ca, cfg.gamma)
-        ratio = tx.weighted_norm(A - B, rho, eps) / denom if denom > 0 else 0.0
+        ratio = weighted_norm(A - B, rho, eps) / denom if denom > 0 else 0.0
         worst_ratio = max(worst_ratio, ratio)
     return worst_ratio
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import txsched as tx
 from conftest import (bayes_enumeration_oracle, channels, random_channel,
                       sampled_contraction_ratio, sampled_update_monotonicity)
+from oracles import bellman_apply, weighted_norm
 from orders import FiniteDist, fsd_dominates, stage_cost
 from txsched.belief_mdp import (_action_tables, _bellman, _certify, _contraction_stage,
                                 _lattice_moduli, _over_actions, _prolong, _stencil,
@@ -86,17 +87,17 @@ class TestStageCost:
 
 class TestWeightedNorm:
     def test_zero(self):
-        assert tx.weighted_norm(np.zeros((5, 3)), 1.2, 0.01) == 0.0
+        assert weighted_norm(np.zeros((5, 3)), 1.2, 0.01) == 0.0
 
     def test_weight_profile_normalization(self):
         s = tx.weight_profile(1.2, 0.01, 10)
         f = np.tile(s[:, None], (1, 4))
-        assert tx.weighted_norm(f, 1.2, 0.01) == pytest.approx(1.0, rel=1e-12)
+        assert weighted_norm(f, 1.2, 0.01) == pytest.approx(1.0, rel=1e-12)
 
     def test_stable_plant_plain_sup(self, cost_table):
         # base clamps to 1 for a stable plant: the norm is the plain sup
         f = cost_table.costs[:, None] + np.array([[0.0, 1.5]])
-        norm = tx.weighted_norm(f, cost_table.spectral_radius, 0.01)
+        norm = weighted_norm(f, cost_table.spectral_radius, 0.01)
         assert norm == pytest.approx(np.max(cost_table.costs) + 1.5, rel=1e-12)
 
     def test_unstable_weights_grow(self):
@@ -132,7 +133,7 @@ class TestBellman:
         cfg = tx.SolverConfig(gamma=0.95, tau_max=10, grid_n=8)
         cost = tx.StageCost(holding=cost_table, action_costs=np.array([0.0]))
         Q = np.zeros((11, 9, 1))
-        out = tx.bellman_apply(ge_channel, cost, cfg, Q)
+        out = bellman_apply(ge_channel, cost, cfg, Q)
         expected = np.broadcast_to(cost_table.costs[:11, None, None], out.shape)
         assert np.array_equal(out, expected)
 
@@ -146,7 +147,7 @@ class TestBellman:
         cost = tx.StageCost(holding=cost_table, action_costs=np.array([0.0, 1.0]))
         for _ in range(5):
             Q = rng.uniform(0.0, 10.0, size=(5, 5, 2))
-            fast = tx.bellman_apply(ch, cost, cfg, Q)
+            fast = bellman_apply(ch, cost, cfg, Q)
             slow = reference_bellman(ch, cost, cfg, Q)
             assert np.max(np.abs(fast - slow)) < 1e-13
 
@@ -155,7 +156,7 @@ class TestBellman:
         cost = tx.StageCost(holding=cost_table, action_costs=np.array([0.0]))
         Q = np.zeros((21, 41, 1))
         for _ in range(30):
-            Q = tx.bellman_apply(ge_channel, cost, cfg, Q)
+            Q = bellman_apply(ge_channel, cost, cfg, Q)
             assert np.all(np.diff(Q, axis=0) >= -1e-12)
             assert np.all(np.diff(Q, axis=1) >= -1e-12)
 
@@ -166,8 +167,8 @@ class TestBellman:
         for _ in range(10):
             Q1 = rng.uniform(0.0, 5.0, size=(9, 11, 1))
             Q2 = Q1 + rng.uniform(0.0, 3.0, size=Q1.shape)
-            out1 = tx.bellman_apply(ge_channel, cost, cfg, Q1)
-            out2 = tx.bellman_apply(ge_channel, cost, cfg, Q2)
+            out1 = bellman_apply(ge_channel, cost, cfg, Q1)
+            out2 = bellman_apply(ge_channel, cost, cfg, Q2)
             assert np.all(out1 <= out2 + 1e-12)
 
 
@@ -312,7 +313,7 @@ class TestStencilKernel:
         assert tables[0][2][-1] == 1.0
         cost = tx.StageCost(holding=cost_table, action_costs=np.array([0.5]))
         Q = np.random.default_rng(1).uniform(0.0, 10.0, (7, 8, 1))
-        assert np.array_equal(tx.bellman_apply(ch, cost, cfg, Q),
+        assert np.array_equal(bellman_apply(ch, cost, cfg, Q),
                               rowwise_sweep(Q, tables, cost_table.costs,
                                             np.array([0.5]), 0.95, grid))
 
@@ -330,7 +331,7 @@ class TestStencilKernel:
         tables = [_action_tables(ch, grid, a) for a in range(ch.n_actions)]
         Q = rng.uniform(0.0, 10.0, (tau_max + 1, grid_n + 1, ch.n_actions))
         cost = tx.StageCost(holding=holding, action_costs=ca)
-        assert np.array_equal(tx.bellman_apply(ch, cost, cfg, Q),
+        assert np.array_equal(bellman_apply(ch, cost, cfg, Q),
                               rowwise_sweep(Q, tables, holding.costs, ca, gamma, grid))
         # the stopping solver's sweep: continuation value min(Q, c_stop), no fee
         Qc = Q[:, :, 0]
@@ -439,7 +440,7 @@ class TestCertifiedError:
             sol, ref = (tx.value_iterate(ch, cost, c) for c in (cfg, tight))
         # the sweep still stops on the weighted residual; the bound is larger
         assert sol.final_residual < cfg.vi_tol < sol.certified_error < np.inf
-        dist = tx.weighted_norm(sol.Qfun - ref.Qfun, sys_u.spectral_radius(),
+        dist = weighted_norm(sol.Qfun - ref.Qfun, sys_u.spectral_radius(),
                                 cfg.weight_eps)
         assert dist <= sol.certified_error + ref.certified_error
 
@@ -486,7 +487,7 @@ class TestCertifiedError:
                                                     pinned, mod, nested=False)
             assert levels == ()
             Q = Q.reshape(sol.Qfun.shape[:2] + (-1,))  # the stopping reference: continue only
-            dist = tx.weighted_norm(sol.Qfun[:, :, :Q.shape[2]] - Q, rho, cfg.weight_eps)
+            dist = weighted_norm(sol.Qfun[:, :, :Q.shape[2]] - Q, rho, cfg.weight_eps)
             assert dist <= sol.certified_error + certified
 
     def test_coarse_levels_hand_on_their_last_iterate(self):
@@ -530,9 +531,9 @@ class TestCertifiedError:
         Q1 = np.repeat(s[:, None, None], cfg.grid_n + 1, axis=1)
         Q2 = np.zeros_like(Q1)
         for m in range(1, 5):
-            Q1 = tx.bellman_apply(ch, cost, cfg, Q1)
-            Q2 = tx.bellman_apply(ch, cost, cfg, Q2)
-            ratio = tx.weighted_norm(Q1 - Q2, sys_u.spectral_radius(), cfg.weight_eps)
+            Q1 = bellman_apply(ch, cost, cfg, Q1)
+            Q2 = bellman_apply(ch, cost, cfg, Q2)
+            ratio = weighted_norm(Q1 - Q2, sys_u.spectral_radius(), cfg.weight_eps)
             assert ratio == pytest.approx(moduli[m - 1], rel=1e-9)
         assert moduli[0] > 1.0 > moduli[3]
         rep = tx.check_contraction(ch, sys_u, cfg)
@@ -771,8 +772,8 @@ class TestContraction:
     def test_equal_inputs(self, plant, ge_channel, cost_table, solver_cfg):
         cost = tx.StageCost(holding=cost_table, action_costs=np.array([0.0]))
         Q = np.random.default_rng(0).uniform(0, 5, (61, 201, 1))
-        out1 = tx.bellman_apply(ge_channel, cost, solver_cfg, Q)
-        out2 = tx.bellman_apply(ge_channel, cost, solver_cfg, Q)
+        out1 = bellman_apply(ge_channel, cost, solver_cfg, Q)
+        out2 = bellman_apply(ge_channel, cost, solver_cfg, Q)
         assert np.array_equal(out1, out2)
 
     def test_unstable_case(self):

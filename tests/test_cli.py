@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import txsched as tx
 from conftest import ULP_NOISE_PLANT, rowlist_write_solution_csvs
-from txsched.cli import (EXIT_BROKEN_PIPE, EXIT_MODEL, main, read_value_policy_csv,
-                         write_solution_csvs)
+from txsched.cli import (EXIT_BROKEN_PIPE, EXIT_MODEL, _pipeline, main,
+                         read_value_policy_csv, write_solution_csvs)
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_FILES = ["configs/example.yaml", "bench/workloads/ref.yaml",
@@ -112,6 +112,26 @@ class TestConfigValidation:
         with pytest.raises(tx.ConfigError, match=re.escape(hint)) as exc:
             tx.load_config(p)
         assert exc.value.path == field
+
+    @pytest.mark.parametrize("overrides, field, shown", [
+        ({"solver.vi_tol": float("nan")}, "solver.vi_tol", "nan"),
+        ({"costs.c_stop": float("nan")}, "costs.c_stop", "nan"),
+        ({"costs.c_a": [float("-inf")]}, "costs.c_a[0]", "-inf"),
+        ({"channel.p00": float("nan")}, "channel.p00", "nan"),
+        ({"system.A": [[float("inf")]]}, "system.A", "inf at index [0, 0]"),
+        ({"system.A": [[float("nan")]]}, "system.A", "nan at index [0, 0]"),
+        ({"system.R": 10**400}, "system.R", "an integer beyond the float64 range"),
+        ({"channel": {"type": "explicit", "lam": [[0.9], [float("nan")]],
+                      "mode_kernel": [[[0.9, 0.1], [0.0, 1.0]]], "b0": 0.0}},
+         "channel.lam", "nan at index [1, 0]"),
+        ({"channel": {"type": "explicit", "lam": [[0.9], [0.2]],
+                      "mode_kernel": [[[0.9, 0.1], [0.0, float("inf")]]], "b0": 0.0}},
+         "channel.mode_kernel", "inf at index [0, 1, 1]")])
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, overrides, field, shown):
+        p, _ = write_cfg(tmp_path, overrides)
+        assert main(["solve", "--config", str(p)]) == 2
+        assert capsys.readouterr().err == f"config error: {field}: must be finite, got {shown}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_quoted_number_is_not_called_unread(self, tmp_path):
         p, _ = write_cfg(tmp_path, {"solver.vi_tol": "1.0e-9"})
@@ -286,12 +306,55 @@ class TestSolve:
         ss = tx.steady_state_covariance(cfg.system)
         cost = tx.StageCost(holding=tx.holding_cost_table(cfg.system, ss, cfg.solver.tau_max),
                             action_costs=cfg.action_costs)
-        for name, sol in (("odd", odd), ("hand", hand), ("stopping", stopping_solution)):
+        # the constant-column literals: the stop column of a grid-2000 unstable
+        # stopping solve, and hand-built columns whose V cells match the
+        # literal's bits and action, or miss one of the two
+        _, fine = _pipeline(tx.load_config(ROOT / "bench/workloads/fine-unstable.yaml"))
+        assert (fine.Qfun[:, :, 1] == 10.0).all() and (fine.policy == 1).any()
+        lattice = {}
+
+        def add(name, Q, V, policy):
+            lattice[name] = tx.Solution(Qfun=Q, V=V, policy=policy, sweeps_used=1,
+                                        belief_grid=np.linspace(0.0, 1.0, Q.shape[1]),
+                                        final_residual=0.0)
+
+        base = rng.uniform(1.0, 20.0, (4, 6, 3))
+        zero = base[:, :, :2].copy()
+        zero[:, :, 1] = 0.0
+        V, pol = zero[:, :, 0].copy(), np.zeros((4, 6), dtype=np.int64)
+        V[0, :3], pol[0, :4] = 0.0, 1
+        V[0, 3] = -0.0                  # a -0.0 under the stop action keeps its slot
+        V[2], pol[2] = 0.0, 1           # a row of literals only; row 1 has none
+        add("zero", zero, V, pol)
+        nan = base[:, :, :2].copy()
+        nan[:, :, 1] = nan_a
+        V, pol = nan[:, :, 0].copy(), np.zeros((4, 6), dtype=np.int64)
+        V[0, :3], pol[0, :4] = nan_a, 1
+        V[0, 3] = nan_b                 # another payload keeps its slot
+        V[0, 4] = nan_a                 # the constant's bits under action 0
+        add("nan", nan, V, pol)
+        tie = base[:, :, :2].copy()
+        tie[:, :, 1] = 10.0
+        tie[2, 4, 0] = 10.0
+        V, pol = tie.min(axis=2), (tie[:, :, 1] <= tie[:, :, 0]).astype(np.int64)
+        pol[2, 4] = 0                   # equal values, the policy names the other action
+        add("tie", tie, V, pol)
+        almost = zero.copy()
+        almost[3, 5, 1] = -0.0
+        add("almost", almost, almost.min(axis=2), almost.argmin(axis=2))
+        two = base.copy()
+        two[:, :, 1], two[:, :, 2] = 10.0, 2.5
+        V, pol = two.min(axis=2), two.argmin(axis=2)
+        V[1, :2], pol[1, :2] = 10.0, 1
+        pol[3, 0] = 1                   # the other constant's bits under action 1
+        add("two", two, V, pol)
+        solutions = {"odd": odd, "hand": hand, "stopping": stopping_solution, "fine": fine,
+                     **lattice}
+        for name, sol in solutions.items():
             (tmp_path / name).mkdir()
             write_solution_csvs(sol, tmp_path / name)
         for sol, got in ((tx.value_iterate(cfg.channel, cost, cfg.solver), tmp_path / "out"),
-                         (odd, tmp_path / "odd"), (hand, tmp_path / "hand"),
-                         (stopping_solution, tmp_path / "stopping")):
+                         *((sol, tmp_path / name) for name, sol in solutions.items())):
             ref = got.with_name(got.name + "_ref")
             ref.mkdir()
             rowlist_write_solution_csvs(sol, ref)
@@ -300,6 +363,10 @@ class TestSolve:
         assert b"\n0,0,0,0\n0,0,1,-0\n" in (tmp_path / "hand" / "q_values.csv").read_bytes()
         assert (tmp_path / "hand" / "value_policy.csv").read_text().splitlines()[1:5] == [
             "0,0,-0,0", "0,0.333333333333,nan,1", "0,0.666666666667,0.25,0", "0,1,0,1"]
+        assert (tmp_path / "zero" / "value_policy.csv").read_text().splitlines()[3:5] == [
+            "0,0.4,0,1", "0,0.6,-0,1"]
+        assert (tmp_path / "tie" / "value_policy.csv").read_text().splitlines()[17] == \
+            "2,0.8,10,0"
 
 
 class TestVerify:

@@ -99,6 +99,15 @@ class TestSteadyState:
             tx.steady_state_covariance(plant, tol=1e-12, max_iter=2)
         assert err.value.residual is not None
 
+    @pytest.mark.parametrize("a, k", [(np.nan, 1), (np.inf, 1), (1e200, 2)])
+    def test_non_finite_iterate_fails_at_once(self, a, k):
+        # the default max_iter is 1 000 000; a NaN residual must not use it up
+        sys_ = tx.LtiSystem(A=a, C=1.0, Q=0.3, R=0.3)
+        with pytest.raises(tx.ConvergenceError,
+                           match=f"iterate became non-finite at iteration {k} ") as err:
+            tx.steady_state_covariance(sys_)
+        assert not np.isfinite(err.value.residual)
+
     def test_matrix_system(self):
         rng = np.random.default_rng(3)
         A = rng.normal(size=(3, 3))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import txsched as tx
+from oracles import validate_belief_consistency
 from txsched import sim
 
 
@@ -144,7 +145,7 @@ class TestRunEpisode:
         tr = tx.run_episode(ch, sim_table.costs, 10.0, 0.95, tx.never_stop, 40, rng)
         assert np.array_equal(tr.tau, np.arange(40))
         assert np.all(tr.success == 0)
-        assert tx.validate_belief_consistency(tr, ch)
+        assert validate_belief_consistency(tr, ch)
 
     def test_stop_immediately(self, ge_channel, sim_table):
         rng = np.random.default_rng(3)
@@ -168,9 +169,9 @@ class TestRunEpisode:
         rng = np.random.default_rng(5)
         tr = tx.run_episode(ge_channel, sim_table.costs, 10.0, 0.95,
                             tx.never_stop, 60, rng)
-        assert tx.validate_belief_consistency(tr, ge_channel)
+        assert validate_belief_consistency(tr, ge_channel)
         tr.belief[17] += 1e-9
-        assert not tx.validate_belief_consistency(tr, ge_channel)
+        assert not validate_belief_consistency(tr, ge_channel)
 
     def test_persistent_failure_belief_monotone_on_failures(self, sim_table):
         ch = tx.make_persistent_failure(0.15, 0.9, 0.2, b0=0.0)
@@ -357,7 +358,7 @@ class TestLockstepOracle:
         assert_stats_equal(stats, tx.run_batch(*args))
         costs = [tr.discounted_cost for tr in traces]
         assert stats.mean_discounted_cost == float(np.mean(costs))
-        assert all(tx.validate_belief_consistency(tr, CHANNELS["ge"]) for tr in traces)
+        assert all(validate_belief_consistency(tr, CHANNELS["ge"]) for tr in traces)
 
     def test_unknown_action_rejected(self, sim_table):
         cfgs = tx.SimConfig(horizon=20, n_runs=5, seed=1)
