@@ -9,9 +9,9 @@ solver with structural verification (belief_mdp), the optimal-stopping layer
 """
 
 from .belief_mdp import (ContractionReport, SolverConfig, Solution, StageCost,
-                         belief_update, check_contraction, observation_likelihood,
-                         predictive_belief, value_iterate, verify_update_monotonicity,
-                         verify_value_monotonicity, weight_profile)
+                         check_contraction, success_margin, value_iterate,
+                         verify_update_monotonicity, verify_value_monotonicity,
+                         weight_profile)
 from .channel import (ChannelModel, check_mode_kernel_tp2, make_gilbert_elliott,
                       make_persistent_failure)
 from .config import ConfigError, RunConfig, load_config, parse_config
@@ -20,13 +20,10 @@ from .folding import (FoldEquivalenceReport, FoldedTP2Report, composite_kernel,
                       folded_outcome_prob, unfolded_tp2_counterexample,
                       verify_fold_equivalence, verify_folded_tp2)
 from .lti_estimation import (ConvergenceError, HoldingCostTable, LtiSystem,
-                             SteadyStateCov, SuccessMarginReport,
-                             check_success_margin, holding_cost_table,
-                             measurement_update, steady_state_covariance,
-                             time_update)
+                             SteadyStateCov, holding_cost_table, measurement_update,
+                             steady_state_covariance, time_update)
 from .sim import (FixedThresholdPolicy, LatticePolicy, SimConfig, SimStats,
-                  SimTrace, never_stop, run_batch, run_episode, splitmix64,
-                  stop_immediately)
+                  never_stop, run_batch, splitmix64, stop_immediately)
 from .stochastic_orders import CheckResult, ZeroLikelihoodError, is_tp2
 from .stopping import (StoppingProblem, StructureViolationError,
                        ThresholdFunction, extract_threshold, solve_stopping,

@@ -38,59 +38,12 @@ import numpy as np
 
 from .channel import ChannelModel
 from .lti_estimation import ConvergenceError, HoldingCostTable, LtiSystem
-from .stochastic_orders import ZeroLikelihoodError
 
 
 def _frozen(a):
     a = np.array(a)
     a.flags.writeable = False
     return a
-
-
-def predictive_belief(ch: ChannelModel, b: float, a: int = 0) -> float:
-    """One-step-ahead probability of the unfavorable mode before observing
-    the transmission outcome."""
-    Pc = ch.mode_kernel[a]
-    out = Pc[0, 1] * (1.0 - b) + Pc[1, 1] * b
-    return min(max(out, 0.0), 1.0)
-
-
-def observation_likelihood(ch: ChannelModel, tau: int, b: float, y: int,
-                           a: int = 0) -> float:
-    """Probability of observing next holding time y from (tau, b, a).
-
-    Supported on {0, tau+1}: the success probability mixes the per-mode
-    success rates by the predictive belief, and the two branches sum to 1.
-    """
-    bhat = predictive_belief(ch, b, a)
-    lam0, lam1 = ch.lam[0, a], ch.lam[1, a]
-    p_succ = lam0 * (1.0 - bhat) + lam1 * bhat
-    if y == 0:
-        return float(p_succ)
-    if y == tau + 1:
-        return float(1.0 - p_succ)
-    return 0.0
-
-
-def belief_update(ch: ChannelModel, tau: int, b: float, y: int, a: int = 0) -> float:
-    """Posterior unfavorable-mode belief after observing y from (tau, b, a).
-
-    Success conditions on the per-mode success rates, failure on their
-    complements. Raises ZeroLikelihoodError when y is off the two-point
-    support or the observed branch has probability 0.
-    """
-    bhat = predictive_belief(ch, b, a)
-    lam0, lam1 = ch.lam[0, a], ch.lam[1, a]
-    p_succ = lam0 * (1.0 - bhat) + lam1 * bhat
-    if y == 0:
-        num, den = lam1 * bhat, p_succ
-    elif y == tau + 1:
-        num, den = (1.0 - lam1) * bhat, 1.0 - p_succ
-    else:
-        raise ZeroLikelihoodError(f"y={y} is outside the support {{0, {tau + 1}}}")
-    if den <= 0.0:
-        raise ZeroLikelihoodError(f"observation y={y} has zero likelihood")
-    return min(max(num / den, 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -485,17 +438,27 @@ def greedy_policy(Q: np.ndarray, tie_break: str = "low") -> np.ndarray:
     return (Q.shape[2] - 1) - np.argmin(Q[:, :, ::-1], axis=2).astype(np.int64)
 
 
-def _require_contraction(lam_min: float, spectral_radius: float, eps: float):
+def success_margin(ch: ChannelModel, spectral_radius: float) -> tuple:
+    """(lam_min, bound) of the success margin lam_min > bound = 1 - 1/rho(A)^2:
+    the least success probability of the channel, and the bound it must
+    exceed for the expected holding cost to stay summable. The bound is
+    negative for a stable plant (-inf at rho = 0), so any channel passes."""
+    rho = spectral_radius
+    return ch.min_success_prob(), -math.inf if rho == 0.0 else 1.0 - 1.0 / rho**2
+
+
+def _require_contraction(ch: ChannelModel, spectral_radius: float, eps: float):
     """The convergence hypothesis of the solver and of its contraction
     certificate, stated once. A stable plant (rho(A) < 1) has bounded costs,
     and the operator contracts by gamma in the sup norm whatever lam is. An
     unstable plant needs (1 - lam_min) * (rho + eps)^2 < 1, which implies the
-    success margin lam_min > 1 - 1/rho^2 and alpha = (1 - lam_min) * (rho^2 +
+    success margin (success_margin) and alpha = (1 - lam_min) * (rho^2 +
     eps) < 1. Raises ValueError when the hypothesis fails."""
+    lam_min, bound = success_margin(ch, spectral_radius)
     rho, fail = spectral_radius, 1.0 - lam_min
     if rho >= 1.0 and fail * (rho + eps) ** 2 >= 1.0:
         cause = ("the success margin lam_min > 1 - 1/rho(A)^2 fails, so the "
-                 "discounted cost need not be finite" if fail * rho**2 >= 1.0
+                 "discounted cost need not be finite" if lam_min <= bound
                  else "the success margin holds; decrease weight_eps")
         raise ValueError(
             f"contraction hypothesis violated: (1-lam_min)*(rho+eps)^2 = "
@@ -512,7 +475,7 @@ def value_iterate(ch: ChannelModel, cost: StageCost, cfg: SolverConfig) -> Solut
     Raises ConvergenceError (with the residual history) if max_sweeps is
     exhausted, and ValueError if the contraction hypothesis fails.
     """
-    _require_contraction(ch.min_success_prob(), cost.spectral_radius, cfg.weight_eps)
+    _require_contraction(ch, cost.spectral_radius, cfg.weight_eps)
     _check_problem(ch, cost, cfg)
     Q, sweeps, history, certified, levels = _iterate(
         lambda Q: _over_actions(np.minimum, Q), ch, cost, cfg, "value iteration")
@@ -698,7 +661,7 @@ def check_contraction(ch: ChannelModel, sys: LtiSystem, cfg: SolverConfig,
     lam_min = ch.min_success_prob()
     rho = sys.spectral_radius()
     eps = cfg.weight_eps
-    _require_contraction(lam_min, rho, eps)
+    _require_contraction(ch, rho, eps)
     alpha = (1.0 - lam_min) * (rho**2 + eps)
     base = _weight_base(rho, eps)
     m, bound = _contraction_stage(lam_min, base, cfg.gamma, cfg.tau_max, m_max)

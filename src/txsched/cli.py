@@ -43,6 +43,7 @@ import os
 import sys
 import time
 import warnings
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +51,7 @@ import numpy as np
 from . import belief_mdp, folding, sim, stopping
 from .channel import check_mode_kernel_tp2
 from .config import ConfigError, RunConfig, load_config
-from .lti_estimation import (ConvergenceError, check_success_margin,
-                             holding_cost_table, steady_state_covariance)
+from .lti_estimation import ConvergenceError, holding_cost_table, steady_state_covariance
 from .stochastic_orders import ZeroLikelihoodError
 
 EXIT_OK = 0
@@ -232,10 +232,10 @@ def _verify_battery(cfg: RunConfig):
     add("mode_kernel_tp2", bool(res),
         "all per-action mode kernels TP2" if res else f"witness {res.witness}, "
         f"minor {res.value}")
-    margin = check_success_margin(cfg.system, cfg.channel)
-    add("success_margin", margin.ok,
-        f"min success prob {_fmt(margin.min_success_prob)} vs bound "
-        f"{_fmt(margin.bound)} (rho={_fmt(margin.spectral_radius)})")
+    rho = cfg.system.spectral_radius()
+    lam_min, bound = belief_mdp.success_margin(cfg.channel, rho)
+    add("success_margin", lam_min > bound,
+        f"min success prob {_fmt(lam_min)} vs bound {_fmt(bound)} (rho={_fmt(rho)})")
     fold = folding.verify_fold_equivalence(cfg.channel, tau_max=cfg.solver.tau_max)
     add("fold_equivalence", fold.identical,
         f"max diff {fold.max_abs_diff}" + ("" if fold.identical else
@@ -343,14 +343,14 @@ def _build_policy(cfg: RunConfig, name: str, out_dir: Path):
                      f"stop-now, or threshold:<c>")
 
 
-def write_traces_csv(traces, out_dir: Path, policy_name: str):
-    lines = ["episode,t,theta,action,gamma_t,tau,belief,cost"]
-    for ep, tr in enumerate(traces):
-        for i in range(len(tr)):
-            lines.append(f"{ep},{tr.t[i]},{tr.theta[i]},{tr.action[i]},"
-                         f"{tr.success[i]},{tr.tau[i]},{_fmt(tr.belief[i])},"
-                         f"{_fmt(tr.stage_cost[i])}")
-    _write_lines(out_dir / f"traces_{policy_name}.csv", lines)
+def write_traces_csv(traces: dict, out_dir: Path, policy_name: str):
+    """traces_<policy>.csv from run_batch's trace columns, a row per step;
+    the rows are formatted 64Ki at a time, to bound memory (%.12g is _fmt)."""
+    cols = list(traces.values())
+    row = ",".join("%.12g" if c.dtype.kind == "f" else "%d" for c in cols)
+    lines = (row % r for i in range(0, cols[0].size, 1 << 16)
+             for r in zip(*(c[i:i + (1 << 16)].tolist() for c in cols)))
+    _write_lines(out_dir / f"traces_{policy_name}.csv", chain([",".join(traces)], lines))
 
 
 def cmd_simulate(cfg: RunConfig, policy_name: str, quiet: bool = False) -> int:

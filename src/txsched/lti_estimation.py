@@ -61,6 +61,9 @@ class LtiSystem:
         C = _as_matrix(self.C, "C")
         Q = _as_matrix(self.Q, "Q")
         R = _as_matrix(self.R, "R")
+        for name, M in (("A", A), ("C", C), ("Q", Q), ("R", R)):
+            if not np.isfinite(M).all():
+                raise ValueError(f"{name} must be finite, got {M[~np.isfinite(M)][0]}")
         n = A.shape[0]
         if A.shape != (n, n):
             raise ValueError(f"A must be square, got {A.shape}")
@@ -217,30 +220,3 @@ def holding_cost_table(sys: LtiSystem, ss: SteadyStateCov, tau_max: int) -> Hold
         raise ConvergenceError(f"holding cost decreased at tau={tau_bad}; "
                                "steady-state covariance is not a valid fixed point")
     return HoldingCostTable(costs=costs, spectral_radius=ss.spectral_radius_A)
-
-
-@dataclass(frozen=True)
-class SuccessMarginReport:
-    """Outcome of the success-probability margin test against the plant."""
-
-    ok: bool
-    min_success_prob: float
-    spectral_radius: float
-    bound: float
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_success_margin(sys: LtiSystem, channel) -> SuccessMarginReport:
-    """Check min over (mode, action) of the success probability against
-    1 - 1/rho(A)^2 (strict inequality).
-
-    The bound is what keeps the expected holding cost summable; for a stable
-    plant it is negative, so any channel passes.
-    """
-    lam_min = float(np.min(channel.lam))
-    rho = sys.spectral_radius()
-    bound = -np.inf if rho == 0.0 else 1.0 - 1.0 / rho**2
-    return SuccessMarginReport(ok=lam_min > bound, min_success_prob=lam_min,
-                               spectral_radius=rho, bound=bound)

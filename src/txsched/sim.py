@@ -23,10 +23,10 @@ block keeps, for each step, only the outcomes of the four comparisons it
 makes with its two uniforms, as one nibble: two steps to a byte
 (``_block_codes``). The block size follows from the horizon and a fixed
 budget for the code matrix (``_BLOCK_BYTES``, 1 MiB: 10 381 runs at horizon
-200). Every operation follows the order of the scalar ``run_episode``, so
-costs, beliefs and statistics equal those of a loop over ``run_episode``
-bit for bit. ``run_episode`` remains the scalar reference and
-the source of per-step traces.
+200). Every operation follows the order of a scalar episode loop, so costs,
+beliefs and statistics equal that loop's bit for bit, whatever the block
+size. Traces come from the lockstep block; the tests' ``run_episode`` is the
+scalar reference.
 
 Policies are callables ``(tau, b) -> action`` that accept either scalars or
 aligned arrays (returning an action of the same shape); action 0 continues
@@ -49,6 +49,10 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _BLOCK_BYTES = 1 << 20
 # runs whose float uniforms are staged at once before becoming codes
 _STAGE_RUNS = 64
+# per-step trace columns and their dtypes: mode, action, transmission outcome
+# (gamma_t, -1 on the stop row), holding time, belief and undiscounted cost
+TRACE_COLUMNS = {"episode": np.int64, "t": np.int64, "theta": np.int8, "action": np.int8,
+                 "gamma_t": np.int8, "tau": np.int64, "belief": float, "cost": float}
 _ZERO_LIKELIHOOD = "observed a zero-probability branch; channel tables are inconsistent"
 
 
@@ -60,11 +64,6 @@ def splitmix64(seed: int, k):
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
-
-
-def _stream(seed: int, k: int) -> np.random.Generator:
-    """Random stream of replication k."""
-    return np.random.default_rng(splitmix64(seed, k))
 
 
 def _hash_consts(init: int, mult: int, n: int) -> list:
@@ -127,8 +126,8 @@ class _SeedWords(ISeedSequence):
 
 
 def _block_streams(seed: int, start: int, m: int):
-    """The streams of runs start, ..., start+m-1, equal to ``_stream``'s,
-    seeded in one vectorized pass."""
+    """The streams ``default_rng(splitmix64(seed, k))`` of runs k = start,
+    ..., start+m-1, seeded in one vectorized pass."""
     runs = np.arange(start, start + m, dtype=np.uint64)
     # a Python int seed keeps the arithmetic in uint64 (an int64 one would
     # promote it to float64)
@@ -200,32 +199,6 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class SimTrace:
-    """Per-step record of one episode.
-
-    ``success`` in row t is the outcome of the transmission initiated at step
-    t (-1 on the stop row, where nothing is transmitted); ``theta_next`` is
-    the mode that governed that outcome. ``stage_cost`` is the undiscounted
-    cost incurred at the step (the stopping fee on the stop row).
-    """
-
-    t: np.ndarray
-    theta: np.ndarray
-    action: np.ndarray
-    success: np.ndarray
-    tau: np.ndarray
-    belief: np.ndarray
-    stage_cost: np.ndarray
-    theta_next: np.ndarray
-    stopped: bool
-    stop_time: int | None
-    discounted_cost: float
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-
-@dataclass(frozen=True)
 class SimStats:
     """Aggregates over a batch of independent episodes."""
 
@@ -253,78 +226,6 @@ def _kernel(ch: ChannelModel) -> tuple:
     return tuple(float(x) for x in (ch.mode_kernel[0, 0, 0], ch.mode_kernel[0, 1, 0],
                                     ch.mode_kernel[0, 0, 1], ch.mode_kernel[0, 1, 1],
                                     ch.lam[0, 0], ch.lam[1, 0]))
-
-
-def run_episode(ch: ChannelModel, holding_costs: np.ndarray, c_stop: float,
-                gamma: float, policy, horizon: int,
-                rng: np.random.Generator) -> SimTrace:
-    """Simulate one episode of at most ``horizon`` steps.
-
-    The initial state is tau = 0, mode drawn from the channel's initial mode
-    law, belief equal to the initial unfavorable-mode probability. The
-    uniform variates for the whole horizon are drawn up front (one for the
-    initial mode, two per step), so the stream consumed is fixed regardless
-    of early stopping.
-    """
-    holding = _holding_table(holding_costs, horizon)
-    p00, p10, p01, p11, lam0, lam1 = _kernel(ch)
-    u = rng.random(2 * horizon + 1).tolist()
-    theta = 0 if u[0] < ch.initial_mode_dist[0] else 1
-    tau = 0
-    b = ch.initial_belief
-    rec_t, rec_theta, rec_a, rec_succ = [], [], [], []
-    rec_tau, rec_b, rec_cost, rec_theta_next = [], [], [], []
-    J = 0.0
-    disc = 1.0
-    stopped = False
-    stop_time = None
-    for t in range(horizon):
-        a = policy(tau, b)
-        rec_t.append(t)
-        rec_theta.append(theta)
-        rec_a.append(a)
-        rec_tau.append(tau)
-        rec_b.append(b)
-        if a == 1:
-            rec_succ.append(-1)
-            rec_theta_next.append(-1)
-            rec_cost.append(c_stop)
-            J += disc * c_stop
-            stopped = True
-            stop_time = t
-            break
-        if a != 0:
-            raise ValueError(f"policy returned unknown action {a}")
-        cost_t = holding[tau]
-        rec_cost.append(cost_t)
-        J += disc * cost_t
-        theta = 0 if u[2 * t + 1] < (p00 if theta == 0 else p10) else 1
-        success = u[2 * t + 2] < (lam0 if theta == 0 else lam1)
-        rec_succ.append(1 if success else 0)
-        rec_theta_next.append(theta)
-        tau = 0 if success else tau + 1
-        # posterior on the observed next holding time, exact (no grid);
-        # operation order mirrors belief_update so the logged beliefs match
-        # a recomputation bit for bit
-        bhat = min(max(p01 * (1.0 - b) + p11 * b, 0.0), 1.0)
-        p_succ = lam0 * (1.0 - bhat) + lam1 * bhat
-        if success:
-            num, den = lam1 * bhat, p_succ
-        else:
-            num, den = (1.0 - lam1) * bhat, 1.0 - p_succ
-        if den <= 0.0:
-            raise ZeroLikelihoodError(_ZERO_LIKELIHOOD)
-        b = min(max(num / den, 0.0), 1.0)
-        disc *= gamma
-    return SimTrace(t=np.array(rec_t, dtype=np.int64),
-                    theta=np.array(rec_theta, dtype=np.int8),
-                    action=np.array(rec_a, dtype=np.int8),
-                    success=np.array(rec_succ, dtype=np.int8),
-                    tau=np.array(rec_tau, dtype=np.int64),
-                    belief=np.array(rec_b, dtype=float),
-                    stage_cost=np.array(rec_cost, dtype=float),
-                    theta_next=np.array(rec_theta_next, dtype=np.int8),
-                    stopped=stopped, stop_time=stop_time, discounted_cost=J)
 
 
 def _block_codes(ch: ChannelModel, seed: int, start: int, horizon: int,
@@ -357,11 +258,13 @@ def _block_codes(ch: ChannelModel, seed: int, start: int, horizon: int,
 
 def _run_block(codes: np.ndarray, horizon: int, ch: ChannelModel,
                holding: np.ndarray, c_stop: float, gamma: float, policy,
-               tally: dict) -> np.ndarray:
+               tally: dict, rows=None) -> np.ndarray:
     """Advance the episodes whose ``_block_codes`` are the columns of
     ``codes`` together and return their discounted costs; the arithmetic is
-    ``run_episode``'s, elementwise, with a bit of the step's nibble in place
-    of u < p[theta]. Adds the block's integer counts into ``tally``."""
+    the scalar episode loop's, elementwise, with a bit of the step's nibble
+    in place of u < p[theta]. Adds the block's integer counts into ``tally``.
+    With a list ``rows``, appends each step's trace rows to it, as tuples of
+    TRACE_COLUMNS entries with the block's columns for episodes."""
     _, _, p01, p11, lam0, lam1 = _kernel(ch)
     m = codes.shape[1]
     costs = np.empty(m)
@@ -387,14 +290,20 @@ def _run_block(codes: np.ndarray, horizon: int, ch: ChannelModel,
             J[stop] += disc * c_stop
             costs[runs[stop]] = J[stop]
             tally["stops"][t] += np.count_nonzero(stop)
+            if rows is not None:
+                rows.append((runs[stop], t, theta[stop], 1, -1, tau[stop], b[stop], c_stop))
             runs, theta, tau, b, J = runs[go], theta[go], tau[go], b[go], J[go]
             if runs.size == 0:
                 return costs
         J += disc * holding[tau]
         row = codes[1 + t // 2] if runs is None else codes[1 + t // 2][runs]
         nibble = 4 * (t & 1)
+        mode = theta
         theta = 1 - ((row >> (theta + nibble)) & 1)
         success = ((row >> (theta + (nibble + 2))) & 1).view(bool)
+        if rows is not None:
+            rows.append((np.arange(m) if runs is None else runs, t, mode, 0, success,
+                         tau, b, holding[tau]))
         n_bad, n_succ = np.count_nonzero(theta), np.count_nonzero(success)
         n_bad_succ = np.count_nonzero(success & theta)
         tally["attempts"] += (theta.size - n_bad, n_bad)
@@ -420,11 +329,12 @@ def run_batch(ch: ChannelModel, holding_costs: np.ndarray, c_stop: float,
     """Run ``n_runs`` independent episodes and aggregate their statistics.
 
     The runs advance in lockstep blocks whose code matrix, a nibble per
-    step, fits in ``_BLOCK_BYTES`` (1 MiB); run k draws from its own
-    SplitMix64-seeded stream as in ``run_episode``, so the result equals a
-    loop over ``run_episode`` bit for bit, whatever the block size. Returns
-    SimStats, or (SimStats, traces) when collect_traces is set; the traces
-    are ``run_episode`` replays of the same streams. Means use numpy's
+    step, fits in ``_BLOCK_BYTES`` (1 MiB); run k draws from its own stream
+    ``default_rng(splitmix64(seed, k))``, so the result equals a scalar loop
+    over the runs bit for bit, whatever the block size. Returns SimStats, or
+    (SimStats, traces) when collect_traces is set; the traces are the rows
+    the blocks recorded, as a dict of TRACE_COLUMNS arrays in (episode, t)
+    order. Means use numpy's
     pairwise summation; the standard error is the sample standard deviation
     over sqrt(n_runs).
     """
@@ -438,11 +348,15 @@ def run_batch(ch: ChannelModel, holding_costs: np.ndarray, c_stop: float,
              "attempts": np.zeros(2, dtype=np.int64),
              "successes": np.zeros(2, dtype=np.int64),
              "stops": np.zeros(horizon, dtype=np.int64)}
+    traces = [] if collect_traces else None
     for start in range(0, n_runs, block):
         m = min(block, n_runs - start)
         _block_codes(ch, simcfg.seed, start, horizon, codes[:, :m])
+        rows = None if traces is None else []
         costs[start:start + m] = _run_block(codes[:, :m], horizon, ch, holding,
-                                            c_stop, gamma, policy, tally)
+                                            c_stop, gamma, policy, tally, rows)
+        if rows is not None:
+            traces += [(start + runs, *rest) for runs, *rest in rows]
     occupancy, attempts, successes = tally["occupancy"], tally["attempts"], tally["successes"]
     total_steps = int(occupancy.sum())
     occ = tuple((occupancy / total_steps).tolist()) if total_steps else (0.0, 0.0)
@@ -459,7 +373,10 @@ def run_batch(ch: ChannelModel, holding_costs: np.ndarray, c_stop: float,
         mode_occupancy=occ, success_rate_per_mode=rates,
         attempts_per_mode=tuple(int(x) for x in attempts),
         truncation_bias_bound=float(bias))
-    if not collect_traces:
+    if traces is None:
         return stats
-    return stats, [run_episode(ch, holding, c_stop, gamma, policy, horizon,
-                               _stream(simcfg.seed, k)) for k in range(n_runs)]
+    # blocks record their steps in order, so a stable sort by episode suffices
+    order = np.argsort(np.concatenate([row[0] for row in traces]), kind="stable")
+    return stats, {name: np.concatenate([np.broadcast_to(row[i], row[0].shape)
+                                         for row in traces], dtype=dtype)[order]
+                   for i, (name, dtype) in enumerate(TRACE_COLUMNS.items())}

@@ -65,7 +65,7 @@ def solve_stopping(prob: StoppingProblem) -> Solution:
     """
     ch, cfg = prob.channel, prob.cfg
     cost = prob.stage_cost_bundle()
-    _require_contraction(ch.min_success_prob(), cost.spectral_radius, cfg.weight_eps)
+    _require_contraction(ch, cost.spectral_radius, cfg.weight_eps)
     Q, sweeps, history, certified, levels = _iterate(
         lambda Q: np.minimum(Q[:, :, 0], prob.c_stop), ch, cost, cfg,
         "stopping value iteration", pinned=True)

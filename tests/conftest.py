@@ -3,7 +3,7 @@ import pytest
 from hypothesis import strategies as st
 
 import txsched as tx
-from oracles import weighted_norm
+from oracles import belief_update, observation_likelihood, weighted_norm
 from orders import FiniteDist, fsd_dominates
 
 # reference configuration used across the suite
@@ -109,7 +109,7 @@ def random_channel(rng, force_tp2=False):
 
 
 def _sigma_dist(ch, tau, b, a, union_support):
-    pmf = [tx.observation_likelihood(ch, tau, b, y, a) for y in union_support]
+    pmf = [observation_likelihood(ch, tau, b, y, a) for y in union_support]
     return FiniteDist(np.asarray(pmf), support=np.asarray(union_support, dtype=float))
 
 
@@ -141,8 +141,8 @@ def sampled_update_monotonicity(ch, tau_max=60, grid_n=200, n_samples=10_000,
         ys = rng.integers(0, 2, size=n_samples // 4)
         for (t1, t2), b, ybr in zip(taus, bs, ys):
             n_update += 1
-            u1 = tx.belief_update(ch, int(t1), float(b), 0 if ybr == 0 else int(t1) + 1, a)
-            u2 = tx.belief_update(ch, int(t2), float(b), 0 if ybr == 0 else int(t2) + 1, a)
+            u1 = belief_update(ch, int(t1), float(b), 0 if ybr == 0 else int(t1) + 1, a)
+            u2 = belief_update(ch, int(t2), float(b), 0 if ybr == 0 else int(t2) + 1, a)
             if u2 - u1 < -tol and len(update_viol) < max_witnesses:
                 update_viol.append(("tau", a, (int(t1), int(t2), float(b)), float(u2 - u1)))
     fsd_viol = []

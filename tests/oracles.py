@@ -1,16 +1,20 @@
 """Test oracles that nothing in ``txsched`` calls: the Bellman operator on a
 whole Q lattice and the solver's weighted sup-norm, both built from
-``txsched.belief_mdp``'s own kernel and weights, and a replay of a simulated
+``txsched.belief_mdp``'s own kernel and weights; the scalar Bayes update of
+the belief; the scalar episode simulator that the lockstep ``run_batch``
+must equal bit for bit, with its per-episode trace; and a replay of a
 trace's beliefs through the scalar Bayes update.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from txsched.belief_mdp import (SolverConfig, StageCost, _bellman, _check_problem,
-                                _over_actions, _stencil, _weighted_sup, belief_update,
-                                weight_profile)
+                                _over_actions, _stencil, _weighted_sup, weight_profile)
 from txsched.channel import ChannelModel
-from txsched.sim import SimTrace
+from txsched.sim import _ZERO_LIKELIHOOD, _holding_table, _kernel, splitmix64
+from txsched.stochastic_orders import ZeroLikelihoodError
 
 
 def weighted_norm(f, spectral_radius: float, eps: float) -> float:
@@ -39,11 +43,161 @@ def bellman_apply(ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
                     cost.holding.costs, cost.action_costs, cfg.gamma)
 
 
-def validate_belief_consistency(trace: SimTrace, ch: ChannelModel) -> bool:
-    """Recompute the belief sequence from (tau, action, outcome) and compare
-    bitwise against the logged beliefs."""
+def predictive_belief(ch: ChannelModel, b: float, a: int = 0) -> float:
+    """One-step-ahead probability of the unfavorable mode before observing
+    the transmission outcome."""
+    Pc = ch.mode_kernel[a]
+    out = Pc[0, 1] * (1.0 - b) + Pc[1, 1] * b
+    return min(max(out, 0.0), 1.0)
+
+
+def observation_likelihood(ch: ChannelModel, tau: int, b: float, y: int,
+                           a: int = 0) -> float:
+    """Probability of observing next holding time y from (tau, b, a).
+
+    Supported on {0, tau+1}: the success probability mixes the per-mode
+    success rates by the predictive belief, and the two branches sum to 1.
+    """
+    bhat = predictive_belief(ch, b, a)
+    lam0, lam1 = ch.lam[0, a], ch.lam[1, a]
+    p_succ = lam0 * (1.0 - bhat) + lam1 * bhat
+    if y == 0:
+        return float(p_succ)
+    if y == tau + 1:
+        return float(1.0 - p_succ)
+    return 0.0
+
+
+def belief_update(ch: ChannelModel, tau: int, b: float, y: int, a: int = 0) -> float:
+    """Posterior unfavorable-mode belief after observing y from (tau, b, a).
+
+    Success conditions on the per-mode success rates, failure on their
+    complements. Raises ZeroLikelihoodError when y is off the two-point
+    support or the observed branch has probability 0.
+    """
+    bhat = predictive_belief(ch, b, a)
+    lam0, lam1 = ch.lam[0, a], ch.lam[1, a]
+    p_succ = lam0 * (1.0 - bhat) + lam1 * bhat
+    if y == 0:
+        num, den = lam1 * bhat, p_succ
+    elif y == tau + 1:
+        num, den = (1.0 - lam1) * bhat, 1.0 - p_succ
+    else:
+        raise ZeroLikelihoodError(f"y={y} is outside the support {{0, {tau + 1}}}")
+    if den <= 0.0:
+        raise ZeroLikelihoodError(f"observation y={y} has zero likelihood")
+    return min(max(num / den, 0.0), 1.0)
+
+
+@dataclass(frozen=True)
+class SimTrace:
+    """Per-step record of one episode.
+
+    ``success`` in row t is the outcome of the transmission initiated at step
+    t (-1 on the stop row, where nothing is transmitted); ``theta_next`` is
+    the mode that governed that outcome. ``stage_cost`` is the undiscounted
+    cost incurred at the step (the stopping fee on the stop row).
+    """
+
+    t: np.ndarray
+    theta: np.ndarray
+    action: np.ndarray
+    success: np.ndarray
+    tau: np.ndarray
+    belief: np.ndarray
+    stage_cost: np.ndarray
+    theta_next: np.ndarray
+    stopped: bool
+    stop_time: int | None
+    discounted_cost: float
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+
+def _stream(seed: int, k: int) -> np.random.Generator:
+    """Random stream of replication k."""
+    return np.random.default_rng(splitmix64(seed, k))
+
+
+def run_episode(ch: ChannelModel, holding_costs: np.ndarray, c_stop: float,
+                gamma: float, policy, horizon: int,
+                rng: np.random.Generator) -> SimTrace:
+    """Simulate one episode of at most ``horizon`` steps.
+
+    The initial state is tau = 0, mode drawn from the channel's initial mode
+    law, belief equal to the initial unfavorable-mode probability. The
+    uniform variates for the whole horizon are drawn up front (one for the
+    initial mode, two per step), so the stream consumed is fixed regardless
+    of early stopping.
+    """
+    holding = _holding_table(holding_costs, horizon)
+    p00, p10, p01, p11, lam0, lam1 = _kernel(ch)
+    u = rng.random(2 * horizon + 1).tolist()
+    theta = 0 if u[0] < ch.initial_mode_dist[0] else 1
+    tau = 0
     b = ch.initial_belief
-    for i in range(len(trace)):
+    rec_t, rec_theta, rec_a, rec_succ = [], [], [], []
+    rec_tau, rec_b, rec_cost, rec_theta_next = [], [], [], []
+    J = 0.0
+    disc = 1.0
+    stopped = False
+    stop_time = None
+    for t in range(horizon):
+        a = policy(tau, b)
+        rec_t.append(t)
+        rec_theta.append(theta)
+        rec_a.append(a)
+        rec_tau.append(tau)
+        rec_b.append(b)
+        if a == 1:
+            rec_succ.append(-1)
+            rec_theta_next.append(-1)
+            rec_cost.append(c_stop)
+            J += disc * c_stop
+            stopped = True
+            stop_time = t
+            break
+        if a != 0:
+            raise ValueError(f"policy returned unknown action {a}")
+        cost_t = holding[tau]
+        rec_cost.append(cost_t)
+        J += disc * cost_t
+        theta = 0 if u[2 * t + 1] < (p00 if theta == 0 else p10) else 1
+        success = u[2 * t + 2] < (lam0 if theta == 0 else lam1)
+        rec_succ.append(1 if success else 0)
+        rec_theta_next.append(theta)
+        tau = 0 if success else tau + 1
+        # posterior on the observed next holding time, exact (no grid);
+        # operation order mirrors belief_update so the logged beliefs match
+        # a recomputation bit for bit
+        bhat = min(max(p01 * (1.0 - b) + p11 * b, 0.0), 1.0)
+        p_succ = lam0 * (1.0 - bhat) + lam1 * bhat
+        if success:
+            num, den = lam1 * bhat, p_succ
+        else:
+            num, den = (1.0 - lam1) * bhat, 1.0 - p_succ
+        if den <= 0.0:
+            raise ZeroLikelihoodError(_ZERO_LIKELIHOOD)
+        b = min(max(num / den, 0.0), 1.0)
+        disc *= gamma
+    return SimTrace(t=np.array(rec_t, dtype=np.int64),
+                    theta=np.array(rec_theta, dtype=np.int8),
+                    action=np.array(rec_a, dtype=np.int8),
+                    success=np.array(rec_succ, dtype=np.int8),
+                    tau=np.array(rec_tau, dtype=np.int64),
+                    belief=np.array(rec_b, dtype=float),
+                    stage_cost=np.array(rec_cost, dtype=float),
+                    theta_next=np.array(rec_theta_next, dtype=np.int8),
+                    stopped=stopped, stop_time=stop_time, discounted_cost=J)
+
+
+def validate_belief_consistency(trace, ch: ChannelModel) -> bool:
+    """Recompute the belief sequence from (tau, action, outcome) and compare
+    bitwise against the logged beliefs; ``trace`` is a SimTrace or anything
+    with its belief, action, success and tau arrays."""
+    b = ch.initial_belief
+    for i in range(len(trace.belief)):
         if trace.belief[i] != b:
             return False
         if trace.action[i] == 1:

@@ -13,6 +13,7 @@ import yaml
 import txsched as tx
 from conftest import (bayes_enumeration_oracle, fixed_point_oracle, random_channel,
                       sampled_contraction_ratio, sampled_update_monotonicity)
+from txsched.belief_mdp import _action_tables
 from txsched.cli import main
 
 
@@ -119,7 +120,10 @@ def test_criterion_07_threshold_structure(ge_channel, cost_table,
               f"grid 200 vs 400 thresholds differ by {worst:.4f} <= 1/200", ok)
 
 
-def test_criterion_08_bayes_oracle():
+def test_criterion_08_bayes_oracle(cost_table):
+    # the posteriors the program computes: the solver's two branches
+    # (_action_tables, at any belief) and the beliefs the lockstep simulator
+    # records in its traces
     rng = np.random.default_rng(20260811)
     worst = 0.0
     n = 10_000
@@ -131,10 +135,25 @@ def test_criterion_08_bayes_oracle():
         expected = bayes_enumeration_oracle(ch, tau, b, y)
         if expected is None:
             continue
-        worst = max(worst, abs(tx.belief_update(ch, tau, b, y) - expected))
-    ok = worst < 1e-12
-    report(8, f"belief update matches joint-enumeration oracle on {n} random "
-              f"tuples (max abs diff {worst:.2e})", ok)
+        _, t_succ, t_fail = _action_tables(ch, np.array([b]), 0)
+        worst = max(worst, abs((t_succ if y == 0 else t_fail)[0] - expected))
+    steps = 0
+    for _ in range(20):
+        ch = random_channel(rng)
+        simcfg = tx.SimConfig(horizon=50, n_runs=10, seed=int(rng.integers(2**63)))
+        _, tr = tx.run_batch(ch, cost_table.costs, 10.0, 0.95, tx.never_stop, simcfg,
+                             collect_traces=True)
+        first = np.append(True, tr["episode"][1:] != tr["episode"][:-1])
+        worst = max(worst, float(np.max(np.abs(tr["belief"][first] - ch.initial_belief))))
+        for i in np.flatnonzero(~first) - 1:  # row i + 1 holds the posterior after row i
+            tau, b = int(tr["tau"][i]), float(tr["belief"][i])
+            y = 0 if tr["gamma_t"][i] == 1 else tau + 1
+            worst = max(worst, abs(tr["belief"][i + 1] - bayes_enumeration_oracle(ch, tau, b, y)))
+            steps += 1
+    ok = worst < 1e-12 and steps == 20 * 10 * 49
+    report(8, f"solver posteriors match joint-enumeration oracle on {n} random "
+              f"tuples, simulator trace beliefs on {steps} steps (max abs diff "
+              f"{worst:.2e})", ok)
 
 
 def test_criterion_09_contraction(plant, ge_channel, cost_table, solver_cfg):

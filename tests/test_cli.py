@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import txsched as tx
 from conftest import ULP_NOISE_PLANT, rowlist_write_solution_csvs
-from txsched.cli import (EXIT_BROKEN_PIPE, EXIT_MODEL, _pipeline, main,
+from oracles import _stream, run_episode
+from txsched.cli import (EXIT_BROKEN_PIPE, EXIT_MODEL, _fmt, _pipeline, main,
                          read_value_policy_csv, write_solution_csvs)
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -475,9 +476,22 @@ class TestSimulate:
                                     "sim.n_runs": 5, "sim.horizon": 12})
         assert main(["simulate", "--config", str(p), "--policy",
                      "threshold:0.5", "--quiet"]) == 0
-        traces = (tmp_path / "out" / "traces_threshold_0.5.csv").read_text()
-        header = traces.strip().split("\n")[0]
-        assert header == "episode,t,theta,action,gamma_t,tau,belief,cost"
+        cfg = tx.load_config(p)
+        table = tx.holding_cost_table(cfg.system, tx.steady_state_covariance(cfg.system),
+                                      cfg.solver.tau_max)
+        # the per-episode writer the lockstep columns replaced
+        lines = ["episode,t,theta,action,gamma_t,tau,belief,cost"]
+        for ep in range(cfg.sim.n_runs):
+            tr = run_episode(cfg.channel, table.costs, cfg.c_stop, cfg.solver.gamma,
+                             tx.FixedThresholdPolicy(0.5), cfg.sim.horizon,
+                             _stream(cfg.sim.seed, ep))
+            for i in range(len(tr)):
+                lines.append(f"{ep},{tr.t[i]},{tr.theta[i]},{tr.action[i]},"
+                             f"{tr.success[i]},{tr.tau[i]},{_fmt(tr.belief[i])},"
+                             f"{_fmt(tr.stage_cost[i])}")
+        want = "".join(line + "\n" for line in lines).encode()
+        assert (tmp_path / "out" / "traces_threshold_0.5.csv").read_bytes() == want
+        assert len(lines) > cfg.sim.n_runs + 1 and any(",1,-1," in line for line in lines)
 
 
 class TestSolvedPolicyProvenance:

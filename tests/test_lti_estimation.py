@@ -101,8 +101,10 @@ class TestSteadyState:
 
     @pytest.mark.parametrize("a, k", [(np.nan, 1), (np.inf, 1), (1e200, 2)])
     def test_non_finite_iterate_fails_at_once(self, a, k):
-        # the default max_iter is 1 000 000; a NaN residual must not use it up
-        sys_ = tx.LtiSystem(A=a, C=1.0, Q=0.3, R=0.3)
+        # the default max_iter is 1 000 000; a NaN residual must not use it up.
+        # LtiSystem rejects a non-finite A, so one is set past that check.
+        sys_ = tx.LtiSystem(A=0.5, C=1.0, Q=0.3, R=0.3)
+        object.__setattr__(sys_, "A", np.array([[a]]))
         with pytest.raises(tx.ConvergenceError,
                            match=f"iterate became non-finite at iteration {k} ") as err:
             tx.steady_state_covariance(sys_)
@@ -176,24 +178,34 @@ class TestHoldingCostTable:
 
 class TestSuccessMargin:
     def test_reference_channel(self, plant, ge_channel):
-        rep = tx.check_success_margin(plant, ge_channel)
-        assert rep.ok
-        assert rep.bound == pytest.approx(1 - 1 / 0.7225, rel=1e-12)
-        assert rep.min_success_prob == 0.2
+        lam_min, bound = tx.success_margin(ge_channel, plant.spectral_radius())
+        assert lam_min > bound
+        assert bound == pytest.approx(1 - 1 / 0.7225, rel=1e-12)
+        assert lam_min == 0.2
 
     def test_unstable_fails(self, ge_channel):
         sys_ = tx.LtiSystem(A=1.2, C=1.0, Q=0.3, R=0.3)
-        rep = tx.check_success_margin(sys_, ge_channel)
-        assert not rep.ok
-        assert rep.bound == pytest.approx(1 - 1 / 1.44, rel=1e-12)
+        lam_min, bound = tx.success_margin(ge_channel, sys_.spectral_radius())
+        assert not lam_min > bound
+        assert bound == pytest.approx(1 - 1 / 1.44, rel=1e-12)
 
     def test_stable_always_passes(self):
         sys_ = tx.LtiSystem(A=0.99, C=1.0, Q=0.3, R=0.3)
         ch = tx.make_gilbert_elliott(0.9, 0.9, 0.0, 0.0)
-        assert tx.check_success_margin(sys_, ch).ok
+        lam_min, bound = tx.success_margin(ch, sys_.spectral_radius())
+        assert lam_min > bound
 
 
 class TestSystemValidation:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["A", "C", "Q", "R"])
+    def test_rejects_non_finite(self, name, value):
+        # a 2x2 plant, so the bad entry is not the only one
+        mats = {"A": 0.5 * np.eye(2), "C": np.eye(2), "Q": np.eye(2), "R": np.eye(2)}
+        mats[name][1, 0] = value
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            tx.LtiSystem(**mats)
+
     def test_rejects_indefinite_r(self):
         with pytest.raises(ValueError):
             tx.LtiSystem(A=0.5, C=1.0, Q=0.3, R=0.0)

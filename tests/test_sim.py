@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import txsched as tx
-from oracles import validate_belief_consistency
+from oracles import _stream, run_episode, validate_belief_consistency
 from txsched import sim
 
 
@@ -25,8 +25,8 @@ def oracle_batch(ch, holding_costs, c_stop, gamma, policy, simcfg):
     successes = np.zeros(2, dtype=np.int64)
     for k in range(simcfg.n_runs):
         rng = np.random.default_rng(tx.splitmix64(simcfg.seed, k))
-        tr = tx.run_episode(ch, holding_costs, c_stop, gamma, policy,
-                            simcfg.horizon, rng)
+        tr = run_episode(ch, holding_costs, c_stop, gamma, policy,
+                         simcfg.horizon, rng)
         costs[k] = tr.discounted_cost
         if tr.stopped:
             stop_hist[tr.stop_time] = stop_hist.get(tr.stop_time, 0) + 1
@@ -49,6 +49,19 @@ def oracle_batch(ch, holding_costs, c_stop, gamma, policy, simcfg):
         mode_occupancy=occ, success_rate_per_mode=rates,
         attempts_per_mode=tuple(int(x) for x in attempts),
         truncation_bias_bound=float(gamma**simcfg.horizon * max_stage / (1.0 - gamma)))
+
+
+# the ``SimTrace`` field of each trace column but the episode
+TRACE_FIELDS = {"t": "t", "theta": "theta", "action": "action", "gamma_t": "success",
+                "tau": "tau", "belief": "belief", "cost": "stage_cost"}
+
+
+def split_episodes(traces):
+    """``run_batch``'s trace columns cut into episodes, each a namespace of
+    its rows under ``SimTrace``'s field names (and ``episode``)."""
+    cuts = np.flatnonzero(np.diff(traces["episode"])) + 1
+    parts = {TRACE_FIELDS.get(name, name): np.split(col, cuts) for name, col in traces.items()}
+    return [SimpleNamespace(**dict(zip(parts, cols))) for cols in zip(*parts.values())]
 
 
 def assert_stats_equal(got, want):
@@ -129,7 +142,7 @@ class TestRunEpisode:
     def test_always_succeeds(self, ge_channel, sim_table):
         ch = tx.make_gilbert_elliott(0.9, 1.0, 1.0, 1.0)
         rng = np.random.default_rng(1)
-        tr = tx.run_episode(ch, sim_table.costs, 10.0, 0.95, tx.never_stop, 50, rng)
+        tr = run_episode(ch, sim_table.costs, 10.0, 0.95, tx.never_stop, 50, rng)
         assert np.all(tr.tau == 0)
         assert np.all(tr.success == 1)
         expected = 0.0
@@ -142,23 +155,23 @@ class TestRunEpisode:
     def test_never_succeeds(self, sim_table):
         ch = tx.make_gilbert_elliott(0.9, 1.0, 0.0, 0.0)
         rng = np.random.default_rng(2)
-        tr = tx.run_episode(ch, sim_table.costs, 10.0, 0.95, tx.never_stop, 40, rng)
+        tr = run_episode(ch, sim_table.costs, 10.0, 0.95, tx.never_stop, 40, rng)
         assert np.array_equal(tr.tau, np.arange(40))
         assert np.all(tr.success == 0)
         assert validate_belief_consistency(tr, ch)
 
     def test_stop_immediately(self, ge_channel, sim_table):
         rng = np.random.default_rng(3)
-        tr = tx.run_episode(ge_channel, sim_table.costs, 10.0, 0.95,
-                            tx.stop_immediately, 50, rng)
+        tr = run_episode(ge_channel, sim_table.costs, 10.0, 0.95,
+                         tx.stop_immediately, 50, rng)
         assert tr.stopped and tr.stop_time == 0
         assert tr.discounted_cost == 10.0
         assert len(tr) == 1
 
     def test_holding_recursion(self, ge_channel, sim_table):
         rng = np.random.default_rng(4)
-        tr = tx.run_episode(ge_channel, sim_table.costs, 10.0, 0.95,
-                            tx.never_stop, 100, rng)
+        tr = run_episode(ge_channel, sim_table.costs, 10.0, 0.95,
+                         tx.never_stop, 100, rng)
         for i in range(len(tr) - 1):
             if tr.success[i] == 1:
                 assert tr.tau[i + 1] == 0
@@ -167,8 +180,8 @@ class TestRunEpisode:
 
     def test_belief_consistency_and_mutation(self, ge_channel, sim_table):
         rng = np.random.default_rng(5)
-        tr = tx.run_episode(ge_channel, sim_table.costs, 10.0, 0.95,
-                            tx.never_stop, 60, rng)
+        tr = run_episode(ge_channel, sim_table.costs, 10.0, 0.95,
+                         tx.never_stop, 60, rng)
         assert validate_belief_consistency(tr, ge_channel)
         tr.belief[17] += 1e-9
         assert not validate_belief_consistency(tr, ge_channel)
@@ -176,7 +189,7 @@ class TestRunEpisode:
     def test_persistent_failure_belief_monotone_on_failures(self, sim_table):
         ch = tx.make_persistent_failure(0.15, 0.9, 0.2, b0=0.0)
         rng = np.random.default_rng(6)
-        tr = tx.run_episode(ch, sim_table.costs, 10.0, 0.95, tx.never_stop, 120, rng)
+        tr = run_episode(ch, sim_table.costs, 10.0, 0.95, tx.never_stop, 120, rng)
         for i in range(len(tr) - 1):
             if tr.success[i] == 0:
                 assert tr.belief[i + 1] >= tr.belief[i] - 1e-12
@@ -185,16 +198,16 @@ class TestRunEpisode:
         runs = []
         for _ in range(2):
             rng = np.random.default_rng(99)
-            runs.append(tx.run_episode(ge_channel, sim_table.costs, 10.0, 0.95,
-                                       tx.FixedThresholdPolicy(0.6), 80, rng))
+            runs.append(run_episode(ge_channel, sim_table.costs, 10.0, 0.95,
+                                    tx.FixedThresholdPolicy(0.6), 80, rng))
         assert np.array_equal(runs[0].belief, runs[1].belief)
         assert np.array_equal(runs[0].theta, runs[1].theta)
         assert runs[0].discounted_cost == runs[1].discounted_cost
 
     def test_table_too_short(self, ge_channel, sim_table):
         with pytest.raises(ValueError, match="horizon"):
-            tx.run_episode(ge_channel, sim_table.costs[:10], 10.0, 0.95,
-                           tx.never_stop, 50, np.random.default_rng(0))
+            run_episode(ge_channel, sim_table.costs[:10], 10.0, 0.95,
+                        tx.never_stop, 50, np.random.default_rng(0))
 
 
 class TestRunBatch:
@@ -356,9 +369,43 @@ class TestLockstepOracle:
                 policy_kinds(stopping_solution)["solved"], cfgs)
         stats, traces = tx.run_batch(*args, collect_traces=True)
         assert_stats_equal(stats, tx.run_batch(*args))
-        costs = [tr.discounted_cost for tr in traces]
+        episodes = split_episodes(traces)
+        assert len(episodes) == cfgs.n_runs
+        costs = []
+        for tr in episodes:
+            J, disc = 0.0, 1.0
+            for c in tr.stage_cost.tolist():
+                J += disc * c
+                disc *= 0.95
+            costs.append(J)
         assert stats.mean_discounted_cost == float(np.mean(costs))
-        assert all(validate_belief_consistency(tr, CHANNELS["ge"]) for tr in traces)
+        assert all(validate_belief_consistency(tr, CHANNELS["ge"]) for tr in episodes)
+
+    @pytest.mark.parametrize("horizon, n_runs, budget", [
+        (40, 150, None),  # one block
+        (81, 42, 16 * 42),  # odd horizon; blocks of 16 runs, the last one of 10
+        (1, 33, None),
+    ])
+    @pytest.mark.parametrize("kind", ["solved", "never-stop", "stop-now", "threshold"])
+    def test_traces_equal_scalar_episodes(self, kind, horizon, n_runs, budget,
+                                          stopping_solution, sim_table, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(sim, "_BLOCK_BYTES", budget)
+            assert n_runs > 2 * (budget // (1 + (horizon + 1) // 2))
+        cfgs = tx.SimConfig(horizon=horizon, n_runs=n_runs, seed=20260811)
+        ch, policy = CHANNELS["ge-recovering"], policy_kinds(stopping_solution)[kind]
+        _, traces = tx.run_batch(ch, sim_table.costs, 10.0, 0.95, policy, cfgs,
+                                 collect_traces=True)
+        assert {name: col.dtype for name, col in traces.items()} == sim.TRACE_COLUMNS
+        assert len({col.size for col in traces.values()}) == 1
+        episodes = split_episodes(traces)
+        assert len(episodes) == n_runs
+        for k, got in enumerate(episodes):
+            want = run_episode(ch, sim_table.costs, 10.0, 0.95, policy, horizon,
+                               _stream(cfgs.seed, k))
+            assert np.array_equal(got.episode, np.full(len(want), k))
+            for field in TRACE_FIELDS.values():
+                assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
     def test_unknown_action_rejected(self, sim_table):
         cfgs = tx.SimConfig(horizon=20, n_runs=5, seed=1)
@@ -383,8 +430,8 @@ class TestLockstepOracle:
         with pytest.raises(tx.ZeroLikelihoodError):
             tx.run_batch(ch, sim_table.costs, 10.0, 0.95, tx.never_stop, cfgs)
         with pytest.raises(tx.ZeroLikelihoodError):
-            tx.run_episode(ch, sim_table.costs, 10.0, 0.95, tx.never_stop, 5,
-                           np.random.default_rng(0))
+            run_episode(ch, sim_table.costs, 10.0, 0.95, tx.never_stop, 5,
+                        np.random.default_rng(0))
 
     def test_table_too_short(self, sim_table):
         cfgs = tx.SimConfig(horizon=50, n_runs=5, seed=1)

@@ -3,6 +3,7 @@ import pytest
 
 import txsched as tx
 from conftest import random_channel
+from oracles import belief_update, observation_likelihood
 from orders import is_submodular
 
 
@@ -59,10 +60,10 @@ class TestSolveStopping:
                 for i, b in enumerate(grid):
                     total = 0.0
                     for y in (0, tau + 1):
-                        sig = tx.observation_likelihood(ge_channel, tau, float(b), y)
+                        sig = observation_likelihood(ge_channel, tau, float(b), y)
                         if sig == 0.0:
                             continue
-                        post = tx.belief_update(ge_channel, tau, float(b), y)
+                        post = belief_update(ge_channel, tau, float(b), y)
                         row = min(y, tau_max)
                         total += sig * np.interp(post, grid, vmin[row])
                     nxt[tau, i] = cost_table.costs[tau] + gamma * total
