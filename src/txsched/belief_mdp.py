@@ -37,6 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import ChannelModel
+from .config import SolverConfig
 from .lti_estimation import ConvergenceError, HoldingCostTable, LtiSystem
 
 
@@ -66,38 +67,6 @@ class StageCost:
     @property
     def spectral_radius(self) -> float:
         return self.holding.spectral_radius
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Knobs of the belief-grid value iteration."""
-
-    gamma: float
-    tau_max: int = 60
-    grid_n: int = 200
-    vi_tol: float = 1e-9
-    max_sweeps: int = 2000
-    weight_eps: float = 0.01
-    tie_break: str = "low"
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if self.tau_max < 1:
-            raise ValueError("tau_max must be >= 1")
-        if self.grid_n < 2:
-            raise ValueError("grid_n must be >= 2")
-        if self.vi_tol <= 0:
-            raise ValueError("vi_tol must be positive")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be >= 1")
-        if self.weight_eps <= 0:
-            raise ValueError("weight_eps must be positive")
-        if self.tie_break not in ("low", "high"):
-            raise ValueError("tie_break must be 'low' or 'high'")
-
-    def belief_grid(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.grid_n + 1)
 
 
 def _weight_base(spectral_radius: float, eps: float) -> float:
@@ -250,7 +219,8 @@ def _iterate(values, ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
     onto this grid by _prolong, when that grid has at least _MIN_COARSE_GRID
     cells, and from Q = 0 otherwise (nested or one-way multigrid iteration).
     A coarse level (``final`` False) that exhausts cfg.max_sweeps hands on its
-    last iterate; only the final grid raises ConvergenceError. A coarse level
+    last iterate; only the final grid raises ConvergenceError, and only the
+    final grid of an unstable plant computes its certificate. A coarse level
     solves to cfg.vi_tol as well, because a looser coarse start can cost a
     fine grid more sweeps than the coarse level saves (on an unstable plant
     at grid 2000, 3 fine sweeps become 31 to 102). Both stopping
@@ -320,6 +290,8 @@ def _iterate(values, ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
         else:
             history.append(_weighted_sup(np.abs(d, out=d), s))
             if history[-1] < cfg.vi_tol:
+                if not final:  # the caller drops a coarse level's certificate
+                    return Qn, sweep, history, math.inf, levels
                 m, _ = _contraction_stage(ch.min_success_prob(),
                                           _weight_base(rho, cfg.weight_eps),
                                           cfg.gamma, cfg.tau_max)

@@ -38,6 +38,7 @@ reruns are byte-identical.
 """
 
 import argparse
+import importlib
 import json
 import os
 import sys
@@ -48,11 +49,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import belief_mdp, folding, sim, stopping
 from .channel import check_mode_kernel_tp2
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config, parse_config
 from .lti_estimation import ConvergenceError, holding_cost_table, steady_state_covariance
-from .stochastic_orders import ZeroLikelihoodError
+from .stochastic_orders import StructureViolationError, ZeroLikelihoodError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -62,6 +62,14 @@ EXIT_MODEL = 5
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by it
 
 SOLVE_RECORD = "solve_record.json"
+
+
+def __getattr__(name):
+    """The solver, simulator and check modules, which each command imports
+    when it runs; ``cli.belief_mdp`` and the like resolve to them."""
+    if name in ("belief_mdp", "folding", "sim", "stopping"):
+        return importlib.import_module(f"{__package__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class StalePolicyError(Exception):
@@ -181,6 +189,7 @@ def _cost_table(cfg: RunConfig, ss, length: int, field: str):
 def _pipeline(cfg: RunConfig):
     """Shared solve pipeline: covariance fixed point, cost table, solver;
     returns (covariance, solution)."""
+    from . import belief_mdp, stopping
     ss = steady_state_covariance(cfg.system)
     table = _cost_table(cfg, ss, cfg.solver.tau_max, "solver.tau_max")
     if cfg.is_stopping:
@@ -194,6 +203,7 @@ def _pipeline(cfg: RunConfig):
 
 
 def cmd_solve(cfg: RunConfig, quiet: bool = False) -> int:
+    from . import stopping
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -222,6 +232,7 @@ def cmd_solve(cfg: RunConfig, quiet: bool = False) -> int:
 def _verify_battery(cfg: RunConfig):
     """Run every structural check; yields (name, status, detail) with status
     'pass', 'fail', or 'skip'."""
+    from . import belief_mdp, folding, stopping
     results = []
 
     def add(name, ok, detail, skip=False):
@@ -272,7 +283,7 @@ def _verify_battery(cfg: RunConfig):
             add("threshold_monotone", bool(thres),
                 "threshold nonincreasing in tau" if thres else
                 f"witness {thres.witness}")
-        except stopping.StructureViolationError as exc:
+        except StructureViolationError as exc:
             add("threshold_monotone", False, str(exc))
         sub = stopping.verify_submodularity(sol)
         add("stop_advantage_monotone", bool(sub),
@@ -318,6 +329,7 @@ def _stale_reason(cfg: RunConfig, out_dir: Path):
 
 
 def _build_policy(cfg: RunConfig, name: str, out_dir: Path):
+    from . import sim
     if name == "solved":
         path = out_dir / "value_policy.csv"
         if not path.exists():
@@ -354,6 +366,7 @@ def write_traces_csv(traces: dict, out_dir: Path, policy_name: str):
 
 
 def cmd_simulate(cfg: RunConfig, policy_name: str, quiet: bool = False) -> int:
+    from . import sim
     if cfg.sim is None:
         raise ConfigError("sim", "missing section required by simulate")
     if not cfg.is_stopping:
@@ -429,7 +442,6 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         changed = True
     if not changed:
         return cfg
-    from .config import parse_config
     return parse_config(raw)
 
 
@@ -489,7 +501,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except stopping.StructureViolationError as exc:
+    except StructureViolationError as exc:
         print(f"verification failure: no threshold policy: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
     except ZeroLikelihoodError as exc:

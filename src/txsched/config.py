@@ -3,23 +3,21 @@
 The file is a nested mapping with sections system / channel / costs / solver /
 sim / output. Physics parameters (plant matrices, channel tables, costs, the
 discount factor) have no defaults; only solver knobs and output settings do.
+The solver and sim sections become SolverConfig and SimConfig, defined here so
+that loading a config imports neither the solver nor the simulator.
 Unknown keys anywhere are rejected, and every validation error names the
 offending field by its dotted path.
 """
 
 import copy
-import hashlib
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
-import yaml
 
-from .belief_mdp import SolverConfig
 from .channel import ChannelModel, make_gilbert_elliott, make_persistent_failure
 from .lti_estimation import LtiSystem
-from .sim import SimConfig
 
 
 class ConfigError(ValueError):
@@ -30,8 +28,56 @@ class ConfigError(ValueError):
         self.path = path
 
 
-_SOLVER_DEFAULTS = {"tau_max": 60, "grid_n": 200, "vi_tol": 1e-9,
-                    "max_sweeps": 2000, "weight_eps": 0.01, "tie_break": "low"}
+@dataclass(frozen=True)
+class SolverConfig:
+    """Knobs of the belief-grid value iteration."""
+
+    gamma: float
+    tau_max: int = 60
+    grid_n: int = 200
+    vi_tol: float = 1e-9
+    max_sweeps: int = 2000
+    weight_eps: float = 0.01
+    tie_break: str = "low"
+
+    def __post_init__(self):
+        if not 0.0 < self.gamma < 1.0:
+            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
+        if self.tau_max < 1:
+            raise ValueError("tau_max must be >= 1")
+        if self.grid_n < 2:
+            raise ValueError("grid_n must be >= 2")
+        if self.vi_tol <= 0:
+            raise ValueError("vi_tol must be positive")
+        if self.max_sweeps < 1:
+            raise ValueError("max_sweeps must be >= 1")
+        if self.weight_eps <= 0:
+            raise ValueError("weight_eps must be positive")
+        if self.tie_break not in ("low", "high"):
+            raise ValueError("tie_break must be 'low' or 'high'")
+
+    def belief_grid(self) -> np.ndarray:
+        return np.linspace(0.0, 1.0, self.grid_n + 1)
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """Batch settings: episode length, replication count, base seed."""
+
+    horizon: int
+    n_runs: int
+    seed: int
+
+    def __post_init__(self):
+        if self.horizon < 1:
+            raise ValueError("horizon must be >= 1")
+        if self.n_runs < 1:
+            raise ValueError("n_runs must be >= 1")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError("seed must fit in 64 bits")
+
+
+_SOLVER_DEFAULTS = {f.name: f.default for f in fields(SolverConfig) if f.name != "gamma"}
 _OUTPUT_DEFAULTS = {"directory": "out", "emit_traces": False}
 
 
@@ -155,6 +201,7 @@ class RunConfig:
         """sha256 of the normalized sections that determine the solution
         (system, channel, costs, solver); the output and sim sections are
         left out, so ``--out`` and ``--seed`` do not change it."""
+        import hashlib
         problem = {k: self.raw[k] for k in ("system", "channel", "costs", "solver")}
         return hashlib.sha256(json.dumps(problem, sort_keys=True).encode("utf-8")).hexdigest()
 
@@ -307,6 +354,7 @@ def parse_config(data: dict) -> RunConfig:
 def load_config(path) -> RunConfig:
     """Load and validate a YAML configuration file (with libyaml's parser
     where PyYAML was built with it; both read the same YAML 1.1)."""
+    import yaml
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))

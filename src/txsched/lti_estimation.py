@@ -23,7 +23,11 @@ class ConvergenceError(RuntimeError):
 
 
 def _as_matrix(M, name):
-    M = np.asarray(M, dtype=float)
+    try:
+        M = np.asarray(M, dtype=float)
+    except OverflowError:  # an integer beyond the float64 range
+        raise ValueError(f"{name} must be finite, got an integer beyond the float64 "
+                         "range") from None
     if M.ndim == 0:
         M = M.reshape(1, 1)
     if M.ndim != 2:

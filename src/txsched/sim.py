@@ -38,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .belief_mdp import Solution
 from .channel import ChannelModel
+from .config import SimConfig
 from .stochastic_orders import ZeroLikelihoodError
 
 _MASK64 = (1 << 64) - 1
@@ -173,29 +173,13 @@ class LatticePolicy:
         self.tau_max = tau_max
 
     @classmethod
-    def from_solution(cls, sol: Solution) -> "LatticePolicy":
+    def from_solution(cls, sol) -> "LatticePolicy":
+        """The policy of a ``belief_mdp.Solution``."""
         return cls(sol.policy, sol.grid_n, sol.tau_max)
 
     def __call__(self, tau, b):
         i = np.clip(np.rint(np.multiply(b, self.grid_n)), 0, self.grid_n)
         return self.policy[np.minimum(tau, self.tau_max), i.astype(np.int64)]
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Batch settings: episode length, replication count, base seed."""
-
-    horizon: int
-    n_runs: int
-    seed: int
-
-    def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.n_runs < 1:
-            raise ValueError("n_runs must be >= 1")
-        if not 0 <= self.seed <= _MASK64:
-            raise ValueError("seed must fit in 64 bits")
 
 
 @dataclass(frozen=True)
@@ -256,15 +240,24 @@ def _block_codes(ch: ChannelModel, seed: int, start: int, horizon: int,
             block[-1] = step[:, -1]
 
 
+def _select(mask, x, y):
+    """x where the uint64 ``mask`` is all ones, y where it is 0, selected bit
+    by bit: unlike np.where, no branch on each element."""
+    x, y = x.view(np.uint64), y.view(np.uint64)
+    return (((x ^ y) & mask) ^ y).view(np.float64)
+
+
 def _run_block(codes: np.ndarray, horizon: int, ch: ChannelModel,
                holding: np.ndarray, c_stop: float, gamma: float, policy,
                tally: dict, rows=None) -> np.ndarray:
     """Advance the episodes whose ``_block_codes`` are the columns of
     ``codes`` together and return their discounted costs; the arithmetic is
     the scalar episode loop's, elementwise, with a bit of the step's nibble
-    in place of u < p[theta]. Adds the block's integer counts into ``tally``.
-    With a list ``rows``, appends each step's trace rows to it, as tuples of
-    TRACE_COLUMNS entries with the block's columns for episodes."""
+    in place of u < p[theta]. Adds the block's integer counts into ``tally``
+    once it ends. With a list ``rows``, appends each step's trace rows to it,
+    as tuples of TRACE_COLUMNS entries with the block's columns for
+    episodes; the rows hold the step's tau and b arrays, so a step makes new
+    ones."""
     _, _, p01, p11, lam0, lam1 = _kernel(ch)
     m = codes.shape[1]
     costs = np.empty(m)
@@ -274,12 +267,14 @@ def _run_block(codes: np.ndarray, horizon: int, ch: ChannelModel,
     b = np.full(m, ch.initial_belief)
     J = np.zeros(m)
     disc = 1.0
+    # steps and attempts, each in all and in the unfavorable mode, successes
+    steps = bad_steps = tries = bad_tries = succ = bad_succ = 0
     for t in range(horizon):
         a = np.asarray(policy(tau, b))
         if a.shape != tau.shape:
             raise ValueError(f"policy returned shape {a.shape} for {tau.shape} states")
-        n_bad = np.count_nonzero(theta)
-        tally["occupancy"] += (theta.size - n_bad, n_bad)
+        steps += theta.size
+        bad_steps += np.count_nonzero(theta)
         go = a == 0
         if not go.all():
             stop = a == 1
@@ -294,7 +289,7 @@ def _run_block(codes: np.ndarray, horizon: int, ch: ChannelModel,
                 rows.append((runs[stop], t, theta[stop], 1, -1, tau[stop], b[stop], c_stop))
             runs, theta, tau, b, J = runs[go], theta[go], tau[go], b[go], J[go]
             if runs.size == 0:
-                return costs
+                break
         J += disc * holding[tau]
         row = codes[1 + t // 2] if runs is None else codes[1 + t // 2][runs]
         nibble = 4 * (t & 1)
@@ -304,19 +299,24 @@ def _run_block(codes: np.ndarray, horizon: int, ch: ChannelModel,
         if rows is not None:
             rows.append((np.arange(m) if runs is None else runs, t, mode, 0, success,
                          tau, b, holding[tau]))
-        n_bad, n_succ = np.count_nonzero(theta), np.count_nonzero(success)
-        n_bad_succ = np.count_nonzero(success & theta)
-        tally["attempts"] += (theta.size - n_bad, n_bad)
-        tally["successes"] += (n_succ - n_bad_succ, n_bad_succ)
-        tau = np.where(success, 0, tau + 1)
+        tries += theta.size
+        bad_tries += np.count_nonzero(theta)
+        succ += np.count_nonzero(success)
+        bad_succ += np.count_nonzero(success & theta)
+        tau = (tau + 1) * ~success
         bhat = np.minimum(np.maximum(p01 * (1.0 - b) + p11 * b, 0.0), 1.0)
-        p_succ = lam0 * (1.0 - bhat) + lam1 * bhat
-        num = np.where(success, lam1 * bhat, (1.0 - lam1) * bhat)
-        den = np.where(success, p_succ, 1.0 - p_succ)
+        succ_mass = lam1 * bhat
+        p_succ = lam0 * (1.0 - bhat) + succ_mass
+        pick = np.negative(success.view(np.uint8), dtype=np.uint64)  # all ones on success
+        den = _select(pick, p_succ, 1.0 - p_succ)
         if (den <= 0.0).any():
             raise ZeroLikelihoodError(_ZERO_LIKELIHOOD)
+        num = _select(pick, succ_mass, (1.0 - lam1) * bhat)
         b = np.minimum(np.maximum(num / den, 0.0), 1.0)
         disc *= gamma
+    tally["occupancy"] += (steps - bad_steps, bad_steps)
+    tally["attempts"] += (tries - bad_tries, bad_tries)
+    tally["successes"] += (succ - bad_succ, bad_succ)
     if runs is None:
         return J
     costs[runs] = J

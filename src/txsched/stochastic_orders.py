@@ -8,7 +8,8 @@ reproducible.
 
 The check uses an absolute tolerance (default 1e-12) on the minors: inputs
 here come from config-level reals, so near-zero minors are genuine ties, not
-violations.
+violations. The errors of the belief-order structure live here too, so a
+caller can catch them without importing the solver.
 """
 
 from dataclasses import dataclass
@@ -20,6 +21,14 @@ ORDER_TOL = 1e-12
 
 class ZeroLikelihoodError(ValueError):
     """The conditioning observation has zero probability."""
+
+
+class StructureViolationError(RuntimeError):
+    """Stop region is not an upper belief interval at some holding time."""
+
+    def __init__(self, message, tau=None):
+        super().__init__(message)
+        self.tau = tau
 
 
 @dataclass(frozen=True)

@@ -12,19 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief_mdp import (SolverConfig, Solution, StageCost, _iterate,
-                         _over_actions, _require_contraction)
+from .belief_mdp import Solution, StageCost, _iterate, _over_actions, _require_contraction
 from .channel import ChannelModel
+from .config import SolverConfig
 from .lti_estimation import HoldingCostTable
-from .stochastic_orders import CheckResult
-
-
-class StructureViolationError(RuntimeError):
-    """Stop region is not an upper belief interval at some holding time."""
-
-    def __init__(self, message, tau=None):
-        super().__init__(message)
-        self.tau = tau
+from .stochastic_orders import CheckResult, StructureViolationError
 
 
 @dataclass(frozen=True)

@@ -505,6 +505,30 @@ class TestCertifiedError:
         with pytest.raises(tx.ConvergenceError):
             tx.solve_stopping(replace(prob, cfg=replace(cfg, grid_n=20)))
 
+    def test_only_the_final_grid_is_certified(self, monkeypatch):
+        # grids 20 and 200 stop on the weighted residual alone; the lattice
+        # moduli are computed once, on grid 2000, and the solve is unchanged
+        sys_u, table, ch, cfg = _unstable_problem(60, 2000)
+        s = tx.weight_profile(table.spectral_radius, cfg.weight_eps, cfg.tau_max)
+        m, _ = _contraction_stage(ch.min_success_prob(), table.spectral_radius
+                                  + cfg.weight_eps, cfg.gamma, cfg.tau_max)
+        moduli = _lattice_moduli(_stencil(ch, cfg.belief_grid()), s, cfg.gamma, m)
+        grids = []
+
+        def spy(stencil, *args):
+            grids.append(stencil[0][0].size - 1)
+            return _lattice_moduli(stencil, *args)
+
+        monkeypatch.setattr("txsched.belief_mdp._lattice_moduli", spy)
+        sol = tx.solve_stopping(tx.StoppingProblem(channel=ch, holding=table, cfg=cfg,
+                                                   c_stop=10.0))
+        assert grids == [2000]
+        Q, _, certified, levels = rowwise_solve(
+            lambda grid: _stopping_sweep(ch, table, 10.0, cfg.gamma, grid),
+            lambda Qc: np.minimum(Qc, 10.0), (), s, cfg, True, moduli)
+        assert np.array_equal(sol.Qfun[:, :, 0], Q)
+        assert (sol.certified_error, sol.coarse_levels) == (certified, levels)
+
     def test_rounding_floor_is_certified(self, ge_channel, cost_table, solver_cfg):
         # vi_tol 1e-14 lies below the sweep's rounding: the solve reaches a
         # float fixed point, and its bound is the rounding term, not 0

@@ -197,13 +197,17 @@ class TestSuccessMargin:
 
 
 class TestSystemValidation:
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf,
+                                       pytest.param(10**400, id="int-1e400")])
     @pytest.mark.parametrize("name", ["A", "C", "Q", "R"])
     def test_rejects_non_finite(self, name, value):
-        # a 2x2 plant, so the bad entry is not the only one
+        # a 2x2 plant, so the bad entry is not the only one; an integer beyond
+        # the float64 range has no float value to show
         mats = {"A": 0.5 * np.eye(2), "C": np.eye(2), "Q": np.eye(2), "R": np.eye(2)}
-        mats[name][1, 0] = value
-        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        mats = {k: m.tolist() for k, m in mats.items()}
+        mats[name][1][0] = value
+        shown = "an integer beyond the float64 range" if isinstance(value, int) else value
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {shown}$"):
             tx.LtiSystem(**mats)
 
     def test_rejects_indefinite_r(self):
