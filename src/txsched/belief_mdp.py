@@ -247,13 +247,14 @@ def _iterate(values, ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
     the shift adds at most 8 u k D, and the midpoint's own sum u (M + k D).
     So a stable solve certifies half-width + (1 + k) delta + u (M + 10 k D).
     It stops once that is below vi_tol, or, for a vi_tol below about twice
-    the rounding floor, once the half-width is below the rounding term:
-    further sweeps could at most halve the bound, and a float fixed point
-    has half-width 0. An unstable solve certifies (1 + (m + 5) u) *
-    _certify(r + delta) + delta: the weighted norm is at most the plain sup
-    (s >= 1), the true residual is at most r (1 + 2 u) + delta, and the
-    certificate's own arithmetic errs by at most (m + 3) u relative, taking
-    the lattice moduli as computed.
+    the rounding floor, once the half-width is below both vi_tol and the
+    rounding term: further sweeps could at most halve the bound, and a float
+    fixed point has half-width 0; a failure reports the last two terms. An
+    unstable solve certifies (1 + (m + 5) u) * _certify(r + delta) + delta:
+    the weighted norm is at most the plain sup (s >= 1), the true residual
+    is at most r (1 + 2 u) + delta, and the certificate's own arithmetic
+    errs by at most (m + 3) u relative, taking the lattice moduli as
+    computed.
     """
     rho = cost.spectral_radius
     grid = cfg.belief_grid()
@@ -281,11 +282,11 @@ def _iterate(values, ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
             if pinned:
                 lo, hi = min(lo, 0.0), max(hi, 0.0)
             half = k * (hi - lo) / 2.0
-            if half < cfg.vi_tol:
+            if half < cfg.vi_tol or sweep == cfg.max_sweeps:  # a failure reports the term
                 M = _magnitude(V, Qn)
                 rounding = ((1.0 + k) * _SWEEP_ROUNDING * _U * M
                             + _U * (M + 10.0 * k * history[-1]))
-                if half + rounding < cfg.vi_tol or half < rounding:
+                if half < cfg.vi_tol and (half + rounding < cfg.vi_tol or half < rounding):
                     return Qn + k * (hi + lo) / 2.0, sweep, history, half + rounding, levels
         else:
             history.append(_weighted_sup(np.abs(d, out=d), s))
@@ -293,8 +294,7 @@ def _iterate(values, ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
                 if not final:  # the caller drops a coarse level's certificate
                     return Qn, sweep, history, math.inf, levels
                 m, _ = _contraction_stage(ch.min_success_prob(),
-                                          _weight_base(rho, cfg.weight_eps),
-                                          cfg.gamma, cfg.tau_max)
+                                          _weight_base(rho, cfg.weight_eps), cfg.gamma)
                 moduli = _lattice_moduli(stencil, s, cfg.gamma, m) if m else []
                 delta = _SWEEP_ROUNDING * _U * _magnitude(V, Qn)
                 certified = ((1.0 + (len(moduli) + 5) * _U)
@@ -303,9 +303,13 @@ def _iterate(values, ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
         Q = Qn
     if not final:
         return Q, cfg.max_sweeps, history, math.inf, levels
+    detail = f"last residual {history[-1]:.3e}"
+    if rho < 1.0:  # that residual is not what the span rule reads
+        detail = (f"span half-width {half:.3e}, rounding term {rounding:.3e}, gamma {cfg.gamma}"
+                  + ("; vi_tol is below this rounding floor" if rounding >= cfg.vi_tol else ""))
     raise ConvergenceError(
-        f"{what} did not reach tol {cfg.vi_tol} in {cfg.max_sweeps} sweeps "
-        f"(last residual {history[-1]:.3e})", residual=history[-1], history=history)
+        f"{what} did not reach tol {cfg.vi_tol} in {cfg.max_sweeps} sweeps ({detail})",
+        residual=history[-1], history=history)
 
 
 def _lattice_moduli(stencil, s, gamma, m):
@@ -604,14 +608,16 @@ def _mass_ratio_bound(tau: int, m: int, lam_min: float, base: float) -> float:
     return total
 
 
-def _contraction_stage(lam_min: float, base: float, gamma: float, tau_max: int,
-                       m_max: int = 500):
-    """The smallest m <= m_max with gamma^m * sup over the truncated tau range
-    of the worst-case weighted outcome mass below 1, and that bound; (None,
-    inf) when there is none."""
+def _contraction_stage(lam_min: float, base: float, gamma: float, m_max: int = 500):
+    """The smallest m <= m_max with gamma^m * sup over tau of the worst-case
+    weighted outcome mass below 1, and that bound; (None, inf) when there is
+    none.
+
+    The sup is the value at tau = 0: base >= 1, so every atom's weight ratio
+    base^(2(y - tau)) is nonincreasing in tau, while the caps do not depend
+    on tau, and the capped maximum cannot grow as its ratios shrink."""
     for m in range(1, m_max + 1):
-        value = gamma**m * max(_mass_ratio_bound(tau, m, lam_min, base)
-                               for tau in range(tau_max + 1))
+        value = gamma**m * _mass_ratio_bound(0, m, lam_min, base)
         if value < 1.0:
             return m, value
     return None, math.inf
@@ -622,10 +628,10 @@ def check_contraction(ch: ChannelModel, sys: LtiSystem, cfg: SolverConfig,
     """Certify the m-stage contraction of the Bellman operator in the
     weighted sup-norm.
 
-    Analytic part: the smallest m with gamma^m * sup over the truncated tau
-    range of the worst-case weighted outcome mass below 1; it certifies the
-    untruncated operator. Lattice part: the exact modulus L_m of T^m on the
-    solver's lattice (_lattice_moduli), which bounds the ratio
+    Analytic part: the smallest m with gamma^m * sup over tau of the
+    worst-case weighted outcome mass below 1 (_contraction_stage); it
+    certifies the untruncated operator. Lattice part: the exact modulus L_m
+    of T^m on the solver's lattice (_lattice_moduli), which bounds the ratio
     ||T^m Q1 - T^m Q2|| / ||Q1 - Q2|| for every pair. Raises ValueError when
     the solver's contraction hypothesis fails (see _require_contraction) and
     ConvergenceError when no m <= m_max qualifies.
@@ -636,7 +642,7 @@ def check_contraction(ch: ChannelModel, sys: LtiSystem, cfg: SolverConfig,
     _require_contraction(ch, rho, eps)
     alpha = (1.0 - lam_min) * (rho**2 + eps)
     base = _weight_base(rho, eps)
-    m, bound = _contraction_stage(lam_min, base, cfg.gamma, cfg.tau_max, m_max)
+    m, bound = _contraction_stage(lam_min, base, cfg.gamma, m_max)
     if m is None:
         raise ConvergenceError(f"no contraction stage found up to m={m_max}")
     moduli = _lattice_moduli(_stencil(ch, cfg.belief_grid()),

@@ -36,7 +36,11 @@ class ChannelModel:
     initial_mode_dist: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0]))
 
     def __post_init__(self):
-        lam = np.asarray(self.lam, dtype=float)
+        names = ("lam", "mode_kernel", "initial_mode_dist")
+        lam, Pc, p0 = tables = [np.asarray(getattr(self, n), dtype=float) for n in names]
+        for name, table in zip(names, tables):  # NaN would pass every comparison below
+            if not np.isfinite(table).all():
+                raise ValueError(f"{name} must be finite, got {table[~np.isfinite(table)][0]}")
         if lam.ndim == 1:
             lam = lam[:, None]
         if lam.ndim != 2 or lam.shape[0] != 2 or lam.shape[1] < 1:
@@ -48,7 +52,6 @@ class ChannelModel:
             raise ValueError(
                 f"success probability in the favorable mode must dominate: "
                 f"lam[0,{a}]={lam[0, a]} < lam[1,{a}]={lam[1, a]}")
-        Pc = np.asarray(self.mode_kernel, dtype=float)
         if Pc.ndim == 2:
             Pc = Pc[None, :, :]
         if Pc.shape != (lam.shape[1], 2, 2):
@@ -57,7 +60,6 @@ class ChannelModel:
             raise ValueError("mode transition probabilities must lie in [0, 1]")
         if np.any(np.abs(Pc.sum(axis=2) - 1.0) > 1e-12):
             raise ValueError("mode kernel rows must sum to 1")
-        p0 = np.asarray(self.initial_mode_dist, dtype=float)
         if p0.shape != (2,) or np.any(p0 < 0) or abs(p0.sum() - 1.0) > 1e-12:
             raise ValueError("initial_mode_dist must be a length-2 pmf")
         object.__setattr__(self, "lam", _frozen(lam))
@@ -76,26 +78,19 @@ class ChannelModel:
         return float(np.min(self.lam))
 
 
-def _check_range(name, value):
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
-
-
 def make_gilbert_elliott(p00: float, p11: float, lam_good: float, lam_bad: float,
                          b0: float = 0.0) -> ChannelModel:
     """Two-state Markov channel with self-transition probabilities p00 and
     p11, action-independent. Warns when p00 + p11 < 1: the mode kernel is
     then not TP2 and the monotonicity guarantees lapse (the solver still runs).
     """
-    for name, v in (("p00", p00), ("p11", p11), ("lam_good", lam_good),
-                    ("lam_bad", lam_bad), ("b0", b0)):
-        _check_range(name, v)
+    Pc = np.array([[[p00, 1.0 - p00], [1.0 - p11, p11]]])
+    ch = ChannelModel(lam=np.array([[lam_good], [lam_bad]]), mode_kernel=Pc,
+                      initial_mode_dist=np.array([1.0 - b0, b0]))
     if p00 + p11 < 1.0:
         warnings.warn("p00 + p11 < 1: mode kernel is not TP2; "
                       "monotonicity guarantees do not apply", stacklevel=2)
-    Pc = np.array([[[p00, 1.0 - p00], [1.0 - p11, p11]]])
-    return ChannelModel(lam=np.array([[lam_good], [lam_bad]]), mode_kernel=Pc,
-                        initial_mode_dist=np.array([1.0 - b0, b0]))
+    return ch
 
 
 def make_persistent_failure(p_fail: float, lam_good: float, lam_bad: float,
@@ -103,9 +98,6 @@ def make_persistent_failure(p_fail: float, lam_good: float, lam_bad: float,
     """Channel whose unfavorable mode is absorbing: the favorable mode decays
     with probability p_fail per step (geometric change time) and mode 1 never
     recovers."""
-    for name, v in (("p_fail", p_fail), ("lam_good", lam_good),
-                    ("lam_bad", lam_bad), ("b0", b0)):
-        _check_range(name, v)
     Pc = np.array([[[1.0 - p_fail, p_fail], [0.0, 1.0]]])
     return ChannelModel(lam=np.array([[lam_good], [lam_bad]]), mode_kernel=Pc,
                         initial_mode_dist=np.array([1.0 - b0, b0]))

@@ -189,28 +189,31 @@ def _cost_table(cfg: RunConfig, ss, length: int, field: str):
 def _pipeline(cfg: RunConfig):
     """Shared solve pipeline: covariance fixed point, cost table, solver;
     returns (covariance, solution)."""
-    from . import belief_mdp, stopping
     ss = steady_state_covariance(cfg.system)
     table = _cost_table(cfg, ss, cfg.solver.tau_max, "solver.tau_max")
     if cfg.is_stopping:
+        from . import stopping
         prob = stopping.StoppingProblem(channel=cfg.channel, holding=table,
                                         cfg=cfg.solver, c_stop=cfg.c_stop)
         sol = stopping.solve_stopping(prob)
     else:
+        from . import belief_mdp
         cost = belief_mdp.StageCost(holding=table, action_costs=cfg.action_costs)
         sol = belief_mdp.value_iterate(cfg.channel, cost, cfg.solver)
     return ss, sol
 
 
 def cmd_solve(cfg: RunConfig, quiet: bool = False) -> int:
-    from . import stopping
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     ss, sol = _pipeline(cfg)
     # a stop region without a threshold fails before any artifact is written,
     # so no earlier solve's files are paired with this config's record
-    th = stopping.extract_threshold(sol) if cfg.is_stopping else None
+    th = None
+    if cfg.is_stopping:
+        from . import stopping
+        th = stopping.extract_threshold(sol)
     write_solution_csvs(sol, out_dir)
     write_json(out_dir / SOLVE_RECORD, {"problem_sha256": cfg.problem_sha256})
     if th is not None:
@@ -232,7 +235,7 @@ def cmd_solve(cfg: RunConfig, quiet: bool = False) -> int:
 def _verify_battery(cfg: RunConfig):
     """Run every structural check; yields (name, status, detail) with status
     'pass', 'fail', or 'skip'."""
-    from . import belief_mdp, folding, stopping
+    from . import belief_mdp, folding
     results = []
 
     def add(name, ok, detail, skip=False):
@@ -277,6 +280,7 @@ def _verify_battery(cfg: RunConfig):
         "V and Q nondecreasing in tau and belief" if mono.ok else
         f"{mono.n_violations} violations, worst {mono.worst_drop} at {mono.witness}")
     if cfg.is_stopping:
+        from . import stopping
         try:
             th = stopping.extract_threshold(sol)
             thres = stopping.verify_threshold_monotone(th)
@@ -376,10 +380,7 @@ def cmd_simulate(cfg: RunConfig, policy_name: str, quiet: bool = False) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     policy = _build_policy(cfg, policy_name, out_dir)
     ss = steady_state_covariance(cfg.system)
-    if cfg.sim.horizon >= cfg.solver.tau_max:
-        table = _cost_table(cfg, ss, cfg.sim.horizon, "sim.horizon")
-    else:
-        table = _cost_table(cfg, ss, cfg.solver.tau_max, "solver.tau_max")
+    table = _cost_table(cfg, ss, cfg.sim.horizon, "sim.horizon")
     t0 = time.perf_counter()
     result = sim.run_batch(cfg.channel, table.costs, cfg.c_stop,
                            cfg.solver.gamma, policy, cfg.sim,

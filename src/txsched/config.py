@@ -4,15 +4,17 @@ The file is a nested mapping with sections system / channel / costs / solver /
 sim / output. Physics parameters (plant matrices, channel tables, costs, the
 discount factor) have no defaults; only solver knobs and output settings do.
 The solver and sim sections become SolverConfig and SimConfig, defined here so
-that loading a config imports neither the solver nor the simulator.
+that loading a config imports neither the solver nor the simulator; each
+checks its own fields, so one built directly names the same dotted path.
 Unknown keys anywhere are rejected, and every validation error names the
 offending field by its dotted path.
 """
 
 import copy
 import json
+import numbers
 import re
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -30,7 +32,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the belief-grid value iteration."""
+    """Knobs of the belief-grid value iteration, each checked when built (a
+    ConfigError at ``solver.<field>``) and stored as a float or an int."""
 
     gamma: float
     tau_max: int = 60
@@ -41,20 +44,15 @@ class SolverConfig:
     tie_break: str = "low"
 
     def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if self.tau_max < 1:
-            raise ValueError("tau_max must be >= 1")
-        if self.grid_n < 2:
-            raise ValueError("grid_n must be >= 2")
-        if self.vi_tol <= 0:
-            raise ValueError("vi_tol must be positive")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be >= 1")
-        if self.weight_eps <= 0:
-            raise ValueError("weight_eps must be positive")
+        _store(self, "solver.gamma", _number, lo=0.0, hi=1.0, strict_lo=True, strict_hi=True)
+        _store(self, "solver.tau_max", _integer, lo=1)
+        _store(self, "solver.grid_n", _integer, lo=2)
+        _store(self, "solver.vi_tol", _number, lo=0.0, strict_lo=True)
+        _store(self, "solver.max_sweeps", _integer, lo=1)
+        _store(self, "solver.weight_eps", _number, lo=0.0, strict_lo=True)
         if self.tie_break not in ("low", "high"):
-            raise ValueError("tie_break must be 'low' or 'high'")
+            raise ConfigError("solver.tie_break",
+                              f"must be 'low' or 'high', got {self.tie_break!r}")
 
     def belief_grid(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.grid_n + 1)
@@ -62,22 +60,25 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Batch settings: episode length, replication count, base seed."""
+    """Batch settings: episode length, replication count, base seed; checked
+    like SolverConfig, at ``sim.<field>``."""
 
     horizon: int
     n_runs: int
     seed: int
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.n_runs < 1:
-            raise ValueError("n_runs must be >= 1")
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError("seed must fit in 64 bits")
+        _store(self, "sim.horizon", _integer, lo=1)
+        _store(self, "sim.n_runs", _integer, lo=1)
+        _store(self, "sim.seed", _integer, lo=0, hi=(1 << 64) - 1)
 
 
-_SOLVER_DEFAULTS = {f.name: f.default for f in fields(SolverConfig) if f.name != "gamma"}
+def _store(obj, path, check, **bounds):
+    """Replace the field that ``path`` names by its value as ``check`` returns it."""
+    name = path.rsplit(".", 1)[1]
+    object.__setattr__(obj, name, check(getattr(obj, name), path, **bounds))
+
+
 _OUTPUT_DEFAULTS = {"directory": "out", "emit_traces": False}
 
 
@@ -93,11 +94,9 @@ def _reject_unknown(section, path, allowed):
         raise ConfigError(f"{path}.{sorted(unknown)[0]}", "unknown key")
 
 
-def _get(section, path, key, required=True, default=None):
+def _get(section, path, key):
     if key not in section:
-        if required:
-            raise ConfigError(f"{path}.{key}", "missing required key")
-        return default
+        raise ConfigError(f"{path}.{key}", "missing required key")
     return section[key]
 
 
@@ -125,7 +124,7 @@ def _not_a(kind, value, path):
 
 
 def _number(value, path, lo=None, hi=None, strict_lo=False, strict_hi=False):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise _not_a("a number", value, path)
     x = float(_finite_array(value, path))
     if lo is not None and (x <= lo if strict_lo else x < lo):
@@ -136,8 +135,9 @@ def _number(value, path, lo=None, hi=None, strict_lo=False, strict_hi=False):
 
 
 def _integer(value, path, lo=None, hi=None):
-    if isinstance(value, bool) or not isinstance(value, int):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise _not_a("an integer", value, path)
+    value = int(value)
     if lo is not None and value < lo:
         raise ConfigError(path, f"must be >= {lo}, got {value}")
     if hi is not None and value > hi:
@@ -279,39 +279,15 @@ def _parse_costs(section, n_actions):
     return costs, c_stop, raw
 
 
-def _parse_solver(section):
-    sec = _require_mapping(section, "solver")
-    _reject_unknown(sec, "solver", ("gamma",) + tuple(_SOLVER_DEFAULTS))
-    gamma = _number(_get(sec, "solver", "gamma"), "solver.gamma",
-                    lo=0.0, hi=1.0, strict_lo=True, strict_hi=True)
-    kw = {"gamma": gamma}
-    kw["tau_max"] = _integer(sec.get("tau_max", _SOLVER_DEFAULTS["tau_max"]),
-                             "solver.tau_max", lo=1)
-    kw["grid_n"] = _integer(sec.get("grid_n", _SOLVER_DEFAULTS["grid_n"]),
-                            "solver.grid_n", lo=2)
-    kw["vi_tol"] = _number(sec.get("vi_tol", _SOLVER_DEFAULTS["vi_tol"]),
-                           "solver.vi_tol", lo=0.0, strict_lo=True)
-    kw["max_sweeps"] = _integer(sec.get("max_sweeps", _SOLVER_DEFAULTS["max_sweeps"]),
-                                "solver.max_sweeps", lo=1)
-    kw["weight_eps"] = _number(sec.get("weight_eps", _SOLVER_DEFAULTS["weight_eps"]),
-                               "solver.weight_eps", lo=0.0, strict_lo=True)
-    tie = sec.get("tie_break", _SOLVER_DEFAULTS["tie_break"])
-    if tie not in ("low", "high"):
-        raise ConfigError("solver.tie_break", f"must be 'low' or 'high', got {tie!r}")
-    kw["tie_break"] = tie
-    return SolverConfig(**kw), dict(kw)
-
-
-def _parse_sim(section):
-    if section is None:
-        return None, None
-    sec = _require_mapping(section, "sim")
-    _reject_unknown(sec, "sim", ("horizon", "n_runs", "seed"))
-    horizon = _integer(_get(sec, "sim", "horizon"), "sim.horizon", lo=1)
-    n_runs = _integer(_get(sec, "sim", "n_runs"), "sim.n_runs", lo=1)
-    seed = _integer(_get(sec, "sim", "seed"), "sim.seed", lo=0, hi=(1 << 64) - 1)
-    return SimConfig(horizon=horizon, n_runs=n_runs, seed=seed), \
-        {"horizon": horizon, "n_runs": n_runs, "seed": seed}
+def _parse_section(cls, section, path):
+    """``cls`` built (and so checked) from the mapping ``section``, and its dict."""
+    sec = _require_mapping(section, path)
+    _reject_unknown(sec, path, [f.name for f in fields(cls)])
+    for f in fields(cls):
+        if f.default is MISSING:
+            _get(sec, path, f.name)
+    obj = cls(**sec)
+    return obj, asdict(obj)
 
 
 def _parse_output(section):
@@ -339,8 +315,9 @@ def parse_config(data: dict) -> RunConfig:
     system, raw_system = _parse_system(top["system"])
     channel, raw_channel = _parse_channel(top["channel"])
     action_costs, c_stop, raw_costs = _parse_costs(top["costs"], channel.n_actions)
-    solver, raw_solver = _parse_solver(top["solver"])
-    simcfg, raw_sim = _parse_sim(top.get("sim"))
+    solver, raw_solver = _parse_section(SolverConfig, top["solver"], "solver")
+    sim = top.get("sim")
+    simcfg, raw_sim = (None, None) if sim is None else _parse_section(SimConfig, sim, "sim")
     out_dir, emit = _parse_output(top.get("output"))
     raw = {"system": raw_system, "channel": raw_channel, "costs": raw_costs,
            "solver": raw_solver, "output": {"directory": out_dir, "emit_traces": emit}}

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief_mdp import Solution, StageCost, _iterate, _over_actions, _require_contraction
+from .belief_mdp import (Solution, StageCost, _check_problem, _iterate, _over_actions,
+                         _require_contraction)
 from .channel import ChannelModel
 from .config import SolverConfig
 from .lti_estimation import HoldingCostTable
@@ -36,8 +37,6 @@ class StoppingProblem:
         if self.channel.n_actions != 1:
             raise ValueError("stopping problems use a single-action channel "
                              "(the continue action)")
-        if self.holding.tau_max < self.cfg.tau_max:
-            raise ValueError("holding cost table is shorter than cfg.tau_max")
 
     def stage_cost_bundle(self) -> StageCost:
         return StageCost(holding=self.holding, action_costs=np.array([0.0]))
@@ -58,6 +57,7 @@ def solve_stopping(prob: StoppingProblem) -> Solution:
     ch, cfg = prob.channel, prob.cfg
     cost = prob.stage_cost_bundle()
     _require_contraction(ch, cost.spectral_radius, cfg.weight_eps)
+    _check_problem(ch, cost, cfg)
     Q, sweeps, history, certified, levels = _iterate(
         lambda Q: np.minimum(Q[:, :, 0], prob.c_stop), ch, cost, cfg,
         "stopping value iteration", pinned=True)

@@ -466,8 +466,7 @@ class TestCertifiedError:
         def moduli(c):  # the unstable certificate's lattice moduli of the final grid
             if not unstable:
                 return None
-            m, _ = _contraction_stage(c.min_success_prob(), rho + cfg.weight_eps, gamma,
-                                      tau_max)
+            m, _ = _contraction_stage(c.min_success_prob(), rho + cfg.weight_eps, gamma)
             return _lattice_moduli(_stencil(c, cfg.belief_grid()), s, gamma, m)
 
         nested = (tx.value_iterate(ch, tx.StageCost(holding=holding, action_costs=ca), cfg),
@@ -511,7 +510,7 @@ class TestCertifiedError:
         sys_u, table, ch, cfg = _unstable_problem(60, 2000)
         s = tx.weight_profile(table.spectral_radius, cfg.weight_eps, cfg.tau_max)
         m, _ = _contraction_stage(ch.min_success_prob(), table.spectral_radius
-                                  + cfg.weight_eps, cfg.gamma, cfg.tau_max)
+                                  + cfg.weight_eps, cfg.gamma)
         moduli = _lattice_moduli(_stencil(ch, cfg.belief_grid()), s, cfg.gamma, m)
         grids = []
 
@@ -877,6 +876,25 @@ class TestContraction:
                 call()
             messages.add(str(err.value))
         assert len(messages) == (0 if accepted else 1)
+
+    def test_contraction_stage_is_the_sup_over_tau(self):
+        # the stage reads only tau = 0; the search that takes the sup over
+        # every truncated tau must find the same (m, bound), bit for bit
+        from txsched.belief_mdp import _mass_ratio_bound
+        rng = np.random.default_rng(14)
+        for trial in range(40):
+            lam_min = float(rng.uniform(0.05, 0.95))
+            base = 1.0 if trial % 5 == 0 else float(rng.uniform(1.0, 1.2))
+            gamma = float(rng.uniform(0.5, 0.999))
+            tau_max, m_max = int(rng.integers(1, 25)), 40
+            expected = (None, np.inf)
+            for m in range(1, m_max + 1):
+                value = gamma**m * max(_mass_ratio_bound(tau, m, lam_min, base)
+                                       for tau in range(tau_max + 1))
+                if value < 1.0:
+                    expected = (m, value)
+                    break
+            assert _contraction_stage(lam_min, base, gamma, m_max) == expected
 
     def test_mass_ratio_bound_matches_lp(self):
         # the greedy fill must solve the capped weighted-mass maximization;

@@ -27,6 +27,12 @@ class TestGilbertElliott:
         with pytest.raises(ValueError):
             tx.make_gilbert_elliott(1.2, 1.0, 0.9, 0.2)
 
+    def test_rejects_nan_through_the_channel_model(self):
+        with pytest.raises(ValueError, match="^mode_kernel must be finite, got nan$"):
+            tx.make_gilbert_elliott(np.nan, 1.0, 0.9, 0.2)
+        with pytest.raises(ValueError, match="^lam must be finite, got nan$"):
+            tx.make_persistent_failure(0.1, 0.9, np.nan)
+
     def test_rejects_inverted_success_probs(self):
         with pytest.raises(ValueError, match="dominate"):
             tx.make_gilbert_elliott(0.9, 1.0, 0.2, 0.9)
@@ -117,6 +123,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="sum to 1"):
             tx.ChannelModel(lam=np.array([[0.9], [0.2]]),
                             mode_kernel=np.array([[[0.9, 0.2], [0.0, 1.0]]]))
+
+    @pytest.mark.parametrize("table, value", [
+        ("lam", [[np.nan], [0.2]]), ("mode_kernel", [[[0.9, 0.1], [np.nan, 1.0]]]),
+        ("initial_mode_dist", [np.nan, 1.0])])
+    def test_rejects_non_finite(self, table, value):
+        # NaN fails every range and sum comparison, so it is named on its own
+        tables = {"lam": [[0.9], [0.2]], "mode_kernel": [[[0.9, 0.1], [0.0, 1.0]]],
+                  table: value}
+        with pytest.raises(ValueError, match=f"^{table} must be finite, got nan$"):
+            tx.ChannelModel(**tables)
 
     def test_random_constructors_satisfy_invariants(self):
         rng = np.random.default_rng(1)

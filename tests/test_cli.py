@@ -134,6 +134,38 @@ class TestConfigValidation:
         assert capsys.readouterr().err == f"config error: {field}: must be finite, got {shown}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("cls, field, value", [
+        (tx.SolverConfig, "gamma", 1.0), (tx.SolverConfig, "gamma", 0.0),
+        (tx.SolverConfig, "gamma", True), (tx.SolverConfig, "gamma", "0.9"),
+        (tx.SolverConfig, "tau_max", 0), (tx.SolverConfig, "tau_max", True),
+        (tx.SolverConfig, "tau_max", 5.0), (tx.SolverConfig, "grid_n", 1),
+        (tx.SolverConfig, "vi_tol", 0.0), (tx.SolverConfig, "vi_tol", float("inf")),
+        (tx.SolverConfig, "max_sweeps", 0), (tx.SolverConfig, "max_sweeps", False),
+        (tx.SolverConfig, "weight_eps", -0.5), (tx.SolverConfig, "weight_eps", [0.1]),
+        (tx.SolverConfig, "tie_break", "middle"), (tx.SimConfig, "horizon", 0),
+        (tx.SimConfig, "horizon", True), (tx.SimConfig, "n_runs", 0),
+        (tx.SimConfig, "n_runs", 2.0), (tx.SimConfig, "seed", -1),
+        (tx.SimConfig, "seed", 2**64), (tx.SimConfig, "seed", "7")])
+    def test_dataclass_names_the_field_as_the_loader_does(self, tmp_path, cls, field, value):
+        section = "solver" if cls is tx.SolverConfig else "sim"
+        kw = dict(BASE[section], **{field: value})
+        with pytest.raises(tx.ConfigError) as direct:
+            cls(**kw)
+        assert direct.value.path == f"{section}.{field}"
+        p, _ = write_cfg(tmp_path, {f"{section}.{field}": value})
+        with pytest.raises(tx.ConfigError) as loaded:
+            tx.load_config(p)
+        assert str(loaded.value) == str(direct.value)
+
+    def test_dataclasses_accept_numpy_scalars(self):
+        cfg = tx.SolverConfig(gamma=np.float32(0.9), tau_max=np.int64(5),
+                              vi_tol=np.float64(1e-8), max_sweeps=np.uint16(9))
+        assert (type(cfg.gamma), type(cfg.vi_tol), type(cfg.tau_max)) == (float, float, int)
+        assert (cfg.gamma, cfg.tau_max, cfg.max_sweeps) == (float(np.float32(0.9)), 5, 9)
+        sim = tx.SimConfig(horizon=np.int32(10), n_runs=np.int8(3), seed=np.uint64(2**64 - 1))
+        assert (sim.horizon, sim.n_runs, sim.seed) == (10, 3, 2**64 - 1)
+        assert type(sim.seed) is int
+
     def test_quoted_number_is_not_called_unread(self, tmp_path):
         p, _ = write_cfg(tmp_path, {"solver.vi_tol": "1.0e-9"})
         with pytest.raises(tx.ConfigError) as exc:
@@ -188,6 +220,27 @@ def test_dumped_config_keeps_its_problem_hash(tmp_path_factory, data):
     again = tx.load_config(p)
     assert again.problem_sha256 == cfg.problem_sha256
     assert again.to_dict() == cfg.to_dict()
+
+
+def test_stable_convergence_failure_names_the_span_rule(tmp_path, capsys):
+    # at gamma 0.9999 the span rule's rounding term is about 1.2e-7, above
+    # vi_tol 1e-9: the message gives the numbers the rule reads, not sup |d|
+    data = yaml.safe_load((ROOT / "bench/workloads/general-slow.yaml").read_text())
+    data["solver"].update(gamma=0.9999, max_sweeps=200)
+    data["output"]["directory"] = str(tmp_path / "out")
+    p = tmp_path / "cfg.yaml"
+    p.write_text(yaml.safe_dump(data), encoding="utf-8")
+    assert main(["solve", "--config", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"convergence failure: value iteration did not reach tol 1e-09 in 200 sweeps "
+        r"\(span half-width 3\.6\d\de-08, rounding term 1\.16\de-07, gamma 0\.9999; "
+        r"vi_tol is below this rounding floor\)\n", err), err
+    data["solver"].update(gamma=0.99, max_sweeps=20, vi_tol=1.0e-6)
+    p.write_text(yaml.safe_dump(data), encoding="utf-8")
+    assert main(["solve", "--config", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert "gamma 0.99)" in err and "rounding floor" not in err, err
 
 
 class TestSolve:
@@ -613,6 +666,15 @@ class TestCostOverflow:
         err = capsys.readouterr().err
         assert "sim.horizon" in err and "overflow" in err
         assert "Traceback" not in err
+
+    def test_simulate_builds_the_table_to_its_horizon_only(self, tmp_path):
+        # a table to solver.tau_max overflows here (the solve below exits 2);
+        # the simulator reads the costs of tau < sim.horizon alone
+        p, _ = write_cfg(tmp_path, {"system.A": [[1.3]], "channel.lam_bad": 0.5,
+                                    "solver.tau_max": 1500})
+        assert main(["simulate", "--config", str(p), "--policy", "never-stop",
+                     "--quiet"]) == 0
+        assert (tmp_path / "out" / "simstats_never-stop.json").exists()
 
     def test_solve_large_tau_max_unstable_plant(self, tmp_path, capsys):
         p, _ = write_cfg(tmp_path, {"system.A": [[1.3]], "channel.lam_bad": 0.5,

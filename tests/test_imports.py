@@ -12,6 +12,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG = ROOT / "configs" / "example.yaml"
+GENERAL = ROOT / "bench" / "workloads" / "general-slow.yaml"  # no costs.c_stop
 
 SOLVER = ("txsched.belief_mdp", "txsched.stopping")
 CHECKS = ("txsched.folding",)
@@ -46,8 +47,8 @@ def imported_after(code: str) -> set:
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
-def run_command(args: list, out: Path) -> set:
-    argv = args + ["--config", str(CONFIG), "--out", str(out), "--quiet"]
+def run_command(args: list, out: Path, config: Path = CONFIG) -> set:
+    argv = args + ["--config", str(config), "--out", str(out), "--quiet"]
     return imported_after(f"from txsched.cli import main\nassert main({argv!r}) == 0")
 
 
@@ -65,6 +66,12 @@ def test_config_load_imports_no_solver_simulator_or_check():
 def test_command_imports_only_what_it_runs(tmp_path, args, absent):
     mods = run_command(args, tmp_path)
     assert mods.isdisjoint(absent), sorted(mods & set(absent))
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_general_problem_imports_no_stopping_solver(tmp_path, command):
+    mods = run_command([command], tmp_path, GENERAL)
+    assert "txsched.belief_mdp" in mods and "txsched.stopping" not in mods
 
 
 def test_thresholds_on_fresh_artifacts_imports_no_solver(tmp_path):
