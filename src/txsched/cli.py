@@ -21,7 +21,7 @@ Subcommands:
   thresholds  prints the threshold table (from a prior solve of the same
               problem, by solve_record.json, otherwise solving first).
 
-Exit codes: 0 ok, 2 config error (including a holding-cost table that
+Exit codes: 0 ok, 2 config or usage error (including a holding-cost table that
 overflows float64 before solver.tau_max or sim.horizon, and a solved policy
 that is missing, malformed or does not match the config, reported as "stale
 policy"),
@@ -353,10 +353,22 @@ def _build_policy(cfg: RunConfig, name: str, out_dir: Path):
         return sim.never_stop
     if name == "stop-now":
         return sim.stop_immediately
-    if name.startswith("threshold:"):
-        return sim.FixedThresholdPolicy(float(name.split(":", 1)[1]))
-    raise ValueError(f"unknown policy {name!r}; use solved, never-stop, "
-                     f"stop-now, or threshold:<c>")
+    return sim.FixedThresholdPolicy(float(name.split(":", 1)[1]))
+
+
+def _policy_name(name: str) -> str:
+    """The --policy argument; one ``_build_policy`` cannot build is a usage error."""
+    if name not in ("solved", "never-stop", "stop-now"):
+        kind, _, level = name.partition(":")
+        if kind != "threshold":
+            raise argparse.ArgumentTypeError(f"unknown policy {name!r}; use solved, "
+                                             f"never-stop, stop-now, or threshold:<c>")
+        from .sim import FixedThresholdPolicy
+        try:
+            FixedThresholdPolicy(float(level))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{name!r}: {exc}") from None
+    return name
 
 
 def write_traces_csv(traces: dict, out_dir: Path, policy_name: str):
@@ -472,7 +484,7 @@ def main(argv=None) -> int:
     sub.add_parser("verify", parents=[common],
                    help="run the structural verification battery")
     p_sim = sub.add_parser("simulate", parents=[common], help="Monte Carlo batch")
-    p_sim.add_argument("--policy", default="solved",
+    p_sim.add_argument("--policy", default="solved", type=_policy_name,
                        help="solved | never-stop | stop-now | threshold:<c>")
     p_sim.add_argument("--seed", type=int, default=None, help="override sim.seed")
     sub.add_parser("thresholds", parents=[common], help="print the threshold table")

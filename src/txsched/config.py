@@ -91,7 +91,7 @@ def _require_mapping(obj, path):
 def _reject_unknown(section, path, allowed):
     unknown = set(section) - set(allowed)
     if unknown:
-        raise ConfigError(f"{path}.{sorted(unknown)[0]}", "unknown key")
+        raise ConfigError(f"{path}.{sorted(unknown, key=str)[0]}", "unknown key")
 
 
 def _get(section, path, key):

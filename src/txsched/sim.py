@@ -14,19 +14,19 @@ SplitMix64 (state = seed + (k+1) * golden gamma, mixed): run k draws from
 ``default_rng(splitmix64(seed, k))``, so a (seed, config) pair fixes every
 run bit for bit.
 
-``run_batch`` advances the runs in lockstep: a block of runs steps together
-as numpy arrays, and runs that have stopped drop out of the block. A block
-seeds all its streams in one vectorized pass: SplitMix64 and SeedSequence's
-pool hash run on uint64/uint32 arrays, and each run's PCG64 takes the hashed
-words through ``ISeedSequence``, so the streams are ``default_rng``'s. A
-block keeps, for each step, only the outcomes of the four comparisons it
-makes with its two uniforms, as one nibble: two steps to a byte
-(``_block_codes``). The block size follows from the horizon and a fixed
-budget for the code matrix (``_BLOCK_BYTES``, 1 MiB: 10 381 runs at horizon
-200). Every operation follows the order of a scalar episode loop, so costs,
-beliefs and statistics equal that loop's bit for bit, whatever the block
-size. Traces come from the lockstep block; the tests' ``run_episode`` is the
-scalar reference.
+``run_batch`` advances the runs in lockstep: a block of up to ``_BLOCK_RUNS``
+runs steps together as numpy arrays, and runs that have stopped drop out.
+The block computes its runs' PCG64 streams on uint64 arrays: SplitMix64
+and SeedSequence's pool hash give the words numpy's PCG64 seeds from
+(``_seed_words``, ``_seed_streams``), and every ``_CHUNK // 2`` steps each
+run still going jumps its stream ahead by ``_CHUNK`` draws in one pass
+(``_draw``), so a stopped run draws no more. A uniform is
+``(x >> 11) * 2**-53``; the block compares ``x >> 11`` with
+``ceil(p * 2**53)``, which holds exactly when the uniform is below p. Every
+operation follows the order of a scalar episode loop, so costs, beliefs and
+statistics equal that loop's bit for bit, whatever the block size. Traces
+come from the lockstep block; the tests' ``run_episode`` is the scalar
+reference.
 
 Policies are callables ``(tau, b) -> action`` that accept either scalars or
 aligned arrays (returning an action of the same shape); action 0 continues
@@ -36,7 +36,6 @@ and action 1 stops.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .channel import ChannelModel
 from .config import SimConfig
@@ -44,11 +43,10 @@ from .stochastic_orders import ZeroLikelihoodError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-# byte budget for one lockstep block's code matrix (1 + ceil(horizon / 2)
-# bytes per run)
-_BLOCK_BYTES = 1 << 20
-# runs whose float uniforms are staged at once before becoming codes
-_STAGE_RUNS = 64
+# runs in one lockstep block
+_BLOCK_RUNS = 1 << 14
+# draws a pass takes from each live stream: two per step
+_CHUNK = 8
 # per-step trace columns and their dtypes: mode, action, transmission outcome
 # (gamma_t, -1 on the stop row), holding time, belief and undiscounted cost
 TRACE_COLUMNS = {"episode": np.int64, "t": np.int64, "theta": np.int8, "action": np.int8,
@@ -110,29 +108,103 @@ def _seed_words(seeds: np.ndarray) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-class _SeedWords(ISeedSequence):
-    """Seed sequence that hands PCG64 the words ``_seed_words`` computed;
-    PCG64 runs its own 128-bit initialisation on them. PCG64 reads the words
-    by pointer, so ``words`` must be 4 C-contiguous uint64, as a row of
-    ``_seed_words`` is."""
+# --- PCG64 on uint64 arrays: a 128-bit value is a (high, low) word pair ---
+# (every operand is a uint64 array or scalar: with a Python int, numpy
+# without NEP 50 would promote to float64)
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or dtype is not np.uint64:  # PCG64's request
-            raise ValueError("holds only generate_state(4, np.uint64)")
-        return self.words
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64 steps s <- s * this + inc
+_U0, _U1, _U11, _U32, _U58, _U63, _U64, _LOW32 = (
+    np.uint64(n) for n in (0, 1, 11, 32, 58, 63, 64, 0xFFFFFFFF))
 
 
-def _block_streams(seed: int, start: int, m: int):
+def _u128s(values) -> np.ndarray:
+    """The (4, n, 1) uint64 high words, low words, and low and high halves
+    of the low words of n 128-bit ints."""
+    return np.array([(x >> 64, x & _MASK64, x & 0xFFFFFFFF, x >> 32 & 0xFFFFFFFF)
+                     for x in values], dtype=np.uint64).T[:, :, None]
+
+
+# i draws take a state s with increment inc to M**i s + (1 + ... + M**(i-1)) inc
+_POWERS = _u128s(pow(_PCG_MULT, i, 2**128) for i in range(1, _CHUNK + 1))
+_SUMS = _u128s(sum(pow(_PCG_MULT, j, 2**128) for j in range(i)) % 2**128
+               for i in range(1, _CHUNK + 1))
+
+
+def _advance(hi, lo, a, c_hi, c_lo, out):
+    """Write a * (hi, lo) + (c_hi, c_lo) mod 2**128 into out[0] (high words)
+    and out[1] (low words), broadcasting; ``a`` is a ``_u128s`` table and
+    ``out`` three uint64 arrays of the result's shape, the last one scratch."""
+    a_hi, a_lo, b0, b1 = a
+    H, L, t = out
+    a0, a1 = lo & _LOW32, lo >> _U32
+    # the high word of lo * a_lo from 32-bit halves, no partial sum
+    # overflowing; L is scratch until the low word goes there
+    np.multiply(a0, b0, out=t)
+    t >>= _U32
+    np.multiply(a1, b0, out=L)
+    np.bitwise_and(L, _LOW32, out=H)
+    t += H
+    L >>= _U32
+    np.multiply(a0, b1, out=H)
+    t += H
+    t >>= _U32
+    np.multiply(a1, b1, out=H)
+    H += L
+    H += t
+    np.multiply(lo, a_hi, out=L)
+    H += L
+    np.multiply(hi, a_lo, out=L)
+    H += L
+    np.multiply(lo, a_lo, out=L)
+    L += c_lo
+    np.less(L, c_lo, out=t)  # the carry out of the low word
+    H += t
+    H += c_hi
+
+
+def _seed_streams(seed: int, start: int, m: int) -> np.ndarray:
     """The streams ``default_rng(splitmix64(seed, k))`` of runs k = start,
-    ..., start+m-1, seeded in one vectorized pass."""
-    runs = np.arange(start, start + m, dtype=np.uint64)
-    # a Python int seed keeps the arithmetic in uint64 (an int64 one would
-    # promote it to float64)
-    return (np.random.Generator(np.random.PCG64(_SeedWords(w)))
-            for w in _seed_words(splitmix64(int(seed), runs)))
+    ..., start+m-1 as a (2 + 2 _CHUNK, m) uint64 array: rows 0 and 1 hold
+    the high and low words of each PCG64 state, rows 2 + i and 2 + _CHUNK + i
+    those of the ``_SUMS`` multiple of its increment that jumps i + 1 draws.
+    As numpy's ``pcg64_set_seed``, from the ``_seed_words`` (w0, w1, w2, w3):
+    inc = (w2, w3) << 1 | 1, and the state steps from 0, adds (w0, w1) and
+    steps again. (A Python int seed keeps splitmix64 in uint64.)"""
+    w = _seed_words(splitmix64(int(seed), np.arange(start, start + m, dtype=np.uint64))).T
+    inc_hi, inc_lo = (w[2] << _U1) | (w[3] >> _U63), (w[3] << _U1) | _U1
+    st = np.empty((2 + 2 * _CHUNK, m), dtype=np.uint64)
+    scratch = np.empty((_CHUNK, m), dtype=np.uint64)
+    _advance(inc_hi, inc_lo, _SUMS, _U0, _U0, (st[2:2 + _CHUNK], st[2 + _CHUNK:], scratch))
+    lo = inc_lo + w[1]
+    _advance(inc_hi + w[0] + (lo < w[1]), lo, _POWERS[:, :1], inc_hi, inc_lo,
+             (st[:1], st[1:2], scratch[:1]))
+    return st
+
+
+def _draw(st: np.ndarray, k: int, buf: np.ndarray) -> np.ndarray:
+    """Advance each stream of ``st`` (``_seed_streams``) by k <= _CHUNK
+    draws, each a jump from the first state, and return their top 53 bits,
+    ``x >> 11`` of each XSL-RR output x (the xor of the state's words rotated
+    right by the top 6 bits of its high word), as a (k, n) view of ``buf``,
+    a (3, >= _CHUNK n) uint64 scratch array."""
+    n = st.shape[1]
+    H, L, x = (row[:k * n].reshape(k, n) for row in buf)
+    _advance(st[0], st[1], _POWERS[:, :k], st[2:2 + k], st[2 + _CHUNK:2 + _CHUNK + k], (H, L, x))
+    st[0], st[1] = H[-1], L[-1]
+    np.bitwise_xor(H, L, out=x)
+    r = np.right_shift(H, _U58, out=H)
+    np.right_shift(x, r, out=L)
+    np.subtract(_U64, r, out=r)
+    x <<= r  # numpy shifts by 64 to 0, so a zero rotation keeps x >> 0
+    x |= L
+    x >>= _U11
+    return x
+
+
+def _threshold(p) -> np.ndarray:
+    """ceil(p * 2**53) as uint64: the uniform (x >> 11) * 2**-53 of a draw x
+    is below p exactly when the integer x >> 11 is below it."""
+    return np.ceil(np.ldexp(np.asarray(p, dtype=float), 53)).astype(np.uint64)
 
 
 # --- policies: callables (tau, belief) -> action, on scalars or arrays ---
@@ -212,34 +284,6 @@ def _kernel(ch: ChannelModel) -> tuple:
                                     ch.lam[0, 0], ch.lam[1, 0]))
 
 
-def _block_codes(ch: ChannelModel, seed: int, start: int, horizon: int,
-                 codes: np.ndarray):
-    """Fill column j of ``codes`` from the 2*horizon+1 uniforms of run
-    start+j, keeping of each uniform u only the comparisons its step makes.
-    Row 0 holds u_0 < initial_mode_dist[0]. Step t holds four bits in
-    nibble t % 2 of row 1 + t // 2: u_2t+1 < p00 in bit 0, u_2t+1 < p10 in
-    bit 1 (mode transition), u_2t+2 < lam0 in bit 2 and u_2t+2 < lam1 in
-    bit 3 (outcome). With an odd horizon the last high nibble stays 0."""
-    m = codes.shape[1]
-    p00, p10, _, _, lam0, lam1 = _kernel(ch)
-    # the two comparisons of each uniform as a 2-bit code, u < 0 never holding
-    lo = np.array([float(ch.initial_mode_dist[0])] + [p00, lam0] * horizon)
-    hi = np.array([0.0] + [p10, lam1] * horizon)
-    streams = _block_streams(seed, start, m)
-    stage = np.empty((min(_STAGE_RUNS, m), 2 * horizon + 1))
-    for c0 in range(0, m, _STAGE_RUNS):
-        u = stage[:min(_STAGE_RUNS, m - c0)]
-        for row in u:
-            next(streams).random(out=row)
-        pair = (u < lo) | ((u < hi).view(np.uint8) << 1)
-        step = pair[:, 1::2] | (pair[:, 2::2] << 2)
-        block = codes[:, c0:c0 + len(u)]
-        block[0] = pair[:, 0]
-        block[1:1 + horizon // 2] = (step[:, 0:horizon - 1:2] | (step[:, 1::2] << 4)).T
-        if horizon % 2:
-            block[-1] = step[:, -1]
-
-
 def _select(mask, x, y):
     """x where the uint64 ``mask`` is all ones, y where it is 0, selected bit
     by bit: unlike np.where, no branch on each element."""
@@ -247,22 +291,28 @@ def _select(mask, x, y):
     return (((x ^ y) & mask) ^ y).view(np.float64)
 
 
-def _run_block(codes: np.ndarray, horizon: int, ch: ChannelModel,
-               holding: np.ndarray, c_stop: float, gamma: float, policy,
-               tally: dict, rows=None) -> np.ndarray:
-    """Advance the episodes whose ``_block_codes`` are the columns of
-    ``codes`` together and return their discounted costs; the arithmetic is
-    the scalar episode loop's, elementwise, with a bit of the step's nibble
-    in place of u < p[theta]. Adds the block's integer counts into ``tally``
-    once it ends. With a list ``rows``, appends each step's trace rows to it,
-    as tuples of TRACE_COLUMNS entries with the block's columns for
-    episodes; the rows hold the step's tau and b arrays, so a step makes new
-    ones."""
-    _, _, p01, p11, lam0, lam1 = _kernel(ch)
-    m = codes.shape[1]
+def _run_block(st: np.ndarray, horizon: int, ch: ChannelModel, holding: np.ndarray,
+               c_stop: float, gamma: float, policy, tally: dict, rows=None) -> np.ndarray:
+    """Advance the episodes whose streams are the columns of ``st``
+    (``_seed_streams``) together and return their discounted costs; the
+    arithmetic is the scalar episode loop's, elementwise. Every
+    ``_CHUNK // 2`` steps the runs still going draw the uniforms of the next
+    ones. Adds the block's integer counts into ``tally`` once it ends. With a
+    list ``rows``, appends each step's trace rows to it, as tuples of
+    TRACE_COLUMNS entries with the block's columns for episodes; the rows
+    hold the step's tau and b arrays, so a step makes new ones."""
+    p00, p10, p01, p11, lam0, lam1 = _kernel(ch)
+    # draw i's code holds u < p[0] in bit 0 and u < p[1] in bit 1, where p by
+    # mode is the probability of the favorable mode next (i even) or of a
+    # success (i odd)
+    below = np.tile(_threshold([[p00, lam0], [p10, lam1]]), _CHUNK // 2)[:, :, None]
+    m = st.shape[1]
+    buf = np.empty((3, _CHUNK * m), dtype=np.uint64)
     costs = np.empty(m)
-    runs = None  # block columns of the runs still going, once one has stopped
-    theta = 1 - codes[0]  # uint8 modes
+    runs = np.arange(m)  # block columns of the runs still going
+    cols = None  # their columns of st, once one has stopped since st last drew
+    theta = np.greater_equal(_draw(st, 1, buf)[0],
+                             _threshold(ch.initial_mode_dist[:1])).view(np.uint8)
     tau = np.zeros(m, dtype=np.int64)
     b = np.full(m, ch.initial_belief)
     J = np.zeros(m)
@@ -280,25 +330,30 @@ def _run_block(codes: np.ndarray, horizon: int, ch: ChannelModel,
             stop = a == 1
             if not (go | stop).all():
                 raise ValueError(f"policy returned unknown action {a[~(go | stop)][0]}")
-            if runs is None:
-                runs = np.arange(m)
+            if cols is None:
+                cols = np.arange(theta.size)
             J[stop] += disc * c_stop
             costs[runs[stop]] = J[stop]
             tally["stops"][t] += np.count_nonzero(stop)
             if rows is not None:
                 rows.append((runs[stop], t, theta[stop], 1, -1, tau[stop], b[stop], c_stop))
-            runs, theta, tau, b, J = runs[go], theta[go], tau[go], b[go], J[go]
+            runs, cols, theta, tau, b, J = runs[go], cols[go], theta[go], tau[go], b[go], J[go]
             if runs.size == 0:
                 break
+        j = 2 * t % _CHUNK
+        if j == 0:
+            if cols is not None:
+                st, cols = st[:, cols], None
+            y = _draw(st, min(_CHUNK, 2 * (horizon - t)), buf)
+            codes = ((y < below[0, :len(y)]).view(np.uint8)
+                     | (y < below[1, :len(y)]).view(np.uint8) << 1)
+        code = codes[j:j + 2] if cols is None else codes[j:j + 2, cols]
         J += disc * holding[tau]
-        row = codes[1 + t // 2] if runs is None else codes[1 + t // 2][runs]
-        nibble = 4 * (t & 1)
         mode = theta
-        theta = 1 - ((row >> (theta + nibble)) & 1)
-        success = ((row >> (theta + (nibble + 2))) & 1).view(bool)
+        theta = 1 - ((code[0] >> theta) & 1)
+        success = ((code[1] >> theta) & 1).view(bool)
         if rows is not None:
-            rows.append((np.arange(m) if runs is None else runs, t, mode, 0, success,
-                         tau, b, holding[tau]))
+            rows.append((runs, t, mode, 0, success, tau, b, holding[tau]))
         tries += theta.size
         bad_tries += np.count_nonzero(theta)
         succ += np.count_nonzero(success)
@@ -317,8 +372,6 @@ def _run_block(codes: np.ndarray, horizon: int, ch: ChannelModel,
     tally["occupancy"] += (steps - bad_steps, bad_steps)
     tally["attempts"] += (tries - bad_tries, bad_tries)
     tally["successes"] += (succ - bad_succ, bad_succ)
-    if runs is None:
-        return J
     costs[runs] = J
     return costs
 
@@ -328,33 +381,28 @@ def run_batch(ch: ChannelModel, holding_costs: np.ndarray, c_stop: float,
               collect_traces: bool = False):
     """Run ``n_runs`` independent episodes and aggregate their statistics.
 
-    The runs advance in lockstep blocks whose code matrix, a nibble per
-    step, fits in ``_BLOCK_BYTES`` (1 MiB); run k draws from its own stream
-    ``default_rng(splitmix64(seed, k))``, so the result equals a scalar loop
-    over the runs bit for bit, whatever the block size. Returns SimStats, or
-    (SimStats, traces) when collect_traces is set; the traces are the rows
-    the blocks recorded, as a dict of TRACE_COLUMNS arrays in (episode, t)
-    order. Means use numpy's
-    pairwise summation; the standard error is the sample standard deviation
-    over sqrt(n_runs).
+    The runs advance in lockstep blocks of up to ``_BLOCK_RUNS``; run k
+    draws from its own stream ``default_rng(splitmix64(seed, k))``, so the
+    result equals a scalar loop over the runs bit for bit, whatever the
+    block size. Returns SimStats, or (SimStats, traces) when collect_traces
+    is set; the traces are the rows the blocks recorded, as a dict of
+    TRACE_COLUMNS arrays in (episode, t) order. Means use numpy's pairwise
+    summation; the standard error is the sample standard deviation over
+    sqrt(n_runs).
     """
     horizon, n_runs = simcfg.horizon, simcfg.n_runs
     holding = _holding_table(holding_costs, horizon)
-    width = 1 + (horizon + 1) // 2
-    block = max(1, _BLOCK_BYTES // width)
-    codes = np.empty((width, min(block, n_runs)), dtype=np.uint8)
     costs = np.empty(n_runs)
     tally = {"occupancy": np.zeros(2, dtype=np.int64),
              "attempts": np.zeros(2, dtype=np.int64),
              "successes": np.zeros(2, dtype=np.int64),
              "stops": np.zeros(horizon, dtype=np.int64)}
     traces = [] if collect_traces else None
-    for start in range(0, n_runs, block):
-        m = min(block, n_runs - start)
-        _block_codes(ch, simcfg.seed, start, horizon, codes[:, :m])
+    for start in range(0, n_runs, _BLOCK_RUNS):
+        m = min(_BLOCK_RUNS, n_runs - start)
         rows = None if traces is None else []
-        costs[start:start + m] = _run_block(codes[:, :m], horizon, ch, holding,
-                                            c_stop, gamma, policy, tally, rows)
+        costs[start:start + m] = _run_block(_seed_streams(simcfg.seed, start, m), horizon,
+                                            ch, holding, c_stop, gamma, policy, tally, rows)
         if rows is not None:
             traces += [(start + runs, *rest) for runs, *rest in rows]
     occupancy, attempts, successes = tally["occupancy"], tally["attempts"], tally["successes"]

@@ -58,6 +58,18 @@ class TestConfigValidation:
         with pytest.raises(tx.ConfigError, match="fudge"):
             tx.load_config(p)
 
+    @pytest.mark.parametrize("section", ["solver", None])
+    def test_unknown_keys_of_mixed_types_named(self, tmp_path, capsys, section):
+        # YAML keys need not be strings; an int and a str key do not sort
+        p, data = write_cfg(tmp_path)
+        node = data if section is None else data[section]
+        node.update({1: 2, "fudge": 3})
+        p.write_text(yaml.safe_dump(data), encoding="utf-8")
+        assert main(["solve", "--config", str(p)]) == 2
+        where = section or "config"
+        assert capsys.readouterr().err == f"config error: {where}.1: unknown key\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_section(self, tmp_path):
         p, _ = write_cfg(tmp_path, {"channel": None})
         with pytest.raises(tx.ConfigError, match="channel"):
@@ -520,9 +532,18 @@ class TestSimulate:
         assert stats["mean_discounted_cost"] == pytest.approx(
             float(np.trace(ss.Pbar)), rel=1e-12)
 
-    def test_unknown_policy(self, tmp_path, capsys):
+    @pytest.mark.parametrize("policy", ["nope", "bogus", "threshold:abc", "threshold:",
+                                        "threshold:nan"])
+    def test_bad_policy_is_a_usage_error(self, tmp_path, capsys, policy):
+        # argparse reports it, with exit 2; it is not a fault of the config
         p, _ = write_cfg(tmp_path)
-        assert main(["simulate", "--config", str(p), "--policy", "nope"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(p), "--policy", policy])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --policy: " in err and repr(policy) in err
+        assert "config error" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_threshold_policy_and_traces(self, tmp_path):
         p, _ = write_cfg(tmp_path, {"output.emit_traces": True,

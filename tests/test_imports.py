@@ -68,6 +68,14 @@ def test_command_imports_only_what_it_runs(tmp_path, args, absent):
     assert mods.isdisjoint(absent), sorted(mods & set(absent))
 
 
+@pytest.mark.parametrize("policy", ["never-stop", "solved"])
+def test_simulate_draws_without_numpy_random(tmp_path, policy):
+    # the simulator computes its PCG64 streams itself
+    run_command(["solve"], tmp_path)
+    mods = run_command(["simulate", "--policy", policy], tmp_path)
+    assert "txsched.sim" in mods and "numpy.random" not in mods
+
+
 @pytest.mark.parametrize("command", ["solve", "verify"])
 def test_general_problem_imports_no_stopping_solver(tmp_path, command):
     mods = run_command([command], tmp_path, GENERAL)

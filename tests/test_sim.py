@@ -84,58 +84,81 @@ class TestSplitMix:
         assert len(seeds) == 1000
 
 
-class TestBatchedSeeding:
-    """``run_batch`` seeds a block's streams in one vectorized pass; they
-    must be ``default_rng(splitmix64(seed, k))``'s bit for bit."""
+def vector_uniforms(seed, start, m, n):
+    """The first n uniforms of runs start, ..., start+m-1 from the vectorised
+    streams, as an (n, m) array, drawn as ``_run_block`` draws them: one,
+    then passes of up to ``_CHUNK``."""
+    st = sim._seed_streams(seed, start, m)
+    buf = np.empty((3, sim._CHUNK * m), dtype=np.uint64)
+    parts = [sim._draw(st, 1, buf).copy()]
+    while sum(map(len, parts)) < n:
+        parts.append(sim._draw(st, min(sim._CHUNK, n - sum(map(len, parts))), buf).copy())
+    return np.concatenate(parts) * 2.0**-53
 
-    EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+class TestBatchedSeeding:
+    """``run_batch`` seeds and advances a block's streams in vectorized
+    passes; they must be ``default_rng(splitmix64(seed, k))``'s bit for bit."""
 
     def test_vectorized_splitmix_matches_scalar(self):
-        for seed in self.EDGE_SEEDS:
+        for seed in EDGE_SEEDS:
             runs = np.arange(3000, dtype=np.uint64)
             assert sim.splitmix64(seed, runs).tolist() == [
                 tx.splitmix64(seed, k) for k in range(3000)]
 
     def test_seed_words_match_seed_sequence(self):
         rand = np.random.default_rng(7).integers(0, 2**64, 10_000, dtype=np.uint64)
-        seeds = np.concatenate([np.array(self.EDGE_SEEDS, dtype=np.uint64), rand])
+        seeds = np.concatenate([np.array(EDGE_SEEDS, dtype=np.uint64), rand])
         words = sim._seed_words(seeds)
         assert words.shape == (seeds.size, 4) and words.dtype == np.uint64
-        assert words.flags.c_contiguous  # PCG64 reads each row by pointer
         for s, w in zip(seeds.tolist(), words):
             assert np.array_equal(w, np.random.SeedSequence(s).generate_state(4, np.uint64))
 
     @pytest.mark.parametrize("seed", [0, 20260811, 2**64 - 1])
-    def test_block_streams_match_default_rng(self, seed):
+    def test_seeded_states_are_pcg64s(self, seed):
+        # rows 0-1 hold PCG64's seeded state; rows 2 and 2 + _CHUNK, the
+        # one-draw jump, its increment
+        start, m = 1000, 40
+        st = sim._seed_streams(seed, start, m)
+        assert st.shape == (2 + 2 * sim._CHUNK, m) and st.dtype == np.uint64
+        for j in range(m):
+            want = np.random.PCG64(tx.splitmix64(seed, start + j)).state["state"]
+            words = [int(st[row, j]) for row in (0, 1, 2, 2 + sim._CHUNK)]
+            assert words[0] << 64 | words[1] == want["state"]
+            assert words[2] << 64 | words[3] == want["inc"]
+
+    @pytest.mark.parametrize("seed", [0, 20260811, 2**64 - 1])
+    def test_draws_match_default_rng(self, seed):
         horizon, start = 50, 1000
-        for k, rng in enumerate(sim._block_streams(seed, start, 40), start):
-            want = np.random.default_rng(tx.splitmix64(seed, k)).random(2 * horizon + 1)
-            assert np.array_equal(rng.random(2 * horizon + 1), want)
+        u = vector_uniforms(seed, start, 40, 2 * horizon + 1)
+        for j in range(40):
+            want = np.random.default_rng(tx.splitmix64(seed, start + j)).random(2 * horizon + 1)
+            assert np.array_equal(u[:, j], want)
 
-    def test_seed_words_refuse_other_requests(self):
-        seq = sim._SeedWords(sim._seed_words(np.array([5], dtype=np.uint64))[0])
-        with pytest.raises(ValueError):
-            seq.generate_state(8)
+    def test_thresholds_decide_the_float_comparisons(self):
+        # y < ceil(p * 2**53) exactly when y * 2**-53 < p, also for p on,
+        # next to, and between the draws' own values, and for 0 and 1
+        y = (vector_uniforms(2**64 - 1, 5, 70, 2 * 31 + 1) * 2.0**53).astype(np.uint64).ravel()
+        u = y * 2.0**-53
+        ps = np.concatenate([u[:50], np.nextafter(u[:50], 2.0), np.nextafter(u[:50], -1.0),
+                             [0.0, 5e-324, 2.0**-53, 0.5, 0.9, 0.2, 1.0 - 2.0**-53, 1.0]])
+        for p in ps:
+            assert np.array_equal(y < sim._threshold(p), u < p), p
 
-    @pytest.mark.parametrize("channel", ["ge-recovering", "explicit"])
-    def test_codes_hold_the_step_comparisons(self, channel):
-        ch = CHANNELS[channel]
-        seed, start, m = 2**64 - 1, 5, 70  # 70 runs: two stagings
-        p_stay = ch.mode_kernel[0, :, 0]
-        lam = ch.lam[:, 0]
-        for horizon in (30, 31):
-            codes = np.empty((1 + (horizon + 1) // 2, m), dtype=np.uint8)
-            sim._block_codes(ch, seed, start, horizon, codes)
-            for j in range(m):
-                u = np.random.default_rng(tx.splitmix64(seed, start + j)).random(2 * horizon + 1)
-                assert codes[0, j] == (u[0] < ch.initial_mode_dist[0])
-                for t in range(horizon):
-                    nibble = (codes[1 + t // 2, j] >> 4 * (t % 2)) & 0xF
-                    want = [u[2 * t + 1] < p_stay[0], u[2 * t + 1] < p_stay[1],
-                            u[2 * t + 2] < lam[0], u[2 * t + 2] < lam[1]]
-                    assert [bool(nibble >> bit & 1) for bit in range(4)] == want
-                if horizon % 2:
-                    assert codes[-1, j] >> 4 == 0  # the last high nibble is unused
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1)),
+       k=st.one_of(st.sampled_from([0, 2**32, 2**64 - 2]), st.integers(0, 2**64 - 2)),
+       n=st.integers(1, 3 * sim._CHUNK + 2))
+def test_vectorised_uniforms_equal_default_rng(seed, k, n):
+    # the run indices k and k + 1 fit in uint64
+    got = vector_uniforms(seed, k, 2, n)
+    for j in range(2):
+        want = np.random.default_rng(tx.splitmix64(seed, k + j)).random(n)
+        assert np.array_equal(got[:, j], want)
 
 
 class TestRunEpisode:
@@ -300,54 +323,82 @@ class TestLockstepOracle:
     @pytest.mark.parametrize("kind", ["solved", "never-stop", "threshold"])
     def test_several_blocks_and_partial_last_block(self, kind, plant, steady,
                                                    stopping_solution, monkeypatch):
-        # a small code budget keeps the scalar oracle short; the 1 MiB
-        # budget's multi-block path runs in the benchmark's reference check
-        horizon = 1000
-        width = 1 + (horizon + 1) // 2  # one byte, then a nibble per step
-        monkeypatch.setattr(sim, "_BLOCK_BYTES", 16 * width)
-        block = sim._BLOCK_BYTES // width
+        # small blocks keep the scalar oracle short; the reference config's
+        # batch is one block (test_reference_batch_is_one_block)
+        horizon, block = 1000, 16
+        monkeypatch.setattr(sim, "_BLOCK_RUNS", block)
         n_runs = 2 * block + 10
-        assert n_runs % block != 0 and n_runs > 2 * block
         table = tx.holding_cost_table(plant, steady, horizon)
         cfgs = tx.SimConfig(horizon=horizon, n_runs=n_runs, seed=4)
         args = (CHANNELS["ge-recovering"], table.costs, 10.0, 0.95,
                 policy_kinds(stopping_solution)[kind], cfgs)
         assert_stats_equal(tx.run_batch(*args), oracle_batch(*args))
 
-    @pytest.mark.parametrize("budget", [1, 121 * 7])
-    def test_block_size_does_not_change_result(self, budget, monkeypatch,
+    @pytest.mark.parametrize("block", [1, 27])
+    def test_block_size_does_not_change_result(self, block, monkeypatch,
                                                stopping_solution, sim_table):
         cfgs = tx.SimConfig(horizon=60, n_runs=50, seed=8)
         args = (CHANNELS["ge"], sim_table.costs, 10.0, 0.95,
                 policy_kinds(stopping_solution)["solved"], cfgs)
         want = tx.run_batch(*args)
-        monkeypatch.setattr(sim, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(sim, "_BLOCK_RUNS", block)
         assert_stats_equal(tx.run_batch(*args), want)
 
     @pytest.mark.parametrize("horizon", [1, 3, 81])
     @pytest.mark.parametrize("kind", ["solved", "never-stop", "threshold"])
     def test_odd_horizon(self, kind, horizon, stopping_solution, sim_table):
-        # the last code row holds one step in its low nibble
+        # the last pass draws fewer than _CHUNK uniforms
         cfgs = tx.SimConfig(horizon=horizon, n_runs=70, seed=13)
         args = (CHANNELS["explicit"], sim_table.costs, 10.0, 0.95,
                 policy_kinds(stopping_solution)[kind], cfgs)
         assert_stats_equal(tx.run_batch(*args), oracle_batch(*args))
 
     def test_reference_batch_is_one_block(self, monkeypatch, sim_table):
-        # the 1 MiB budget holds the reference config's 10 000 runs of 200
-        # steps: 101 code bytes each
-        shapes = []
+        # the reference config's 10 000 runs step as one block
+        widths = []
         run_block = sim._run_block
 
-        def spy(codes, *args):
-            shapes.append(codes.shape)
-            return run_block(codes, *args)
+        def spy(st, *args):
+            widths.append(st.shape[1])
+            return run_block(st, *args)
 
         monkeypatch.setattr(sim, "_run_block", spy)
         cfgs = tx.SimConfig(horizon=200, n_runs=10_000, seed=20260811)
         tx.run_batch(CHANNELS["ge"], sim_table.costs, 10.0, 0.95,
                      tx.stop_immediately, cfgs)
-        assert shapes == [(101, 10_000)]
+        assert widths == [10_000]
+
+    @pytest.mark.parametrize("horizon", [1, 9, 10])
+    def test_only_the_runs_still_going_draw(self, horizon, monkeypatch, sim_table):
+        # the initial mode takes one draw; then every _CHUNK // 2 steps each
+        # run still going draws the next steps' uniforms, up to the horizon
+        calls = []
+        draw = sim._draw
+
+        def spy(st, k, buf):
+            calls.append((st.shape[1], k))
+            return draw(st, k, buf)
+
+        monkeypatch.setattr(sim, "_draw", spy)
+        cfgs = tx.SimConfig(horizon=horizon, n_runs=30, seed=6)
+        args = (CHANNELS["ge"], sim_table.costs, 10.0, 0.95)
+        tx.run_batch(*args, tx.stop_immediately, cfgs)
+        assert calls == [(30, 1)]
+        calls.clear()
+        tx.run_batch(*args, tx.never_stop, cfgs)
+        steps = sim._CHUNK // 2
+        assert calls == [(30, 1)] + [(30, 2 * min(steps, horizon - t))
+                                     for t in range(0, horizon, steps)]
+        calls.clear()
+        t_now = iter(range(horizon))
+
+        def policy(tau, b):  # the first ten runs still going stop at t = 1 and t = 5
+            return ((np.arange(tau.size) < 10) & (next(t_now) in (1, 5))).astype(np.int64)
+
+        tx.run_batch(*args, policy, cfgs)
+        assert calls == [(30, 1)] + [(30 - 10 * (t >= 1) - 10 * (t >= 5),
+                                      2 * min(steps, horizon - t))
+                                     for t in range(0, horizon, steps)]
 
     @pytest.mark.parametrize("kind", ["solved", "never-stop", "stop-now", "threshold"])
     def test_horizon_one(self, kind, stopping_solution, sim_table):
@@ -381,17 +432,16 @@ class TestLockstepOracle:
         assert stats.mean_discounted_cost == float(np.mean(costs))
         assert all(validate_belief_consistency(tr, CHANNELS["ge"]) for tr in episodes)
 
-    @pytest.mark.parametrize("horizon, n_runs, budget", [
+    @pytest.mark.parametrize("horizon, n_runs, block", [
         (40, 150, None),  # one block
-        (81, 42, 16 * 42),  # odd horizon; blocks of 16 runs, the last one of 10
+        (81, 42, 16),  # odd horizon; blocks of 16 runs, the last one of 10
         (1, 33, None),
     ])
     @pytest.mark.parametrize("kind", ["solved", "never-stop", "stop-now", "threshold"])
-    def test_traces_equal_scalar_episodes(self, kind, horizon, n_runs, budget,
+    def test_traces_equal_scalar_episodes(self, kind, horizon, n_runs, block,
                                           stopping_solution, sim_table, monkeypatch):
-        if budget is not None:
-            monkeypatch.setattr(sim, "_BLOCK_BYTES", budget)
-            assert n_runs > 2 * (budget // (1 + (horizon + 1) // 2))
+        if block is not None:
+            monkeypatch.setattr(sim, "_BLOCK_RUNS", block)
         cfgs = tx.SimConfig(horizon=horizon, n_runs=n_runs, seed=20260811)
         ch, policy = CHANNELS["ge-recovering"], policy_kinds(stopping_solution)[kind]
         _, traces = tx.run_batch(ch, sim_table.costs, 10.0, 0.95, policy, cfgs,
