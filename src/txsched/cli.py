@@ -50,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import check_mode_kernel_tp2
-from .config import ConfigError, RunConfig, load_config, parse_config
+from .config import ConfigError, RunConfig, SimConfig, load_config, parse_config
 from .lti_estimation import ConvergenceError, holding_cost_table, steady_state_covariance
 from .stochastic_orders import StructureViolationError, ZeroLikelihoodError
 
@@ -205,7 +205,6 @@ def _pipeline(cfg: RunConfig):
 
 def cmd_solve(cfg: RunConfig, quiet: bool = False) -> int:
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     ss, sol = _pipeline(cfg)
     # a stop region without a threshold fails before any artifact is written,
@@ -302,7 +301,6 @@ def _verify_battery(cfg: RunConfig):
 
 def cmd_verify(cfg: RunConfig, quiet: bool = False) -> int:
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     results = _verify_battery(cfg)
     write_json(out_dir / "verify_report.json", {"checks": results})
     count = {s: sum(r["status"] == s for r in results) for s in ("pass", "fail", "skip")}
@@ -371,6 +369,14 @@ def _policy_name(name: str) -> str:
     return name
 
 
+def _seed(text: str) -> int:
+    """The --seed argument; one that sim.seed cannot hold is a usage error."""
+    try:
+        return SimConfig(horizon=1, n_runs=1, seed=int(text)).seed
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc).removeprefix("sim.seed: ")) from None
+
+
 def write_traces_csv(traces: dict, out_dir: Path, policy_name: str):
     """traces_<policy>.csv from run_batch's trace columns, a row per step;
     the rows are formatted 64Ki at a time, to bound memory (%.12g is _fmt)."""
@@ -389,7 +395,6 @@ def cmd_simulate(cfg: RunConfig, policy_name: str, quiet: bool = False) -> int:
         raise ConfigError("costs.c_stop", "simulate currently supports the "
                                           "stopping formulation only")
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     policy = _build_policy(cfg, policy_name, out_dir)
     ss = steady_state_covariance(cfg.system)
     table = _cost_table(cfg, ss, cfg.sim.horizon, "sim.horizon")
@@ -443,18 +448,16 @@ def cmd_thresholds(cfg: RunConfig, quiet: bool = False) -> int:
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
+    seed = getattr(args, "seed", None)
+    if args.out is None and seed is None:
+        return cfg
     raw = cfg.to_dict()
-    changed = False
     if args.out is not None:
         raw["output"]["directory"] = args.out
-        changed = True
-    if getattr(args, "seed", None) is not None:
+    if seed is not None:
         if "sim" not in raw:
             raise ConfigError("sim", "cannot override the seed without a sim section")
-        raw["sim"]["seed"] = args.seed
-        changed = True
-    if not changed:
-        return cfg
+        raw["sim"]["seed"] = seed
     return parse_config(raw)
 
 
@@ -486,12 +489,19 @@ def main(argv=None) -> int:
     p_sim = sub.add_parser("simulate", parents=[common], help="Monte Carlo batch")
     p_sim.add_argument("--policy", default="solved", type=_policy_name,
                        help="solved | never-stop | stop-now | threshold:<c>")
-    p_sim.add_argument("--seed", type=int, default=None, help="override sim.seed")
+    p_sim.add_argument("--seed", type=_seed, default=None, help="override sim.seed")
     sub.add_parser("thresholds", parents=[common], help="print the threshold table")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
         cfg = _apply_overrides(cfg, args)
+        try:
+            Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            reason = f"cannot create directory {cfg.out_dir!r}: {exc.strerror}"
+            if args.out is not None:
+                parser.error(f"argument --out: {reason}")
+            raise ConfigError("output.directory", reason) from None
         if args.command == "solve":
             rc = cmd_solve(cfg, quiet=args.quiet)
         elif args.command == "verify":

@@ -137,9 +137,6 @@ class HoldingCostTable:
     def tau_max(self) -> int:
         return len(self.costs) - 1
 
-    def __call__(self, tau: int) -> float:
-        return float(self.costs[tau])
-
 
 def time_update(sys: LtiSystem, X) -> np.ndarray:
     """Covariance time update A X A^T + Q (symmetrized)."""

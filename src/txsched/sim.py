@@ -16,23 +16,23 @@ run bit for bit.
 
 ``run_batch`` advances the runs in lockstep: a block of up to ``_BLOCK_RUNS``
 runs steps together as numpy arrays, and runs that have stopped drop out.
-The block computes its runs' PCG64 streams on uint64 arrays: SplitMix64
-and SeedSequence's pool hash give the words numpy's PCG64 seeds from
-(``_seed_words``, ``_seed_streams``), and every ``_CHUNK // 2`` steps each
-run still going jumps its stream ahead by ``_CHUNK`` draws in one pass
-(``_draw``), so a stopped run draws no more. A uniform is
-``(x >> 11) * 2**-53``; the block compares ``x >> 11`` with
-``ceil(p * 2**53)``, which holds exactly when the uniform is below p. Every
-operation follows the order of a scalar episode loop, so costs, beliefs and
-statistics equal that loop's bit for bit, whatever the block size. Traces
-come from the lockstep block; the tests' ``run_episode`` is the scalar
-reference.
+The block runs its runs' PCG64 streams on uint64 arrays, seeded as numpy
+seeds them (``_seed_words``, ``_seed_streams``), and every ``_CHUNK // 2``
+steps each run still going jumps ahead by ``_CHUNK`` draws in one pass
+(``_draw``). A run held in an absorbing mode skips its mode draws, and a
+belief that the Bayes update keeps, that mode's certainty, is not
+recomputed. A uniform ``(x >> 11) * 2**-53`` is below p exactly when
+``x >> 11`` is below ``ceil(p * 2**53)``. Every operation follows the order
+of a scalar episode loop, so costs, beliefs, statistics and traces equal
+that loop's bit for bit, whatever the block size; the tests'
+``run_episode`` is that loop.
 
 Policies are callables ``(tau, b) -> action`` that accept either scalars or
 aligned arrays (returning an action of the same shape); action 0 continues
 and action 1 stops.
 """
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +47,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _BLOCK_RUNS = 1 << 14
 # draws a pass takes from each live stream: two per step
 _CHUNK = 8
+_MIN_HELD = 1 << 11  # fewest held runs worth a split pass's ~30 more numpy calls
 # per-step trace columns and their dtypes: mode, action, transmission outcome
 # (gamma_t, -1 on the stop row), holding time, belief and undiscounted cost
 TRACE_COLUMNS = {"episode": np.int64, "t": np.int64, "theta": np.int8, "action": np.int8,
@@ -181,15 +182,13 @@ def _seed_streams(seed: int, start: int, m: int) -> np.ndarray:
     return st
 
 
-def _draw(st: np.ndarray, k: int, buf: np.ndarray) -> np.ndarray:
-    """Advance each stream of ``st`` (``_seed_streams``) by k <= _CHUNK
-    draws, each a jump from the first state, and return their top 53 bits,
-    ``x >> 11`` of each XSL-RR output x (the xor of the state's words rotated
-    right by the top 6 bits of its high word), as a (k, n) view of ``buf``,
-    a (3, >= _CHUNK n) uint64 scratch array."""
-    n = st.shape[1]
-    H, L, x = (row[:k * n].reshape(k, n) for row in buf)
-    _advance(st[0], st[1], _POWERS[:, :k], st[2:2 + k], st[2 + _CHUNK:2 + _CHUNK + k], (H, L, x))
+def _jump(st: np.ndarray, draws: slice, out):
+    """Write into out[2] the top 53 bits, ``x >> 11``, of the XSL-RR outputs
+    x (the state's words xored, rotated right by the top 6 bits of the high
+    word) of ``draws`` (a slice) of the streams of ``st``, each a jump from
+    the first state, which moves to the last draw's; out[:2] is scratch."""
+    H, L, x = out
+    _advance(st[0], st[1], _POWERS[:, draws], st[2:][draws], st[2 + _CHUNK:][draws], out)
     st[0], st[1] = H[-1], L[-1]
     np.bitwise_xor(H, L, out=x)
     r = np.right_shift(H, _U58, out=H)
@@ -198,6 +197,26 @@ def _draw(st: np.ndarray, k: int, buf: np.ndarray) -> np.ndarray:
     x <<= r  # numpy shifts by 64 to 0, so a zero rotation keeps x >> 0
     x |= L
     x >>= _U11
+
+
+def _draw(st: np.ndarray, k: int, buf: np.ndarray, held=None) -> np.ndarray:
+    """Advance the streams of ``st`` (``_seed_streams``) by k <= _CHUNK draws
+    and return their ``_jump`` bits as a (k, n) view of ``buf``, a (3, >=
+    _CHUNK n) uint64 array. The streams ``held`` marks do not read their even
+    draws: if all, or twice the others and _MIN_HELD, they skip them, as 0."""
+    n = st.shape[1]
+    H, L, x = (row[:k * n].reshape(k, n) for row in buf)
+    n_held = 0 if held is None else np.count_nonzero(held)
+    draws = slice(0, k)
+    if n_held == n or n_held >= max(2 * (n - n_held), _MIN_HELD):
+        draws = slice(1, k, 2)
+        x[0::2] = 0
+        if n_held < n:  # the others' even draws, with scratch in buf[:2]
+            moving = np.flatnonzero(~held)
+            (He, xe), (Le, _) = buf[:2, :k * moving.size].reshape(2, 2, k // 2, -1)
+            _jump(st.take(moving, axis=1), slice(0, k, 2), (He, Le, xe))
+            x[0::2, moving] = xe
+    _jump(st, draws, (H[draws], L[draws], x[draws]))
     return x
 
 
@@ -244,11 +263,6 @@ class LatticePolicy:
         self.grid_n = grid_n
         self.tau_max = tau_max
 
-    @classmethod
-    def from_solution(cls, sol) -> "LatticePolicy":
-        """The policy of a ``belief_mdp.Solution``."""
-        return cls(sol.policy, sol.grid_n, sol.tau_max)
-
     def __call__(self, tau, b):
         i = np.clip(np.rint(np.multiply(b, self.grid_n)), 0, self.grid_n)
         return self.policy[np.minimum(tau, self.tau_max), i.astype(np.int64)]
@@ -291,6 +305,20 @@ def _select(mask, x, y):
     return (((x ^ y) & mask) ^ y).view(np.float64)
 
 
+def _bayes(b, success, p01, p11, lam0, lam1) -> np.ndarray:
+    """The posteriors of beliefs ``b`` on the outcomes ``success`` (bools), in
+    the scalar loop's arithmetic; ZeroLikelihoodError if one has likelihood 0."""
+    bhat = np.minimum(np.maximum(p01 * (1.0 - b) + p11 * b, 0.0), 1.0)
+    succ_mass = lam1 * bhat
+    p_succ = lam0 * (1.0 - bhat) + succ_mass
+    pick = np.negative(success.view(np.uint8), dtype=np.uint64)  # all ones on success
+    den = _select(pick, p_succ, 1.0 - p_succ)
+    if (den <= 0.0).any():
+        raise ZeroLikelihoodError(_ZERO_LIKELIHOOD)
+    num = _select(pick, succ_mass, (1.0 - lam1) * bhat)
+    return np.minimum(np.maximum(num / den, 0.0), 1.0)
+
+
 def _run_block(st: np.ndarray, horizon: int, ch: ChannelModel, holding: np.ndarray,
                c_stop: float, gamma: float, policy, tally: dict, rows=None) -> np.ndarray:
     """Advance the episodes whose streams are the columns of ``st``
@@ -302,10 +330,22 @@ def _run_block(st: np.ndarray, horizon: int, ch: ChannelModel, holding: np.ndarr
     TRACE_COLUMNS entries with the block's columns for episodes; the rows
     hold the step's tau and b arrays, so a step makes new ones."""
     p00, p10, p01, p11, lam0, lam1 = _kernel(ch)
+    kern = p01, p11, lam0, lam1  # the Bayes update's
     # draw i's code holds u < p[0] in bit 0 and u < p[1] in bit 1, where p by
     # mode is the probability of the favorable mode next (i even) or of a
     # success (i odd)
     below = np.tile(_threshold([[p00, lam0], [p10, lam1]]), _CHUNK // 2)[:, :, None]
+    # a run in an absorbing mode reads no mode draw: any y, as 0, gives its
+    # code; ``free`` is the other mode, 2 if both absorb, None if neither does
+    absorbs = below[:, 0, 0] == np.array([2**53, 0], dtype=np.uint64)
+    free = None if not absorbs.any() else 2 if absorbs.all() else int(absorbs[0])
+    # the certainty of an absorbing mode (1.0 if mode 1 absorbs) when both
+    # outcomes' updates return it with nonzero likelihood, else NaN: none
+    settled = float("nan")
+    with suppress(ZeroLikelihoodError):
+        c = float(free != 1)
+        if free is not None and (_bayes(np.full(2, c), np.array([True, False]), *kern) == c).all():
+            settled = c
     m = st.shape[1]
     buf = np.empty((3, _CHUNK * m), dtype=np.uint64)
     costs = np.empty(m)
@@ -344,9 +384,13 @@ def _run_block(st: np.ndarray, horizon: int, ch: ChannelModel, holding: np.ndarr
         if j == 0:
             if cols is not None:
                 st, cols = st[:, cols], None
-            y = _draw(st, min(_CHUNK, 2 * (horizon - t)), buf)
+            y = _draw(st, min(_CHUNK, 2 * (horizon - t)), buf,
+                      None if free is None else theta != free)
             codes = ((y < below[0, :len(y)]).view(np.uint8)
                      | (y < below[1, :len(y)]).view(np.uint8) << 1)
+            # runs at the settled belief keep it: when at most half of the
+            # beliefs move at the pass start, its steps update only those
+            sift = 2 * np.count_nonzero(b != settled) <= b.size
         code = codes[j:j + 2] if cols is None else codes[j:j + 2, cols]
         J += disc * holding[tau]
         mode = theta
@@ -359,15 +403,12 @@ def _run_block(st: np.ndarray, horizon: int, ch: ChannelModel, holding: np.ndarr
         succ += np.count_nonzero(success)
         bad_succ += np.count_nonzero(success & theta)
         tau = (tau + 1) * ~success
-        bhat = np.minimum(np.maximum(p01 * (1.0 - b) + p11 * b, 0.0), 1.0)
-        succ_mass = lam1 * bhat
-        p_succ = lam0 * (1.0 - bhat) + succ_mass
-        pick = np.negative(success.view(np.uint8), dtype=np.uint64)  # all ones on success
-        den = _select(pick, p_succ, 1.0 - p_succ)
-        if (den <= 0.0).any():
-            raise ZeroLikelihoodError(_ZERO_LIKELIHOOD)
-        num = _select(pick, succ_mass, (1.0 - lam1) * bhat)
-        b = np.minimum(np.maximum(num / den, 0.0), 1.0)
+        move = np.flatnonzero(b != settled) if sift else None
+        if move is None:
+            b = _bayes(b, success, *kern)
+        elif move.size:  # into a new b, as trace rows hold the old one
+            b, b_move = np.full(b.shape, settled), _bayes(b[move], success[move], *kern)
+            b[move] = b_move
         disc *= gamma
     tally["occupancy"] += (steps - bad_steps, bad_steps)
     tally["attempts"] += (tries - bad_tries, bad_tries)
@@ -406,8 +447,7 @@ def run_batch(ch: ChannelModel, holding_costs: np.ndarray, c_stop: float,
         if rows is not None:
             traces += [(start + runs, *rest) for runs, *rest in rows]
     occupancy, attempts, successes = tally["occupancy"], tally["attempts"], tally["successes"]
-    total_steps = int(occupancy.sum())
-    occ = tuple((occupancy / total_steps).tolist()) if total_steps else (0.0, 0.0)
+    occ = tuple((occupancy / occupancy.sum()).tolist())  # every run takes step 0
     rates = tuple(float(successes[m] / attempts[m]) if attempts[m] else float("nan")
                   for m in range(2))
     max_stage = float(max(np.max(holding[:horizon]), c_stop))

@@ -521,6 +521,25 @@ class TestSimulate:
         assert other["seed"] == 999
         assert other["mean_discounted_cost"] != base["mean_discounted_cost"]
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_is_a_usage_error(self, tmp_path, capsys, seed):
+        # the bound is sim.seed's, but the command line is not the config
+        p, _ = write_cfg(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(p), "--policy", "never-stop", "--seed", seed])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument --seed: must be {'>= 0' if seed == '-1' else '<='}" in err
+        assert seed in err and "config error" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_seed_overrides(self, tmp_path):
+        p, _ = write_cfg(tmp_path, {"sim.n_runs": 3})
+        assert main(["simulate", "--config", str(p), "--policy", "never-stop",
+                     "--seed", str(2**64 - 1), "--quiet"]) == 0
+        stats = json.loads((tmp_path / "out" / "simstats_never-stop.json").read_text())
+        assert stats["seed"] == 2**64 - 1
+
     def test_horizon_one_costs(self, tmp_path, plant):
         p, _ = write_cfg(tmp_path, {"sim.horizon": 1, "sim.n_runs": 8})
         main(["simulate", "--config", str(p), "--policy", "stop-now", "--quiet"])
@@ -787,6 +806,34 @@ class TestExitCodes:
         assert not isinstance(sys.stdout, ClosedPipe)
         print("after the reader has gone")
         sys.stdout.close()
+
+    @pytest.mark.parametrize("under_file", [False, True])
+    def test_out_directory_that_cannot_be_created(self, tmp_path, capsys, under_file):
+        # --out names a file, or a path under one: a usage error naming --out,
+        # the path and the reason
+        p, _ = write_cfg(tmp_path)
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "sub" if under_file else tmp_path / "afile"
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", str(p), "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        reason = "Not a directory" if under_file else "File exists"
+        assert f"error: argument --out: cannot create directory {str(out)!r}: {reason}" in err
+        assert "config error" not in err
+
+    def test_configured_directory_that_cannot_be_created(self, tmp_path, capsys):
+        (tmp_path / "afile").write_text("")
+        p, _ = write_cfg(tmp_path, {"output.directory": "afile/sub"})
+        assert main(["simulate", "--config", str(p), "--policy", "stop-now"]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: output.directory: cannot create directory "
+            f"{str(tmp_path / 'afile' / 'sub')!r}: Not a directory\n")
+
+    def test_missing_config_is_a_config_error(self, tmp_path, capsys):
+        assert main(["verify", "--config", str(tmp_path / "none.yaml")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "none.yaml" in err
 
     def test_zero_likelihood_is_a_model_inconsistency(self, tmp_path, capsys,
                                                       monkeypatch):

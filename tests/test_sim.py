@@ -1,9 +1,10 @@
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import txsched as tx
 from oracles import _stream, run_episode, validate_belief_consistency
@@ -302,8 +303,12 @@ CHANNELS = {
 }
 
 
+def solved_policy(sol):
+    return tx.LatticePolicy(sol.policy, sol.grid_n, sol.tau_max)
+
+
 def policy_kinds(stopping_solution):
-    return {"solved": tx.LatticePolicy.from_solution(stopping_solution),
+    return {"solved": solved_policy(stopping_solution),
             "never-stop": tx.never_stop, "stop-now": tx.stop_immediately,
             "threshold": tx.FixedThresholdPolicy(0.5)}
 
@@ -375,9 +380,9 @@ class TestLockstepOracle:
         calls = []
         draw = sim._draw
 
-        def spy(st, k, buf):
+        def spy(st, k, buf, held=None):
             calls.append((st.shape[1], k))
-            return draw(st, k, buf)
+            return draw(st, k, buf, held)
 
         monkeypatch.setattr(sim, "_draw", spy)
         cfgs = tx.SimConfig(horizon=horizon, n_runs=30, seed=6)
@@ -399,6 +404,53 @@ class TestLockstepOracle:
         assert calls == [(30, 1)] + [(30 - 10 * (t >= 1) - 10 * (t >= 5),
                                       2 * min(steps, horizon - t))
                                      for t in range(0, horizon, steps)]
+
+    @pytest.mark.parametrize("min_held", [0, sim._MIN_HELD])
+    def test_held_runs_draw_only_their_outcomes(self, min_held, monkeypatch, sim_table):
+        # a run in the absorbing mode (p11 = 1) reads no mode draw: once the
+        # held runs are all, or twice the others and _MIN_HELD, a pass jumps
+        # the others to their even draws and every run to its odd ones only
+        monkeypatch.setattr(sim, "_MIN_HELD", min_held)
+        passes, draw, jump = [], sim._draw, sim._jump
+
+        def draw_spy(st, k, buf, held=None):
+            passes.append((st.shape[1], k, 0 if held is None else int(held.sum()), []))
+            return draw(st, k, buf, held)
+
+        def jump_spy(st, draws, out):
+            passes[-1][3].append((st.shape[1], draws))
+            return jump(st, draws, out)
+
+        monkeypatch.setattr(sim, "_draw", draw_spy)
+        monkeypatch.setattr(sim, "_jump", jump_spy)
+        cfgs = tx.SimConfig(horizon=120, n_runs=300, seed=5)
+        args = (CHANNELS["ge"], sim_table.costs, 10.0, 0.95, tx.never_stop, cfgs)
+        assert_stats_equal(tx.run_batch(*args), oracle_batch(*args))
+        split = below_half = 0
+        for n, k, held, jumps in passes:
+            if held == n or held >= max(2 * (n - held), min_held):
+                assert 2 * held >= n
+                assert jumps == [(n - held, slice(0, k, 2))] * (held < n) + [(n, slice(1, k, 2))]
+                split += 1
+            else:
+                assert jumps == [(n, slice(0, k))]
+                below_half += 0 < 2 * held < n
+        assert split and below_half
+
+    def test_split_pass_draws_the_same_values(self, monkeypatch):
+        # odd draws for every stream, even ones for the streams not held;
+        # the held read 0 there, and every stream ends where a full pass ends
+        monkeypatch.setattr(sim, "_MIN_HELD", 0)
+        n, k = 50, sim._CHUNK
+        held = np.random.default_rng(3).random(n) < 0.8
+        full = sim._seed_streams(17, 0, n)
+        split = full.copy()
+        buf = np.empty((3, sim._CHUNK * n), dtype=np.uint64)
+        want = sim._draw(full, k, buf).copy()
+        got = sim._draw(split, k, buf, held)
+        assert np.array_equal(got[1::2], want[1::2])
+        assert np.array_equal(got[0::2], np.where(held, 0, want[0::2]))
+        assert np.array_equal(split, full)
 
     @pytest.mark.parametrize("kind", ["solved", "never-stop", "stop-now", "threshold"])
     def test_horizon_one(self, kind, stopping_solution, sim_table):
@@ -483,6 +535,26 @@ class TestLockstepOracle:
             run_episode(ch, sim_table.costs, 10.0, 0.95, tx.never_stop, 5,
                         np.random.default_rng(0))
 
+    def test_zero_likelihood_raises_in_a_split_pass(self, monkeypatch, sim_table):
+        # both modes absorb, so every run is held and skips its mode draws;
+        # the Bayes update still sees the success of zero likelihood
+        ch = SimpleNamespace(mode_kernel=np.array([[[1.0, 0.0], [0.0, 1.0]]]),
+                             lam=np.array([[1.0], [0.0]]),
+                             initial_mode_dist=np.array([1.0, 0.0]),
+                             initial_belief=1.0)
+        helds = []
+        draw = sim._draw
+
+        def spy(st, k, buf, held=None):
+            helds.append(None if held is None else np.count_nonzero(held))
+            return draw(st, k, buf, held)
+
+        monkeypatch.setattr(sim, "_draw", spy)
+        cfgs = tx.SimConfig(horizon=5, n_runs=64, seed=1)
+        with pytest.raises(tx.ZeroLikelihoodError):
+            tx.run_batch(ch, sim_table.costs, 10.0, 0.95, tx.never_stop, cfgs)
+        assert helds == [None, 64]
+
     def test_table_too_short(self, sim_table):
         cfgs = tx.SimConfig(horizon=50, n_runs=5, seed=1)
         with pytest.raises(ValueError, match="horizon"):
@@ -514,9 +586,55 @@ def test_lockstep_equals_scalar_loop_on_random_channels(plant, steady, ch, seed,
         assert_stats_equal(tx.run_batch(*args), oracle_batch(*args))
 
 
+@st.composite
+def absorbing_channels(draw):
+    """Gilbert-Elliott channels whose mode 1, mode 0, or both modes absorb,
+    with success rates and initial beliefs that may sit at 0 or 1."""
+    edge = st.sampled_from([0.0, 1.0])
+    kind = draw(st.sampled_from(["p11", "p00", "both"]))
+    p00 = 1.0 if kind != "p11" else draw(st.floats(0.0, 1.0))
+    p11 = 1.0 if kind != "p00" else draw(st.floats(0.0, 1.0))
+    lam_bad = draw(edge | st.floats(0.0, 0.5))
+    lam_good = draw(edge.filter(lambda x: x >= lam_bad) | st.floats(max(lam_bad, 0.5), 1.0))
+    return tx.make_gilbert_elliott(p00=p00, p11=p11, lam_good=lam_good, lam_bad=lam_bad,
+                                   b0=draw(edge | st.floats(0.0, 1.0)))
+
+
+# beliefs reach the certainty of the absorbing mode 1 within the horizon, or
+# that of mode 0 at a success (lam_bad = 0), or start at that of mode 1 when
+# both modes absorb
+@example(ch=CHANNELS["ge"], seed=9, horizon=150, n_runs=200, policy="never-stop",
+         threshold=1.0, min_held=0)
+@example(ch=tx.make_gilbert_elliott(p00=1.0, p11=0.9, lam_good=0.8, lam_bad=0.0, b0=0.5),
+         seed=10, horizon=150, n_runs=200, policy="never-stop", threshold=0.9, min_held=0)
+@example(ch=tx.make_gilbert_elliott(p00=1.0, p11=1.0, lam_good=0.7, lam_bad=0.3, b0=1.0),
+         seed=11, horizon=60, n_runs=200, policy="solved", threshold=1.0, min_held=0)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(ch=absorbing_channels(), seed=st.integers(0, 2**64 - 1),
+       horizon=st.integers(1, 150), n_runs=st.integers(1, 200),
+       policy=st.sampled_from(["never-stop", "threshold", "solved"]),
+       threshold=st.floats(0.5, 1.0), min_held=st.sampled_from([0, sim._MIN_HELD]))
+def test_absorbing_channels_equal_scalar_episodes(plant, steady, stopping_solution, ch, seed,
+                                                 horizon, n_runs, policy, threshold,
+                                                 min_held):
+    # held runs skip their mode draws and settled beliefs skip the Bayes
+    # update; statistics and every trace row still equal the scalar loop's
+    policy = {"never-stop": tx.never_stop, "threshold": tx.FixedThresholdPolicy(threshold),
+              "solved": solved_policy(stopping_solution)}[policy]
+    costs = tx.holding_cost_table(plant, steady, 150).costs
+    cfgs = tx.SimConfig(horizon=horizon, n_runs=n_runs, seed=seed)
+    with mock.patch.object(sim, "_MIN_HELD", min_held):
+        stats, traces = tx.run_batch(ch, costs, 10.0, 0.95, policy, cfgs, collect_traces=True)
+    assert_stats_equal(stats, oracle_batch(ch, costs, 10.0, 0.95, policy, cfgs))
+    for k, got in enumerate(split_episodes(traces)):
+        want = run_episode(ch, costs, 10.0, 0.95, policy, horizon, _stream(seed, k))
+        for field in TRACE_FIELDS.values():
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
 class TestPolicies:
     def test_lattice_policy_nearest_lookup(self, stopping_solution):
-        pol = tx.LatticePolicy.from_solution(stopping_solution)
+        pol = solved_policy(stopping_solution)
         grid_n = stopping_solution.grid_n
         for tau in (0, 10, 60, 75):
             for b in (0.0, 0.33301, 0.5, 0.99999, 1.0):
