@@ -24,11 +24,13 @@ returns the bound's midpoint; for an unstable plant it stops on the
 weighted residual r and certifies r * (L_1 + ... + L_m) / (1 - L_m), where
 L_j is the exact modulus of T^j on the lattice (_lattice_moduli), which
 check_contraction also reports.
-One kernel, _bellman, evaluates the operator for every solve and check, from
-a per-solve interpolation stencil; _require_contraction states the hypothesis
-they all rely on. The structural checks are closed forms over the whole
-lattice: verify_update_monotonicity decides the likelihood order on every
-ordered pair of states from one suffix minimum per action.
+One solve path, _solve, serves value_iterate and the stopping problem, whose
+stop action is a Q column pinned to c_stop. One kernel, _bellman, evaluates
+the operator for every solve and check, from a per-solve interpolation
+stencil; _require_contraction states the hypothesis they all rely on. The
+structural checks are closed forms over the whole lattice:
+verify_update_monotonicity decides the likelihood order on every ordered
+pair of states from one suffix minimum per action.
 """
 
 import math
@@ -127,20 +129,21 @@ def _stencil(ch: ChannelModel, grid: np.ndarray):
     return stencil
 
 
-def _over_actions(ufunc, Q):
+def _over_actions(ufunc, Q, start=None):
     """ufunc (np.minimum or np.maximum) reduced over the action axis of Q,
-    applied elementwise across the action slices in index order.
+    elementwise across the action slices in index order, from
+    ufunc(Q[:, :, 0], start) when a scalar start is given.
 
-    Bit-identical to ufunc.reduce(Q, axis=2) (Q.min(axis=2), Q.max(axis=2)),
-    signed zeros included, but numpy's reduction over a short inner axis is
-    some 40 times slower. The reduction can hand back the default NaN in
-    place of a NaN's own payload, so a result holding a NaN is recomputed by
-    the reduction itself."""
-    out = Q[:, :, 0].copy()
+    Without start, bit-identical to ufunc.reduce(Q, axis=2) (Q.min(axis=2),
+    Q.max(axis=2)), signed zeros included, and some 40 times faster over a
+    short inner axis. The reduction can hand back the default NaN in place of
+    a NaN's own payload, so a result over several actions holding a NaN is
+    recomputed by the reduction itself."""
+    out = Q[:, :, 0].copy() if start is None else ufunc(Q[:, :, 0], start)
     for a in range(1, Q.shape[2]):
         ufunc(out, Q[:, :, a], out=out)
-    if np.isnan(out).any():
-        return ufunc.reduce(Q, axis=2)
+    if Q.shape[2] > 1 and np.isnan(out).any():
+        return ufunc.reduce(Q, axis=2, initial=start)
     return out
 
 
@@ -193,7 +196,7 @@ def _prolong(Q, coarse_grid, grid):
 
 def _magnitude(V, Qn):
     """M = max(|V|, |Qn|) for the sweep Qn = fl(T Q) from the continuation
-    values V = values(Q); the sweep errs by at most _SWEEP_ROUNDING u M at
+    values V; the sweep errs by at most _SWEEP_ROUNDING u M at
     every entry, u the unit roundoff.
 
     An interpolation (V[hi] - V[lo]) / dx * off + V[lo] is a convex
@@ -208,12 +211,13 @@ def _magnitude(V, Qn):
     return max(float(np.abs(V).max()), float(np.abs(Qn).max()))
 
 
-def _iterate(values, ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
-             what: str, pinned: bool = False, final: bool = True):
-    """Q <- _bellman(values(Q)) until the error is certified below
-    cfg.vi_tol; returns (Q, sweeps, residual history, certified error,
-    coarse levels), where the levels list the coarser grids solved first as
-    (grid_n, sweeps) pairs, the coarsest first.
+def _iterate(ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
+             c_stop: float | None = None, final: bool = True):
+    """Q <- _bellman(V), with V = min(min_a Q, c_stop) (min_a Q when c_stop
+    is None), until the error is certified below cfg.vi_tol; returns (Q,
+    sweeps, residual history, certified error, coarse levels), where the
+    levels list the coarser grids solved first as (grid_n, sweeps) pairs, the
+    coarsest first. Q holds the swept actions only, not the stop column.
 
     The sweep starts from the solve on a grid _COARSEN times coarser, carried
     onto this grid by _prolong, when that grid has at least _MIN_COARSE_GRID
@@ -231,13 +235,13 @@ def _iterate(values, ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
     plant (plain sup norm) the stopping rule is the MacQueen/Porteus span
     bound: with k = gamma / (1 - gamma), the fixed point lies between
     Qn + k * min d and Qn + k * max d, so the sweep stops once the half-width
-    k * (max d - min d) / 2 is below vi_tol and returns the midpoint. With a
-    branch pinned to a constant (``pinned``: the stop branch) the shift rule
-    T(Q + c) = TQ + gamma * c weakens to TQ <= T(Q + c) <= TQ + gamma * c
-    for c >= 0, so the bound holds once [min d, max d] is widened to include
-    0, the pinned branch's own increment. For an unstable plant the sweep
-    stops when the weighted residual r is below vi_tol, and _certify bounds
-    the error over m = 1 .. the analytic contraction stage.
+    k * (max d - min d) / 2 is below vi_tol and returns the midpoint. With
+    c_stop set, the stop action is a branch pinned to that constant, so the
+    shift rule T(Q + c) = TQ + gamma * c weakens to TQ <= T(Q + c) <= TQ +
+    gamma * c for c >= 0, and the bound holds once [min d, max d] is widened
+    to include 0, the stop branch's own increment. For an unstable plant the
+    sweep stops when the weighted residual r is below vi_tol, and _certify
+    bounds the error over m = 1 .. the analytic contraction stage.
 
     Both bounds hold for exact arithmetic; the certified error adds the
     rounding of the float sweep. Let |fl(TQ) - TQ| <= delta = 16 u M at every
@@ -264,8 +268,7 @@ def _iterate(values, ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
     k = cfg.gamma / (1.0 - cfg.gamma)
     if cfg.grid_n // _COARSEN >= _MIN_COARSE_GRID:
         coarse = replace(cfg, grid_n=cfg.grid_n // _COARSEN)
-        Qc, sweeps, _, _, levels = _iterate(values, ch, cost, coarse, what, pinned,
-                                            final=False)
+        Qc, sweeps, _, _, levels = _iterate(ch, cost, coarse, c_stop, final=False)
         Q = _prolong(Qc, coarse.belief_grid(), grid)
         levels += ((coarse.grid_n, sweeps),)
     else:
@@ -273,13 +276,13 @@ def _iterate(values, ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
     d = np.empty_like(Q)
     history = []
     for sweep in range(1, cfg.max_sweeps + 1):
-        V = values(Q)
+        V = _over_actions(np.minimum, Q, c_stop)
         Qn = _bellman(V, stencil, cs, ca, cfg.gamma)
         np.subtract(Qn, Q, out=d)
         if rho < 1.0:
             lo, hi = float(d.min()), float(d.max())
             history.append(max(hi, -lo))
-            if pinned:
+            if c_stop is not None:
                 lo, hi = min(lo, 0.0), max(hi, 0.0)
             half = k * (hi - lo) / 2.0
             if half < cfg.vi_tol or sweep == cfg.max_sweeps:  # a failure reports the term
@@ -308,7 +311,7 @@ def _iterate(values, ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
         detail = (f"span half-width {half:.3e}, rounding term {rounding:.3e}, gamma {cfg.gamma}"
                   + ("; vi_tol is below this rounding floor" if rounding >= cfg.vi_tol else ""))
     raise ConvergenceError(
-        f"{what} did not reach tol {cfg.vi_tol} in {cfg.max_sweeps} sweeps ({detail})",
+        f"value iteration did not reach tol {cfg.vi_tol} in {cfg.max_sweeps} sweeps ({detail})",
         residual=history[-1], history=history)
 
 
@@ -328,7 +331,7 @@ def _lattice_moduli(stencil, s, gamma, m):
     moduli = []
     for _ in range(m):
         A = _over_actions(np.maximum, _bellman(A, stencil, zeros_c, zeros_a, gamma))
-        moduli.append(float(np.max(A / s[:, None])))
+        moduli.append(_weighted_sup(A, s))
     return moduli
 
 
@@ -442,6 +445,23 @@ def _require_contraction(ch: ChannelModel, spectral_radius: float, eps: float):
             f"{rho}, weight_eps = {eps}, alpha = {fail * (rho**2 + eps)}); {cause}")
 
 
+def _solve(ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
+           c_stop: float | None = None) -> Solution:
+    """value_iterate; with c_stop set, the solution gains a last action,
+    stop, whose Q column is c_stop at every lattice point, and its policy
+    stops on ties."""
+    _require_contraction(ch, cost.spectral_radius, cfg.weight_eps)
+    _check_problem(ch, cost, cfg)
+    Q, sweeps, history, certified, levels = _iterate(ch, cost, cfg, c_stop)
+    if c_stop is not None:
+        Q = np.concatenate([Q, np.full_like(Q[:, :, :1], c_stop)], axis=2)
+    return Solution(Qfun=Q, V=_over_actions(np.minimum, Q),
+                    policy=greedy_policy(Q, cfg.tie_break if c_stop is None else "high"),
+                    belief_grid=cfg.belief_grid(), sweeps_used=sweeps,
+                    final_residual=history[-1], residual_history=tuple(history),
+                    certified_error=certified, coarse_levels=levels)
+
+
 def value_iterate(ch: ChannelModel, cost: StageCost, cfg: SolverConfig) -> Solution:
     """Value iteration until the error is certified below cfg.vi_tol (span
     bound for a stable plant, weighted residual for an unstable one), from
@@ -451,15 +471,7 @@ def value_iterate(ch: ChannelModel, cost: StageCost, cfg: SolverConfig) -> Solut
     Raises ConvergenceError (with the residual history) if max_sweeps is
     exhausted, and ValueError if the contraction hypothesis fails.
     """
-    _require_contraction(ch, cost.spectral_radius, cfg.weight_eps)
-    _check_problem(ch, cost, cfg)
-    Q, sweeps, history, certified, levels = _iterate(
-        lambda Q: _over_actions(np.minimum, Q), ch, cost, cfg, "value iteration")
-    return Solution(Qfun=Q, V=_over_actions(np.minimum, Q),
-                    policy=greedy_policy(Q, cfg.tie_break),
-                    belief_grid=cfg.belief_grid(), sweeps_used=sweeps,
-                    final_residual=history[-1], residual_history=tuple(history),
-                    certified_error=certified, coarse_levels=levels)
+    return _solve(ch, cost, cfg)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,8 @@ Subcommands:
 Exit codes: 0 ok, 2 config or usage error (including a holding-cost table that
 overflows float64 before solver.tau_max or sim.horizon, and a solved policy
 that is missing, malformed or does not match the config, reported as "stale
-policy"),
+policy"), or an artifact that cannot be written ("output error: cannot write
+'<path>': <OS reason>"),
 3 convergence failure (including a covariance fixed point under which the
 holding cost falls by more than rounding), 4 verification failure (a failed
 verify check, or a solve or thresholds whose stop region is not an upper
@@ -44,6 +45,7 @@ import os
 import sys
 import time
 import warnings
+from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
 
@@ -77,12 +79,27 @@ class StalePolicyError(Exception):
     config."""
 
 
+class OutputError(Exception):
+    """An artifact could not be written."""
+
+
+@contextmanager
+def _artifact(path: Path):
+    """path opened for writing, UTF-8 with LF line endings; an OSError while
+    opening, writing or closing it is an OutputError naming the file."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+    except OSError as exc:
+        raise OutputError(f"cannot write '{path}': {exc.strerror or exc}") from None
+
+
 def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
 def _write_lines(path: Path, lines):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _artifact(path) as fh:
         for line in lines:
             fh.write(line + "\n")
 
@@ -112,8 +129,8 @@ def write_solution_csvs(sol, out_dir: Path):
     # what follows tau in a V row: row 0 %-slots, row 1 + j the literal of const[j]
     vp_pieces = np.array([[f",{b},%.12g,%d\n" for b in beliefs]] + [
         [f",{b},{lits[a]},{a}\n" for b in beliefs] for a in const], dtype=object)
-    with open(out_dir / "q_values.csv", "w", encoding="utf-8", newline="\n") as q_fh, \
-            open(out_dir / "value_policy.csv", "w", encoding="utf-8", newline="\n") as vp_fh:
+    with _artifact(out_dir / "q_values.csv") as q_fh, \
+            _artifact(out_dir / "value_policy.csv") as vp_fh:
         q_fh.write("tau,belief,action,q_value\n")
         vp_fh.write("tau,belief,value,policy\n")
         for tau in range(sol.tau_max + 1):
@@ -171,9 +188,7 @@ def read_value_policy_csv(path: Path):
 
 
 def write_json(path: Path, obj):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_lines(path, [json.dumps(obj, sort_keys=True, indent=2)])
 
 
 def _cost_table(cfg: RunConfig, ss, length: int, field: str):
@@ -515,11 +530,11 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         _stdout_to_devnull()
         return EXIT_BROKEN_PIPE
-    except (ConfigError, FileNotFoundError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except StalePolicyError as exc:
         print(f"stale policy: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
@@ -530,7 +545,7 @@ def main(argv=None) -> int:
     except ZeroLikelihoodError as exc:
         print(f"model inconsistency: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -218,27 +218,25 @@ def _parse_system(section):
     return system, raw
 
 
+# the closed-form channel families: channel.type -> (constructor, its keys)
+_CHANNEL_FAMILIES = {
+    "ge": (make_gilbert_elliott, ("p00", "p11", "lam_good", "lam_bad", "b0")),
+    "persistent": (make_persistent_failure, ("p_fail", "lam_good", "lam_bad", "b0")),
+}
+
+
 def _parse_channel(section):
     sec = _require_mapping(section, "channel")
     ctype = _get(sec, "channel", "type")
-    if ctype == "ge":
-        _reject_unknown(sec, "channel", ("type", "p00", "p11", "lam_good", "lam_bad", "b0"))
+    if isinstance(ctype, str) and ctype in _CHANNEL_FAMILIES:
+        make, keys = _CHANNEL_FAMILIES[ctype]
+        _reject_unknown(sec, "channel", ("type",) + keys)
         vals = {k: _number(_get(sec, "channel", k), f"channel.{k}", lo=0.0, hi=1.0)
-                for k in ("p00", "p11", "lam_good", "lam_bad", "b0")}
+                for k in keys}
         try:
-            ch = make_gilbert_elliott(**vals)
+            return make(**vals), {"type": ctype, **vals}
         except ValueError as exc:
             raise ConfigError("channel", str(exc)) from None
-        return ch, {"type": "ge", **vals}
-    if ctype == "persistent":
-        _reject_unknown(sec, "channel", ("type", "p_fail", "lam_good", "lam_bad", "b0"))
-        vals = {k: _number(_get(sec, "channel", k), f"channel.{k}", lo=0.0, hi=1.0)
-                for k in ("p_fail", "lam_good", "lam_bad", "b0")}
-        try:
-            ch = make_persistent_failure(**vals)
-        except ValueError as exc:
-            raise ConfigError("channel", str(exc)) from None
-        return ch, {"type": "persistent", **vals}
     if ctype == "explicit":
         _reject_unknown(sec, "channel", ("type", "lam", "mode_kernel", "b0"))
         lam = _matrix(_get(sec, "channel", "lam"), "channel.lam")

@@ -1,19 +1,18 @@
 """Optimal stopping over the belief lattice: continue (action 0) pays the
 holding cost and keeps transmitting; stop (action 1) pays a one-time terminal
-cost and ends the process.
+cost c_stop and ends the process.
 
-The stop branch of the Q-function is pinned to the stopping cost on every
-sweep (stopping has no continuation), so the converged stop values carry no
-drift. The stop region at each holding time must be an upper belief interval;
-its lower edge is the threshold, with ties counted as stop.
+It is the belief MDP with one more action, stop, whose Q column is pinned to
+c_stop (stopping has no continuation), on belief_mdp's one solve path, so the
+converged stop values carry no drift. The stop region at each holding time
+must be an upper belief interval; its lower edge is the threshold, ties stop.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .belief_mdp import (Solution, StageCost, _check_problem, _iterate, _over_actions,
-                         _require_contraction)
+from .belief_mdp import Solution, StageCost, _solve
 from .channel import ChannelModel
 from .config import SolverConfig
 from .lti_estimation import HoldingCostTable
@@ -38,36 +37,14 @@ class StoppingProblem:
             raise ValueError("stopping problems use a single-action channel "
                              "(the continue action)")
 
-    def stage_cost_bundle(self) -> StageCost:
-        return StageCost(holding=self.holding, action_costs=np.array([0.0]))
-
 
 def solve_stopping(prob: StoppingProblem) -> Solution:
-    """Value iteration for the stopping problem, from the solve on a 10 times
-    coarser grid when that grid has at least 20 cells and from Q = 0
-    otherwise.
-
-    The continue branch is swept by the shared Bellman kernel with the
-    continuation value min(Q_continue, c_stop), until the span bound (for a
-    stable plant; the stop branch is pinned) certifies the error below
-    cfg.vi_tol. Returns a two-action Solution whose stop slice equals c_stop
-    exactly at every lattice point; the policy stops on ties, matching the
-    threshold convention.
-    """
-    ch, cfg = prob.channel, prob.cfg
-    cost = prob.stage_cost_bundle()
-    _require_contraction(ch, cost.spectral_radius, cfg.weight_eps)
-    _check_problem(ch, cost, cfg)
-    Q, sweeps, history, certified, levels = _iterate(
-        lambda Q: np.minimum(Q[:, :, 0], prob.c_stop), ch, cost, cfg,
-        "stopping value iteration", pinned=True)
-    Qc = Q[:, :, 0]
-    Qfun = np.stack([Qc, np.full_like(Qc, prob.c_stop)], axis=2)
-    policy = (Qfun[:, :, 1] <= Qfun[:, :, 0]).astype(np.int64)
-    return Solution(Qfun=Qfun, V=_over_actions(np.minimum, Qfun), policy=policy,
-                    belief_grid=cfg.belief_grid(), sweeps_used=sweeps,
-                    final_residual=history[-1], residual_history=tuple(history),
-                    certified_error=certified, coarse_levels=levels)
+    """Value iteration for the stopping problem, as in value_iterate: continue
+    at no fee, or stop at c_stop. The Solution's stop slice equals c_stop
+    exactly at every lattice point, and its policy stops on ties, matching
+    the threshold convention."""
+    cost = StageCost(holding=prob.holding, action_costs=np.array([0.0]))
+    return _solve(prob.channel, cost, prob.cfg, prob.c_stop)
 
 
 @dataclass(frozen=True)
@@ -85,16 +62,13 @@ class ThresholdFunction:
     grid_resolution: float
 
     def __post_init__(self):
-        b = np.asarray(self.b_th, dtype=float)
-        m = np.asarray(self.is_sentinel, dtype=bool)
+        b = np.array(self.b_th, dtype=float)
+        m = np.array(self.is_sentinel, dtype=bool)
         if b.shape != m.shape or b.ndim != 1:
             raise ValueError("b_th and is_sentinel must be 1-D and aligned")
-        b = b.copy()
-        m = m.copy()
-        b.flags.writeable = False
-        m.flags.writeable = False
-        object.__setattr__(self, "b_th", b)
-        object.__setattr__(self, "is_sentinel", m)
+        for name, arr in (("b_th", b), ("is_sentinel", m)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def tau_max(self) -> int:

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import txsched.cli as cli
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def load_tracing():
@@ -24,3 +25,17 @@ def test_every_trace_target_exists():
         assert missing == []
         assert cli.load_config is not before
     assert cli.load_config is before
+
+
+def test_stopping_solve_is_traced_as_the_stopping_layer(tmp_path):
+    # the per-layer numbers stay comparable: a stopping solve records its own
+    # span and none under the general solver's name
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    argv = ["solve", "--config", str(ROOT / "configs" / "example.yaml"),
+            "--out", str(tmp_path), "--quiet"]
+    with tracer.installed(cli), tracer.command("solve", "run-0"):
+        assert cli.main(argv) == 0
+    names = [span.name for span in tracer.spans]
+    assert names.count("stopping.solve") == 1
+    assert "belief_mdp.value_iterate" not in names

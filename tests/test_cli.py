@@ -255,6 +255,18 @@ def test_stable_convergence_failure_names_the_span_rule(tmp_path, capsys):
     assert "gamma 0.99)" in err and "rounding floor" not in err, err
 
 
+def test_stopping_convergence_failure_names_the_span_rule(tmp_path, capsys):
+    # the stopping problem fails through the same solve path as the general one
+    p, _ = write_cfg(tmp_path, {"solver.max_sweeps": 2})
+    assert main(["solve", "--config", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"convergence failure: value iteration did not reach tol 1e-08 in 2 sweeps "
+        r"\(span half-width \d\.\d{3}e[+-]\d\d, rounding term \d\.\d{3}e-\d\d, "
+        r"gamma 0\.95\)\n", err), err
+    assert not (tmp_path / "out" / "q_values.csv").exists()
+
+
 class TestSolve:
     def test_writes_artifacts(self, tmp_path, capsys):
         p, data = write_cfg(tmp_path)
@@ -834,6 +846,26 @@ class TestExitCodes:
         assert main(["verify", "--config", str(tmp_path / "none.yaml")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "none.yaml" in err
+
+    def test_directory_config_is_a_config_error(self, tmp_path, capsys):
+        assert main(["solve", "--config", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Is a directory" in err, err
+
+    @pytest.mark.parametrize("args, artifact", [
+        (["solve"], "q_values.csv"),
+        (["solve"], "value_policy.csv"),
+        (["verify"], "verify_report.json"),
+        (["simulate", "--policy", "never-stop"], "simstats_never-stop.json"),
+    ])
+    def test_artifact_that_cannot_be_written(self, tmp_path, capsys, args, artifact):
+        # the fault is in the output directory, not in the config
+        p, _ = write_cfg(tmp_path)
+        blocked = tmp_path / "out" / artifact
+        blocked.mkdir(parents=True)
+        assert main([args[0], "--config", str(p), *args[1:]]) == 2
+        assert capsys.readouterr().err == (
+            f"output error: cannot write '{blocked}': Is a directory\n")
 
     def test_zero_likelihood_is_a_model_inconsistency(self, tmp_path, capsys,
                                                       monkeypatch):
