@@ -23,7 +23,7 @@ For a stable plant the sweep stops on the MacQueen/Porteus span bound and
 returns the bound's midpoint; for an unstable plant it stops on the
 weighted residual r and certifies r * (L_1 + ... + L_m) / (1 - L_m), where
 L_j is the exact modulus of T^j on the lattice (_lattice_moduli), which
-check_contraction also reports.
+check_contraction reuses.
 One solve path, _solve, serves value_iterate and the stopping problem, whose
 stop action is a Q column pinned to c_stop. One kernel, _bellman, evaluates
 the operator for every solve and check, from a per-solve interpolation
@@ -215,9 +215,11 @@ def _iterate(ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
              c_stop: float | None = None, final: bool = True):
     """Q <- _bellman(V), with V = min(min_a Q, c_stop) (min_a Q when c_stop
     is None), until the error is certified below cfg.vi_tol; returns (Q,
-    sweeps, residual history, certified error, coarse levels), where the
-    levels list the coarser grids solved first as (grid_n, sweeps) pairs, the
-    coarsest first. Q holds the swept actions only, not the stop column.
+    sweeps, residual history, certified error, coarse levels, lattice
+    moduli), where the levels list the coarser grids solved first as
+    (grid_n, sweeps) pairs, the coarsest first, and the moduli are the L_1..L_m
+    of the certificate (empty unless it is the weighted one of an unstable
+    plant's final grid). Q holds the swept actions only, not the stop column.
 
     The sweep starts from the solve on a grid _COARSEN times coarser, carried
     onto this grid by _prolong, when that grid has at least _MIN_COARSE_GRID
@@ -268,7 +270,7 @@ def _iterate(ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
     k = cfg.gamma / (1.0 - cfg.gamma)
     if cfg.grid_n // _COARSEN >= _MIN_COARSE_GRID:
         coarse = replace(cfg, grid_n=cfg.grid_n // _COARSEN)
-        Qc, sweeps, _, _, levels = _iterate(ch, cost, coarse, c_stop, final=False)
+        Qc, sweeps, _, _, levels, _ = _iterate(ch, cost, coarse, c_stop, final=False)
         Q = _prolong(Qc, coarse.belief_grid(), grid)
         levels += ((coarse.grid_n, sweeps),)
     else:
@@ -290,22 +292,23 @@ def _iterate(ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
                 rounding = ((1.0 + k) * _SWEEP_ROUNDING * _U * M
                             + _U * (M + 10.0 * k * history[-1]))
                 if half < cfg.vi_tol and (half + rounding < cfg.vi_tol or half < rounding):
-                    return Qn + k * (hi + lo) / 2.0, sweep, history, half + rounding, levels
+                    return (Qn + k * (hi + lo) / 2.0, sweep, history, half + rounding,
+                            levels, ())
         else:
             history.append(_weighted_sup(np.abs(d, out=d), s))
             if history[-1] < cfg.vi_tol:
                 if not final:  # the caller drops a coarse level's certificate
-                    return Qn, sweep, history, math.inf, levels
+                    return Qn, sweep, history, math.inf, levels, ()
                 m, _ = _contraction_stage(ch.min_success_prob(),
                                           _weight_base(rho, cfg.weight_eps), cfg.gamma)
-                moduli = _lattice_moduli(stencil, s, cfg.gamma, m) if m else []
+                moduli = tuple(_lattice_moduli(stencil, s, cfg.gamma, m)) if m else ()
                 delta = _SWEEP_ROUNDING * _U * _magnitude(V, Qn)
                 certified = ((1.0 + (len(moduli) + 5) * _U)
                              * _certify(history[-1] + delta, moduli) + delta)
-                return Qn, sweep, history, certified, levels
+                return Qn, sweep, history, certified, levels, moduli
         Q = Qn
     if not final:
-        return Q, cfg.max_sweeps, history, math.inf, levels
+        return Q, cfg.max_sweeps, history, math.inf, levels, ()
     detail = f"last residual {history[-1]:.3e}"
     if rho < 1.0:  # that residual is not what the span rule reads
         detail = (f"span half-width {half:.3e}, rounding term {rounding:.3e}, gamma {cfg.gamma}"
@@ -362,7 +365,9 @@ class Solution:
     in the solver's norm (inf when nothing is certified). sweeps_used and
     residual_history are those of the final grid; coarse_levels lists the
     coarser grids solved first to start it, as (grid_n, sweeps) pairs, the
-    coarsest first."""
+    coarsest first. lattice_moduli holds the L_1..L_m of the weighted
+    certificate of an unstable plant (_lattice_moduli), empty for the span
+    bound of a stable one, which needs none."""
 
     Qfun: np.ndarray
     V: np.ndarray
@@ -373,6 +378,7 @@ class Solution:
     residual_history: tuple = ()
     certified_error: float = math.inf
     coarse_levels: tuple = ()
+    lattice_moduli: tuple = ()
 
     def __post_init__(self):
         for name in ("Qfun", "V", "policy", "belief_grid"):
@@ -452,14 +458,14 @@ def _solve(ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
     stops on ties."""
     _require_contraction(ch, cost.spectral_radius, cfg.weight_eps)
     _check_problem(ch, cost, cfg)
-    Q, sweeps, history, certified, levels = _iterate(ch, cost, cfg, c_stop)
+    Q, sweeps, history, certified, levels, moduli = _iterate(ch, cost, cfg, c_stop)
     if c_stop is not None:
         Q = np.concatenate([Q, np.full_like(Q[:, :, :1], c_stop)], axis=2)
     return Solution(Qfun=Q, V=_over_actions(np.minimum, Q),
                     policy=greedy_policy(Q, cfg.tie_break if c_stop is None else "high"),
                     belief_grid=cfg.belief_grid(), sweeps_used=sweeps,
                     final_residual=history[-1], residual_history=tuple(history),
-                    certified_error=certified, coarse_levels=levels)
+                    certified_error=certified, coarse_levels=levels, lattice_moduli=moduli)
 
 
 def value_iterate(ch: ChannelModel, cost: StageCost, cfg: SolverConfig) -> Solution:
@@ -636,7 +642,7 @@ def _contraction_stage(lam_min: float, base: float, gamma: float, m_max: int = 5
 
 
 def check_contraction(ch: ChannelModel, sys: LtiSystem, cfg: SolverConfig,
-                      m_max: int = 500) -> ContractionReport:
+                      m_max: int = 500, sol: Solution | None = None) -> ContractionReport:
     """Certify the m-stage contraction of the Bellman operator in the
     weighted sup-norm.
 
@@ -644,9 +650,11 @@ def check_contraction(ch: ChannelModel, sys: LtiSystem, cfg: SolverConfig,
     worst-case weighted outcome mass below 1 (_contraction_stage); it
     certifies the untruncated operator. Lattice part: the exact modulus L_m
     of T^m on the solver's lattice (_lattice_moduli), which bounds the ratio
-    ||T^m Q1 - T^m Q2|| / ||Q1 - Q2|| for every pair. Raises ValueError when
-    the solver's contraction hypothesis fails (see _require_contraction) and
-    ConvergenceError when no m <= m_max qualifies.
+    ||T^m Q1 - T^m Q2|| / ||Q1 - Q2|| for every pair; taken from sol, a
+    solve of this problem, when its certificate holds L_1..L_m, and computed
+    otherwise. Raises ValueError when the solver's contraction hypothesis
+    fails (see _require_contraction) and ConvergenceError when no m <= m_max
+    qualifies.
     """
     lam_min = ch.min_success_prob()
     rho = sys.spectral_radius()
@@ -657,7 +665,9 @@ def check_contraction(ch: ChannelModel, sys: LtiSystem, cfg: SolverConfig,
     m, bound = _contraction_stage(lam_min, base, cfg.gamma, m_max)
     if m is None:
         raise ConvergenceError(f"no contraction stage found up to m={m_max}")
-    moduli = _lattice_moduli(_stencil(ch, cfg.belief_grid()),
-                             weight_profile(rho, eps, cfg.tau_max), cfg.gamma, m)
+    moduli = sol.lattice_moduli if sol is not None else ()
+    if len(moduli) != m:
+        moduli = _lattice_moduli(_stencil(ch, cfg.belief_grid()),
+                                 weight_profile(rho, eps, cfg.tau_max), cfg.gamma, m)
     return ContractionReport(m=m, certified_bound=bound, alpha=alpha,
                              weight_base=base, lattice_modulus=moduli[-1])

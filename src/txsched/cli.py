@@ -23,9 +23,10 @@ Subcommands:
 
 Exit codes: 0 ok, 2 config or usage error (including a holding-cost table that
 overflows float64 before solver.tau_max or sim.horizon, and a solved policy
-that is missing, malformed or does not match the config, reported as "stale
-policy"), or an artifact that cannot be written ("output error: cannot write
-'<path>': <OS reason>"),
+that is missing, unreadable, malformed or does not match the config, reported
+as "stale policy"), or an artifact that cannot be written ("output error:
+cannot write '<path>': <OS reason>"), or an earlier solve's thresholds.csv
+that cannot be read ("output error: cannot read '<path>': <reason>"),
 3 convergence failure (including a covariance fixed point under which the
 holding cost falls by more than rounding), 4 verification failure (a failed
 verify check, or a solve or thresholds whose stop region is not an upper
@@ -44,9 +45,8 @@ import json
 import os
 import sys
 import time
-import warnings
 from contextlib import contextmanager
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
@@ -80,15 +80,18 @@ class StalePolicyError(Exception):
 
 
 class OutputError(Exception):
-    """An artifact could not be written."""
+    """An artifact could not be written, or one that an earlier solve wrote
+    could not be read."""
 
 
 @contextmanager
-def _artifact(path: Path):
-    """path opened for writing, UTF-8 with LF line endings; an OSError while
-    opening, writing or closing it is an OutputError naming the file."""
+def _artifact(path: Path, binary: bool = False):
+    """path opened for writing, as text in UTF-8 with LF line endings unless
+    binary; an OSError while opening, writing or closing it is an OutputError
+    naming the file."""
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with (open(path, "wb") if binary else
+              open(path, "w", encoding="utf-8", newline="\n")) as fh:
             yield fh
     except OSError as exc:
         raise OutputError(f"cannot write '{path}': {exc.strerror or exc}") from None
@@ -107,50 +110,49 @@ def _write_lines(path: Path, lines):
 def write_solution_csvs(sol, out_dir: Path):
     """q_values.csv: (tau, belief, action, q_value); value_policy.csv:
     (tau, belief, value, policy). Written one tau row at a time, each by a
-    %-format of a template holding the belief strings and action labels: %s
-    for tau, %.12g for Q and V, %d for the policy ('%.12g' % x equals _fmt(x)
-    for every float). A Q column of one bit pattern over the lattice (the
-    stop column) is formatted once, as a literal in the Q template. A V cell
-    with those bits whose policy names that action is that literal too; its
-    row is joined from per-belief pieces with tau between them."""
+    bytes %-format of a template holding the belief strings and action
+    labels: a NUL, which no formatted number holds, marks tau and is replaced
+    by it; %.12g for Q and V, %d for the policy (b'%.12g' % x is
+    _fmt(x).encode() for every float). A Q column of one bit pattern over the
+    lattice (the stop column) is formatted once, as a literal in the Q
+    template. A V cell with those bits whose policy names that action is that
+    literal too. A V row is cut from one template per kind of cell, %-slots
+    or the literal of an action, a run of cells of one kind at a time."""
     beliefs = [_fmt(b) for b in sol.belief_grid]
-    n_b, n_a = len(beliefs), sol.n_actions
+    n_a = sol.n_actions
     q_bits, v_bits = (np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
                       for x in (sol.Qfun, sol.V))
     const = [a for a in range(n_a) if (q_bits[..., a] == q_bits[0, 0, a]).all()]
     lits = {a: _fmt(sol.Qfun[0, 0, a]) for a in const}
     var = [a for a in range(n_a) if a not in lits]
-    q_row = "".join(f"%s,{b},{a},{lits.get(a, '%.12g')}\n" for b in beliefs for a in range(n_a))
-    # per belief, each action's tau slot (None), then its value slot unless a literal
-    slots = [s for a in range(n_a) for s in ((None, a) if a in var else (None,))]
-    q_args = [None] * (len(slots) * n_b)
-    vp_row = "".join(f"%s,{b},%.12g,%d\n" for b in beliefs)
-    vp_args = [None] * (3 * n_b)
-    # what follows tau in a V row: row 0 %-slots, row 1 + j the literal of const[j]
-    vp_pieces = np.array([[f",{b},%.12g,%d\n" for b in beliefs]] + [
-        [f",{b},{lits[a]},{a}\n" for b in beliefs] for a in const], dtype=object)
-    with _artifact(out_dir / "q_values.csv") as q_fh, \
-            _artifact(out_dir / "value_policy.csv") as vp_fh:
-        q_fh.write("tau,belief,action,q_value\n")
-        vp_fh.write("tau,belief,value,policy\n")
+    q_row = "".join(f"\0,{b},{a},{lits.get(a, '%.12g')}\n"
+                    for b in beliefs for a in range(n_a)).encode()
+    # kind of each V cell: 0 for %-slots, 1 + j for the literal of const[j]
+    # (the masks are disjoint: the policy names one action per cell)
+    kind = np.zeros(sol.policy.shape, dtype=np.intp)
+    for j, a in enumerate(const):
+        kind[(v_bits == q_bits[0, 0, a]) & (sol.policy == a)] = 1 + j
+    # per kind, its template over every belief and where each belief's piece
+    # starts (the pieces are ASCII, so a character is a byte)
+    pieces = [[f"\0,{b},%.12g,%d\n" for b in beliefs]] + [
+        [f"\0,{b},{lits[a]},{a}\n" for b in beliefs] for a in const]
+    vp_rows = ["".join(p).encode() for p in pieces]
+    starts = [[0, *accumulate(map(len, p))] for p in pieces]
+    with _artifact(out_dir / "q_values.csv", binary=True) as q_fh, \
+            _artifact(out_dir / "value_policy.csv", binary=True) as vp_fh:
+        q_fh.write(b"tau,belief,action,q_value\n")
+        vp_fh.write(b"tau,belief,value,policy\n")
         for tau in range(sol.tau_max + 1):
-            t = str(tau)
-            for c, a in enumerate(slots):
-                q_args[c::len(slots)] = [t] * n_b if a is None else sol.Qfun[tau, :, a].tolist()
-            q_fh.write(q_row % tuple(q_args))
-            # the masks are disjoint: the policy names one action per cell
-            piece = sum((1 + j) * ((v_bits[tau] == q_bits[0, 0, a]) & (sol.policy[tau] == a))
-                        for j, a in enumerate(const))
-            if np.any(piece):
-                slot = piece == 0
-                args = [None] * (2 * int(slot.sum()))
-                args[::2], args[1::2] = sol.V[tau][slot].tolist(), sol.policy[tau][slot].tolist()
-                vp_fh.write((t + t.join(vp_pieces[piece, np.arange(n_b)].tolist())) % tuple(args))
-            else:
-                vp_args[::3] = [t] * n_b
-                vp_args[1::3] = sol.V[tau].tolist()
-                vp_args[2::3] = sol.policy[tau].tolist()
-                vp_fh.write(vp_row % tuple(vp_args))
+            t = b"%d" % tau
+            q_fh.write(q_row.replace(b"\0", t) % tuple(sol.Qfun[tau][:, var].ravel().tolist()))
+            ks = kind[tau]
+            cuts = [0, *(np.flatnonzero(np.diff(ks)) + 1).tolist(), ks.size]
+            row = b"".join(vp_rows[k][starts[k][i]:starts[k][j]]
+                           for i, j, k in zip(cuts, cuts[1:], ks[cuts[:-1]].tolist()))
+            slot = ks == 0
+            args = [None] * (2 * int(np.count_nonzero(slot)))
+            args[::2], args[1::2] = sol.V[tau][slot].tolist(), sol.policy[tau][slot].tolist()
+            vp_fh.write(row.replace(b"\0", t) % tuple(args))
 
 
 def write_thresholds_csv(th, out_dir: Path):
@@ -160,31 +162,86 @@ def write_thresholds_csv(th, out_dir: Path):
     _write_lines(out_dir / "thresholds.csv", lines)
 
 
+_ROW_SEPARATORS = np.frombuffer(b",,,\n", dtype=np.uint32)[0]  # a row's separators, as one word
+
+
 def read_value_policy_csv(path: Path):
     """Reconstruct (policy lattice, grid_n, tau_max) from a prior solve's
-    value_policy.csv, reading only its tau and policy columns; a file that is
-    not a full lattice of stop/continue actions raises StalePolicyError."""
+    value_policy.csv by one byte scan of its tau and policy columns.
+
+    The file must be what solve writes: the header, then rows of four
+    comma-separated fields, each ending in LF, with tau in decimal digits
+    and the policy one byte, 0 or 1, covering tau = 0, ..., tau_max with one
+    row per belief grid point. Besides the separators, no row holds a byte
+    below '-' other than the '+' of an exponent, nor one above 127 (so no
+    CR, blank or '#' line, space or non-ASCII text). Any other file, or one
+    that cannot be read, raises StalePolicyError."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-        if header != "tau,belief,value,policy":
-            raise ValueError(f"unexpected header {header!r}")
-        with warnings.catch_warnings():  # an empty table is refused below
-            warnings.simplefilter("ignore", UserWarning)
-            cols = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 3),
-                              dtype=np.int64, ndmin=2)
-        tau, policy = cols[:, 0], cols[:, 1]
-        n_tau = int(tau[-1]) + 1 if tau.size else 0
-        if n_tau < 1 or tau.size % n_tau or not np.array_equal(
-                tau, np.repeat(np.arange(n_tau), tau.size // n_tau)):
-            raise ValueError(f"{tau.size} rows do not cover tau = 0, ..., "
-                             "tau_max with one row per belief grid point")
-        if not np.isin(policy, (0, 1)).all():
-            raise ValueError("the policy column holds an action other than 0 and 1")
+        data = path.read_bytes()
+    except OSError as exc:
+        raise StalePolicyError(f"cannot read '{path}': {exc.strerror or exc}; "
+                               "run solve first") from None
+    try:
+        return _scan_value_policy(data)
     except ValueError as exc:
         raise StalePolicyError(f"{path} is malformed ({exc}); run solve first") from None
-    grid_n = tau.size // n_tau - 1
-    return policy.reshape(n_tau, grid_n + 1), grid_n, n_tau - 1
+
+
+def _scan_value_policy(data: bytes):
+    """read_value_policy_csv on the file's bytes; a ValueError names the rule
+    the file breaks."""
+    body = data.find(b"\n") + 1 or len(data)
+    header = data[:body].removesuffix(b"\n").decode("utf-8", "backslashreplace")
+    if header != "tau,belief,value,policy":
+        raise ValueError(f"unexpected header {header!r}")
+    buf = np.frombuffer(data, dtype=np.uint8, offset=body)
+
+    def line(at):  # 'line <number> <text>' of the line holding buf[at]
+        begin = data.rfind(b"\n", 0, body + at) + 1
+        text = data[begin:begin + 60].partition(b"\n")[0].decode("ascii", "backslashreplace")
+        return f"line {data.count(10, 0, begin) + 1} {text!r}"
+
+    # every byte below '-' and, read as int8, above 127: the separators, the
+    # exponent signs '+' of values, and what no row may hold
+    seps = np.flatnonzero(buf.view(np.int8) < 45)
+    kinds = buf[seps]
+    if (kinds == 43).any():
+        seps, kinds = seps[kinds != 43], kinds[kinds != 43]
+    whole = seps.size - seps.size % 4
+    wrong = kinds[:whole].view(np.uint32) != _ROW_SEPARATORS
+    if wrong.any() or whole < seps.size or (seps[-1] + 1 if seps.size else 0) != buf.size:
+        at = (seps[4 * np.argmax(wrong)] if wrong.any() else seps[whole]
+              if whole < seps.size else buf.size - 1)
+        raise ValueError(f"{line(at)} is not four comma-separated fields and a newline")
+    rows = seps.reshape(-1, 4)  # the three commas and the LF of each row
+    start = np.concatenate(([0], rows[:-1, 3] + 1))
+
+    def tau(r):  # of row r, from its tau field
+        field = data[body + start[r]:body + rows[r, 0]]
+        if not field.isdigit():
+            raise ValueError(f"{line(start[r])}: tau is not an integer")
+        return int(field)
+
+    n_rows = len(rows)
+    n_tau = tau(-1) + 1 if n_rows else 0
+    cover = n_tau and n_rows % n_tau == 0
+    if cover:  # each row starts with the label of its tau, row // n_b, and a comma
+        labels, starts = [b"%d," % t for t in range(n_tau)], start.reshape(n_tau, -1)
+        match = np.ones(starts.shape, dtype=bool)
+        for k in range(len(labels[-1])):  # byte k of the labels that have one
+            lo = 10 ** (k - 1) if k > 1 else 0
+            want = np.frombuffer(b"".join(label[k:k + 1] for label in labels[lo:]), np.uint8)
+            match[lo:] &= buf[starts[lo:] + k] == want[:, None]
+        cover = match.all()
+        if not cover:
+            tau(np.argmin(match))  # the first row at fault, if its tau is not an integer
+    if not cover:
+        raise ValueError(f"{n_rows} rows do not cover tau = 0, ..., "
+                         "tau_max with one row per belief grid point")
+    policy = buf[rows[:, 3] - 1] - np.uint8(48)  # a byte other than 0 or 1 exceeds 1
+    if (policy > 1).any() or (rows[:, 3] - rows[:, 2] != 2).any():
+        raise ValueError("the policy column holds an action other than 0 and 1")
+    return policy.astype(np.int64).reshape(n_tau, -1), n_rows // n_tau - 1, n_tau - 1
 
 
 def write_json(path: Path, obj):
@@ -307,7 +364,7 @@ def _verify_battery(cfg: RunConfig):
         add("stop_advantage_monotone", bool(sub),
             "stop advantage nonincreasing" if sub else
             f"witness {sub.witness}, rise {sub.value}")
-    contraction = belief_mdp.check_contraction(cfg.channel, cfg.system, cfg.solver)
+    contraction = belief_mdp.check_contraction(cfg.channel, cfg.system, cfg.solver, sol=sol)
     add("contraction", contraction.ok,
         f"m={contraction.m}, certified bound {_fmt(contraction.certified_bound)}, "
         f"lattice modulus {_fmt(contraction.lattice_modulus)}")
@@ -455,7 +512,11 @@ def cmd_thresholds(cfg: RunConfig, quiet: bool = False) -> int:
         rc = cmd_solve(cfg, quiet=True)
         if rc != EXIT_OK:
             return rc
-    lines = path.read_text(encoding="utf-8").strip().split("\n")
+    try:
+        lines = path.read_text(encoding="utf-8").strip().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc  # a decode error has none
+        raise OutputError(f"cannot read '{path}': {reason}") from None
     if not quiet:
         for line in lines:
             print(line)

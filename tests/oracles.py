@@ -2,10 +2,13 @@
 whole Q lattice and the solver's weighted sup-norm, both built from
 ``txsched.belief_mdp``'s own kernel and weights; the scalar Bayes update of
 the belief; the scalar episode simulator that the lockstep ``run_batch``
-must equal bit for bit, with its per-episode trace; and a replay of a
-trace's beliefs through the scalar Bayes update.
+must equal bit for bit, with its per-episode trace; a replay of a
+trace's beliefs through the scalar Bayes update; and a reader of
+value_policy.csv by ``np.loadtxt``, which the byte-scan reader of
+``txsched.cli`` must never contradict.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +16,7 @@ import numpy as np
 from txsched.belief_mdp import (SolverConfig, StageCost, _bellman, _check_problem,
                                 _over_actions, _stencil, _weighted_sup, weight_profile)
 from txsched.channel import ChannelModel
+from txsched.cli import StalePolicyError
 from txsched.sim import _ZERO_LIKELIHOOD, _holding_table, _kernel, splitmix64
 from txsched.stochastic_orders import ZeroLikelihoodError
 
@@ -205,3 +209,34 @@ def validate_belief_consistency(trace, ch: ChannelModel) -> bool:
         y = 0 if trace.success[i] == 1 else int(trace.tau[i]) + 1
         b = belief_update(ch, int(trace.tau[i]), b, y, 0)
     return True
+
+
+def loadtxt_read_value_policy_csv(path):
+    """(policy lattice, grid_n, tau_max) of a value_policy.csv read by
+    np.loadtxt's tau and policy columns; StalePolicyError for a bad header,
+    a row without a fourth field, a tau or policy that is not an integer, rows
+    that do not cover tau = 0, ..., tau_max with one row per belief, or an
+    action other than 0 and 1. np.loadtxt skips blank and '#' lines and
+    spaces around a number, reads CRLF line endings and a last row without
+    LF, and takes the policy from the fourth of any number of fields."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n")
+        if header != "tau,belief,value,policy":
+            raise ValueError(f"unexpected header {header!r}")
+        with warnings.catch_warnings():  # an empty table is refused below
+            warnings.simplefilter("ignore", UserWarning)
+            cols = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 3),
+                              dtype=np.int64, ndmin=2)
+        tau, policy = cols[:, 0], cols[:, 1]
+        n_tau = int(tau[-1]) + 1 if tau.size else 0
+        if n_tau < 1 or tau.size % n_tau or not np.array_equal(
+                tau, np.repeat(np.arange(n_tau), tau.size // n_tau)):
+            raise ValueError(f"{tau.size} rows do not cover tau = 0, ..., "
+                             "tau_max with one row per belief grid point")
+        if not np.isin(policy, (0, 1)).all():
+            raise ValueError("the policy column holds an action other than 0 and 1")
+    except ValueError as exc:
+        raise StalePolicyError(f"{path} is malformed ({exc}); run solve first") from None
+    grid_n = tau.size // n_tau - 1
+    return policy.reshape(n_tau, grid_n + 1), grid_n, n_tau - 1

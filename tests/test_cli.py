@@ -7,13 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import txsched as tx
-from conftest import ULP_NOISE_PLANT, rowlist_write_solution_csvs
-from oracles import _stream, run_episode
-from txsched.cli import (EXIT_BROKEN_PIPE, EXIT_MODEL, _fmt, _pipeline, main,
-                         read_value_policy_csv, write_solution_csvs)
+from conftest import ULP_NOISE_PLANT, channels, rowlist_write_solution_csvs
+from oracles import _stream, loadtxt_read_value_policy_csv, run_episode
+from txsched.cli import (EXIT_BROKEN_PIPE, EXIT_MODEL, StalePolicyError, _fmt, _pipeline,
+                         main, read_value_policy_csv, write_solution_csvs)
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_FILES = ["configs/example.yaml", "bench/workloads/ref.yaml",
@@ -358,6 +358,14 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "value iteration: 73 sweeps on grid 200 after 107 on grid 20, certified error " \
             in out
+
+    def test_bytes_format_is_fmt(self):
+        # the writer formats floats with b"%.12g", the reference writer with _fmt
+        rng = np.random.default_rng(12)
+        xs = rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64).tolist()
+        xs += [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308,
+               1e16, 1e-5, 123456789012.5, 10.0]
+        assert (b"%.12g\n" * len(xs)) % tuple(xs) == "".join(_fmt(x) + "\n" for x in xs).encode()
 
     def test_streamed_csvs_equal_reference_writer(self, tmp_path, stopping_solution):
         p, _ = write_cfg(tmp_path, {"costs.c_stop": None})
@@ -710,6 +718,209 @@ class TestSolvedPolicyProvenance:
         assert stats["seed"] == 999
 
 
+def _is_canonical_int(field: bytes) -> bool:
+    try:
+        return field == b"%d" % int(field)
+    except ValueError:
+        return True  # no integer: np.loadtxt refuses it as well
+
+
+# The files np.loadtxt reads and the byte scan refuses. solve writes none of
+# them: its rows are ASCII, LF-terminated and four fields long, with tau and
+# the policy in plain decimal.
+STRICTER_THAN_LOADTXT = {
+    "a byte below '-' but ',', '+' and LF: CR (CRLF line ends) or another control "
+    "byte, a space, '#' (a comment) or one of !\"$%&'()*": lambda d: any(
+        b < 45 and b not in b",+\n" for b in d),
+    "a blank line": lambda d: b"\n\n" in d,
+    "no LF after the last row": lambda d: not d.endswith(b"\n"),
+    "a non-ASCII byte": lambda d: not d.isascii(),
+    "a row of more than four fields": lambda d: any(
+        row.count(b",") > 3 for row in d.split(b"\n")),
+    "a sign or a leading zero in tau or the policy": lambda d: any(
+        not _is_canonical_int(f) for row in d.split(b"\n")[1:] if row.count(b",") >= 3
+        for f in (row.split(b",")[0], row.split(b",")[3])),
+}
+
+
+def _mutate(data: bytes, kind: str, i: int, byte: int) -> bytes:
+    i %= len(data)
+    if kind == "delete":
+        return data[:i] + data[i + 1:]
+    if kind == "duplicate":
+        return data[:i + 1] + data[i:]
+    if kind == "replace":
+        return data[:i] + bytes([byte]) + data[i + 1:]
+    if kind == "comma":
+        return data[:i] + b"," + data[i:]
+    if kind == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    if kind == "drop_final_lf":
+        return data[:-1]
+    begin = data.rfind(b"\n", 0, i) + 1  # a blank or comment line before byte i's
+    return data[:begin] + (b"\n" if kind == "blank" else b"# note\n") + data[begin:]
+
+
+def _read(reader, path):
+    try:
+        return reader(path)
+    except StalePolicyError:
+        return None
+
+
+class TestPolicyReader:
+    """The byte-scan reader of value_policy.csv against the np.loadtxt
+    reader it replaced (tests/oracles.py)."""
+
+    @pytest.fixture(scope="class")
+    def solved_files(self, tmp_path_factory):
+        # tau up to 11, so two-digit taus; and a file whose values need an
+        # exponent sign, NaN and infinities
+        tmp = tmp_path_factory.mktemp("policy")
+        p, _ = write_cfg(tmp, {"solver.tau_max": 11, "solver.grid_n": 3})
+        assert main(["solve", "--config", str(p), "--quiet"]) == 0
+        rng = np.random.default_rng(11)
+        V = rng.choice([1e300, -2.5e-300, np.nan, np.inf, -np.inf, -0.0, 3.0], (11, 4))
+        odd = tx.Solution(Qfun=V[:, :, None], V=V, policy=rng.integers(0, 2, (11, 4)),
+                          belief_grid=np.linspace(0.0, 1.0, 4), sweeps_used=1,
+                          final_residual=0.0)
+        (tmp / "odd").mkdir()
+        write_solution_csvs(odd, tmp / "odd")
+        files = [tmp / "out" / "value_policy.csv", tmp / "odd" / "value_policy.csv"]
+        assert b"e+300" in files[1].read_bytes()
+        return [f.read_bytes() for f in files]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(which=st.integers(0, 1),
+           kind=st.sampled_from(["delete", "duplicate", "replace", "comma", "crlf",
+                                 "drop_final_lf", "blank", "comment"]),
+           i=st.integers(0, 2**20),
+           byte=st.one_of(st.sampled_from(b"0123456789,\n\r #+-.e\x0b\x7f"),
+                          st.integers(0, 255)))
+    def test_never_contradicts_loadtxt(self, tmp_path_factory, solved_files, which, kind,
+                                       i, byte):
+        data = _mutate(solved_files[which], kind, i, byte)
+        path = tmp_path_factory.mktemp("mutated") / "value_policy.csv"
+        path.write_bytes(data)
+        want, got = (_read(reader, path) for reader in
+                     (loadtxt_read_value_policy_csv, read_value_policy_csv))
+        if got is not None:
+            assert want is not None
+            assert np.array_equal(got[0], want[0]) and got[0].dtype == want[0].dtype
+            assert got[1:] == want[1:]
+        elif want is not None:
+            cases = [case for case, holds in STRICTER_THAN_LOADTXT.items() if holds(data)]
+            assert cases, data
+            event(f"only np.loadtxt reads it: {cases[0]}")
+        event("both read it" if got is not None else "both refuse it" if want is None
+              else "only np.loadtxt reads it")
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.replace(b"\n", b"\r\n"),
+        lambda d: d.replace(b"\n", b"\n# note\n", 1),
+        lambda d: d.replace(b"\n", b"\n\n", 1),
+        lambda d: d[:-1],
+        lambda d: d.replace(b"\n0,", b"\n 0,", 1),
+        lambda d: d.replace(b"\n0,", b"\n+0,", 1),
+        lambda d: d.replace(b"\n0,", b"\n00,", 1),
+        lambda d: d.replace(b",0\n", b",00\n", 1),
+        lambda d: d.replace(b",0\n", b",0,5\n", 1),
+        lambda d: d.replace(b",0\n", b"\xc3\xa9,0\n", 1),
+        lambda d: d.replace(b",0\n", b"!,0\n", 1),
+    ], ids=["crlf", "comment", "blank", "no_final_lf", "space", "sign", "tau_leading_zero",
+            "policy_leading_zero", "fifth_field", "utf8_value", "bang_in_value"])
+    def test_refuses_what_only_loadtxt_reads(self, tmp_path, solved_files, edit):
+        path = tmp_path / "value_policy.csv"
+        path.write_bytes(solved_files[0])
+        want = loadtxt_read_value_policy_csv(path)
+        data = edit(solved_files[0])
+        path.write_bytes(data)
+        got = loadtxt_read_value_policy_csv(path)
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+        with pytest.raises(StalePolicyError, match=" is malformed "):
+            read_value_policy_csv(path)
+        assert any(holds(data) for holds in STRICTER_THAN_LOADTXT.values())
+
+    def test_reads_what_loadtxt_reads_from_solved_files(self, tmp_path, solved_files):
+        for data in solved_files:
+            (tmp_path / "value_policy.csv").write_bytes(data)
+            want = loadtxt_read_value_policy_csv(tmp_path / "value_policy.csv")
+            got = read_value_policy_csv(tmp_path / "value_policy.csv")
+            assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(ch=channels(max_actions=1), grid_n=st.integers(2, 12), tau_max=st.integers(1, 120),
+           gamma=st.floats(0.3, 0.95), c_stop=st.floats(0.5, 20.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_round_trip(self, tmp_path_factory, ch, grid_n, tau_max, gamma, c_stop, seed):
+        holding = tx.HoldingCostTable(
+            costs=np.cumsum(np.random.default_rng(seed).uniform(0.0, 1.0, tau_max + 1)),
+            spectral_radius=0.85)
+        cfg = tx.SolverConfig(gamma=gamma, tau_max=tau_max, grid_n=grid_n, vi_tol=1e-6)
+        sol = tx.solve_stopping(tx.StoppingProblem(channel=ch, holding=holding, cfg=cfg,
+                                                   c_stop=c_stop))
+        out = tmp_path_factory.mktemp("round_trip")
+        write_solution_csvs(sol, out)
+        policy, got_grid_n, got_tau_max = read_value_policy_csv(out / "value_policy.csv")
+        assert (got_grid_n, got_tau_max) == (grid_n, tau_max)
+        assert policy.dtype == np.int64 and np.array_equal(policy, sol.policy)
+
+
+class TestContractionModuli:
+    """verify's contraction check reuses the L_1..L_m of its own solve's
+    certificate."""
+
+    UNSTABLE = {"system.A": [[1.05]], "channel.lam_bad": 0.5, "solver.grid_n": 200}
+
+    @pytest.fixture
+    def grids(self, monkeypatch):
+        """The grid_n of every _lattice_moduli call."""
+        import txsched.belief_mdp as bm
+        calls, real = [], bm._lattice_moduli
+
+        def spy(stencil, s, gamma, m):
+            calls.append(stencil[0][0].size - 1)
+            return real(stencil, s, gamma, m)
+
+        monkeypatch.setattr(bm, "_lattice_moduli", spy)
+        return calls
+
+    def test_verify_computes_them_once(self, tmp_path, monkeypatch, grids):
+        p, _ = write_cfg(tmp_path, self.UNSTABLE)
+        assert main(["verify", "--config", str(p), "--quiet"]) == 0
+        assert grids == [200]  # the final grid only; coarse levels certify nothing
+        report = (tmp_path / "out" / "verify_report.json").read_bytes()
+        # a check that computes them itself writes the same bytes
+        import txsched.belief_mdp as bm
+        check = bm.check_contraction
+        monkeypatch.setattr(bm, "check_contraction",
+                            lambda ch, sys, cfg, sol=None: check(ch, sys, cfg))
+        assert main(["verify", "--config", str(p), "--quiet"]) == 0
+        assert grids == [200, 200, 200]
+        assert (tmp_path / "out" / "verify_report.json").read_bytes() == report
+
+    def test_check_alone_computes_them(self, tmp_path, grids):
+        p, _ = write_cfg(tmp_path, self.UNSTABLE)
+        cfg = tx.load_config(p)
+        _, sol = _pipeline(cfg)
+        assert grids == [200] and len(sol.lattice_moduli) == 4
+        alone = tx.check_contraction(cfg.channel, cfg.system, cfg.solver)
+        assert grids == [200, 200]
+        reused = tx.check_contraction(cfg.channel, cfg.system, cfg.solver, sol=sol)
+        assert grids == [200, 200]
+        assert alone.lattice_modulus.hex() == reused.lattice_modulus.hex() \
+            == sol.lattice_moduli[-1].hex()
+
+    def test_stable_plant_computes_them(self, tmp_path, grids):
+        # the span rule of a stable plant certifies without lattice moduli
+        p, _ = write_cfg(tmp_path)
+        cfg = tx.load_config(p)
+        _, sol = _pipeline(cfg)
+        assert grids == [] and sol.lattice_moduli == ()
+        report = tx.check_contraction(cfg.channel, cfg.system, cfg.solver, sol=sol)
+        assert grids == [40] and report.lattice_modulus < 1.0
+
+
 class TestCostOverflow:
     def test_simulate_long_horizon_unstable_plant(self, tmp_path, capsys):
         p, _ = write_cfg(tmp_path, {"system.A": [[1.2]], "channel.lam_bad": 0.5,
@@ -866,6 +1077,34 @@ class TestExitCodes:
         assert main([args[0], "--config", str(p), *args[1:]]) == 2
         assert capsys.readouterr().err == (
             f"output error: cannot write '{blocked}': Is a directory\n")
+
+    def test_unreadable_policy_file_is_a_stale_policy(self, tmp_path, capsys):
+        p, _ = write_cfg(tmp_path)
+        assert main(["solve", "--config", str(p), "--quiet"]) == 0
+        path = tmp_path / "out" / "value_policy.csv"
+        path.unlink()
+        path.mkdir()
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(p), "--policy", "solved"]) == 2
+        assert capsys.readouterr().err == (
+            f"stale policy: cannot read '{path}': Is a directory; run solve first\n")
+
+    @pytest.mark.parametrize("directory", [True, False])
+    def test_unreadable_thresholds_file_is_an_output_error(self, tmp_path, capsys, directory):
+        # the fault is in the output directory: an earlier solve's table
+        p, _ = write_cfg(tmp_path)
+        assert main(["solve", "--config", str(p), "--quiet"]) == 0
+        path = tmp_path / "out" / "thresholds.csv"
+        path.unlink()
+        if directory:
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xfftau,b_th,is_sentinel\n")
+        capsys.readouterr()
+        assert main(["thresholds", "--config", str(p)]) == 2
+        reason = ("Is a directory" if directory else
+                  "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte")
+        assert capsys.readouterr().err == f"output error: cannot read '{path}': {reason}\n"
 
     def test_zero_likelihood_is_a_model_inconsistency(self, tmp_path, capsys,
                                                       monkeypatch):
