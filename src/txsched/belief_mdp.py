@@ -40,13 +40,7 @@ import numpy as np
 
 from .channel import ChannelModel
 from .config import SolverConfig
-from .lti_estimation import ConvergenceError, HoldingCostTable, LtiSystem
-
-
-def _frozen(a):
-    a = np.array(a)
-    a.flags.writeable = False
-    return a
+from .lti_estimation import ConvergenceError, HoldingCostTable, LtiSystem, _finite, _frozen
 
 
 @dataclass(frozen=True)
@@ -57,7 +51,7 @@ class StageCost:
     action_costs: np.ndarray
 
     def __post_init__(self):
-        ca = np.asarray(self.action_costs, dtype=float)
+        ca = _finite(self.action_costs, "action_costs")
         if ca.ndim != 1 or ca.size < 1:
             raise ValueError("action_costs must be a nonempty 1-D array")
         object.__setattr__(self, "action_costs", _frozen(ca))

@@ -12,23 +12,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .lti_estimation import _finite, _frozen
 from .stochastic_orders import CheckResult, is_tp2
-
-
-def _frozen(a):
-    a = np.array(a, dtype=float)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
 class ChannelModel:
     """Per-action success probabilities, mode kernels, and initial mode law.
 
-    lam: shape (2, n_actions), success probability by (mode, action).
-    mode_kernel: shape (n_actions, 2, 2), row-stochastic in the last axis.
+    lam: shape (2, n_actions), success probability by (mode, action), or
+    one action's two modes as a 1-D array. mode_kernel: shape (n_actions,
+    2, 2), or one action's 2x2, row-stochastic in the last axis.
     initial_mode_dist: length-2 pmf over modes; entry [1] is the initial
-    belief of the unfavorable mode.
+    belief of the unfavorable mode. Every entry must be finite.
     """
 
     lam: np.ndarray
@@ -37,10 +33,7 @@ class ChannelModel:
 
     def __post_init__(self):
         names = ("lam", "mode_kernel", "initial_mode_dist")
-        lam, Pc, p0 = tables = [np.asarray(getattr(self, n), dtype=float) for n in names]
-        for name, table in zip(names, tables):  # NaN would pass every comparison below
-            if not np.isfinite(table).all():
-                raise ValueError(f"{name} must be finite, got {table[~np.isfinite(table)][0]}")
+        lam, Pc, p0 = (_finite(getattr(self, n), n) for n in names)
         if lam.ndim == 1:
             lam = lam[:, None]
         if lam.ndim != 2 or lam.shape[0] != 2 or lam.shape[1] < 1:

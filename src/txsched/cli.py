@@ -46,6 +46,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import asdict
 from itertools import accumulate, chain
 from pathlib import Path
 
@@ -463,9 +464,6 @@ def cmd_simulate(cfg: RunConfig, policy_name: str, quiet: bool = False) -> int:
     from . import sim
     if cfg.sim is None:
         raise ConfigError("sim", "missing section required by simulate")
-    if not cfg.is_stopping:
-        raise ConfigError("costs.c_stop", "simulate currently supports the "
-                                          "stopping formulation only")
     out_dir = Path(cfg.out_dir)
     policy = _build_policy(cfg, policy_name, out_dir)
     ss = steady_state_covariance(cfg.system)
@@ -475,22 +473,12 @@ def cmd_simulate(cfg: RunConfig, policy_name: str, quiet: bool = False) -> int:
                            cfg.solver.gamma, policy, cfg.sim,
                            collect_traces=cfg.emit_traces)
     stats, traces = result if cfg.emit_traces else (result, None)
-    payload = {
-        "policy": policy_name,
-        "seed": cfg.sim.seed,
-        "n_runs": stats.n_runs,
-        "horizon": stats.horizon,
-        "gamma": cfg.solver.gamma,
-        "mean_discounted_cost": stats.mean_discounted_cost,
-        "stderr": stats.stderr,
-        "truncation_bias_bound": stats.truncation_bias_bound,
-        "stop_time_histogram": {str(k): v for k, v in
-                                stats.stop_time_histogram.items()},
-        "mode_occupancy": list(stats.mode_occupancy),
-        "success_rate_per_mode": [None if np.isnan(r) else r
-                                  for r in stats.success_rate_per_mode],
-        "attempts_per_mode": list(stats.attempts_per_mode),
-    }
+    # str keys sort lexicographically, as JSON keys; a NaN rate (no attempts) is null
+    payload = {**asdict(stats), "policy": policy_name, "seed": cfg.sim.seed,
+               "gamma": cfg.solver.gamma,
+               "stop_time_histogram": {str(k): v for k, v in stats.stop_time_histogram.items()},
+               "success_rate_per_mode": [None if np.isnan(r) else r
+                                         for r in stats.success_rate_per_mode]}
     safe_name = policy_name.replace(":", "_")
     write_json(out_dir / f"simstats_{safe_name}.json", payload)
     if traces is not None:
@@ -503,9 +491,6 @@ def cmd_simulate(cfg: RunConfig, policy_name: str, quiet: bool = False) -> int:
 
 
 def cmd_thresholds(cfg: RunConfig, quiet: bool = False) -> int:
-    if not cfg.is_stopping:
-        raise ConfigError("costs.c_stop", "thresholds require the stopping "
-                                          "formulation")
     out_dir = Path(cfg.out_dir)
     path = out_dir / "thresholds.csv"
     if not path.exists() or _stale_reason(cfg, out_dir):
@@ -571,6 +556,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         cfg = _apply_overrides(cfg, args)
+        if args.command in ("simulate", "thresholds") and not cfg.is_stopping:
+            parser.error(f"{args.command} needs the stopping formulation, and the config "
+                         "sets no costs.c_stop")
         try:
             Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
         except OSError as exc:

@@ -7,7 +7,11 @@ The solver and sim sections become SolverConfig and SimConfig, defined here so
 that loading a config imports neither the solver nor the simulator; each
 checks its own fields, so one built directly names the same dotted path.
 Unknown keys anywhere are rejected, and every validation error names the
-offending field by its dotted path.
+offending field by its dotted path. Array fields are read as the models read
+them: a system matrix given as a scalar is 1x1 and as a list one row, and a
+channel.lam list is one action's two modes. Every number must be finite: a
+NaN, an infinity or an integer beyond the float64 range is refused, with its
+index in an array.
 """
 
 import copy
@@ -162,17 +166,6 @@ def _finite_array(value, path):
     return M
 
 
-def _matrix(value, path):
-    M = _finite_array(value, path)
-    if M.ndim == 0:
-        M = M.reshape(1, 1)
-    elif M.ndim == 1:
-        M = M.reshape(1, -1)
-    elif M.ndim != 2:
-        raise ConfigError(path, f"expected a matrix, got ndim={M.ndim}")
-    return M
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Validated configuration with constructed models."""
@@ -209,12 +202,13 @@ class RunConfig:
 def _parse_system(section):
     sec = _require_mapping(section, "system")
     _reject_unknown(sec, "system", ("A", "C", "Q", "R"))
-    mats = {k: _matrix(_get(sec, "system", k), f"system.{k}") for k in ("A", "C", "Q", "R")}
+    mats = {k: _finite_array(_get(sec, "system", k), f"system.{k}")
+            for k in ("A", "C", "Q", "R")}
     try:
         system = LtiSystem(**mats)
     except ValueError as exc:
         raise ConfigError("system", str(exc)) from None
-    raw = {k: mats[k].tolist() for k in ("A", "C", "Q", "R")}
+    raw = {k: getattr(system, k).tolist() for k in ("A", "C", "Q", "R")}
     return system, raw
 
 
@@ -239,7 +233,7 @@ def _parse_channel(section):
             raise ConfigError("channel", str(exc)) from None
     if ctype == "explicit":
         _reject_unknown(sec, "channel", ("type", "lam", "mode_kernel", "b0"))
-        lam = _matrix(_get(sec, "channel", "lam"), "channel.lam")
+        lam = _finite_array(_get(sec, "channel", "lam"), "channel.lam")
         kern = _finite_array(_get(sec, "channel", "mode_kernel"), "channel.mode_kernel")
         b0 = _number(_get(sec, "channel", "b0"), "channel.b0", lo=0.0, hi=1.0)
         try:

@@ -5,6 +5,10 @@ The local estimator runs a standard Kalman filter for
 so the remote estimation error depends only on the holding time tau (steps
 since the last delivered packet): it equals the trace of the time-update map
 applied tau times to the steady-state covariance.
+
+The module imports nothing from the package, so it also holds the array
+rules of every model: _finite reads a table as finite floats and _frozen
+stores a read-only copy.
 """
 
 import warnings
@@ -22,14 +26,30 @@ class ConvergenceError(RuntimeError):
         self.history = history
 
 
-def _as_matrix(M, name):
+def _finite(a, name):
+    """``a`` as a float array; NaN, an infinity, or an integer beyond the
+    float64 range is a ValueError naming ``name``. Every model table is
+    read through it: NaN would pass each range check that follows."""
     try:
-        M = np.asarray(M, dtype=float)
-    except OverflowError:  # an integer beyond the float64 range
+        a = np.asarray(a, dtype=float)
+    except OverflowError:
         raise ValueError(f"{name} must be finite, got an integer beyond the float64 "
                          "range") from None
-    if M.ndim == 0:
-        M = M.reshape(1, 1)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite, got {a[~np.isfinite(a)][0]}")
+    return a
+
+
+def _frozen(a, dtype=None):
+    """A read-only copy of ``a``."""
+    a = np.array(a, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
+def _as_matrix(M, name):
+    """``M`` as a float matrix: a scalar is 1x1 and a 1-D array one row."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.ndim != 2:
         raise ValueError(f"{name} must be a matrix, got ndim={M.ndim}")
     return M
@@ -40,17 +60,12 @@ def _symmetrize(X):
     return 0.5 * (X + X.T)
 
 
-def _frozen(M):
-    M = np.array(M, dtype=float)
-    M.flags.writeable = False
-    return M
-
-
 @dataclass(frozen=True)
 class LtiSystem:
     """Plant matrices (A, C, Q, R) of the discrete-time LTI system.
 
-    Q must be positive semidefinite and R positive definite. Observability of
+    A scalar is read as a 1x1 matrix and a list as one row. Entries must be
+    finite, Q positive semidefinite and R positive definite. Observability of
     (A, C) and controllability of (A, sqrt(Q)) are checked numerically; a
     failure is reported as a warning, not an error.
     """
@@ -61,13 +76,8 @@ class LtiSystem:
     R: np.ndarray
 
     def __post_init__(self):
-        A = _as_matrix(self.A, "A")
-        C = _as_matrix(self.C, "C")
-        Q = _as_matrix(self.Q, "Q")
-        R = _as_matrix(self.R, "R")
-        for name, M in (("A", A), ("C", C), ("Q", Q), ("R", R)):
-            if not np.isfinite(M).all():
-                raise ValueError(f"{name} must be finite, got {M[~np.isfinite(M)][0]}")
+        A, C, Q, R = (_as_matrix(_finite(getattr(self, k), k), k)
+                      for k in ("A", "C", "Q", "R"))
         n = A.shape[0]
         if A.shape != (n, n):
             raise ValueError(f"A must be square, got {A.shape}")
@@ -119,7 +129,7 @@ class SteadyStateCov:
     spectral_radius_A: float
 
     def __post_init__(self):
-        object.__setattr__(self, "Pbar", _frozen(_as_matrix(self.Pbar, "Pbar")))
+        object.__setattr__(self, "Pbar", _frozen(_as_matrix(_finite(self.Pbar, "Pbar"), "Pbar")))
 
 
 @dataclass(frozen=True)
@@ -131,7 +141,7 @@ class HoldingCostTable:
     spectral_radius: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "costs", _frozen(np.asarray(self.costs, dtype=float)))
+        object.__setattr__(self, "costs", _frozen(_finite(self.costs, "costs")))
 
     @property
     def tau_max(self) -> int:

@@ -15,7 +15,7 @@ import numpy as np
 from .belief_mdp import Solution, StageCost, _solve
 from .channel import ChannelModel
 from .config import SolverConfig
-from .lti_estimation import HoldingCostTable
+from .lti_estimation import HoldingCostTable, _frozen
 from .stochastic_orders import CheckResult, StructureViolationError
 
 
@@ -62,13 +62,12 @@ class ThresholdFunction:
     grid_resolution: float
 
     def __post_init__(self):
-        b = np.array(self.b_th, dtype=float)
-        m = np.array(self.is_sentinel, dtype=bool)
+        b = _frozen(self.b_th, float)
+        m = _frozen(self.is_sentinel, bool)
         if b.shape != m.shape or b.ndim != 1:
             raise ValueError("b_th and is_sentinel must be 1-D and aligned")
-        for name, arr in (("b_th", b), ("is_sentinel", m)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "b_th", b)
+        object.__setattr__(self, "is_sentinel", m)
 
     @property
     def tau_max(self) -> int:

@@ -198,6 +198,27 @@ class TestConfigValidation:
         cfg = tx.load_config(p)
         assert cfg.channel.initial_belief == 0.25
 
+    def test_lam_list_is_one_action(self, tmp_path):
+        # the model's rule: a lam list holds one action's two modes
+        cfgs = []
+        for i, lam in enumerate(([0.9, 0.2], [[0.9], [0.2]])):
+            p, _ = write_cfg(tmp_path, {"channel": {
+                "type": "explicit", "lam": lam,
+                "mode_kernel": [[[0.9, 0.1], [0.0, 1.0]]], "b0": 0.0}}, name=f"c{i}.yaml")
+            cfgs.append(tx.load_config(p))
+        assert cfgs[0].channel.lam.tolist() == [[0.9], [0.2]]
+        assert cfgs[0].to_dict() == cfgs[1].to_dict()
+        assert cfgs[0].problem_sha256 == cfgs[1].problem_sha256
+
+    def test_plant_from_a_list_is_the_model_plant(self, tmp_path):
+        # a list is one row, whether the loader or a caller builds the plant
+        p, data = write_cfg(tmp_path, {"system.A": [0.85]})
+        cfg = tx.load_config(p)
+        plant = tx.LtiSystem(A=[0.85], **{k: data["system"][k] for k in ("C", "Q", "R")})
+        for k in ("A", "C", "Q", "R"):
+            assert np.array_equal(getattr(cfg.system, k), getattr(plant, k))
+        assert cfg.to_dict()["system"]["A"] == [[0.85]]
+
 
 @st.composite
 def configs(draw):
@@ -570,6 +591,18 @@ class TestSimulate:
         ss = tx.steady_state_covariance(plant)
         assert stats["mean_discounted_cost"] == pytest.approx(
             float(np.trace(ss.Pbar)), rel=1e-12)
+
+    @pytest.mark.parametrize("command", ["simulate", "thresholds"])
+    def test_general_problem_is_a_usage_error(self, tmp_path, capsys, command):
+        # the config is valid; the command serves the stopping problem only
+        p, _ = write_cfg(tmp_path, {"costs.c_stop": None})
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(p)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: {command} needs the stopping formulation" in err
+        assert "costs.c_stop" in err and "config error" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("policy", ["nope", "bogus", "threshold:abc", "threshold:",
                                         "threshold:nan"])

@@ -226,3 +226,27 @@ class TestSystemValidation:
     def test_immutable(self, plant):
         with pytest.raises(ValueError):
             plant.A[0, 0] = 2.0
+
+
+# each model constructor with one bad entry in one of its tables, among
+# finite ones; the value shown is the bad entry. A NaN cost must fail here:
+# value iteration would only report a span bound of nan after max_sweeps
+MODEL_TABLES = {
+    "lam": lambda v: tx.ChannelModel(lam=[[0.9], [v]],
+                                     mode_kernel=[[[0.9, 0.1], [0.0, 1.0]]]),
+    "Q": lambda v: tx.LtiSystem(A=0.5, C=1.0, Q=[[v]], R=1.0),
+    "Pbar": lambda v: tx.SteadyStateCov(Pbar=[[1.0, 0.0], [0.0, v]], spectral_radius_A=0.5),
+    "costs": lambda v: tx.HoldingCostTable(costs=[1.0, v, 3.0]),
+    "action_costs": lambda v: tx.StageCost(holding=tx.HoldingCostTable(costs=[1.0, 2.0]),
+                                           action_costs=[0.0, v]),
+}
+
+
+class TestModelTablesFinite:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf,
+                                       pytest.param(10**400, id="int-1e400")])
+    @pytest.mark.parametrize("field", list(MODEL_TABLES))
+    def test_non_finite_entry_names_the_field(self, field, value):
+        shown = "an integer beyond the float64 range" if isinstance(value, int) else value
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {shown}$"):
+            MODEL_TABLES[field](value)
