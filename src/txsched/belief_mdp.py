@@ -9,28 +9,26 @@ likelihood follow from the channel's success table and mode kernel.
 The solver discretizes b on a uniform grid and runs value iteration with the
 Bellman operator; continuation values off the grid are read by piecewise
 linear interpolation, and next holding times beyond the truncation level are
-clamped to it (self-loop at the boundary; for a stable plant the holding cost
-converges, so the truncation error is bounded). Convergence is measured in a
-weighted sup-norm whose weight grows along tau only when the plant is
-unstable, which is what keeps the operator an m-stage contraction despite
-unbounded costs.
+clamped to it (self-loop at the boundary). So the lattice problem is a finite
+discounted MDP with bounded costs for every plant, and one stopping rule, the
+MacQueen/Porteus span bound, certifies every solve in the sup norm; the
+sweep returns the bound's midpoint. The weighted sup-norm, whose weight
+grows along tau only when the plant is unstable, serves the paper's
+contraction check (check_contraction), which computes the exact moduli L_j
+of T^j on the lattice (_lattice_moduli).
 Every solve reports the error it certifies (Solution.certified_error): an
 exact-arithmetic bound plus a bound on the sweep's float rounding.
 cfg.vi_tol is the target for that error. A solve starts from the solve on a
 10 times coarser grid, carried onto its own grid, when that grid has at
 least 20 cells (nested grids: 2000 cells are solved on 20, 200, then 2000).
-For a stable plant the sweep stops on the MacQueen/Porteus span bound and
-returns the bound's midpoint; for an unstable plant it stops on the
-weighted residual r and certifies r * (L_1 + ... + L_m) / (1 - L_m), where
-L_j is the exact modulus of T^j on the lattice (_lattice_moduli), which
-check_contraction reuses.
 One solve path, _solve, serves value_iterate and the stopping problem, whose
 stop action is a Q column pinned to c_stop. One kernel, _bellman, evaluates
 the operator for every solve and check, from a per-solve interpolation
-stencil; _require_contraction states the hypothesis they all rely on. The
-structural checks are closed forms over the whole lattice:
-verify_update_monotonicity decides the likelihood order on every ordered
-pair of states from one suffix minimum per action.
+stencil; _require_contraction states the model's hypothesis, checked
+before every solve and contraction check. The structural checks are closed
+forms over the whole lattice: verify_update_monotonicity decides the
+likelihood order on every ordered pair of states from one suffix minimum
+per action.
 """
 
 import math
@@ -209,62 +207,52 @@ def _iterate(ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
              c_stop: float | None = None, final: bool = True):
     """Q <- _bellman(V), with V = min(min_a Q, c_stop) (min_a Q when c_stop
     is None), until the error is certified below cfg.vi_tol; returns (Q,
-    sweeps, residual history, certified error, coarse levels, lattice
-    moduli), where the levels list the coarser grids solved first as
-    (grid_n, sweeps) pairs, the coarsest first, and the moduli are the L_1..L_m
-    of the certificate (empty unless it is the weighted one of an unstable
-    plant's final grid). Q holds the swept actions only, not the stop column.
+    sweeps, residual history, certified error, coarse levels), where the
+    levels list the coarser grids solved first as (grid_n, sweeps) pairs,
+    the coarsest first. Q holds the swept actions only, not the stop column.
 
     The sweep starts from the solve on a grid _COARSEN times coarser, carried
     onto this grid by _prolong, when that grid has at least _MIN_COARSE_GRID
     cells, and from Q = 0 otherwise (nested or one-way multigrid iteration).
     A coarse level (``final`` False) that exhausts cfg.max_sweeps hands on its
-    last iterate; only the final grid raises ConvergenceError, and only the
-    final grid of an unstable plant computes its certificate. A coarse level
+    last iterate; only the final grid raises ConvergenceError. A coarse level
     solves to cfg.vi_tol as well, because a looser coarse start can cost a
     fine grid more sweeps than the coarse level saves (on an unstable plant
-    at grid 2000, 3 fine sweeps become 31 to 102). Both stopping
-    rules below read only Qn = T(Q) and Q, so they certify the same bound
-    whatever Q the sweep started from.
+    at grid 2000, 3 fine sweeps become 31 to 102). The stopping rule reads
+    only Qn = T(Q) and Q, so it certifies the same bound whatever Q the
+    sweep started from.
 
-    The residual of a sweep is the weighted sup of d = Qn - Q. For a stable
-    plant (plain sup norm) the stopping rule is the MacQueen/Porteus span
-    bound: with k = gamma / (1 - gamma), the fixed point lies between
-    Qn + k * min d and Qn + k * max d, so the sweep stops once the half-width
+    The residual of a sweep is the sup of |d|, d = Qn - Q. The stopping rule
+    is the MacQueen/Porteus span bound, which needs only T(Q + c) = TQ +
+    gamma * c for a constant c; that holds on the lattice for every plant,
+    since the outcome probabilities and the interpolation weights each sum
+    to 1. With k = gamma / (1 - gamma), the fixed point lies between Qn +
+    k * min d and Qn + k * max d, so the sweep stops once the half-width
     k * (max d - min d) / 2 is below vi_tol and returns the midpoint. With
     c_stop set, the stop action is a branch pinned to that constant, so the
-    shift rule T(Q + c) = TQ + gamma * c weakens to TQ <= T(Q + c) <= TQ +
-    gamma * c for c >= 0, and the bound holds once [min d, max d] is widened
-    to include 0, the stop branch's own increment. For an unstable plant the
-    sweep stops when the weighted residual r is below vi_tol, and _certify
-    bounds the error over m = 1 .. the analytic contraction stage.
+    shift rule weakens to TQ <= T(Q + c) <= TQ + gamma * c for c >= 0, and
+    the bound holds once [min d, max d] is widened to include 0, the stop
+    branch's own increment.
 
-    Both bounds hold for exact arithmetic; the certified error adds the
+    The bound holds for exact arithmetic; the certified error adds the
     rounding of the float sweep. Let |fl(TQ) - TQ| <= delta = 16 u M at every
     entry (_magnitude) and D = max |d|. The exact increment is within
     delta + u D of the computed d, which moves each end of the span interval
     by at most (1 + k) delta + k u D in all; rounding k, the half-width and
     the shift adds at most 8 u k D, and the midpoint's own sum u (M + k D).
-    So a stable solve certifies half-width + (1 + k) delta + u (M + 10 k D).
+    So a solve certifies half-width + (1 + k) delta + u (M + 10 k D).
     It stops once that is below vi_tol, or, for a vi_tol below about twice
     the rounding floor, once the half-width is below both vi_tol and the
     rounding term: further sweeps could at most halve the bound, and a float
-    fixed point has half-width 0; a failure reports the last two terms. An
-    unstable solve certifies (1 + (m + 5) u) * _certify(r + delta) + delta:
-    the weighted norm is at most the plain sup (s >= 1), the true residual
-    is at most r (1 + 2 u) + delta, and the certificate's own arithmetic
-    errs by at most (m + 3) u relative, taking the lattice moduli as
-    computed.
+    fixed point has half-width 0; a failure reports the last two terms.
     """
-    rho = cost.spectral_radius
     grid = cfg.belief_grid()
     stencil = _stencil(ch, grid)
     cs, ca = cost.holding.costs, cost.action_costs
-    s = weight_profile(rho, cfg.weight_eps, cfg.tau_max)
     k = cfg.gamma / (1.0 - cfg.gamma)
     if cfg.grid_n // _COARSEN >= _MIN_COARSE_GRID:
         coarse = replace(cfg, grid_n=cfg.grid_n // _COARSEN)
-        Qc, sweeps, _, _, levels, _ = _iterate(ch, cost, coarse, c_stop, final=False)
+        Qc, sweeps, _, _, levels = _iterate(ch, cost, coarse, c_stop, final=False)
         Q = _prolong(Qc, coarse.belief_grid(), grid)
         levels += ((coarse.grid_n, sweeps),)
     else:
@@ -275,40 +263,24 @@ def _iterate(ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
         V = _over_actions(np.minimum, Q, c_stop)
         Qn = _bellman(V, stencil, cs, ca, cfg.gamma)
         np.subtract(Qn, Q, out=d)
-        if rho < 1.0:
-            lo, hi = float(d.min()), float(d.max())
-            history.append(max(hi, -lo))
-            if c_stop is not None:
-                lo, hi = min(lo, 0.0), max(hi, 0.0)
-            half = k * (hi - lo) / 2.0
-            if half < cfg.vi_tol or sweep == cfg.max_sweeps:  # a failure reports the term
-                M = _magnitude(V, Qn)
-                rounding = ((1.0 + k) * _SWEEP_ROUNDING * _U * M
-                            + _U * (M + 10.0 * k * history[-1]))
-                if half < cfg.vi_tol and (half + rounding < cfg.vi_tol or half < rounding):
-                    return (Qn + k * (hi + lo) / 2.0, sweep, history, half + rounding,
-                            levels, ())
-        else:
-            history.append(_weighted_sup(np.abs(d, out=d), s))
-            if history[-1] < cfg.vi_tol:
-                if not final:  # the caller drops a coarse level's certificate
-                    return Qn, sweep, history, math.inf, levels, ()
-                m, _ = _contraction_stage(ch.min_success_prob(),
-                                          _weight_base(rho, cfg.weight_eps), cfg.gamma)
-                moduli = tuple(_lattice_moduli(stencil, s, cfg.gamma, m)) if m else ()
-                delta = _SWEEP_ROUNDING * _U * _magnitude(V, Qn)
-                certified = ((1.0 + (len(moduli) + 5) * _U)
-                             * _certify(history[-1] + delta, moduli) + delta)
-                return Qn, sweep, history, certified, levels, moduli
+        lo, hi = float(d.min()), float(d.max())
+        history.append(max(hi, -lo))
+        if c_stop is not None:
+            lo, hi = min(lo, 0.0), max(hi, 0.0)
+        half = k * (hi - lo) / 2.0
+        if half < cfg.vi_tol or sweep == cfg.max_sweeps:  # a failure reports the term
+            M = _magnitude(V, Qn)
+            rounding = ((1.0 + k) * _SWEEP_ROUNDING * _U * M
+                        + _U * (M + 10.0 * k * history[-1]))
+            if half < cfg.vi_tol and (half + rounding < cfg.vi_tol or half < rounding):
+                return Qn + k * (hi + lo) / 2.0, sweep, history, half + rounding, levels
         Q = Qn
     if not final:
-        return Q, cfg.max_sweeps, history, math.inf, levels, ()
-    detail = f"last residual {history[-1]:.3e}"
-    if rho < 1.0:  # that residual is not what the span rule reads
-        detail = (f"span half-width {half:.3e}, rounding term {rounding:.3e}, gamma {cfg.gamma}"
-                  + ("; vi_tol is below this rounding floor" if rounding >= cfg.vi_tol else ""))
+        return Q, cfg.max_sweeps, history, math.inf, levels
     raise ConvergenceError(
-        f"value iteration did not reach tol {cfg.vi_tol} in {cfg.max_sweeps} sweeps ({detail})",
+        f"value iteration did not reach tol {cfg.vi_tol} in {cfg.max_sweeps} sweeps "
+        f"(span half-width {half:.3e}, rounding term {rounding:.3e}, gamma {cfg.gamma}"
+        + ("; vi_tol is below this rounding floor" if rounding >= cfg.vi_tol else "") + ")",
         residual=history[-1], history=history)
 
 
@@ -332,18 +304,6 @@ def _lattice_moduli(stencil, s, gamma, m):
     return moduli
 
 
-def _certify(r, moduli):
-    """Smallest error bound r * (L_1 + ... + L_m) / (1 - L_m) over the m
-    with L_m < 1, for the iterate Qn whose residual ||Qn - Q|| is r.
-
-    From ||Qn - Q*|| <= ||T^m Qn - Qn|| + L_m ||Qn - Q*|| and T^j Qn =
-    T^(j+1) Q: ||T^m Qn - Qn|| <= sum_{j<m} ||T^(j+1) Qn - T^(j+1) Q|| <=
-    r * (L_1 + ... + L_m). inf when no m qualifies."""
-    bounds = [r * sum(moduli[:m]) / (1.0 - moduli[m - 1])
-              for m in range(1, len(moduli) + 1) if moduli[m - 1] < 1.0]
-    return min(bounds, default=math.inf)
-
-
 def _check_problem(ch: ChannelModel, cost: StageCost, cfg: SolverConfig):
     if cost.n_actions != ch.n_actions:
         raise ValueError("cost and channel disagree on the number of actions")
@@ -355,13 +315,11 @@ def _check_problem(ch: ChannelModel, cost: StageCost, cfg: SolverConfig):
 class Solution:
     """Converged Q-function, value function, and greedy policy on the lattice.
 
-    certified_error bounds the distance of Qfun from the lattice fixed point
-    in the solver's norm (inf when nothing is certified). sweeps_used and
-    residual_history are those of the final grid; coarse_levels lists the
-    coarser grids solved first to start it, as (grid_n, sweeps) pairs, the
-    coarsest first. lattice_moduli holds the L_1..L_m of the weighted
-    certificate of an unstable plant (_lattice_moduli), empty for the span
-    bound of a stable one, which needs none."""
+    certified_error bounds the sup-norm distance of Qfun from the lattice
+    fixed point (inf for a Solution that no solve certified). sweeps_used
+    and residual_history are those of the final grid; coarse_levels lists
+    the coarser grids solved first to start it, as (grid_n, sweeps) pairs,
+    the coarsest first."""
 
     Qfun: np.ndarray
     V: np.ndarray
@@ -372,7 +330,6 @@ class Solution:
     residual_history: tuple = ()
     certified_error: float = math.inf
     coarse_levels: tuple = ()
-    lattice_moduli: tuple = ()
 
     def __post_init__(self):
         for name in ("Qfun", "V", "policy", "belief_grid"):
@@ -427,8 +384,10 @@ def success_margin(ch: ChannelModel, spectral_radius: float) -> tuple:
 
 
 def _require_contraction(ch: ChannelModel, spectral_radius: float, eps: float):
-    """The convergence hypothesis of the solver and of its contraction
-    certificate, stated once. A stable plant (rho(A) < 1) has bounded costs,
+    """The hypothesis under which the untruncated model's discounted cost is
+    finite and check_contraction certifies the operator, stated once; the
+    clamped lattice has bounded costs without it, but the solver refuses a
+    model that breaks it. A stable plant (rho(A) < 1) has bounded costs,
     and the operator contracts by gamma in the sup norm whatever lam is. An
     unstable plant needs (1 - lam_min) * (rho + eps)^2 < 1, which implies the
     success margin (success_margin) and alpha = (1 - lam_min) * (rho^2 +
@@ -452,21 +411,20 @@ def _solve(ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
     stops on ties."""
     _require_contraction(ch, cost.spectral_radius, cfg.weight_eps)
     _check_problem(ch, cost, cfg)
-    Q, sweeps, history, certified, levels, moduli = _iterate(ch, cost, cfg, c_stop)
+    Q, sweeps, history, certified, levels = _iterate(ch, cost, cfg, c_stop)
     if c_stop is not None:
         Q = np.concatenate([Q, np.full_like(Q[:, :, :1], c_stop)], axis=2)
     return Solution(Qfun=Q, V=_over_actions(np.minimum, Q),
                     policy=greedy_policy(Q, cfg.tie_break if c_stop is None else "high"),
                     belief_grid=cfg.belief_grid(), sweeps_used=sweeps,
                     final_residual=history[-1], residual_history=tuple(history),
-                    certified_error=certified, coarse_levels=levels, lattice_moduli=moduli)
+                    certified_error=certified, coarse_levels=levels)
 
 
 def value_iterate(ch: ChannelModel, cost: StageCost, cfg: SolverConfig) -> Solution:
-    """Value iteration until the error is certified below cfg.vi_tol (span
-    bound for a stable plant, weighted residual for an unstable one), from
-    the solve on a 10 times coarser grid when that grid has at least 20
-    cells and from Q = 0 otherwise; see _iterate.
+    """Value iteration until the span bound certifies the error below
+    cfg.vi_tol, from the solve on a 10 times coarser grid when that grid has
+    at least 20 cells and from Q = 0 otherwise; see _iterate.
 
     Raises ConvergenceError (with the residual history) if max_sweeps is
     exhausted, and ValueError if the contraction hypothesis fails.
@@ -636,7 +594,7 @@ def _contraction_stage(lam_min: float, base: float, gamma: float, m_max: int = 5
 
 
 def check_contraction(ch: ChannelModel, sys: LtiSystem, cfg: SolverConfig,
-                      m_max: int = 500, sol: Solution | None = None) -> ContractionReport:
+                      m_max: int = 500) -> ContractionReport:
     """Certify the m-stage contraction of the Bellman operator in the
     weighted sup-norm.
 
@@ -644,9 +602,8 @@ def check_contraction(ch: ChannelModel, sys: LtiSystem, cfg: SolverConfig,
     worst-case weighted outcome mass below 1 (_contraction_stage); it
     certifies the untruncated operator. Lattice part: the exact modulus L_m
     of T^m on the solver's lattice (_lattice_moduli), which bounds the ratio
-    ||T^m Q1 - T^m Q2|| / ||Q1 - Q2|| for every pair; taken from sol, a
-    solve of this problem, when its certificate holds L_1..L_m, and computed
-    otherwise. Raises ValueError when the solver's contraction hypothesis
+    ||T^m Q1 - T^m Q2|| / ||Q1 - Q2|| for every pair; no solve computes it.
+    Raises ValueError when the solver's contraction hypothesis
     fails (see _require_contraction) and ConvergenceError when no m <= m_max
     qualifies.
     """
@@ -659,9 +616,7 @@ def check_contraction(ch: ChannelModel, sys: LtiSystem, cfg: SolverConfig,
     m, bound = _contraction_stage(lam_min, base, cfg.gamma, m_max)
     if m is None:
         raise ConvergenceError(f"no contraction stage found up to m={m_max}")
-    moduli = sol.lattice_moduli if sol is not None else ()
-    if len(moduli) != m:
-        moduli = _lattice_moduli(_stencil(ch, cfg.belief_grid()),
-                                 weight_profile(rho, eps, cfg.tau_max), cfg.gamma, m)
+    moduli = _lattice_moduli(_stencil(ch, cfg.belief_grid()),
+                             weight_profile(rho, eps, cfg.tau_max), cfg.gamma, m)
     return ContractionReport(m=m, certified_bound=bound, alpha=alpha,
                              weight_base=base, lattice_modulus=moduli[-1])

@@ -27,14 +27,20 @@ class ConvergenceError(RuntimeError):
 
 
 def _finite(a, name):
-    """``a`` as a float array; NaN, an infinity, or an integer beyond the
-    float64 range is a ValueError naming ``name``. Every model table is
-    read through it: NaN would pass each range check that follows."""
+    """``a`` as a float array; NaN, an infinity, an integer beyond the
+    float64 range, or data that is not numeric (text too, which numpy would
+    parse) is a ValueError naming ``name``. Every model table is read
+    through it: NaN would pass each range check that follows."""
     try:
-        a = np.asarray(a, dtype=float)
+        a = np.asarray(a)
+        if a.dtype.kind in "SU":
+            raise TypeError("got a string")
+        a = a.astype(float, copy=False)
     except OverflowError:
         raise ValueError(f"{name} must be finite, got an integer beyond the float64 "
                          "range") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be numeric: {exc}") from None
     if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite, got {a[~np.isfinite(a)][0]}")
     return a
@@ -141,7 +147,10 @@ class HoldingCostTable:
     spectral_radius: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "costs", _frozen(_finite(self.costs, "costs")))
+        costs = _finite(self.costs, "costs")
+        if costs.ndim != 1 or costs.size < 1:
+            raise ValueError(f"costs must be a nonempty 1-D array, got shape {costs.shape}")
+        object.__setattr__(self, "costs", _frozen(costs))
 
     @property
     def tau_max(self) -> int:

@@ -15,7 +15,7 @@ import numpy as np
 from .belief_mdp import Solution, StageCost, _solve
 from .channel import ChannelModel
 from .config import SolverConfig
-from .lti_estimation import HoldingCostTable, _frozen
+from .lti_estimation import HoldingCostTable, _finite, _frozen
 from .stochastic_orders import CheckResult, StructureViolationError
 
 
@@ -24,7 +24,7 @@ class StoppingProblem:
     """Two-action stopping problem bound to a single-action channel.
 
     Continuation incurs no action fee; the channel's only action drives the
-    transmissions while continuing.
+    transmissions while continuing. c_stop must be a finite number.
     """
 
     channel: ChannelModel
@@ -36,6 +36,10 @@ class StoppingProblem:
         if self.channel.n_actions != 1:
             raise ValueError("stopping problems use a single-action channel "
                              "(the continue action)")
+        c_stop = _finite(self.c_stop, "c_stop")
+        if c_stop.ndim != 0:
+            raise ValueError(f"c_stop must be a number, got shape {c_stop.shape}")
+        object.__setattr__(self, "c_stop", float(c_stop))
 
 
 def solve_stopping(prob: StoppingProblem) -> Solution:

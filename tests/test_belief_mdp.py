@@ -11,9 +11,8 @@ from conftest import (bayes_enumeration_oracle, channels, random_channel,
 from oracles import (bellman_apply, belief_update, observation_likelihood, predictive_belief,
                      weighted_norm)
 from orders import FiniteDist, fsd_dominates, stage_cost
-from txsched.belief_mdp import (_action_tables, _bellman, _certify, _contraction_stage,
-                                _lattice_moduli, _over_actions, _prolong, _stencil,
-                                greedy_policy)
+from txsched.belief_mdp import (_action_tables, _bellman, _contraction_stage, _lattice_moduli,
+                                _over_actions, _prolong, _stencil, greedy_policy)
 
 
 class TestBeliefPrimitives:
@@ -219,30 +218,27 @@ def rowwise_prolong(Q, coarse_grid, grid):
 U = 2.0 ** -53
 
 
-def rowwise_solve(make_sweep, values, tail, s, cfg, pinned=False, moduli=None,
-                  nested=True, final=True):
+def rowwise_solve(make_sweep, values, tail, cfg, pinned=False, nested=True, final=True):
     """Reference value iteration: make_sweep(grid) is the row-wise sweep on a
     belief grid and values(Q) its continuation values.
 
     With ``nested`` the solve starts from its own solve on grid_n // 10
     cells, when that has at least 20, carried over by rowwise_prolong (a
     coarse level out of sweeps hands on its last iterate), and otherwise from
-    zeros of shape (tau_max + 1, grid_n + 1) + tail. A stable plant
-    (``moduli`` None) stops on the span bound k * (max d - min d) / 2
-    (k = gamma / (1 - gamma), d the sweep's increment, widened to include 0
-    when a branch is pinned) plus the rounding term (1 + k) 16 u M +
-    u (M + 10 k max|d|), M = max(|values(Q)|, |Qn|), once that is below
-    cfg.vi_tol or the half-width is below the rounding term, and returns the
-    bound's midpoint. An unstable one stops on the weighted residual r and
-    certifies (1 + (m + 5) u) _certify(r + 16 u M, moduli) + 16 u M.
+    zeros of shape (tau_max + 1, grid_n + 1) + tail. Every plant, stable or
+    not, stops on the span bound k * (max d - min d) / 2 (k = gamma /
+    (1 - gamma), d the sweep's increment, widened to include 0 when a branch
+    is pinned) plus the rounding term (1 + k) 16 u M + u (M + 10 k max|d|),
+    M = max(|values(Q)|, |Qn|), once that is below cfg.vi_tol or the
+    half-width is below the rounding term, and returns the bound's midpoint.
     Returns (Q, residual history, certified error, coarse levels)."""
     k = cfg.gamma / (1.0 - cfg.gamma)
     grid = cfg.belief_grid()
     sweep = make_sweep(grid)
     if nested and cfg.grid_n // 10 >= 20:
         coarse = replace(cfg, grid_n=cfg.grid_n // 10)
-        Qc, hist, _, levels = rowwise_solve(make_sweep, values, tail, s, coarse, pinned,
-                                            moduli, final=False)
+        Qc, hist, _, levels = rowwise_solve(make_sweep, values, tail, coarse, pinned,
+                                            final=False)
         Q = rowwise_prolong(Qc, coarse.belief_grid(), grid)
         levels += ((coarse.grid_n, len(hist)),)
     else:
@@ -252,19 +248,14 @@ def rowwise_solve(make_sweep, values, tail, s, cfg, pinned=False, moduli=None,
         Qn = sweep(Q)
         M = max(np.abs(values(Q)).max(), np.abs(Qn).max())
         d = Qn - Q
-        history.append(float(np.max(np.abs(d).reshape(Q.shape[0], -1).max(axis=1) / s)))
-        if moduli is None:
-            lo, hi = float(d.min()), float(d.max())
-            if pinned:
-                lo, hi = min(lo, 0.0), max(hi, 0.0)
-            half = k * (hi - lo) / 2.0
-            rounding = (1.0 + k) * 16 * U * M + U * (M + 10.0 * k * history[-1])
-            if half < cfg.vi_tol and (half + rounding < cfg.vi_tol or half < rounding):
-                return Qn + k * (hi + lo) / 2.0, history, half + rounding, levels
-        elif history[-1] < cfg.vi_tol:
-            delta = 16 * U * M
-            return Qn, history, ((1.0 + (len(moduli) + 5) * U)
-                                 * _certify(history[-1] + delta, moduli) + delta), levels
+        history.append(float(np.abs(d).max()))
+        lo, hi = float(d.min()), float(d.max())
+        if pinned:
+            lo, hi = min(lo, 0.0), max(hi, 0.0)
+        half = k * (hi - lo) / 2.0
+        rounding = (1.0 + k) * 16 * U * M + U * (M + 10.0 * k * history[-1])
+        if half < cfg.vi_tol and (half + rounding < cfg.vi_tol or half < rounding):
+            return Qn + k * (hi + lo) / 2.0, history, half + rounding, levels
         Q = Qn
     if final:
         raise AssertionError("reference value iteration did not converge")
@@ -351,12 +342,11 @@ class TestStencilKernel:
         holding = _random_costs(rng, tau_max)
         ca = rng.uniform(0.0, 2.0, ch.n_actions)
         cfg = tx.SolverConfig(gamma=gamma, tau_max=tau_max, grid_n=grid_n, vi_tol=1e-7)
-        s = tx.weight_profile(holding.spectral_radius, cfg.weight_eps, tau_max)
 
         sol = tx.value_iterate(ch, tx.StageCost(holding=holding, action_costs=ca), cfg)
         Q, hist, certified, levels = rowwise_solve(
             lambda grid: _general_sweep(ch, holding, ca, gamma, grid),
-            lambda Q: Q.min(axis=2), (ch.n_actions,), s, cfg)
+            lambda Q: Q.min(axis=2), (ch.n_actions,), cfg)
         assert np.array_equal(sol.Qfun, Q)
         assert sol.residual_history == tuple(hist)
         assert sol.sweeps_used == len(hist)
@@ -368,7 +358,7 @@ class TestStencilKernel:
                                                    c_stop=c_stop))
         Qc, hist, certified, levels = rowwise_solve(
             lambda grid: _stopping_sweep(ch, holding, c_stop, gamma, grid),
-            lambda Qc: np.minimum(Qc, c_stop), (), s, cfg, pinned=True)
+            lambda Qc: np.minimum(Qc, c_stop), (), cfg, pinned=True)
         assert np.array_equal(sol.Qfun[:, :, 0], Qc)
         assert sol.residual_history == tuple(hist)
         assert sol.sweeps_used == len(hist)
@@ -404,9 +394,9 @@ def _unstable_problem(tau_max, grid_n):
 
 
 class TestCertifiedError:
-    """Every solve's certified_error bounds its distance, in the solver's
-    norm, from a solve with a much tighter tolerance (which carries its own
-    bound)."""
+    """Every solve's certified_error bounds its sup-norm distance from a
+    solve with a much tighter tolerance (which carries its own bound), for
+    stable and unstable plants alike."""
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(ch=tp2_channels(), grid_n=st.integers(2, 40), tau_max=st.integers(1, 20),
@@ -429,7 +419,10 @@ class TestCertifiedError:
                 <= sol.certified_error + ref.certified_error
 
     @pytest.mark.parametrize("stopping", [False, True])
-    def test_weighted_bound_on_unstable_plant(self, stopping):
+    def test_span_bound_on_unstable_plant(self, stopping):
+        # tau is clamped at tau_max, so the lattice problem of an unstable
+        # plant is a finite discounted MDP too, and the span rule certifies
+        # its absolute error; the weighted distance is no larger (s >= 1)
         sys_u, table, ch, cfg = _unstable_problem(30, 30)
         cfg = replace(cfg, vi_tol=1e-5)
         tight = replace(cfg, vi_tol=1e-12)
@@ -439,11 +432,11 @@ class TestCertifiedError:
         else:
             cost = tx.StageCost(holding=table, action_costs=np.array([0.0]))
             sol, ref = (tx.value_iterate(ch, cost, c) for c in (cfg, tight))
-        # the sweep still stops on the weighted residual; the bound is larger
-        assert sol.final_residual < cfg.vi_tol < sol.certified_error < np.inf
-        dist = weighted_norm(sol.Qfun - ref.Qfun, sys_u.spectral_radius(),
-                                cfg.weight_eps)
+        assert sol.certified_error < cfg.vi_tol
+        dist = np.max(np.abs(sol.Qfun - ref.Qfun))
         assert dist <= sol.certified_error + ref.certified_error
+        assert weighted_norm(sol.Qfun - ref.Qfun, sys_u.spectral_radius(),
+                             cfg.weight_eps) <= dist
 
     @settings(max_examples=16, deadline=None, derandomize=True, database=None)
     @given(ch=tp2_channels(), unstable=st.booleans(), grid_n=st.integers(200, 420),
@@ -460,34 +453,25 @@ class TestCertifiedError:
             ch = tx.ChannelModel(lam=0.5 + 0.5 * ch.lam, mode_kernel=ch.mode_kernel)
         ca = rng.uniform(0.0, 2.0, ch.n_actions)
         cfg = tx.SolverConfig(gamma=gamma, tau_max=tau_max, grid_n=grid_n, vi_tol=1e-7)
-        s = tx.weight_profile(rho, cfg.weight_eps, tau_max)
         stop_ch = _first_action(ch)
-
-        def moduli(c):  # the unstable certificate's lattice moduli of the final grid
-            if not unstable:
-                return None
-            m, _ = _contraction_stage(c.min_success_prob(), rho + cfg.weight_eps, gamma)
-            return _lattice_moduli(_stencil(c, cfg.belief_grid()), s, gamma, m)
-
         nested = (tx.value_iterate(ch, tx.StageCost(holding=holding, action_costs=ca), cfg),
                   tx.solve_stopping(tx.StoppingProblem(channel=stop_ch, holding=holding,
                                                        cfg=cfg, c_stop=c_stop)))
         references = ((lambda grid: _general_sweep(ch, holding, ca, gamma, grid),
-                       lambda Q: Q.min(axis=2), (ch.n_actions,), False, moduli(ch)),
+                       lambda Q: Q.min(axis=2), (ch.n_actions,), False),
                       (lambda grid: _stopping_sweep(ch, holding, c_stop, gamma, grid),
-                       lambda Qc: np.minimum(Qc, c_stop), (), True, moduli(stop_ch)))
-        for sol, (make_sweep, values, tail, pinned, mod) in zip(nested, references):
-            Q, hist, certified, levels = rowwise_solve(make_sweep, values, tail, s, cfg,
-                                                       pinned, mod)
+                       lambda Qc: np.minimum(Qc, c_stop), (), True))
+        for sol, (make_sweep, values, tail, pinned) in zip(nested, references):
+            Q, hist, certified, levels = rowwise_solve(make_sweep, values, tail, cfg, pinned)
             assert np.array_equal(sol.Qfun[:, :, 0] if pinned else sol.Qfun, Q)
             assert sol.residual_history == tuple(hist)
             assert (sol.certified_error, sol.coarse_levels) == (certified, levels)
             assert levels[-1][0] == grid_n // 10
-            Q, _, certified, levels = rowwise_solve(make_sweep, values, tail, s, cfg,
-                                                    pinned, mod, nested=False)
+            Q, _, certified, levels = rowwise_solve(make_sweep, values, tail, cfg, pinned,
+                                                    nested=False)
             assert levels == ()
             Q = Q.reshape(sol.Qfun.shape[:2] + (-1,))  # the stopping reference: continue only
-            dist = weighted_norm(sol.Qfun[:, :, :Q.shape[2]] - Q, rho, cfg.weight_eps)
+            dist = np.max(np.abs(sol.Qfun[:, :, :Q.shape[2]] - Q))
             assert dist <= sol.certified_error + certified
 
     def test_coarse_levels_hand_on_their_last_iterate(self):
@@ -504,14 +488,10 @@ class TestCertifiedError:
         with pytest.raises(tx.ConvergenceError):
             tx.solve_stopping(replace(prob, cfg=replace(cfg, grid_n=20)))
 
-    def test_only_the_final_grid_is_certified(self, monkeypatch):
-        # grids 20 and 200 stop on the weighted residual alone; the lattice
-        # moduli are computed once, on grid 2000, and the solve is unchanged
+    def test_unstable_solve_computes_no_lattice_moduli(self, monkeypatch):
+        # every grid of an unstable plant stops on the span rule, which
+        # needs no lattice moduli: the solve never computes them
         sys_u, table, ch, cfg = _unstable_problem(60, 2000)
-        s = tx.weight_profile(table.spectral_radius, cfg.weight_eps, cfg.tau_max)
-        m, _ = _contraction_stage(ch.min_success_prob(), table.spectral_radius
-                                  + cfg.weight_eps, cfg.gamma)
-        moduli = _lattice_moduli(_stencil(ch, cfg.belief_grid()), s, cfg.gamma, m)
         grids = []
 
         def spy(stencil, *args):
@@ -521,10 +501,12 @@ class TestCertifiedError:
         monkeypatch.setattr("txsched.belief_mdp._lattice_moduli", spy)
         sol = tx.solve_stopping(tx.StoppingProblem(channel=ch, holding=table, cfg=cfg,
                                                    c_stop=10.0))
-        assert grids == [2000]
+        assert grids == []
+        assert (sol.sweeps_used, sol.coarse_levels) == (3, ((20, 200), (200, 4)))
+        assert sol.certified_error <= cfg.vi_tol
         Q, _, certified, levels = rowwise_solve(
             lambda grid: _stopping_sweep(ch, table, 10.0, cfg.gamma, grid),
-            lambda Qc: np.minimum(Qc, 10.0), (), s, cfg, True, moduli)
+            lambda Qc: np.minimum(Qc, 10.0), (), cfg, True)
         assert np.array_equal(sol.Qfun[:, :, 0], Q)
         assert (sol.certified_error, sol.coarse_levels) == (certified, levels)
 
@@ -537,13 +519,6 @@ class TestCertifiedError:
                                                        cfg=cfg, c_stop=10.0))
             assert sol.residual_history[-1] == 0.0
             assert 16 * U * 10.0 < sol.certified_error < 1e-12
-
-    def test_certificate_takes_the_smallest_qualifying_stage(self):
-        assert _certify(2.0, [0.5]) == 2.0 * 0.5 / 0.5
-        moduli = [1.0087, 0.9896, 0.9569, 0.9179]
-        bounds = [sum(moduli[:m]) / (1.0 - moduli[m - 1]) for m in (2, 3, 4)]
-        assert _certify(1.0, moduli) == min(bounds) == bounds[2]
-        assert _certify(1.0, [1.01, 1.0]) == np.inf
 
     def test_lattice_modulus_is_attained(self):
         # with one action T^m is affine, so Q1 - Q2 = s attains the modulus

@@ -358,15 +358,48 @@ class TestSolve:
         assert 0.0 < err < BASE["solver"]["vi_tol"]
 
     def test_unstable_plant_certificate(self, tmp_path, capsys, monkeypatch):
+        # an unstable plant stops on the span rule too: its certificate is an
+        # absolute bound below vi_tol, and no lattice modulus enters it
         p, _ = write_cfg(tmp_path, {"system.A": [[1.05]], "channel.lam_bad": 0.5})
-        assert main(["solve", "--config", str(p)]) == 0
-        out = capsys.readouterr().out
-        assert "certified error " in out and "not certified" not in out
-        # no stage m with L_m < 1: the error is reported as not certified
         monkeypatch.setattr("txsched.belief_mdp._lattice_moduli",
                             lambda stencil, s, gamma, m: [1.5] * m)
         assert main(["solve", "--config", str(p)]) == 0
-        assert ", not certified, " in capsys.readouterr().out
+        line = next(l for l in capsys.readouterr().out.split("\n")
+                    if l.startswith("value iteration: "))
+        err = float(line.split("certified error ")[1].split(",")[0])
+        assert 0.0 < err < BASE["solver"]["vi_tol"] and "vi_tol" not in line
+
+    @pytest.mark.parametrize("path, above", [("bench/workloads/fine-unstable.yaml", True),
+                                             ("configs/example.yaml", False)])
+    def test_notes_a_certificate_above_vi_tol(self, tmp_path, capsys, path, above):
+        # at A = 1.2 the Q values reach about 3e9, and the rounding floor of
+        # the sweep stops the solve above vi_tol: exit 0, and the line says so
+        data = yaml.safe_load((ROOT / path).read_text())
+        if above:
+            data["system"]["A"], data["solver"]["grid_n"] = [[1.2]], 200
+        data["output"]["directory"] = str(tmp_path / "out")
+        p = tmp_path / "cfg.yaml"
+        p.write_text(yaml.safe_dump(data), encoding="utf-8")
+        assert main(["solve", "--config", str(p)]) == 0
+        line = next(l for l in capsys.readouterr().out.split("\n")
+                    if l.startswith("value iteration: "))
+        err = float(line.split("certified error ")[1].split(",")[0])
+        assert (err > 1e-9) == above
+        assert line.endswith("; above solver.vi_tol 1e-09 (rounding floor)") == above
+        assert re.search(r", \d+\.\d\ds(;|$)", line), line
+
+    @pytest.mark.parametrize("path, workload", [
+        ("configs/example.yaml", "ref"), ("bench/workloads/ref.yaml", "ref"),
+        ("bench/workloads/fine-unstable.yaml", "fine-unstable"),
+        ("bench/workloads/general-slow.yaml", "general-slow")])
+    def test_shipped_configs_certify_vi_tol_with_reference_policy(self, path, workload):
+        # every shipped config, unstable plant included, certifies its target
+        # and solves to the policy recorded in the benchmark's reference
+        cfg = tx.load_config(ROOT / path)
+        _, sol = _pipeline(cfg)
+        assert sol.certified_error <= cfg.solver.vi_tol
+        with np.load(ROOT / "bench/reference" / workload / "solution.npz") as ref:
+            assert np.array_equal(sol.policy, ref["policy"])
 
     def test_general_problem_at_gamma_099_default_max_sweeps(self, tmp_path, capsys):
         p, _ = write_cfg(tmp_path, {
@@ -900,8 +933,8 @@ class TestPolicyReader:
 
 
 class TestContractionModuli:
-    """verify's contraction check reuses the L_1..L_m of its own solve's
-    certificate."""
+    """The lattice moduli L_1..L_m serve the contraction check alone: verify
+    computes them once, and no solve computes them."""
 
     UNSTABLE = {"system.A": [[1.05]], "channel.lam_bad": 0.5, "solver.grid_n": 200}
 
@@ -918,39 +951,30 @@ class TestContractionModuli:
         monkeypatch.setattr(bm, "_lattice_moduli", spy)
         return calls
 
-    def test_verify_computes_them_once(self, tmp_path, monkeypatch, grids):
+    def test_verify_computes_them_once(self, tmp_path, grids):
         p, _ = write_cfg(tmp_path, self.UNSTABLE)
+        assert main(["solve", "--config", str(p), "--quiet"]) == 0
+        assert grids == []  # the solve stops on the span rule, which needs none
         assert main(["verify", "--config", str(p), "--quiet"]) == 0
-        assert grids == [200]  # the final grid only; coarse levels certify nothing
-        report = (tmp_path / "out" / "verify_report.json").read_bytes()
-        # a check that computes them itself writes the same bytes
-        import txsched.belief_mdp as bm
-        check = bm.check_contraction
-        monkeypatch.setattr(bm, "check_contraction",
-                            lambda ch, sys, cfg, sol=None: check(ch, sys, cfg))
-        assert main(["verify", "--config", str(p), "--quiet"]) == 0
-        assert grids == [200, 200, 200]
-        assert (tmp_path / "out" / "verify_report.json").read_bytes() == report
+        assert grids == [200]  # the contraction check's, on the final grid only
+        report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+        row = next(r for r in report["checks"] if r["check"] == "contraction")
+        assert row["status"] == "pass" and row["detail"].startswith("m=4, ")
 
     def test_check_alone_computes_them(self, tmp_path, grids):
         p, _ = write_cfg(tmp_path, self.UNSTABLE)
         cfg = tx.load_config(p)
-        _, sol = _pipeline(cfg)
-        assert grids == [200] and len(sol.lattice_moduli) == 4
-        alone = tx.check_contraction(cfg.channel, cfg.system, cfg.solver)
-        assert grids == [200, 200]
-        reused = tx.check_contraction(cfg.channel, cfg.system, cfg.solver, sol=sol)
-        assert grids == [200, 200]
-        assert alone.lattice_modulus.hex() == reused.lattice_modulus.hex() \
-            == sol.lattice_moduli[-1].hex()
+        _pipeline(cfg)
+        assert grids == []
+        report = tx.check_contraction(cfg.channel, cfg.system, cfg.solver)
+        assert grids == [200] and report.m == 4 and report.lattice_modulus < 1.0
 
     def test_stable_plant_computes_them(self, tmp_path, grids):
-        # the span rule of a stable plant certifies without lattice moduli
         p, _ = write_cfg(tmp_path)
         cfg = tx.load_config(p)
-        _, sol = _pipeline(cfg)
-        assert grids == [] and sol.lattice_moduli == ()
-        report = tx.check_contraction(cfg.channel, cfg.system, cfg.solver, sol=sol)
+        _pipeline(cfg)
+        assert grids == []
+        report = tx.check_contraction(cfg.channel, cfg.system, cfg.solver)
         assert grids == [40] and report.lattice_modulus < 1.0
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,16 @@ class TestHoldingCostTable:
         with pytest.raises(ValueError):
             tx.holding_cost_table(plant, steady, 0)
 
+    @pytest.mark.parametrize("costs", [[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], 5.0, []],
+                             ids=["2-D", "scalar", "empty"])
+    def test_costs_must_be_a_nonempty_vector(self, costs):
+        # a 2-D table would fail in value_iterate on numpy's broadcast
+        # error, and a scalar on len() in tau_max
+        shape = np.shape(costs)
+        with pytest.raises(ValueError, match=rf"^costs must be a nonempty 1-D array, "
+                                             rf"got shape {re.escape(str(shape))}$"):
+            tx.HoldingCostTable(costs=costs)
+
 
 class TestSuccessMargin:
     def test_reference_channel(self, plant, ge_channel):
@@ -229,8 +241,9 @@ class TestSystemValidation:
 
 
 # each model constructor with one bad entry in one of its tables, among
-# finite ones; the value shown is the bad entry. A NaN cost must fail here:
-# value iteration would only report a span bound of nan after max_sweeps
+# finite ones; the value shown is the bad entry. A NaN cost or c_stop must
+# fail here: value iteration would only report a span bound of nan after
+# max_sweeps
 MODEL_TABLES = {
     "lam": lambda v: tx.ChannelModel(lam=[[0.9], [v]],
                                      mode_kernel=[[[0.9, 0.1], [0.0, 1.0]]]),
@@ -239,6 +252,9 @@ MODEL_TABLES = {
     "costs": lambda v: tx.HoldingCostTable(costs=[1.0, v, 3.0]),
     "action_costs": lambda v: tx.StageCost(holding=tx.HoldingCostTable(costs=[1.0, 2.0]),
                                            action_costs=[0.0, v]),
+    "c_stop": lambda v: tx.StoppingProblem(channel=tx.make_gilbert_elliott(0.9, 1.0, 0.9, 0.2),
+                                           holding=tx.HoldingCostTable(costs=[1.0, 2.0]),
+                                           cfg=tx.SolverConfig(gamma=0.95), c_stop=v),
 }
 
 

@@ -142,6 +142,21 @@ class TestSolveStopping:
             tx.StoppingProblem(channel=ch2, holding=cost_table, cfg=solver_cfg,
                                c_stop=10.0)
 
+    @pytest.mark.parametrize("c_stop, message", [
+        ("10", "must be numeric: got a string"),
+        ([10.0, 5.0], r"must be a number, got shape \(2,\)")])
+    def test_c_stop_must_be_a_number(self, ge_channel, cost_table, solver_cfg,
+                                     c_stop, message):
+        # numpy would read "10" as 10.0; the config path refuses it as well
+        with pytest.raises(ValueError, match=f"^c_stop {message}$"):
+            tx.StoppingProblem(channel=ge_channel, holding=cost_table, cfg=solver_cfg,
+                               c_stop=c_stop)
+
+    def test_c_stop_stored_as_float(self, ge_channel, cost_table, solver_cfg):
+        prob = tx.StoppingProblem(channel=ge_channel, holding=cost_table, cfg=solver_cfg,
+                                  c_stop=np.int64(10))
+        assert type(prob.c_stop) is float and prob.c_stop == 10.0
+
 
 class TestExtractThreshold:
     def test_policy_threshold_consistency(self, stopping_solution):
