@@ -414,11 +414,21 @@ def _solve(ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
     Q, sweeps, history, certified, levels = _iterate(ch, cost, cfg, c_stop)
     if c_stop is not None:
         Q = np.concatenate([Q, np.full_like(Q[:, :, :1], c_stop)], axis=2)
+    return solution_from_q(Q, cfg, c_stop is not None, sweeps_used=sweeps,
+                           final_residual=history[-1], residual_history=tuple(history),
+                           certified_error=certified, coarse_levels=levels)
+
+
+def solution_from_q(Q: np.ndarray, cfg: SolverConfig, stopping: bool, **solve) -> Solution:
+    """The Solution holding Q on cfg's lattice: V is Q's minimum over the
+    actions and the policy is greedy in Q, stopping on ties when stopping
+    (stop is Q's last action) and breaking ties by cfg.tie_break otherwise.
+    solve gives the other Solution fields. _solve builds every solution
+    here, so a Q read back from a solve's q_values.npy gives the same V and
+    policy bit for bit."""
     return Solution(Qfun=Q, V=_over_actions(np.minimum, Q),
-                    policy=greedy_policy(Q, cfg.tie_break if c_stop is None else "high"),
-                    belief_grid=cfg.belief_grid(), sweeps_used=sweeps,
-                    final_residual=history[-1], residual_history=tuple(history),
-                    certified_error=certified, coarse_levels=levels)
+                    policy=greedy_policy(Q, "high" if stopping else cfg.tie_break),
+                    belief_grid=cfg.belief_grid(), **solve)
 
 
 def value_iterate(ch: ChannelModel, cost: StageCost, cfg: SolverConfig) -> Solution:

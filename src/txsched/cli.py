@@ -3,8 +3,9 @@
 Subcommands:
   solve       steady-state covariance -> holding costs -> value iteration
               (stopping solve when costs.c_stop is set); writes q_values.csv,
-              value_policy.csv, thresholds.csv, and solve_record.json (the
-              sha256 of the config sections that fix the solution). Prints
+              value_policy.csv, q_values.npy (Q exactly), thresholds.csv,
+              and last solve_record.json (the sha256 of the config sections
+              that fix the solution), removing the old record first. Prints
               the sweep count of every belief grid the solve ran, the
               final grid first ("value iteration: 3 sweeps on grid 2000
               after 4 on grid 200 and 200 on grid 20, ..."), and the
@@ -13,8 +14,11 @@ Subcommands:
               error is above that target (the sweep's rounding floor).
   verify      runs the structural-verification battery and writes
               verify_report.json; nonzero exit on any asserted failure. The
-              contraction check reports the analytic stage m and the exact
-              modulus of T^m on the solver's lattice.
+              value checks read the Q in q_values.npy of a solve for this
+              config, and solve again when there is none; a line before
+              the summary says which. The contraction check reports the
+              analytic stage m and the exact modulus of T^m on the
+              solver's lattice.
   simulate    Monte Carlo batch under --policy; writes simstats_<policy>.json
               and optional per-step traces. --policy solved refuses a
               missing or malformed value_policy.csv, or one solved for
@@ -26,8 +30,10 @@ Exit codes: 0 ok, 2 config or usage error (including a holding-cost table that
 overflows float64 before solver.tau_max or sim.horizon, and a solved policy
 that is missing, unreadable, malformed or does not match the config, reported
 as "stale policy"), or an artifact that cannot be written ("output error:
-cannot write '<path>': <OS reason>"), or an earlier solve's thresholds.csv
-that cannot be read ("output error: cannot read '<path>': <reason>"),
+cannot write '<path>': <OS reason>") or an old solve_record.json that
+cannot be removed ("output error: cannot remove '<path>': <OS reason>"), or
+an earlier solve's thresholds.csv that cannot be read ("output error: cannot
+read '<path>': <reason>"),
 3 convergence failure (including a covariance fixed point under which the
 holding cost falls by more than rounding), 4 verification failure (a failed
 verify check, or a solve or thresholds whose stop region is not an upper
@@ -66,6 +72,7 @@ EXIT_MODEL = 5
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by it
 
 SOLVE_RECORD = "solve_record.json"
+Q_VALUES = "q_values.npy"
 
 
 def __getattr__(name):
@@ -287,10 +294,19 @@ def cmd_solve(cfg: RunConfig, quiet: bool = False) -> int:
     if cfg.is_stopping:
         from . import stopping
         th = stopping.extract_threshold(sol)
+    # the record goes first and comes back last: a solve that stops partway
+    # leaves no record vouching for the files it did write
+    record = out_dir / SOLVE_RECORD
+    try:
+        record.unlink(missing_ok=True)
+    except OSError as exc:
+        raise OutputError(f"cannot remove '{record}': {exc.strerror or exc}") from None
     write_solution_csvs(sol, out_dir)
-    write_json(out_dir / SOLVE_RECORD, {"problem_sha256": cfg.problem_sha256})
+    with _artifact(out_dir / Q_VALUES, binary=True) as fh:
+        np.save(fh, sol.Qfun)
     if th is not None:
         write_thresholds_csv(th, out_dir)
+    write_json(record, {"problem_sha256": cfg.problem_sha256})
     if not quiet:
         print(f"steady-state covariance trace: {_fmt(np.trace(ss.Pbar))}")
         after = " and ".join(f"{n} on grid {g}" for g, n in reversed(sol.coarse_levels))
@@ -300,14 +316,44 @@ def cmd_solve(cfg: RunConfig, quiet: bool = False) -> int:
               f"{sol.final_residual:.3e}, {time.perf_counter() - t0:.2f}s"
               + ("" if sol.certified_error <= cfg.solver.vi_tol else
                  f"; above solver.vi_tol {cfg.solver.vi_tol:g} (rounding floor)"))
-        print(f"wrote {out_dir}/q_values.csv, {out_dir}/value_policy.csv"
+        print(f"wrote {out_dir}/q_values.csv, {out_dir}/value_policy.csv, {out_dir}/{Q_VALUES}"
               + (f", {out_dir}/thresholds.csv" if cfg.is_stopping else ""))
     return EXIT_OK
 
 
+def _stored_solution(cfg: RunConfig, out_dir: Path):
+    """(Solution, None) from the q_values.npy that solve wrote for cfg in
+    out_dir, or (None, why not): the record is stale (_stale_reason), or the
+    file does not load without unpickling, or it is not a finite float64
+    array of cfg's lattice shape, or its stop column is not c_stop
+    everywhere. The Solution is rebuilt as _solve builds it, with no
+    certified error."""
+    from . import belief_mdp
+    stale = _stale_reason(cfg, out_dir)
+    if stale:
+        return None, stale
+    path, s = out_dir / Q_VALUES, cfg.solver
+    shape = (s.tau_max + 1, s.grid_n + 1, cfg.channel.n_actions + cfg.is_stopping)
+    try:  # mapped, so a header that claims more than the file holds is refused unread
+        Q = np.load(path, mmap_mode="r", allow_pickle=False)
+    except (OSError, ValueError, EOFError) as exc:
+        return None, f"cannot load '{path}': {getattr(exc, 'strerror', None) or exc}"
+    if not isinstance(Q, np.ndarray) or Q.dtype != np.float64 or Q.shape != shape:
+        found = f"{Q.dtype} {Q.shape}" if isinstance(Q, np.ndarray) else "an .npz archive"
+        return None, f"{path} holds {found}, not float64 {shape}"
+    if not np.isfinite(Q).all():
+        return None, f"{path} holds a value that is not finite"
+    if cfg.is_stopping and (Q[:, :, -1] != cfg.c_stop).any():
+        return None, f"{path} has a stop column other than costs.c_stop = {cfg.c_stop}"
+    return belief_mdp.solution_from_q(np.asarray(Q), s, cfg.is_stopping,
+                                      sweeps_used=0, final_residual=np.inf), None
+
+
 def _verify_battery(cfg: RunConfig):
-    """Run every structural check; yields (name, status, detail) with status
-    'pass', 'fail', or 'skip'."""
+    """Run every structural check; returns the rows (name, status, detail)
+    with status 'pass', 'fail', or 'skip', and the source of the value
+    checks: the Q that solve wrote for cfg, or a new solve when there is
+    none (_stored_solution says why)."""
     from . import belief_mdp, folding
     results = []
 
@@ -347,7 +393,12 @@ def _verify_battery(cfg: RunConfig):
         f"{upd.n_update_checks} update checks, likelihood dominance on all "
         f"{upd.n_fsd_checks} ordered state pairs" + ("" if upd.ok else
                      f"; violations {upd.update_violations[:3] + upd.fsd_violations[:3]}"))
-    _, sol = _pipeline(cfg)
+    out_dir = Path(cfg.out_dir)
+    sol, why = _stored_solution(cfg, out_dir)
+    if sol is None:
+        _, sol = _pipeline(cfg)
+    source = (f"value checks on a new solve: {why}" if why else
+              f"value checks on {out_dir}/{Q_VALUES} from the solve for this config")
     mono = belief_mdp.verify_value_monotonicity(sol)
     add("value_monotonicity", mono.ok,
         "V and Q nondecreasing in tau and belief" if mono.ok else
@@ -370,17 +421,18 @@ def _verify_battery(cfg: RunConfig):
     add("contraction", contraction.ok,
         f"m={contraction.m}, certified bound {_fmt(contraction.certified_bound)}, "
         f"lattice modulus {_fmt(contraction.lattice_modulus)}")
-    return results
+    return results, source
 
 
 def cmd_verify(cfg: RunConfig, quiet: bool = False) -> int:
     out_dir = Path(cfg.out_dir)
-    results = _verify_battery(cfg)
+    results, source = _verify_battery(cfg)
     write_json(out_dir / "verify_report.json", {"checks": results})
     count = {s: sum(r["status"] == s for r in results) for s in ("pass", "fail", "skip")}
     if not quiet:
         for r in results:
             print(f"{r['status'].upper():4s} {r['check']}: {r['detail']}")
+        print(source)
         print(f"{count['pass']}/{len(results)} checks passed"
               + (f", {count['skip']} skipped" if count["skip"] else ""))
     return EXIT_VERIFICATION if count["fail"] else EXIT_OK

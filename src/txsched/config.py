@@ -11,7 +11,7 @@ offending field by its dotted path. Array fields are read as the models read
 them: a system matrix given as a scalar is 1x1 and as a list one row, and a
 channel.lam list is one action's two modes. Every number must be finite: a
 NaN, an infinity or an integer beyond the float64 range is refused, with its
-index in an array.
+index in an array, and so is text in an array.
 """
 
 import copy
@@ -23,7 +23,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 import numpy as np
 
 from .channel import ChannelModel, make_gilbert_elliott, make_persistent_failure
-from .lti_estimation import LtiSystem
+from .lti_estimation import LtiSystem, _finite
 
 
 class ConfigError(ValueError):
@@ -150,20 +150,13 @@ def _integer(value, path, lo=None, hi=None):
 
 
 def _finite_array(value, path):
-    """``value`` as a float array; NaN, an infinity, or an integer beyond the
-    float64 range is a config error."""
+    """``value`` as a float array by the models' rule (lti_estimation._finite),
+    so text is refused too; what the rule refuses is a config error naming
+    path, and the index of a value that is not finite."""
     try:
-        M = np.asarray(value, dtype=float)
-    except OverflowError:
-        raise ConfigError(path, "must be finite, got an integer beyond the float64 "
-                                "range") from None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(path, f"not a numeric array: {exc}") from None
-    if not np.isfinite(M).all():
-        at = tuple(int(i) for i in np.argwhere(~np.isfinite(M))[0])
-        raise ConfigError(path, f"must be finite, got {M[at]}"
-                                + (f" at index {list(at)}" if at else ""))
-    return M
+        return _finite(value, path, index=True)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc).removeprefix(f"{path} ")) from None
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,11 @@ class ConvergenceError(RuntimeError):
         self.history = history
 
 
-def _finite(a, name):
+def _finite(a, name, index=False):
     """``a`` as a float array; NaN, an infinity, an integer beyond the
     float64 range, or data that is not numeric (text too, which numpy would
-    parse) is a ValueError naming ``name``. Every model table is read
+    parse) is a ValueError naming ``name``, and with index the index of a
+    value that is not finite. Every model table and config array is read
     through it: NaN would pass each range check that follows."""
     try:
         a = np.asarray(a)
@@ -42,7 +43,9 @@ def _finite(a, name):
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} must be numeric: {exc}") from None
     if not np.isfinite(a).all():
-        raise ValueError(f"{name} must be finite, got {a[~np.isfinite(a)][0]}")
+        at = tuple(np.argwhere(~np.isfinite(a))[0].tolist())
+        raise ValueError(f"{name} must be finite, got {a[at]}"
+                         + (f" at index {list(at)}" if index and at else ""))
     return a
 
 

@@ -1,5 +1,6 @@
 import io
 import json
+import pickle
 import re
 import sys
 from pathlib import Path
@@ -145,6 +146,30 @@ class TestConfigValidation:
         assert main(["solve", "--config", str(p)]) == 2
         assert capsys.readouterr().err == f"config error: {field}: must be finite, got {shown}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("overrides, field", [
+        *(({f"system.{k}": [["0.3"]]}, f"system.{k}") for k in "ACQR"),
+        ({"system.A": [[0.85, "0.1"], [0.0, 0.5]]}, "system.A"),
+        ({"channel": {"type": "explicit", "lam": [["0.9"], [0.2]],
+                      "mode_kernel": [[[0.9, 0.1], [0.0, 1.0]]], "b0": 0.0}}, "channel.lam"),
+        ({"channel": {"type": "explicit", "lam": [[0.9], [0.2]],
+                      "mode_kernel": [[[0.9, "0.1"], [0.0, 1.0]]], "b0": 0.0}},
+         "channel.mode_kernel")])
+    def test_text_in_a_matrix_rejected(self, tmp_path, capsys, overrides, field):
+        # numpy would parse "0.3" as the number; the models' rule refuses text
+        p, _ = write_cfg(tmp_path, overrides)
+        assert main(["solve", "--config", str(p)]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: {field}: must be numeric: got a string\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_text_in_a_shipped_plant_rejected(self, tmp_path, capsys):
+        text = (ROOT / "bench/workloads/ref.yaml").read_text(encoding="utf-8")
+        assert "A: [[0.85]]" in text
+        p = tmp_path / "cfg.yaml"
+        p.write_text(text.replace("A: [[0.85]]", 'A: [["0.85"]]'), encoding="utf-8")
+        assert main(["solve", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "config error: system.A: must be numeric: got a string\n"
 
     @pytest.mark.parametrize("cls, field, value", [
         (tx.SolverConfig, "gamma", 1.0), (tx.SolverConfig, "gamma", 0.0),
@@ -932,6 +957,170 @@ class TestPolicyReader:
         assert policy.dtype == np.int64 and np.array_equal(policy, sol.policy)
 
 
+GENERAL = {
+    "channel": {"type": "explicit", "lam": [[0.6, 0.95], [0.1, 0.5]],
+                "mode_kernel": [[[0.9, 0.1], [0.0, 1.0]], [[0.95, 0.05], [0.2, 0.8]]],
+                "b0": 0.0},
+    "costs": {"c_a": [0.0, 1.0]}, "sim": None,
+    "solver": {"gamma": 0.99, "tau_max": 60, "grid_n": 200, "vi_tol": 1e-9}}
+
+
+# each way a q_values.npy can fail to vouch for its config, with the words
+# verify gives for it
+FAULTS = [
+    ("missing", "No such file or directory"),
+    ("stale_record", "solve_record.json records problem sha256 0123"),
+    ("shape", "holds float64 (20, 41, 2), not float64 (21, 41, 2)"),
+    ("dtype", "holds float32 (21, 41, 2), not float64 (21, 41, 2)"),
+    ("nan", "holds a value that is not finite"),
+    ("stop_column", "has a stop column other than costs.c_stop = 10.0"),
+    ("truncated", "mmap length is greater than file size"),
+    ("pickled", "Array can't be memory-mapped: Python objects in dtype"),
+    ("pickle_file", "contains pickled (object) data"),
+    ("empty", "No data left in file"),
+    ("npz", "holds an .npz archive"),
+    ("directory", "Is a directory")]
+
+
+class _Unpickled(Exception):
+    pass
+
+
+def _unpickle_alarm():
+    raise _Unpickled("q_values.npy was unpickled")
+
+
+class _Alarm:
+    def __reduce__(self):
+        return _unpickle_alarm, ()
+
+
+class TestStoredSolution:
+    """verify reads the Q that solve wrote for its config (q_values.npy), and
+    solves again, to the same report, whenever that file cannot vouch for
+    the config."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The number of belief_mdp._iterate calls so far, as a list."""
+        import txsched.belief_mdp as bm
+        calls, real = [], bm._iterate
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bm, "_iterate", spy)
+        return calls
+
+    @staticmethod
+    def verify(p, out, capsys):
+        """verify's exit code, report bytes and the line naming its source."""
+        capsys.readouterr()
+        rc = main(["verify", "--config", str(p), "--out", str(out)])
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert " checks passed" in lines[-1]
+        return rc, (out / "verify_report.json").read_bytes(), lines[-2]
+
+    def test_solve_writes_q_exactly(self, tmp_path):
+        p, _ = write_cfg(tmp_path)
+        assert main(["solve", "--config", str(p), "--quiet"]) == 0
+        _, sol = _pipeline(tx.load_config(p))
+        Q = np.load(tmp_path / "out" / "q_values.npy", allow_pickle=False)
+        assert Q.dtype == np.float64 and Q.shape == (21, 41, 2)
+        assert Q.tobytes() == sol.Qfun.tobytes()
+
+    def test_verify_after_solve_solves_nothing(self, tmp_path, capsys, solves):
+        p, _ = write_cfg(tmp_path)
+        assert main(["solve", "--config", str(p), "--quiet"]) == 0
+        assert solves == [1]
+        rc, _, source = self.verify(p, tmp_path / "out", capsys)
+        assert rc == 0 and solves == [1]
+        assert source == (f"value checks on {tmp_path / 'out'}/q_values.npy "
+                          "from the solve for this config")
+
+    @pytest.mark.parametrize("config", [
+        "configs/example.yaml", "general", "unstable", "bench/workloads/ref.yaml",
+        "bench/workloads/fine-unstable.yaml", "bench/workloads/general-slow.yaml"])
+    def test_report_is_the_same_on_both_paths(self, tmp_path, capsys, solves, config):
+        problems = {"general": GENERAL, "unstable": {"system.A": [[1.05]],
+                                                      "channel.lam_bad": 0.5}}
+        p = write_cfg(tmp_path, problems[config])[0] if config in problems else ROOT / config
+        rc, again, source = self.verify(p, tmp_path / "again", capsys)
+        assert source.startswith("value checks on a new solve: solve_record.json is missing")
+        assert main(["solve", "--config", str(p), "--out", str(tmp_path / "stored"),
+                     "--quiet"]) == 0
+        n = len(solves)
+        assert self.verify(p, tmp_path / "stored", capsys)[:2] == (rc, again)
+        assert len(solves) == n
+
+    @pytest.mark.parametrize("fault, reason", FAULTS)
+    def test_a_file_that_cannot_vouch_is_solved_again(self, tmp_path, capsys, solves,
+                                                      fault, reason):
+        p, _ = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(p), "--quiet"]) == 0
+        rc, stored, _ = self.verify(p, out, capsys)
+        path = out / "q_values.npy"
+        Q = np.load(path)
+        if fault == "missing":
+            path.unlink()
+        elif fault == "stale_record":
+            (out / "solve_record.json").write_text('{"problem_sha256": "0123"}')
+        elif fault == "shape":
+            np.save(path, Q[:-1])
+        elif fault == "dtype":
+            np.save(path, Q.astype(np.float32))
+        elif fault == "nan":
+            Q[3, 4, 0] = np.nan
+            np.save(path, Q)
+        elif fault == "stop_column":
+            Q[2, 5, 1] = np.nextafter(10.0, 11.0)
+            np.save(path, Q)
+        elif fault == "truncated":
+            path.write_bytes(path.read_bytes()[:-8])
+        elif fault == "pickled":  # loading it unpickled would raise _Unpickled
+            np.save(path, np.array([_Alarm()], dtype=object), allow_pickle=True)
+        elif fault == "pickle_file":
+            path.write_bytes(pickle.dumps(_Alarm()))
+        elif fault == "empty":
+            path.write_bytes(b"")
+        elif fault == "npz":
+            with open(path, "wb") as fh:
+                np.savez(fh, q=Q)
+        else:
+            path.unlink()
+            path.mkdir()
+        n = len(solves)
+        again = self.verify(p, out, capsys)
+        assert again[:2] == (rc, stored)
+        assert len(solves) > n
+        assert again[2].startswith("value checks on a new solve: ") and reason in again[2]
+
+    def test_a_partial_solve_leaves_no_record(self, tmp_path, capsys, solves):
+        # config X solved, then config Y's solve stops at q_values.npy after
+        # writing its CSVs: nothing in the directory may pass for X's solution
+        px, _ = write_cfg(tmp_path, name="x.yaml")
+        py, _ = write_cfg(tmp_path, {"channel.lam_bad": 0.6}, name="y.yaml")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(px), "--quiet"]) == 0
+        rc, report, _ = self.verify(px, out, capsys)
+        policy_x = (out / "value_policy.csv").read_bytes()
+        (out / "q_values.npy").unlink()
+        (out / "q_values.npy").mkdir()
+        assert main(["solve", "--config", str(py), "--quiet"]) == 2
+        assert (out / "value_policy.csv").read_bytes() != policy_x
+        assert not (out / "solve_record.json").exists()
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(px), "--policy", "solved", "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("stale policy: ") and "solve_record.json is missing" in err
+        n = len(solves)
+        again = self.verify(px, out, capsys)
+        assert again[:2] == (rc, report) and len(solves) > n
+        assert "solve_record.json is missing" in again[2]
+
+
 class TestContractionModuli:
     """The lattice moduli L_1..L_m serve the contraction check alone: verify
     computes them once, and no solve computes them."""
@@ -1123,6 +1312,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("args, artifact", [
         (["solve"], "q_values.csv"),
         (["solve"], "value_policy.csv"),
+        (["solve"], "q_values.npy"),
         (["verify"], "verify_report.json"),
         (["simulate", "--policy", "never-stop"], "simstats_never-stop.json"),
     ])
@@ -1134,6 +1324,16 @@ class TestExitCodes:
         assert main([args[0], "--config", str(p), *args[1:]]) == 2
         assert capsys.readouterr().err == (
             f"output error: cannot write '{blocked}': Is a directory\n")
+
+    def test_record_that_cannot_be_removed(self, tmp_path, capsys):
+        # solve removes the old record before it writes anything
+        p, _ = write_cfg(tmp_path)
+        record = tmp_path / "out" / "solve_record.json"
+        record.mkdir(parents=True)
+        assert main(["solve", "--config", str(p)]) == 2
+        assert capsys.readouterr().err == (
+            f"output error: cannot remove '{record}': Is a directory\n")
+        assert not (tmp_path / "out" / "q_values.csv").exists()
 
     def test_unreadable_policy_file_is_a_stale_policy(self, tmp_path, capsys):
         p, _ = write_cfg(tmp_path)
