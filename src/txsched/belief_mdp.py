@@ -3,8 +3,8 @@
 State is the pair (tau, b): tau counts steps since the last delivered packet
 and b is the posterior probability of the unfavorable channel mode given the
 acknowledgement history. A step under action a observes the next holding time
-y, which is 0 (success) or tau+1 (failure); the belief update and observation
-likelihood follow from the channel's success table and mode kernel.
+y, which is 0 (success) or tau+1 (failure); the observation likelihood and
+the belief update are channel.bayes, the Bayes step the simulator takes too.
 
 The solver discretizes b on a uniform grid and runs value iteration with the
 Bellman operator; continuation values off the grid are read by piecewise
@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelModel
+from .channel import ChannelModel, bayes
 from .config import SolverConfig
 from .lti_estimation import ConvergenceError, HoldingCostTable, LtiSystem, _finite, _frozen
 
@@ -89,16 +89,11 @@ def _weighted_sup(abs_f, s) -> float:
 
 def _action_tables(ch: ChannelModel, grid: np.ndarray, a: int):
     """Per-action grid tables: success likelihood and the two posterior
-    branches (tau-independent)."""
-    Pc = ch.mode_kernel[a]
-    lam0, lam1 = ch.lam[0, a], ch.lam[1, a]
-    bhat = np.clip(Pc[0, 1] * (1.0 - grid) + Pc[1, 1] * grid, 0.0, 1.0)
-    p_succ = lam0 * (1.0 - bhat) + lam1 * bhat
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_succ = np.where(p_succ > 0.0, lam1 * bhat / np.where(p_succ > 0, p_succ, 1.0), 0.0)
-        p_fail = 1.0 - p_succ
-        t_fail = np.where(p_fail > 0.0, (1.0 - lam1) * bhat / np.where(p_fail > 0, p_fail, 1.0), 1.0)
-    return p_succ, np.clip(t_succ, 0.0, 1.0), np.clip(t_fail, 0.0, 1.0)
+    branches (tau-independent), by channel.bayes; an outcome of likelihood 0
+    reads posterior 0 after a success and 1 after a failure."""
+    p_succ, t_succ = bayes(ch, grid, np.ones(grid.shape, dtype=bool), a)
+    p_fail, t_fail = bayes(ch, grid, np.zeros(grid.shape, dtype=bool), a)
+    return p_succ, np.where(p_succ > 0.0, t_succ, 0.0), np.where(p_fail > 0.0, t_fail, 1.0)
 
 
 def _cell(t, grid):

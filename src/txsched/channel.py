@@ -4,7 +4,8 @@ The channel has a hidden binary mode (0 favorable, 1 unfavorable). Under
 scheduling action a, a transmission succeeds with probability lam[mode, a],
 and the mode evolves by the per-action 2x2 row-stochastic kernel
 mode_kernel[a]. Success must never be likelier in the unfavorable mode:
-lam[0, a] >= lam[1, a] for every action.
+lam[0, a] >= lam[1, a] for every action. ``bayes`` is the one Bayes step of
+the belief: the solver's stencil, its update check and the simulator call it.
 """
 
 import warnings
@@ -69,6 +70,31 @@ class ChannelModel:
 
     def min_success_prob(self) -> float:
         return float(np.min(self.lam))
+
+
+def _select(mask, x, y):
+    """x where the uint64 ``mask`` is all ones, y where it is 0, selected bit
+    by bit: unlike np.where, no branch on each element."""
+    x, y = x.view(np.uint64), y.view(np.uint64)
+    return (((x ^ y) & mask) ^ y).view(np.float64)
+
+
+def bayes(ch, b, success, a: int = 0) -> tuple:
+    """(likelihood, posterior) of the outcomes ``success`` (a bool array) of
+    transmissions under action a from beliefs ``b`` (an array of its shape),
+    the predictive belief and the posterior clipped to [0, 1]. The posterior
+    is undefined where the likelihood is 0; each caller states its own rule
+    there. ``ch`` needs only ``lam`` and ``mode_kernel``."""
+    Pc, lam0, lam1 = ch.mode_kernel[a], ch.lam[0, a], ch.lam[1, a]
+    bhat = np.minimum(np.maximum(Pc[0, 1] * (1.0 - b) + Pc[1, 1] * b, 0.0), 1.0)
+    succ_mass = lam1 * bhat
+    p_succ = lam0 * (1.0 - bhat) + succ_mass
+    pick = np.negative(success.view(np.uint8), dtype=np.uint64)  # all ones on success
+    like = _select(pick, p_succ, 1.0 - p_succ)
+    num = _select(pick, succ_mass, (1.0 - lam1) * bhat)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        post = num / like
+    return like, np.minimum(np.maximum(post, 0.0), 1.0)
 
 
 def make_gilbert_elliott(p00: float, p11: float, lam_good: float, lam_bad: float,

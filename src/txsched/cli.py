@@ -5,7 +5,8 @@ Subcommands:
               (stopping solve when costs.c_stop is set); writes q_values.csv,
               value_policy.csv, q_values.npy (Q exactly), thresholds.csv,
               and last solve_record.json (the sha256 of the config sections
-              that fix the solution), removing the old record first. Prints
+              that fix the solution), removing the old record first, and
+              without costs.c_stop an earlier thresholds.csv too. Prints
               the sweep count of every belief grid the solve ran, the
               final grid first ("value iteration: 3 sweeps on grid 2000
               after 4 on grid 200 and 200 on grid 20, ..."), and the
@@ -26,14 +27,15 @@ Subcommands:
   thresholds  prints the threshold table (from a prior solve of the same
               problem, by solve_record.json, otherwise solving first).
 
-Exit codes: 0 ok, 2 config or usage error (including a holding-cost table that
-overflows float64 before solver.tau_max or sim.horizon, and a solved policy
-that is missing, unreadable, malformed or does not match the config, reported
-as "stale policy"), or an artifact that cannot be written ("output error:
-cannot write '<path>': <OS reason>") or an old solve_record.json that
-cannot be removed ("output error: cannot remove '<path>': <OS reason>"), or
-an earlier solve's thresholds.csv that cannot be read ("output error: cannot
-read '<path>': <reason>"),
+Exit codes: 0 ok, 2 config or usage error (including an empty --out, a
+holding-cost table that overflows float64 before solver.tau_max or
+sim.horizon, and a solved policy that is missing, unreadable, malformed or
+does not match the config, reported as "stale policy"), or an artifact that
+cannot be written ("output error: cannot write '<path>': <OS reason>") or an
+old solve_record.json (or thresholds.csv, in a solve without costs.c_stop)
+that cannot be removed ("output error: cannot remove '<path>': <OS
+reason>"), or an earlier solve's thresholds.csv that cannot be read ("output
+error: cannot read '<path>': <reason>"),
 3 convergence failure (including a covariance fixed point under which the
 holding cost falls by more than rounding), 4 verification failure (a failed
 verify check, or a solve or thresholds whose stop region is not an upper
@@ -295,12 +297,14 @@ def cmd_solve(cfg: RunConfig, quiet: bool = False) -> int:
         from . import stopping
         th = stopping.extract_threshold(sol)
     # the record goes first and comes back last: a solve that stops partway
-    # leaves no record vouching for the files it did write
+    # leaves no record vouching for the files it did write; a general solve
+    # writes no threshold table, so an earlier problem's goes with the record
     record = out_dir / SOLVE_RECORD
-    try:
-        record.unlink(missing_ok=True)
-    except OSError as exc:
-        raise OutputError(f"cannot remove '{record}': {exc.strerror or exc}") from None
+    for path in (record,) if cfg.is_stopping else (record, out_dir / "thresholds.csv"):
+        try:
+            path.unlink(missing_ok=True)
+        except OSError as exc:
+            raise OutputError(f"cannot remove '{path}': {exc.strerror or exc}") from None
     write_solution_csvs(sol, out_dir)
     with _artifact(out_dir / Q_VALUES, binary=True) as fh:
         np.save(fh, sol.Qfun)
@@ -503,6 +507,13 @@ def _seed(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc).removeprefix("sim.seed: ")) from None
 
 
+def _out_dir(text: str) -> str:
+    """The --out argument; an empty one is a usage error."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a nonempty string")
+    return text
+
+
 def write_traces_csv(traces: dict, out_dir: Path, policy_name: str):
     """traces_<policy>.csv from run_batch's trace columns, a row per step;
     the rows are formatted 64Ki at a time, to bound memory (%.12g is _fmt)."""
@@ -595,7 +606,8 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="path to the YAML config")
-    common.add_argument("--out", default=None, help="override output directory")
+    common.add_argument("--out", type=_out_dir, default=None,
+                        help="override output directory")
     common.add_argument("--quiet", action="store_true", help="suppress progress output")
     sub.add_parser("solve", parents=[common], help="solve the scheduling problem")
     sub.add_parser("verify", parents=[common],

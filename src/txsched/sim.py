@@ -7,7 +7,7 @@ time, so an episode is fully described by (mode, action, outcome, tau,
 belief). Within a step the draws are ordered mode transition first, then the
 success Bernoulli (success probability is read at the post-transition mode,
 matching the kernel factorization), and the belief then updates on the
-observed next holding time.
+observed next holding time by ``channel.bayes``, the solver's Bayes step too.
 
 Replications use independent seed streams derived from the base seed by
 SplitMix64 (state = seed + (k+1) * golden gamma, mixed): run k draws from
@@ -32,12 +32,11 @@ aligned arrays (returning an action of the same shape); action 0 continues
 and action 1 stops.
 """
 
-from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelModel
+from .channel import ChannelModel, bayes
 from .config import SimConfig
 from .stochastic_orders import ZeroLikelihoodError
 
@@ -291,32 +290,13 @@ def _holding_table(holding_costs, horizon: int) -> np.ndarray:
     return holding
 
 
-def _kernel(ch: ChannelModel) -> tuple:
-    """(p00, p10, p01, p11, lam0, lam1) of the channel's continue action."""
-    return tuple(float(x) for x in (ch.mode_kernel[0, 0, 0], ch.mode_kernel[0, 1, 0],
-                                    ch.mode_kernel[0, 0, 1], ch.mode_kernel[0, 1, 1],
-                                    ch.lam[0, 0], ch.lam[1, 0]))
-
-
-def _select(mask, x, y):
-    """x where the uint64 ``mask`` is all ones, y where it is 0, selected bit
-    by bit: unlike np.where, no branch on each element."""
-    x, y = x.view(np.uint64), y.view(np.uint64)
-    return (((x ^ y) & mask) ^ y).view(np.float64)
-
-
-def _bayes(b, success, p01, p11, lam0, lam1) -> np.ndarray:
-    """The posteriors of beliefs ``b`` on the outcomes ``success`` (bools), in
-    the scalar loop's arithmetic; ZeroLikelihoodError if one has likelihood 0."""
-    bhat = np.minimum(np.maximum(p01 * (1.0 - b) + p11 * b, 0.0), 1.0)
-    succ_mass = lam1 * bhat
-    p_succ = lam0 * (1.0 - bhat) + succ_mass
-    pick = np.negative(success.view(np.uint8), dtype=np.uint64)  # all ones on success
-    den = _select(pick, p_succ, 1.0 - p_succ)
-    if (den <= 0.0).any():
+def _bayes(ch, b, success) -> np.ndarray:
+    """channel.bayes's posteriors under the continue action;
+    ZeroLikelihoodError if an observed outcome has likelihood 0."""
+    like, post = bayes(ch, b, success)
+    if (like <= 0.0).any():
         raise ZeroLikelihoodError(_ZERO_LIKELIHOOD)
-    num = _select(pick, succ_mass, (1.0 - lam1) * bhat)
-    return np.minimum(np.maximum(num / den, 0.0), 1.0)
+    return post
 
 
 def _run_block(st: np.ndarray, horizon: int, ch: ChannelModel, holding: np.ndarray,
@@ -329,23 +309,20 @@ def _run_block(st: np.ndarray, horizon: int, ch: ChannelModel, holding: np.ndarr
     list ``rows``, appends each step's trace rows to it, as tuples of
     TRACE_COLUMNS entries with the block's columns for episodes; the rows
     hold the step's tau and b arrays, so a step makes new ones."""
-    p00, p10, p01, p11, lam0, lam1 = _kernel(ch)
-    kern = p01, p11, lam0, lam1  # the Bayes update's
     # draw i's code holds u < p[0] in bit 0 and u < p[1] in bit 1, where p by
     # mode is the probability of the favorable mode next (i even) or of a
-    # success (i odd)
-    below = np.tile(_threshold([[p00, lam0], [p10, lam1]]), _CHUNK // 2)[:, :, None]
+    # success (i odd), under the continue action
+    p = np.column_stack((ch.mode_kernel[0, :, 0], ch.lam[:, 0]))
+    below = np.tile(_threshold(p), _CHUNK // 2)[:, :, None]
     # a run in an absorbing mode reads no mode draw: any y, as 0, gives its
     # code; ``free`` is the other mode, 2 if both absorb, None if neither does
     absorbs = below[:, 0, 0] == np.array([2**53, 0], dtype=np.uint64)
     free = None if not absorbs.any() else 2 if absorbs.all() else int(absorbs[0])
     # the certainty of an absorbing mode (1.0 if mode 1 absorbs) when both
     # outcomes' updates return it with nonzero likelihood, else NaN: none
-    settled = float("nan")
-    with suppress(ZeroLikelihoodError):
-        c = float(free != 1)
-        if free is not None and (_bayes(np.full(2, c), np.array([True, False]), *kern) == c).all():
-            settled = c
+    c = float(free != 1)
+    like, post = bayes(ch, np.full(2, c), np.array([True, False]))
+    settled = c if free is not None and (like > 0.0).all() and (post == c).all() else np.nan
     m = st.shape[1]
     buf = np.empty((3, _CHUNK * m), dtype=np.uint64)
     costs = np.empty(m)
@@ -405,9 +382,9 @@ def _run_block(st: np.ndarray, horizon: int, ch: ChannelModel, holding: np.ndarr
         tau = (tau + 1) * ~success
         move = np.flatnonzero(b != settled) if sift else None
         if move is None:
-            b = _bayes(b, success, *kern)
+            b = _bayes(ch, b, success)
         elif move.size:  # into a new b, as trace rows hold the old one
-            b, b_move = np.full(b.shape, settled), _bayes(b[move], success[move], *kern)
+            b, b_move = np.full(b.shape, settled), _bayes(ch, b[move], success[move])
             b[move] = b_move
         disc *= gamma
     tally["occupancy"] += (steps - bad_steps, bad_steps)

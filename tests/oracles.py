@@ -1,7 +1,10 @@
 """Test oracles that nothing in ``txsched`` calls: the Bellman operator on a
 whole Q lattice and the solver's weighted sup-norm, both built from
 ``txsched.belief_mdp``'s own kernel and weights; the scalar Bayes update of
-the belief; the scalar episode simulator that the lockstep ``run_batch``
+the belief; the two array forms of the Bayes step that ``channel.bayes``
+replaced, the solver's grid tables and the simulator's bitwise select,
+which it must equal bit for bit; the scalar episode simulator that the
+lockstep ``run_batch``
 must equal bit for bit, with its per-episode trace; a replay of a
 trace's beliefs through the scalar Bayes update; and a reader of
 value_policy.csv by ``np.loadtxt``, which the byte-scan reader of
@@ -17,7 +20,7 @@ from txsched.belief_mdp import (SolverConfig, StageCost, _bellman, _check_proble
                                 _over_actions, _stencil, _weighted_sup, weight_profile)
 from txsched.channel import ChannelModel
 from txsched.cli import StalePolicyError
-from txsched.sim import _ZERO_LIKELIHOOD, _holding_table, _kernel, splitmix64
+from txsched.sim import _ZERO_LIKELIHOOD, _holding_table, splitmix64
 from txsched.stochastic_orders import ZeroLikelihoodError
 
 
@@ -91,6 +94,51 @@ def belief_update(ch: ChannelModel, tau: int, b: float, y: int, a: int = 0) -> f
     if den <= 0.0:
         raise ZeroLikelihoodError(f"observation y={y} has zero likelihood")
     return min(max(num / den, 0.0), 1.0)
+
+
+def _kernel(ch: ChannelModel) -> tuple:
+    """(p00, p10, p01, p11, lam0, lam1) of the channel's continue action."""
+    return tuple(float(x) for x in (ch.mode_kernel[0, 0, 0], ch.mode_kernel[0, 1, 0],
+                                    ch.mode_kernel[0, 0, 1], ch.mode_kernel[0, 1, 1],
+                                    ch.lam[0, 0], ch.lam[1, 0]))
+
+
+def grid_action_tables(ch: ChannelModel, grid: np.ndarray, a: int):
+    """The solver's per-action grid tables as np.where and np.clip computed
+    them: success likelihood and the posteriors after a success and a
+    failure, 0 and 1 where that outcome has likelihood 0."""
+    Pc = ch.mode_kernel[a]
+    lam0, lam1 = ch.lam[0, a], ch.lam[1, a]
+    bhat = np.clip(Pc[0, 1] * (1.0 - grid) + Pc[1, 1] * grid, 0.0, 1.0)
+    p_succ = lam0 * (1.0 - bhat) + lam1 * bhat
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_succ = np.where(p_succ > 0.0, lam1 * bhat / np.where(p_succ > 0, p_succ, 1.0), 0.0)
+        p_fail = 1.0 - p_succ
+        t_fail = np.where(p_fail > 0.0, (1.0 - lam1) * bhat / np.where(p_fail > 0, p_fail, 1.0), 1.0)
+    return p_succ, np.clip(t_succ, 0.0, 1.0), np.clip(t_fail, 0.0, 1.0)
+
+
+def _select(mask, x, y):
+    """x where the uint64 ``mask`` is all ones, y where it is 0, bit by bit."""
+    x, y = x.view(np.uint64), y.view(np.uint64)
+    return (((x ^ y) & mask) ^ y).view(np.float64)
+
+
+def select_bayes(ch: ChannelModel, b: np.ndarray, success: np.ndarray) -> np.ndarray:
+    """The simulator's posteriors of beliefs ``b`` on the outcomes
+    ``success`` (bools) under the continue action, as its bitwise select
+    computed them from the ``_kernel`` floats; ZeroLikelihoodError if an
+    outcome has likelihood 0."""
+    _, _, p01, p11, lam0, lam1 = _kernel(ch)
+    bhat = np.minimum(np.maximum(p01 * (1.0 - b) + p11 * b, 0.0), 1.0)
+    succ_mass = lam1 * bhat
+    p_succ = lam0 * (1.0 - bhat) + succ_mass
+    pick = np.negative(success.view(np.uint8), dtype=np.uint64)  # all ones on success
+    den = _select(pick, p_succ, 1.0 - p_succ)
+    if (den <= 0.0).any():
+        raise ZeroLikelihoodError(_ZERO_LIKELIHOOD)
+    num = _select(pick, succ_mass, (1.0 - lam1) * bhat)
+    return np.minimum(np.maximum(num / den, 0.0), 1.0)
 
 
 @dataclass(frozen=True)

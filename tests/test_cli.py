@@ -1335,6 +1335,35 @@ class TestExitCodes:
             f"output error: cannot remove '{record}': Is a directory\n")
         assert not (tmp_path / "out" / "q_values.csv").exists()
 
+    def test_general_solve_removes_an_earlier_threshold_table(self, tmp_path):
+        # a general problem has no threshold table, so a stopping problem's
+        # must not stay beside its record
+        out = str(tmp_path / "out")
+        for path in ("configs/example.yaml", "bench/workloads/general-slow.yaml"):
+            assert main(["solve", "--config", str(ROOT / path), "--out", out, "--quiet"]) == 0
+        assert (tmp_path / "out" / "solve_record.json").exists()
+        assert not (tmp_path / "out" / "thresholds.csv").exists()
+
+    def test_threshold_table_that_cannot_be_removed(self, tmp_path, capsys):
+        p, _ = write_cfg(tmp_path, {"costs.c_stop": None})
+        path = tmp_path / "out" / "thresholds.csv"
+        path.mkdir(parents=True)
+        assert main(["solve", "--config", str(p)]) == 2
+        assert capsys.readouterr().err == (
+            f"output error: cannot remove '{path}': Is a directory\n")
+        assert not (tmp_path / "out" / "q_values.csv").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "simulate", "thresholds"])
+    def test_empty_out_is_a_usage_error(self, tmp_path, capsys, command):
+        # the config's directory is fine; the fault is in the argument
+        p, _ = write_cfg(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(p), "--out", ""])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"txsched {command}: error: argument --out: expected a nonempty string" in err
+        assert "config error" not in err
+
     def test_unreadable_policy_file_is_a_stale_policy(self, tmp_path, capsys):
         p, _ = write_cfg(tmp_path)
         assert main(["solve", "--config", str(p), "--quiet"]) == 0

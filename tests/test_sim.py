@@ -4,11 +4,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 import txsched as tx
-from oracles import _stream, run_episode, validate_belief_consistency
+from oracles import (_stream, grid_action_tables, run_episode, select_bayes,
+                     validate_belief_consistency)
 from txsched import sim
+from txsched.belief_mdp import _action_tables
 
 
 @pytest.fixture(scope="module")
@@ -630,6 +632,52 @@ def test_absorbing_channels_equal_scalar_episodes(plant, steady, stopping_soluti
         want = run_episode(ch, costs, 10.0, 0.95, policy, horizon, _stream(seed, k))
         for field in TRACE_FIELDS.values():
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+@st.composite
+def edge_channels(draw):
+    """Channels of one or two actions whose kernel and success entries are
+    random or sit at 0 or 1, TP2 or not."""
+    entry = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    n = draw(st.integers(1, 2))
+    kernels = [[[1.0 - p, p] for p in (draw(entry), draw(entry))] for _ in range(n)]
+    lam_bad = [draw(entry) for _ in range(n)]
+    lam_good = [draw(st.sampled_from([1.0, x]) | st.floats(x, 1.0)) for x in lam_bad]
+    return tx.ChannelModel(lam=np.array([lam_good, lam_bad]), mode_kernel=np.array(kernels))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+# certain of mode 1 (lam 0) under the identity kernel: a success has
+# likelihood 0, a failure likelihood 1
+@example(ch=tx.ChannelModel(lam=np.array([[1.0], [0.0]]), mode_kernel=np.eye(2)[None]),
+         b=[1.0, 0.5, 0.0], success=[True, False, True], a=0)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ch=tp2_channels() | absorbing_channels() | edge_channels(),
+       b=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=16),
+       success=st.lists(st.booleans(), min_size=16, max_size=16), a=st.integers(0, 1))
+def test_bayes_step_equals_both_former_formulas(ch, b, success, a):
+    # channel.bayes replaced the solver's np.where/np.clip tables and the
+    # simulator's bitwise select; both callers still compute what those did,
+    # bit for bit, and the simulator raises exactly when an observed outcome
+    # has likelihood 0
+    b, success, a = np.array(b), np.array(success[:len(b)]), a % ch.n_actions
+    for got, want in zip(_action_tables(ch, b, a), grid_action_tables(ch, b, a)):
+        assert np.array_equal(_bits(got), _bits(want))
+    p_succ = grid_action_tables(ch, b, 0)[0]
+    impossible = (np.where(success, p_succ, 1.0 - p_succ) <= 0.0).any()
+    event(f"an outcome of likelihood 0: {impossible}")
+    try:
+        want = select_bayes(ch, b, success)
+    except tx.ZeroLikelihoodError:
+        assert impossible
+        with pytest.raises(tx.ZeroLikelihoodError):
+            sim._bayes(ch, b, success)
+    else:
+        assert not impossible
+        assert np.array_equal(_bits(sim._bayes(ch, b, success)), _bits(want))
 
 
 class TestPolicies:
