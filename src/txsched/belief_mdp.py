@@ -565,13 +565,12 @@ def _mass_ratio_bound(tau: int, m: int, lam_min: float, base: float) -> float:
     m-y, probability at most (1-lam_min)^y). Those caps alone sum to more
     than 1, so the bound maximizes the weighted mass over probability vectors
     that respect both the caps and total mass 1: fill from the largest weight
-    ratio down (the weights are nondecreasing, so tau+m first, then y = m-1
-    down to 0).
+    ratio down. The atoms are built in that order, tau+m first, then y = m-1
+    down to 0, since base >= 1 makes the weights nondecreasing.
     """
     atoms = [(base ** (2.0 * m), (1.0 - lam_min) ** m)]
     for y in range(m - 1, -1, -1):
         atoms.append((base ** (2.0 * (y - tau)), (1.0 - lam_min) ** y))
-    atoms.sort(key=lambda t: -t[0])
     budget = 1.0
     total = 0.0
     for ratio, cap in atoms:

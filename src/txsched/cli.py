@@ -5,8 +5,10 @@ Subcommands:
               (stopping solve when costs.c_stop is set); writes q_values.csv,
               value_policy.csv, q_values.npy (Q exactly), thresholds.csv,
               and last solve_record.json (the sha256 of the config sections
-              that fix the solution), removing the old record first, and
-              without costs.c_stop an earlier thresholds.csv too. Prints
+              that fix the solution). It first removes the old record, an
+              earlier thresholds.csv when it writes none (no costs.c_stop),
+              and, when the old record names another problem or cannot be
+              read, verify_report.json, simstats_*.json, traces_*.csv. Prints
               the sweep count of every belief grid the solve ran, the
               final grid first ("value iteration: 3 sweeps on grid 2000
               after 4 on grid 200 and 200 on grid 20, ..."), and the
@@ -32,10 +34,9 @@ holding-cost table that overflows float64 before solver.tau_max or
 sim.horizon, and a solved policy that is missing, unreadable, malformed or
 does not match the config, reported as "stale policy"), or an artifact that
 cannot be written ("output error: cannot write '<path>': <OS reason>") or an
-old solve_record.json (or thresholds.csv, in a solve without costs.c_stop)
-that cannot be removed ("output error: cannot remove '<path>': <OS
-reason>"), or an earlier solve's thresholds.csv that cannot be read ("output
-error: cannot read '<path>': <reason>"),
+earlier file that solve cannot remove ("output error: cannot remove
+'<path>': <OS reason>"), or an earlier solve's thresholds.csv that cannot be
+read ("output error: cannot read '<path>': <reason>"),
 3 convergence failure (including a covariance fixed point under which the
 holding cost falls by more than rounding), 4 verification failure (a failed
 verify check, or a solve or thresholds whose stop region is not an upper
@@ -296,11 +297,17 @@ def cmd_solve(cfg: RunConfig, quiet: bool = False) -> int:
     if cfg.is_stopping:
         from . import stopping
         th = stopping.extract_threshold(sol)
-    # the record goes first and comes back last: a solve that stops partway
-    # leaves no record vouching for the files it did write; a general solve
-    # writes no threshold table, so an earlier problem's goes with the record
+    # the record goes before any artifact and comes back last: a solve that
+    # stops partway leaves no record vouching for the files it did write.
+    # Files this solve cannot vouch for go before it, so a failed removal
+    # leaves the record that names their problem: a general solve's threshold
+    # table (it writes none), and the report and simulations of another problem
     record = out_dir / SOLVE_RECORD
-    for path in (record,) if cfg.is_stopping else (record, out_dir / "thresholds.csv"):
+    gone = [] if cfg.is_stopping else [out_dir / "thresholds.csv"]
+    if record.exists() and _stale_reason(cfg, out_dir):
+        gone += [out_dir / "verify_report.json", *sorted(out_dir.glob("simstats_*.json")),
+                 *sorted(out_dir.glob("traces_*.csv"))]
+    for path in (*gone, record):
         try:
             path.unlink(missing_ok=True)
         except OSError as exc:

@@ -147,10 +147,6 @@ class FoldedTP2Report:
         return min(vals)
 
 
-def _check_matrix(kernel: str, variables: str, M) -> PairCheck:
-    return PairCheck(kernel, variables, *_tp2_pass(M))
-
-
 def verify_folded_tp2(ch: ChannelModel, tau_check: int = 6) -> FoldedTP2Report:
     """Materialize the folded kernels and run TP2 checks for every variable
     pair they are claimed ordered in.
@@ -170,30 +166,30 @@ def verify_folded_tp2(ch: ChannelModel, tau_check: int = 6) -> FoldedTP2Report:
         # folded outcome kernel, (tau, theta) with delta fixed
         for delta in (0, 1):
             M = np.broadcast_to(folded_outcome_prob(ch, delta, both, a), (taus.size, 2))
-            checks.append(_check_matrix("folded_outcome", "(tau,theta)", M))
+            checks.append(PairCheck("folded_outcome", "(tau,theta)", *_tp2_pass(M)))
         # folded outcome kernel, (tau, delta) with theta fixed
         for theta in (0, 1):
             M = np.broadcast_to(folded_outcome_prob(ch, both, theta, a), (taus.size, 2))
-            checks.append(_check_matrix("folded_outcome", "(tau,delta)", M))
+            checks.append(PairCheck("folded_outcome", "(tau,delta)", *_tp2_pass(M)))
         # folded outcome kernel, (theta, delta) for each tau (tau-independent)
         M = folded_outcome_prob(ch, both, both[:, None], a)
-        checks.append(_check_matrix("folded_outcome", "(theta,delta)", M))
+        checks.append(PairCheck("folded_outcome", "(theta,delta)", *_tp2_pass(M)))
         # composite kernel, (tau, theta) with y fixed
         for y in range(tau_check + 2):
             M = composite_kernel(ch, taus[:, None], both, y, a)
-            checks.append(_check_matrix("composite", "(tau,theta)", M))
+            checks.append(PairCheck("composite", "(tau,theta)", *_tp2_pass(M)))
         # composite kernel, (theta, y) with tau fixed
         for tau in taus:
             M = composite_kernel(ch, tau, both[:, None], np.arange(tau + 2), a)
-            checks.append(_check_matrix("composite", "(theta,y)", M))
+            checks.append(PairCheck("composite", "(theta,y)", *_tp2_pass(M)))
     # observation map, (theta, y) with (delta, tau) fixed
     for delta in (0, 1):
         for tau in taus:
             M = np.broadcast_to(folded_observation(delta, tau, np.arange(tau + 2)),
                                 (2, tau + 2))
-            checks.append(_check_matrix("folded_observation", "(theta,y)", M))
+            checks.append(PairCheck("folded_observation", "(theta,y)", *_tp2_pass(M)))
     # observation map, (delta, y) with tau fixed
     for tau in taus:
         M = folded_observation(both[:, None], tau, np.arange(tau + 2))
-        checks.append(_check_matrix("folded_observation", "(delta,y)", M))
+        checks.append(PairCheck("folded_observation", "(delta,y)", *_tp2_pass(M)))
     return FoldedTP2Report(checks=tuple(checks))

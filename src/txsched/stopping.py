@@ -6,6 +6,9 @@ It is the belief MDP with one more action, stop, whose Q column is pinned to
 c_stop (stopping has no continuation), on belief_mdp's one solve path, so the
 converged stop values carry no drift. The stop region at each holding time
 must be an upper belief interval; its lower edge is the threshold, ties stop.
+Both verdicts are array passes over the whole (tau, belief) lattice: the stop
+region is one boolean array, a hole is a stop -> continue step along its
+belief axis, and monotonicity compares the thresholds shifted by one tau.
 """
 
 from dataclasses import dataclass
@@ -93,34 +96,28 @@ def extract_threshold(sol: Solution) -> ThresholdFunction:
     """
     if sol.n_actions != 2:
         raise ValueError("threshold extraction needs a two-action solution")
-    n_tau = sol.tau_max + 1
-    b_th = np.full(n_tau, np.nan)
-    sentinel = np.ones(n_tau, dtype=bool)
-    for tau in range(n_tau):
-        stop = sol.Qfun[tau, :, 1] <= sol.Qfun[tau, :, 0]
-        if not stop.any():
-            continue
-        first = int(np.argmax(stop))
-        if not stop[first:].all():
-            hole = first + int(np.argmin(stop[first:]))
-            raise StructureViolationError(
-                f"stop region at tau={tau} is not an upper interval: stop at "
-                f"grid index {first} but continue at {hole}", tau=tau)
-        b_th[tau] = sol.belief_grid[first]
-        sentinel[tau] = False
-    return ThresholdFunction(b_th=b_th, is_sentinel=sentinel,
-                             grid_resolution=1.0 / sol.grid_n)
+    stop = sol.Qfun[:, :, 1] <= sol.Qfun[:, :, 0]
+    falls = np.argwhere(np.diff(stop.view(np.int8), axis=1) < 0)
+    if falls.size:  # the first in row-major order: lowest tau, then lowest belief
+        tau, last = (int(i) for i in falls[0])
+        raise StructureViolationError(
+            f"stop region at tau={tau} is not an upper interval: stop at grid "
+            f"index {int(stop[tau].argmax())} but continue at {last + 1}", tau=tau)
+    stops = stop.any(axis=1)
+    return ThresholdFunction(b_th=np.where(stops, sol.belief_grid[stop.argmax(axis=1)], np.nan),
+                             is_sentinel=~stops, grid_resolution=1.0 / sol.grid_n)
 
 
 def verify_threshold_monotone(th: ThresholdFunction, tol: float = 0.0) -> CheckResult:
     """Thresholds must be nonincreasing in the holding time; sentinel entries
-    count as +inf (stopping never optimal)."""
+    count as +inf (stopping never optimal). The witness is the first rise."""
     ext = th.as_extended()
-    for tau in range(len(ext) - 1):
-        if ext[tau + 1] > ext[tau] + tol:
-            return CheckResult(False, witness=(tau, float(ext[tau]), float(ext[tau + 1])),
-                               value=float(ext[tau + 1] - ext[tau]))
-    return CheckResult(True)
+    rises = np.flatnonzero(ext[1:] > ext[:-1] + tol)
+    if not rises.size:
+        return CheckResult(True)
+    tau = int(rises[0])
+    return CheckResult(False, witness=(tau, float(ext[tau]), float(ext[tau + 1])),
+                       value=float(ext[tau + 1] - ext[tau]))
 
 
 def verify_submodularity(sol: Solution, tol: float = 1e-8) -> CheckResult:

@@ -6,9 +6,11 @@ replaced, the solver's grid tables and the simulator's bitwise select,
 which it must equal bit for bit; the scalar episode simulator that the
 lockstep ``run_batch``
 must equal bit for bit, with its per-episode trace; a replay of a
-trace's beliefs through the scalar Bayes update; and a reader of
+trace's beliefs through the scalar Bayes update; a reader of
 value_policy.csv by ``np.loadtxt``, which the byte-scan reader of
-``txsched.cli`` must never contradict.
+``txsched.cli`` must never contradict; and the per-tau loops of the
+threshold extraction and its monotonicity check, which the whole-lattice
+passes of ``txsched.stopping`` must equal bit for bit.
 """
 
 import warnings
@@ -21,7 +23,8 @@ from txsched.belief_mdp import (SolverConfig, StageCost, _bellman, _check_proble
 from txsched.channel import ChannelModel
 from txsched.cli import StalePolicyError
 from txsched.sim import _ZERO_LIKELIHOOD, _holding_table, splitmix64
-from txsched.stochastic_orders import ZeroLikelihoodError
+from txsched.stochastic_orders import CheckResult, StructureViolationError, ZeroLikelihoodError
+from txsched.stopping import ThresholdFunction
 
 
 def weighted_norm(f, spectral_radius: float, eps: float) -> float:
@@ -288,3 +291,36 @@ def loadtxt_read_value_policy_csv(path):
         raise StalePolicyError(f"{path} is malformed ({exc}); run solve first") from None
     grid_n = tau.size // n_tau - 1
     return policy.reshape(n_tau, grid_n + 1), grid_n, n_tau - 1
+
+
+def loop_extract_threshold(sol) -> ThresholdFunction:
+    """``stopping.extract_threshold`` one holding time at a time: the lowest
+    stop index of each row, after checking that every index above it stops."""
+    n_tau = sol.tau_max + 1
+    b_th = np.full(n_tau, np.nan)
+    sentinel = np.ones(n_tau, dtype=bool)
+    for tau in range(n_tau):
+        stop = sol.Qfun[tau, :, 1] <= sol.Qfun[tau, :, 0]
+        if not stop.any():
+            continue
+        first = int(np.argmax(stop))
+        if not stop[first:].all():
+            hole = first + int(np.argmin(stop[first:]))
+            raise StructureViolationError(
+                f"stop region at tau={tau} is not an upper interval: stop at "
+                f"grid index {first} but continue at {hole}", tau=tau)
+        b_th[tau] = sol.belief_grid[first]
+        sentinel[tau] = False
+    return ThresholdFunction(b_th=b_th, is_sentinel=sentinel,
+                             grid_resolution=1.0 / sol.grid_n)
+
+
+def loop_verify_threshold_monotone(th: ThresholdFunction, tol: float = 0.0) -> CheckResult:
+    """``stopping.verify_threshold_monotone`` one holding time at a time,
+    returning at the first rise."""
+    ext = th.as_extended()
+    for tau in range(len(ext) - 1):
+        if ext[tau + 1] > ext[tau] + tol:
+            return CheckResult(False, witness=(tau, float(ext[tau]), float(ext[tau + 1])),
+                               value=float(ext[tau + 1] - ext[tau]))
+    return CheckResult(True)

@@ -1353,6 +1353,53 @@ class TestExitCodes:
             f"output error: cannot remove '{path}': Is a directory\n")
         assert not (tmp_path / "out" / "q_values.csv").exists()
 
+    def test_solve_of_another_problem_removes_its_report_and_simulations(self, tmp_path):
+        # neither file names its config, so none may stay beside another's record
+        out = tmp_path / "out"
+        example = ["--config", str(ROOT / "configs/example.yaml"), "--out", str(out), "--quiet"]
+        for args in (["solve"], ["verify"], ["simulate", "--policy", "never-stop"]):
+            assert main([args[0], *example, *args[1:]]) == 0
+        assert main(["solve", "--config", str(ROOT / "bench/workloads/general-slow.yaml"),
+                     "--out", str(out), "--quiet"]) == 0
+        assert sorted(f.name for f in out.iterdir()) == [
+            "q_values.csv", "q_values.npy", "solve_record.json", "value_policy.csv"]
+
+    def test_solve_keeps_the_report_and_simulations_of_its_own_problem(self, tmp_path):
+        p, _ = write_cfg(tmp_path, {"output.emit_traces": True})
+        other, _ = write_cfg(tmp_path, {"costs.c_stop": 12.0}, name="other.yaml")
+        out = tmp_path / "out"
+        for args in (["solve"], ["verify"], ["simulate", "--policy", "never-stop"]):
+            assert main([args[0], "--config", str(p), "--quiet", *args[1:]]) == 0
+        kept = ["simstats_never-stop.json", "traces_never-stop.csv", "verify_report.json"]
+        before = {name: (out / name).read_bytes() for name in kept}
+        assert main(["solve", "--config", str(p), "--quiet"]) == 0
+        assert {name: (out / name).read_bytes() for name in kept} == before
+        assert main(["solve", "--config", str(other), "--quiet"]) == 0
+        assert not any((out / name).exists() for name in kept)
+
+    def test_solve_over_an_unreadable_record_removes_the_report(self, tmp_path):
+        p, _ = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(p), "--quiet"]) == 0
+        (out / "solve_record.json").write_text("not json")
+        assert main(["solve", "--config", str(p), "--quiet"]) == 0
+        assert not (out / "verify_report.json").exists()
+
+    def test_report_that_cannot_be_removed(self, tmp_path, capsys):
+        # the report goes before the record, which still names its problem
+        p, _ = write_cfg(tmp_path)
+        other, _ = write_cfg(tmp_path, {"costs.c_stop": 12.0}, name="other.yaml")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(p), "--quiet"]) == 0
+        record = (out / "solve_record.json").read_bytes()
+        (out / "verify_report.json").mkdir()
+        (out / "q_values.csv").unlink()
+        assert main(["solve", "--config", str(other)]) == 2
+        assert capsys.readouterr().err == (
+            f"output error: cannot remove '{out / 'verify_report.json'}': Is a directory\n")
+        assert (out / "solve_record.json").read_bytes() == record
+        assert not (out / "q_values.csv").exists()
+
     @pytest.mark.parametrize("command", ["solve", "verify", "simulate", "thresholds"])
     def test_empty_out_is_a_usage_error(self, tmp_path, capsys, command):
         # the config's directory is fine; the fault is in the argument

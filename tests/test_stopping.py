@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import txsched as tx
 from conftest import random_channel
-from oracles import belief_update, observation_likelihood
+from oracles import (belief_update, loop_extract_threshold, loop_verify_threshold_monotone,
+                     observation_likelihood)
 from orders import is_submodular
 
 
@@ -228,6 +230,72 @@ class TestThresholdMonotone:
                 c_stop=float(rng.uniform(1.0, 15.0))))
             th = tx.extract_threshold(sol)
             assert tx.verify_threshold_monotone(th)
+
+
+# continue values, with signed zeros and ties between them among the draws
+_Q_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 10.0]) | st.floats(-1e3, 1e3)
+
+
+@st.composite
+def _stop_rows(draw):
+    """A (tau, grid, 2) Q lattice whose rows never stop, always stop, stop on
+    an upper interval, or stop anywhere (holes); a stop cell is a tie (also
+    +0.0 against -0.0) or strictly below its continue value."""
+    n_tau, n_b = draw(st.integers(1, 6)), draw(st.integers(2, 8))
+    Q = np.empty((n_tau, n_b, 2))
+    for tau in range(n_tau):
+        kind = draw(st.sampled_from(["never", "always", "upper", "holes"]))
+        k = draw(st.integers(0, n_b))
+        for i in range(n_b):
+            stop = {"never": False, "always": True, "upper": i >= k,
+                    "holes": draw(st.booleans())}[kind]
+            c = draw(_Q_VALUES)
+            how = draw(st.sampled_from(["tie", "flip", "next", "far"]))
+            if not stop:
+                s = np.nextafter(c, np.inf) if how == "next" else c + 5.0
+            else:  # "flip" ties +0.0 with -0.0
+                s = {"tie": c, "flip": -c if c == 0 else c,
+                     "next": np.nextafter(c, -np.inf), "far": c - 5.0}[how]
+            Q[tau, i] = c, s
+    return tx.Solution(Qfun=Q, V=Q.min(axis=2), policy=np.zeros((n_tau, n_b), dtype=int),
+                       belief_grid=np.linspace(0.0, 1.0, n_b), sweeps_used=1,
+                       final_residual=0.0)
+
+
+_THRESHOLDS = st.lists(st.none() | st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0])
+                       | st.floats(0.0, 1.0), min_size=1, max_size=8)
+
+
+class TestClosedFormsMatchLoops:
+    """The whole-lattice passes of stopping against the per-tau loops they
+    replaced (tests/oracles.py), bit for bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_stop_rows())
+    def test_extract_threshold(self, sol):
+        try:
+            ref = loop_extract_threshold(sol)
+        except tx.StructureViolationError as exc:
+            event("hole")
+            with pytest.raises(tx.StructureViolationError) as err:
+                tx.extract_threshold(sol)
+            assert (str(err.value), err.value.tau) == (str(exc), exc.tau)
+            return
+        event("threshold")
+        th = tx.extract_threshold(sol)
+        assert np.array_equal(th.b_th.view(np.uint64), ref.b_th.view(np.uint64))
+        assert np.array_equal(th.is_sentinel, ref.is_sentinel)
+        assert th.grid_resolution == ref.grid_resolution
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_THRESHOLDS, st.sampled_from([0.0, 1e-12, 0.1, 0.5]))
+    def test_verify_threshold_monotone(self, values, tol):
+        sentinel = np.array([v is None for v in values])
+        th = tx.ThresholdFunction(b_th=[np.nan if v is None else v for v in values],
+                                  is_sentinel=sentinel, grid_resolution=0.01)
+        got, ref = tx.verify_threshold_monotone(th, tol), loop_verify_threshold_monotone(th, tol)
+        event("holds" if ref else "rises")
+        assert repr(got) == repr(ref)  # float repr round-trips, so this is bitwise
 
 
 class TestSubmodularity:
