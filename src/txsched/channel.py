@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lti_estimation import _finite, _frozen
-from .stochastic_orders import CheckResult, is_tp2
+from .stochastic_orders import CheckResult, _tp2_pass
 
 
 @dataclass(frozen=True)
@@ -123,10 +123,9 @@ def make_persistent_failure(p_fail: float, lam_good: float, lam_bad: float,
 
 
 def check_mode_kernel_tp2(ch: ChannelModel) -> CheckResult:
-    """TP2 test of every per-action mode kernel. The witness, if any, is
-    (action, tp2 witness, minor)."""
-    for a in range(ch.n_actions):
-        res = is_tp2(ch.mode_kernel[a])
+    """TP2 test of every per-action mode kernel, in one stacked minor pass.
+    The witness, if any, is (action, tp2 witness, minor)."""
+    for a, (res, _) in enumerate(_tp2_pass(ch.mode_kernel)):
         if not res:
             return CheckResult(False, witness=(a,) + res.witness, value=res.value)
     return CheckResult(True)

@@ -7,8 +7,9 @@ Subcommands:
               and last solve_record.json (the sha256 of the config sections
               that fix the solution). It first removes the old record, an
               earlier thresholds.csv when it writes none (no costs.c_stop),
-              and, when the old record names another problem or cannot be
-              read, verify_report.json, simstats_*.json, traces_*.csv. Prints
+              a verify_report.json that names another problem or none, and,
+              when the old record names another problem or cannot be read,
+              verify_report.json, simstats_*.json and traces_*.csv. Prints
               the sweep count of every belief grid the solve ran, the
               final grid first ("value iteration: 3 sweeps on grid 2000
               after 4 on grid 200 and 200 on grid 20, ..."), and the
@@ -16,7 +17,8 @@ Subcommands:
               target), with a note at the end of the line when the
               error is above that target (the sweep's rounding floor).
   verify      runs the structural-verification battery and writes
-              verify_report.json; nonzero exit on any asserted failure. The
+              verify_report.json (its checks and the config's problem
+              sha256); nonzero exit on any asserted failure. The
               value checks read the Q in q_values.npy of a solve for this
               config, and solve again when there is none; a line before
               the summary says which. The contraction check reports the
@@ -56,14 +58,14 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
 
 from .channel import check_mode_kernel_tp2
-from .config import ConfigError, RunConfig, SimConfig, load_config, parse_config
+from .config import ConfigError, RunConfig, SimConfig, load_config
 from .lti_estimation import ConvergenceError, holding_cost_table, steady_state_covariance
 from .stochastic_orders import StructureViolationError, ZeroLikelihoodError
 
@@ -75,6 +77,7 @@ EXIT_MODEL = 5
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by it
 
 SOLVE_RECORD = "solve_record.json"
+VERIFY_REPORT = "verify_report.json"
 Q_VALUES = "q_values.npy"
 
 
@@ -301,12 +304,15 @@ def cmd_solve(cfg: RunConfig, quiet: bool = False) -> int:
     # stops partway leaves no record vouching for the files it did write.
     # Files this solve cannot vouch for go before it, so a failed removal
     # leaves the record that names their problem: a general solve's threshold
-    # table (it writes none), and the report and simulations of another problem
+    # table (it writes none), a report that does not name this problem, and
+    # the report and simulations of another problem's record
     record = out_dir / SOLVE_RECORD
     gone = [] if cfg.is_stopping else [out_dir / "thresholds.csv"]
-    if record.exists() and _stale_reason(cfg, out_dir):
-        gone += [out_dir / "verify_report.json", *sorted(out_dir.glob("simstats_*.json")),
-                 *sorted(out_dir.glob("traces_*.csv"))]
+    stale = record.exists() and _stale_reason(cfg, out_dir)
+    if stale or _stale_reason(cfg, out_dir, VERIFY_REPORT):
+        gone.append(out_dir / VERIFY_REPORT)
+    if stale:
+        gone += [*sorted(out_dir.glob("simstats_*.json")), *sorted(out_dir.glob("traces_*.csv"))]
     for path in (*gone, record):
         try:
             path.unlink(missing_ok=True)
@@ -438,7 +444,7 @@ def _verify_battery(cfg: RunConfig):
 def cmd_verify(cfg: RunConfig, quiet: bool = False) -> int:
     out_dir = Path(cfg.out_dir)
     results, source = _verify_battery(cfg)
-    write_json(out_dir / "verify_report.json", {"checks": results})
+    write_json(out_dir / VERIFY_REPORT, {"checks": results, "problem_sha256": cfg.problem_sha256})
     count = {s: sum(r["status"] == s for r in results) for s in ("pass", "fail", "skip")}
     if not quiet:
         for r in results:
@@ -449,11 +455,12 @@ def cmd_verify(cfg: RunConfig, quiet: bool = False) -> int:
     return EXIT_VERIFICATION if count["fail"] else EXIT_OK
 
 
-def _stale_reason(cfg: RunConfig, out_dir: Path):
-    """Why the solve artifacts in out_dir are not for cfg: None when
-    solve_record.json records cfg's problem hash, otherwise what it holds
-    (or that it is missing or unreadable)."""
-    record = out_dir / SOLVE_RECORD
+def _stale_reason(cfg: RunConfig, out_dir: Path, name: str = SOLVE_RECORD):
+    """Why the JSON file ``name`` in out_dir is not for cfg: None when it
+    records cfg's problem hash, otherwise what it holds (or that it is
+    missing or unreadable). By default the file is solve_record.json, which
+    vouches for the solve artifacts."""
+    record = out_dir / name
     try:
         solved_for = json.loads(record.read_text(encoding="utf-8")).get("problem_sha256")
     except FileNotFoundError:
@@ -464,7 +471,7 @@ def _stale_reason(cfg: RunConfig, out_dir: Path):
         if solved_for == cfg.problem_sha256:
             return None
         found = f"records problem sha256 {solved_for}" if solved_for else "is missing"
-    return f"{SOLVE_RECORD} {found}, this config has {cfg.problem_sha256}"
+    return f"{name} {found}, this config has {cfg.problem_sha256}"
 
 
 def _build_policy(cfg: RunConfig, name: str, out_dir: Path):
@@ -580,17 +587,21 @@ def cmd_thresholds(cfg: RunConfig, quiet: bool = False) -> int:
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
+    """cfg with --out as output.directory and --seed as sim.seed, in the
+    models and in the normalized dict alike; the seed is checked again by
+    SimConfig."""
     seed = getattr(args, "seed", None)
     if args.out is None and seed is None:
         return cfg
-    raw = cfg.to_dict()
+    raw, changes = cfg.to_dict(), {}
     if args.out is not None:
-        raw["output"]["directory"] = args.out
+        raw["output"]["directory"] = changes["out_dir"] = args.out
     if seed is not None:
-        if "sim" not in raw:
+        if cfg.sim is None:
             raise ConfigError("sim", "cannot override the seed without a sim section")
-        raw["sim"]["seed"] = seed
-    return parse_config(raw)
+        changes["sim"] = replace(cfg.sim, seed=seed)
+        raw["sim"]["seed"] = changes["sim"].seed
+    return replace(cfg, raw=raw, **changes)
 
 
 def _stdout_to_devnull():

@@ -158,38 +158,39 @@ def verify_folded_tp2(ch: ChannelModel, tau_check: int = 6) -> FoldedTP2Report:
     tau-independent, so any range is representative). The minimum 2x2 minor
     seen for each pair is reported; the (theta, delta) pair's minor is
     lam[0,a] - lam[1,a], the quantity that makes the folded construction work.
+
+    Each kernel is evaluated once over all its indices, and every slice goes
+    through one stacked minor pass, padded with NaN (no minor) to a common
+    shape: a (theta, y) slice at tau holds y in 0..tau+1.
     """
-    checks = []
-    taus = np.arange(tau_check + 1)
-    both = np.array([0, 1])
-    for a in range(ch.n_actions):
-        # folded outcome kernel, (tau, theta) with delta fixed
-        for delta in (0, 1):
-            M = np.broadcast_to(folded_outcome_prob(ch, delta, both, a), (taus.size, 2))
-            checks.append(PairCheck("folded_outcome", "(tau,theta)", *_tp2_pass(M)))
-        # folded outcome kernel, (tau, delta) with theta fixed
-        for theta in (0, 1):
-            M = np.broadcast_to(folded_outcome_prob(ch, both, theta, a), (taus.size, 2))
-            checks.append(PairCheck("folded_outcome", "(tau,delta)", *_tp2_pass(M)))
-        # folded outcome kernel, (theta, delta) for each tau (tau-independent)
-        M = folded_outcome_prob(ch, both, both[:, None], a)
-        checks.append(PairCheck("folded_outcome", "(theta,delta)", *_tp2_pass(M)))
-        # composite kernel, (tau, theta) with y fixed
-        for y in range(tau_check + 2):
-            M = composite_kernel(ch, taus[:, None], both, y, a)
-            checks.append(PairCheck("composite", "(tau,theta)", *_tp2_pass(M)))
-        # composite kernel, (theta, y) with tau fixed
-        for tau in taus:
-            M = composite_kernel(ch, tau, both[:, None], np.arange(tau + 2), a)
-            checks.append(PairCheck("composite", "(theta,y)", *_tp2_pass(M)))
-    # observation map, (theta, y) with (delta, tau) fixed
-    for delta in (0, 1):
-        for tau in taus:
-            M = np.broadcast_to(folded_observation(delta, tau, np.arange(tau + 2)),
-                                (2, tau + 2))
-            checks.append(PairCheck("folded_observation", "(theta,y)", *_tp2_pass(M)))
-    # observation map, (delta, y) with tau fixed
-    for tau in taus:
-        M = folded_observation(both[:, None], tau, np.arange(tau + 2))
-        checks.append(PairCheck("folded_observation", "(delta,y)", *_tp2_pass(M)))
-    return FoldedTP2Report(checks=tuple(checks))
+    n_a, T, Y = ch.n_actions, tau_check + 1, tau_check + 2
+    R = max(T, 2)  # rows of a stack that holds both (tau, .) and (theta, .) slices
+    taus, ys, both = np.arange(T), np.arange(Y), np.array([0, 1])
+    beyond = ys > taus[:, None] + 1  # (tau, y) outside a slice at tau
+    F = folded_outcome_prob(ch, both, both[:, None], np.arange(n_a)[:, None, None])
+    K = composite_kernel(ch, taus[:, None, None], both[:, None], ys,
+                         np.arange(n_a)[:, None, None, None])
+    O = np.where(beyond, np.nan, folded_observation(both[:, None, None], taus[:, None], ys))
+    # per action, from F[a, theta, delta]: the (tau, theta) slices at delta 0
+    # and 1, the (tau, delta) slices at theta 0 and 1 and the (theta, delta)
+    # slice; from K[a, tau, theta, y]: the (tau, theta) slices at each y and
+    # the (theta, y) slices at each tau
+    per_action = np.full((n_a, 5 + Y + T, R, Y), np.nan)
+    per_action[:, 0:2, :T, :2] = F.transpose(0, 2, 1)[:, :, None, :]
+    per_action[:, 2:4, :T, :2] = F[:, :, None, :]
+    per_action[:, 4, :2, :2] = F
+    per_action[:, 5:5 + Y, :T, :2] = K.transpose(0, 3, 1, 2)
+    per_action[:, 5 + Y:, :2] = np.where(beyond[:, None, :], np.nan, K)
+    # then, from O[delta, tau, y], the (theta, y) slices at each (delta, tau)
+    # and the (delta, y) slices at each tau
+    observation = np.full((3 * T, R, Y), np.nan)
+    observation[:2 * T, :2] = O.reshape(2 * T, 1, Y)
+    observation[2 * T:, :2] = O.transpose(1, 0, 2)
+    runs = n_a * [("folded_outcome", "(tau,theta)", 2), ("folded_outcome", "(tau,delta)", 2),
+                  ("folded_outcome", "(theta,delta)", 1), ("composite", "(tau,theta)", Y),
+                  ("composite", "(theta,y)", T)] + [("folded_observation", "(theta,y)", 2 * T),
+                                                     ("folded_observation", "(delta,y)", T)]
+    names = [(kernel, pair) for kernel, pair, count in runs for _ in range(count)]
+    results = _tp2_pass(np.concatenate([per_action.reshape(-1, R, Y), observation]))
+    return FoldedTP2Report(checks=tuple(PairCheck(*name, *res)
+                                        for name, res in zip(names, results, strict=True)))

@@ -47,31 +47,39 @@ class CheckResult:
         return self.holds
 
 
-def _tp2_pass(M, tol: float = ORDER_TOL) -> tuple[CheckResult, float]:
-    """One pass over every 2x2 minor M[x1,y1]*M[x2,y2] - M[x1,y2]*M[x2,y1]
-    with x1 < x2 and y1 < y2, laid out in (x1, y1, x2, y2) lexicographic
-    order.
+def _tp2_pass(M, tol: float = ORDER_TOL) -> list:
+    """One pass over every 2x2 minor M[i,x1,y1]*M[i,x2,y2] - M[i,x1,y2]*M[i,x2,y1]
+    with x1 < x2 and y1 < y2 of each matrix M[i] of the stack M (k, n, m),
+    laid out in (x1, y1, x2, y2) lexicographic order. A NaN entry pads a
+    smaller matrix to the stack's shape: a minor that reads one is no minor.
 
-    Returns the TP2 verdict (every minor >= -tol; witness ((x1, y1), (x2, y2))
-    and value of the first violating minor) and the smallest minor, 0.0 when
-    M has a single row or column and so no minor.
+    Returns, per matrix, the TP2 verdict (every minor >= -tol; witness
+    ((x1, y1), (x2, y2)) and value of the first violating minor) and the
+    smallest minor, 0.0 when the matrix has no minor (one row or column).
     """
     M = np.asarray(M, dtype=float)
-    if np.any(M < 0):
+    if (M < 0).any():
         raise ValueError("TP2 is defined for nonnegative matrices")
-    n, m = M.shape
-    # minors[x1, y1, x2, y2], kept where x1 < x2 and y1 < y2
-    minors = M[:, :, None, None] * M - M[:, None, None, :] * M.T[:, :, None]
-    ordered = (np.less.outer(np.arange(n), np.arange(n))[:, None, :, None]
-               & np.less.outer(np.arange(m), np.arange(m))[None, :, None, :])
-    vals = minors[ordered]
-    smallest = float(vals.min()) if vals.size else 0.0
-    bad = np.flatnonzero(vals < -tol)
-    if not bad.size:
-        return CheckResult(True), smallest
-    x1, y1, x2, y2 = (int(i[bad[0]]) for i in np.nonzero(ordered))
-    return (CheckResult(False, witness=((x1, y1), (x2, y2)), value=float(vals[bad[0]])),
-            smallest)
+    _, n, m = M.shape
+    # (x1, y1, x2, y2) of every ordered minor whose four entries some matrix
+    # holds; the rest read a NaN in every matrix. pairs[x1, y1, x2, y2]: both
+    # (x1, y1) and (x2, y2) are held; its transpose: (x1, y2) and (x2, y1)
+    held = ~np.isnan(M).all(axis=0)
+    pairs = np.logical_and.outer(held, held)
+    x1, y1, x2, y2 = np.nonzero(pairs & pairs.transpose(0, 3, 2, 1)
+                                & np.less.outer(np.arange(n), np.arange(n))[:, None, :, None]
+                                & np.less.outer(np.arange(m), np.arange(m))[None, :, None, :])
+    vals = M[:, x1, y1] * M[:, x2, y2] - M[:, x1, y2] * M[:, x2, y1]
+    smallest = np.fmin.reduce(vals, axis=1, initial=np.inf)  # skips NaN
+    smallest[smallest == np.inf] = 0.0
+    holds = CheckResult(True)
+    out = [(holds, s) for s in smallest.tolist()]
+    rows, at = np.nonzero(vals < -tol)
+    rows, first = np.unique(rows, return_index=True)  # each row's first violation
+    for i, j in zip(rows.tolist(), at[first].tolist()):
+        out[i] = (CheckResult(False, witness=((int(x1[j]), int(y1[j])), (int(x2[j]), int(y2[j]))),
+                              value=float(vals[i, j])), out[i][1])
+    return out
 
 
 def is_tp2(M, tol: float = ORDER_TOL) -> CheckResult:
@@ -79,4 +87,4 @@ def is_tp2(M, tol: float = ORDER_TOL) -> CheckResult:
     is >= -tol. Witness: ((x1, y1), (x2, y2)) of the smallest violating
     minor in (x1, y1, x2, y2) lexicographic order, plus the minor value. A
     matrix with one row or one column has no minor and is TP2."""
-    return _tp2_pass(M, tol)[0]
+    return _tp2_pass(np.asarray(M, dtype=float)[None], tol)[0][0]

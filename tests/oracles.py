@@ -8,9 +8,12 @@ lockstep ``run_batch``
 must equal bit for bit, with its per-episode trace; a replay of a
 trace's beliefs through the scalar Bayes update; a reader of
 value_policy.csv by ``np.loadtxt``, which the byte-scan reader of
-``txsched.cli`` must never contradict; and the per-tau loops of the
+``txsched.cli`` must never contradict; the per-tau loops of the
 threshold extraction and its monotonicity check, which the whole-lattice
-passes of ``txsched.stopping`` must equal bit for bit.
+passes of ``txsched.stopping`` must equal bit for bit; and the per-matrix
+minor pass and the slice-by-slice folded-TP2 battery, which the stacked
+passes of ``txsched.stochastic_orders`` and ``txsched.folding`` must equal
+check by check.
 """
 
 import warnings
@@ -22,8 +25,11 @@ from txsched.belief_mdp import (SolverConfig, StageCost, _bellman, _check_proble
                                 _over_actions, _stencil, _weighted_sup, weight_profile)
 from txsched.channel import ChannelModel
 from txsched.cli import StalePolicyError
+from txsched.folding import (FoldedTP2Report, PairCheck, composite_kernel, folded_observation,
+                             folded_outcome_prob)
 from txsched.sim import _ZERO_LIKELIHOOD, _holding_table, splitmix64
-from txsched.stochastic_orders import CheckResult, StructureViolationError, ZeroLikelihoodError
+from txsched.stochastic_orders import (ORDER_TOL, CheckResult, StructureViolationError,
+                                      ZeroLikelihoodError)
 from txsched.stopping import ThresholdFunction
 
 
@@ -324,3 +330,57 @@ def loop_verify_threshold_monotone(th: ThresholdFunction, tol: float = 0.0) -> C
             return CheckResult(False, witness=(tau, float(ext[tau]), float(ext[tau + 1])),
                                value=float(ext[tau + 1] - ext[tau]))
     return CheckResult(True)
+
+
+def matrix_tp2_pass(M, tol: float = ORDER_TOL) -> tuple[CheckResult, float]:
+    """``stochastic_orders._tp2_pass`` on one matrix: every 2x2 minor as a
+    (x1, y1, x2, y2) array, kept where x1 < x2 and y1 < y2. Returns the
+    verdict with the first violating minor and the smallest minor, 0.0 when
+    there is none."""
+    M = np.asarray(M, dtype=float)
+    if np.any(M < 0):
+        raise ValueError("TP2 is defined for nonnegative matrices")
+    n, m = M.shape
+    minors = M[:, :, None, None] * M - M[:, None, None, :] * M.T[:, :, None]
+    ordered = (np.less.outer(np.arange(n), np.arange(n))[:, None, :, None]
+               & np.less.outer(np.arange(m), np.arange(m))[None, :, None, :])
+    vals = minors[ordered]
+    smallest = float(vals.min()) if vals.size else 0.0
+    bad = np.flatnonzero(vals < -tol)
+    if not bad.size:
+        return CheckResult(True), smallest
+    x1, y1, x2, y2 = (int(i[bad[0]]) for i in np.nonzero(ordered))
+    return (CheckResult(False, witness=((x1, y1), (x2, y2)), value=float(vals[bad[0]])),
+            smallest)
+
+
+def loop_verify_folded_tp2(ch: ChannelModel, tau_check: int = 6) -> FoldedTP2Report:
+    """``folding.verify_folded_tp2`` one slice at a time, each materialized
+    at its own shape and checked by ``matrix_tp2_pass``."""
+    checks = []
+    taus = np.arange(tau_check + 1)
+    both = np.array([0, 1])
+    for a in range(ch.n_actions):
+        for delta in (0, 1):
+            M = np.broadcast_to(folded_outcome_prob(ch, delta, both, a), (taus.size, 2))
+            checks.append(PairCheck("folded_outcome", "(tau,theta)", *matrix_tp2_pass(M)))
+        for theta in (0, 1):
+            M = np.broadcast_to(folded_outcome_prob(ch, both, theta, a), (taus.size, 2))
+            checks.append(PairCheck("folded_outcome", "(tau,delta)", *matrix_tp2_pass(M)))
+        M = folded_outcome_prob(ch, both, both[:, None], a)
+        checks.append(PairCheck("folded_outcome", "(theta,delta)", *matrix_tp2_pass(M)))
+        for y in range(tau_check + 2):
+            M = composite_kernel(ch, taus[:, None], both, y, a)
+            checks.append(PairCheck("composite", "(tau,theta)", *matrix_tp2_pass(M)))
+        for tau in taus:
+            M = composite_kernel(ch, tau, both[:, None], np.arange(tau + 2), a)
+            checks.append(PairCheck("composite", "(theta,y)", *matrix_tp2_pass(M)))
+    for delta in (0, 1):
+        for tau in taus:
+            M = np.broadcast_to(folded_observation(delta, tau, np.arange(tau + 2)),
+                                (2, tau + 2))
+            checks.append(PairCheck("folded_observation", "(theta,y)", *matrix_tp2_pass(M)))
+    for tau in taus:
+        M = folded_observation(both[:, None], tau, np.arange(tau + 2))
+        checks.append(PairCheck("folded_observation", "(delta,y)", *matrix_tp2_pass(M)))
+    return FoldedTP2Report(checks=tuple(checks))

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import txsched as tx
-from conftest import random_channel
+from conftest import channels, random_channel
+from oracles import matrix_tp2_pass
 from orders import sample_mode_step
 
 
@@ -81,6 +83,19 @@ class TestModeKernelTp2:
         assert not res
         assert res.witness == (0, (0, 0), (1, 1))
         assert res.value == pytest.approx(0.4 * 0.3 - 0.6 * 0.7, abs=1e-15)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(ch=channels())
+    def test_stacked_equals_per_action(self, ch):
+        # the first action whose kernel is not TP2, with its own witness
+        res = tx.check_mode_kernel_tp2(ch)
+        fails = [(a, r) for a, (r, _) in enumerate(map(matrix_tp2_pass, ch.mode_kernel))
+                 if not r]
+        if not fails:
+            assert res == tx.CheckResult(True)
+        else:
+            a, r = fails[0]
+            assert res == tx.CheckResult(False, witness=(a,) + r.witness, value=r.value)
 
 
 class TestSampling:

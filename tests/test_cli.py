@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import pickle
@@ -13,8 +14,8 @@ from hypothesis import event, given, settings, strategies as st
 import txsched as tx
 from conftest import ULP_NOISE_PLANT, channels, rowlist_write_solution_csvs
 from oracles import _stream, loadtxt_read_value_policy_csv, run_episode
-from txsched.cli import (EXIT_BROKEN_PIPE, EXIT_MODEL, StalePolicyError, _fmt, _pipeline,
-                         main, read_value_policy_csv, write_solution_csvs)
+from txsched.cli import (EXIT_BROKEN_PIPE, EXIT_MODEL, StalePolicyError, _apply_overrides, _fmt,
+                         _pipeline, main, read_value_policy_csv, write_solution_csvs)
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_FILES = ["configs/example.yaml", "bench/workloads/ref.yaml",
@@ -696,6 +697,61 @@ class TestSimulate:
         want = "".join(line + "\n" for line in lines).encode()
         assert (tmp_path / "out" / "traces_threshold_0.5.csv").read_bytes() == want
         assert len(lines) > cfg.sim.n_runs + 1 and any(",1,-1," in line for line in lines)
+
+
+class TestOverrides:
+    @pytest.mark.parametrize("args", [
+        ["solve", "--out", "o"], ["verify", "--out", "o"], ["thresholds", "--out", "o"],
+        ["simulate", "--policy", "never-stop", "--out", "o"],
+        ["simulate", "--policy", "never-stop", "--seed", "7"],
+        ["simulate", "--policy", "never-stop", "--out", "o", "--seed", "7"]])
+    def test_one_parse_per_command(self, tmp_path, monkeypatch, args):
+        # counted under every name a module may have bound it to
+        calls, parse = [], tx.parse_config
+        for module in ("txsched.config", "txsched.cli"):
+            monkeypatch.setattr(sys.modules[module], "parse_config",
+                                lambda data: calls.append(1) or parse(data), raising=False)
+        p, _ = write_cfg(tmp_path, {"sim.n_runs": 4})
+        args = [str(tmp_path / a) if a == "o" else a for a in args]
+        assert main([args[0], "--config", str(p), "--quiet", *args[1:]]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("out, seed", [("elsewhere", None), (None, 7),
+                                           ("elsewhere", 2**64 - 1)])
+    def test_overrides_equal_a_reparse(self, tmp_path, out, seed):
+        cfg = tx.load_config(ROOT / "configs/example.yaml")
+        out = out and str(tmp_path / out)
+        got = _apply_overrides(cfg, argparse.Namespace(out=out, seed=seed))
+        raw = cfg.to_dict()
+        raw["output"]["directory"] = out or raw["output"]["directory"]
+        raw["sim"]["seed"] = raw["sim"]["seed"] if seed is None else seed
+        ref = tx.parse_config(raw)
+        assert got.to_dict() == ref.to_dict() == raw
+        assert got.problem_sha256 == ref.problem_sha256 == cfg.problem_sha256
+        assert (got.sim, got.out_dir) == (ref.sim, ref.out_dir)
+        assert got.sim.seed == (cfg.sim.seed if seed is None else seed)
+
+    def test_seed_without_a_sim_section(self, tmp_path, capsys):
+        p, _ = write_cfg(tmp_path, {"sim": None})
+        assert main(["simulate", "--config", str(p), "--policy", "never-stop",
+                     "--seed", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: sim: cannot override the seed without a sim section\n")
+
+    @pytest.mark.parametrize("field, value, flags, message", [
+        ("output.directory", "", ["--out", "o"], "expected a nonempty string"),
+        ("output.directory", 5, ["--out", "o", "--seed", "3"], "expected a nonempty string"),
+        ("sim.seed", -1, ["--seed", "3"], "must be >= 0, got -1"),
+        ("sim.seed", "x", ["--out", "o"], "expected an integer, got 'x'")])
+    def test_invalid_file_value_fails_despite_an_override(self, tmp_path, capsys, field,
+                                                          value, flags, message):
+        p, data = write_cfg(tmp_path)
+        section, key = field.split(".")
+        data[section][key] = value
+        p.write_text(yaml.safe_dump(data), encoding="utf-8")
+        flags = [str(tmp_path / f) if f == "o" else f for f in flags]
+        assert main(["simulate", "--config", str(p), "--policy", "never-stop", *flags]) == 2
+        assert capsys.readouterr().err == f"config error: {field}: {message}\n"
 
 
 class TestSolvedPolicyProvenance:
@@ -1384,6 +1440,36 @@ class TestExitCodes:
         (out / "solve_record.json").write_text("not json")
         assert main(["solve", "--config", str(p), "--quiet"]) == 0
         assert not (out / "verify_report.json").exists()
+
+    def test_solve_removes_another_problems_report_without_a_record(self, tmp_path):
+        # verify and simulate write no record; the report names its problem
+        out = tmp_path / "out"
+        example = ["--config", str(ROOT / "configs/example.yaml"), "--out", str(out), "--quiet"]
+        assert main(["verify", *example]) == 0
+        assert main(["simulate", *example, "--policy", "never-stop"]) == 0
+        assert main(["solve", "--config", str(ROOT / "bench/workloads/general-slow.yaml"),
+                     "--out", str(out), "--quiet"]) == 0
+        assert not (out / "verify_report.json").exists()
+
+    @pytest.mark.parametrize("names", ["this", "other", "none", "unreadable"])
+    def test_solve_keeps_only_a_report_that_names_its_problem(self, tmp_path, names):
+        p, _ = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(p), "--quiet"]) == 0
+        report = out / "verify_report.json"
+        data = json.loads(report.read_text())
+        assert sorted(data) == ["checks", "problem_sha256"]
+        assert data["problem_sha256"] == tx.load_config(p).problem_sha256
+        if names == "other":
+            data["problem_sha256"] = "0" * 64
+        elif names == "none":
+            del data["problem_sha256"]
+        report.write_text("not json" if names == "unreadable" else json.dumps(data))
+        before = report.read_bytes()
+        assert not (out / "solve_record.json").exists()
+        assert main(["solve", "--config", str(p), "--quiet"]) == 0
+        assert (report.read_bytes() if report.exists() else None) == (
+            before if names == "this" else None)
 
     def test_report_that_cannot_be_removed(self, tmp_path, capsys):
         # the report goes before the record, which still names its problem

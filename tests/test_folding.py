@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 import txsched as tx
 import txsched.folding as folding
 from conftest import channels, random_channel
+from oracles import loop_verify_folded_tp2
 
 
 class TestCompositeKernel:
@@ -105,6 +106,37 @@ class TestFoldedTp2:
         rng = np.random.default_rng(17)
         for _ in range(25):
             assert tx.verify_folded_tp2(random_channel(rng))
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(ch=channels(), tau_check=st.integers(0, 8))
+    def test_stacked_battery_equals_slice_loop(self, ch, tau_check):
+        got = tx.verify_folded_tp2(ch, tau_check).checks
+        ref = loop_verify_folded_tp2(ch, tau_check).checks
+        assert len(got) == len(ref)
+
+        def bits(x):
+            return None if x is None else int(np.float64(x).view(np.uint64))
+
+        for g, r in zip(got, ref):
+            assert (g.kernel, g.variables, g.result.holds, g.result.witness) == \
+                (r.kernel, r.variables, r.result.holds, r.result.witness)
+            assert bits(g.result.value) == bits(r.result.value)
+            assert bits(g.min_minor) == bits(r.min_minor)
+
+    @pytest.mark.parametrize("n_actions", [1, 2])
+    def test_at_most_one_minor_pass_per_kernel_family(self, monkeypatch, n_actions):
+        calls, minor_pass = [], folding._tp2_pass
+
+        def counted(M, *args):
+            calls.append(np.shape(M))
+            return minor_pass(M, *args)
+
+        monkeypatch.setattr(folding, "_tp2_pass", counted)
+        ch = tx.ChannelModel(lam=np.tile([[0.9], [0.2]], n_actions),
+                             mode_kernel=np.tile([[0.9, 0.1], [0.0, 1.0]], (n_actions, 1, 1)))
+        rep = tx.verify_folded_tp2(ch)
+        assert len(rep.checks) == 20 * n_actions + 21
+        assert len(calls) <= len({c.kernel for c in rep.checks}) == 3
 
 
 class TestUnfoldedCounterexample:

@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import txsched as tx
+from oracles import matrix_tp2_pass
 from orders import (FiniteDist, KernelMatrix, bayes_posterior, fsd_dominates,
                     is_submodular, kernel_preserves_mlr, mlr_dominates,
                     random_mlr_pair, random_tp2_kernel, rowscan_is_tp2,
@@ -139,7 +141,7 @@ class TestTp2:
                           np.outer(u, v),
                           random_tp2_kernel(n, m, rng).matrix):
                     tol = float(rng.choice([0.0, ORDER_TOL]))
-                    got, smallest = _tp2_pass(M, tol)
+                    [(got, smallest)] = _tp2_pass(M[None], tol)
                     assert tx.is_tp2(M, tol) == got
                     verdicts.add(got.holds)
                     if m == 1 and n > 1:
@@ -152,6 +154,28 @@ class TestTp2:
                         (ref.holds, ref.witness, ref.value)
                     assert smallest == rowscan_min_minor(M)
         assert verdicts == {True, False}
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), k=st.integers(1, 6), n=st.integers(1, 5), m=st.integers(1, 6),
+           tol=st.sampled_from([0.0, ORDER_TOL]))
+    def test_stacked_pass_equals_matrix_pass(self, data, k, n, m, tol):
+        # nonnegative stacks with exact 0 and 1 entries, each matrix padded
+        # with NaN from its own (rows, cols) to the stack's shape
+        entry = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+        M = np.array(data.draw(st.lists(entry, min_size=k * n * m, max_size=k * n * m)))
+        M = M.reshape(k, n, m)
+        sizes = [(data.draw(st.integers(1, n)), data.draw(st.integers(1, m))) for _ in range(k)]
+        for i, (r, c) in enumerate(sizes):
+            M[i, r:], M[i, :, c:] = np.nan, np.nan
+        got = _tp2_pass(M, tol)
+        assert len(got) == k
+        for (res, smallest), (r, c), Mi in zip(got, sizes, M):
+            ref, ref_smallest = matrix_tp2_pass(Mi[:r, :c], tol)
+            assert (res.holds, res.witness) == (ref.holds, ref.witness)
+            assert (res.value is None) == (ref.value is None)
+            if res.value is not None:
+                assert np.float64(res.value).view(np.uint64) == np.float64(ref.value).view(np.uint64)
+            assert np.float64(smallest).view(np.uint64) == np.float64(ref_smallest).view(np.uint64)
 
 
 class TestKernelPreservesMlr:
