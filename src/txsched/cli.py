@@ -1,33 +1,32 @@
 """Command-line entry point: config in, CSV/JSON artifacts out.
 
+An output directory holds one problem's artifacts, and solve_record.json
+(the sha256 of the config sections that fix the solution) names it. Just
+before its first write a command removes the record, and first every artifact
+if the record names another problem or none; it writes the record last.
+
 Subcommands:
   solve       steady-state covariance -> holding costs -> value iteration
               (stopping solve when costs.c_stop is set); writes q_values.csv,
-              value_policy.csv, q_values.npy (Q exactly), thresholds.csv,
-              and last solve_record.json (the sha256 of the config sections
-              that fix the solution). It first removes the old record, an
-              earlier thresholds.csv when it writes none (no costs.c_stop),
-              a verify_report.json that names another problem or none, and,
-              when the old record names another problem or cannot be read,
-              verify_report.json, simstats_*.json and traces_*.csv. Prints
-              the sweep count of every belief grid the solve ran, the
-              final grid first ("value iteration: 3 sweeps on grid 2000
-              after 4 on grid 200 and 200 on grid 20, ..."), and the
-              certified error of the solution (solver.vi_tol is its
-              target), with a note at the end of the line when the
+              value_policy.csv, q_values.npy (Q exactly), thresholds.csv and
+              solve_record.json. Prints the sweep count of every belief grid
+              the solve ran, the final grid first ("value iteration: 3
+              sweeps on grid 2000 after 4 on grid 200 and 200 on grid 20,
+              ..."), and the certified error of the solution (solver.vi_tol
+              is its target), with a note at the end of the line when the
               error is above that target (the sweep's rounding floor).
   verify      runs the structural-verification battery and writes
               verify_report.json (its checks and the config's problem
-              sha256); nonzero exit on any asserted failure. The
-              value checks read the Q in q_values.npy of a solve for this
-              config, and solve again when there is none; a line before
-              the summary says which. The contraction check reports the
-              analytic stage m and the exact modulus of T^m on the
-              solver's lattice.
-  simulate    Monte Carlo batch under --policy; writes simstats_<policy>.json
-              and optional per-step traces. --policy solved refuses a
-              missing or malformed value_policy.csv, or one solved for
-              another config.
+              sha256) and solve_record.json; nonzero exit on any asserted
+              failure. The value checks read the Q in q_values.npy of a
+              solve for this config, and solve again when there is none; a
+              line before the summary says which. The contraction check
+              reports the analytic stage m and the exact modulus of T^m on
+              the solver's lattice.
+  simulate    Monte Carlo batch under --policy; writes simstats_<policy>.json,
+              traces_<policy>.csv (or removes it) by output.emit_traces, and
+              solve_record.json. --policy solved refuses a missing or
+              malformed value_policy.csv, or one solved for another config.
   thresholds  prints the threshold table (from a prior solve of the same
               problem, by solve_record.json, otherwise solving first).
 
@@ -35,10 +34,10 @@ Exit codes: 0 ok, 2 config or usage error (including an empty --out, a
 holding-cost table that overflows float64 before solver.tau_max or
 sim.horizon, and a solved policy that is missing, unreadable, malformed or
 does not match the config, reported as "stale policy"), or an artifact that
-cannot be written ("output error: cannot write '<path>': <OS reason>") or an
-earlier file that solve cannot remove ("output error: cannot remove
-'<path>': <OS reason>"), or an earlier solve's thresholds.csv that cannot be
-read ("output error: cannot read '<path>': <reason>"),
+cannot be written ("output error: cannot write '<path>': <OS reason>") or a
+file a command cannot remove ("output error: cannot remove '<path>': <OS
+reason>"), or an earlier solve's thresholds.csv that cannot be read ("output
+error: cannot read '<path>': <reason>"),
 3 convergence failure (including a covariance fixed point under which the
 holding cost falls by more than rounding), 4 verification failure (a failed
 verify check, or a solve or thresholds whose stop region is not an upper
@@ -79,6 +78,8 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer kille
 SOLVE_RECORD = "solve_record.json"
 VERIFY_REPORT = "verify_report.json"
 Q_VALUES = "q_values.npy"
+ARTIFACTS = ("q_values.csv", "value_policy.csv", Q_VALUES, "thresholds.csv", VERIFY_REPORT,
+             "simstats_*.json", "traces_*.csv")
 
 
 def __getattr__(name):
@@ -95,8 +96,8 @@ class StalePolicyError(Exception):
 
 
 class OutputError(Exception):
-    """An artifact could not be written, or one that an earlier solve wrote
-    could not be read."""
+    """An artifact could not be written or removed, or one that an earlier
+    solve wrote could not be read."""
 
 
 @contextmanager
@@ -294,36 +295,18 @@ def cmd_solve(cfg: RunConfig, quiet: bool = False) -> int:
     out_dir = Path(cfg.out_dir)
     t0 = time.perf_counter()
     ss, sol = _pipeline(cfg)
-    # a stop region without a threshold fails before any artifact is written,
-    # so no earlier solve's files are paired with this config's record
+    # a stop region without a threshold fails before any file is removed or
+    # written, so the directory keeps the problem its record names
     th = None
     if cfg.is_stopping:
         from . import stopping
         th = stopping.extract_threshold(sol)
-    # the record goes before any artifact and comes back last: a solve that
-    # stops partway leaves no record vouching for the files it did write.
-    # Files this solve cannot vouch for go before it, so a failed removal
-    # leaves the record that names their problem: a general solve's threshold
-    # table (it writes none), a report that does not name this problem, and
-    # the report and simulations of another problem's record
-    record = out_dir / SOLVE_RECORD
-    gone = [] if cfg.is_stopping else [out_dir / "thresholds.csv"]
-    stale = record.exists() and _stale_reason(cfg, out_dir)
-    if stale or _stale_reason(cfg, out_dir, VERIFY_REPORT):
-        gone.append(out_dir / VERIFY_REPORT)
-    if stale:
-        gone += [*sorted(out_dir.glob("simstats_*.json")), *sorted(out_dir.glob("traces_*.csv"))]
-    for path in (*gone, record):
-        try:
-            path.unlink(missing_ok=True)
-        except OSError as exc:
-            raise OutputError(f"cannot remove '{path}': {exc.strerror or exc}") from None
-    write_solution_csvs(sol, out_dir)
-    with _artifact(out_dir / Q_VALUES, binary=True) as fh:
-        np.save(fh, sol.Qfun)
-    if th is not None:
-        write_thresholds_csv(th, out_dir)
-    write_json(record, {"problem_sha256": cfg.problem_sha256})
+    with _claim(cfg, out_dir):
+        write_solution_csvs(sol, out_dir)
+        with _artifact(out_dir / Q_VALUES, binary=True) as fh:
+            np.save(fh, sol.Qfun)
+        if th is not None:
+            write_thresholds_csv(th, out_dir)
     if not quiet:
         print(f"steady-state covariance trace: {_fmt(np.trace(ss.Pbar))}")
         after = " and ".join(f"{n} on grid {g}" for g, n in reversed(sol.coarse_levels))
@@ -444,7 +427,9 @@ def _verify_battery(cfg: RunConfig):
 def cmd_verify(cfg: RunConfig, quiet: bool = False) -> int:
     out_dir = Path(cfg.out_dir)
     results, source = _verify_battery(cfg)
-    write_json(out_dir / VERIFY_REPORT, {"checks": results, "problem_sha256": cfg.problem_sha256})
+    with _claim(cfg, out_dir):
+        write_json(out_dir / VERIFY_REPORT, {"checks": results,
+                                             "problem_sha256": cfg.problem_sha256})
     count = {s: sum(r["status"] == s for r in results) for s in ("pass", "fail", "skip")}
     if not quiet:
         for r in results:
@@ -455,14 +440,12 @@ def cmd_verify(cfg: RunConfig, quiet: bool = False) -> int:
     return EXIT_VERIFICATION if count["fail"] else EXIT_OK
 
 
-def _stale_reason(cfg: RunConfig, out_dir: Path, name: str = SOLVE_RECORD):
-    """Why the JSON file ``name`` in out_dir is not for cfg: None when it
-    records cfg's problem hash, otherwise what it holds (or that it is
-    missing or unreadable). By default the file is solve_record.json, which
-    vouches for the solve artifacts."""
-    record = out_dir / name
+def _stale_reason(cfg: RunConfig, out_dir: Path):
+    """Why out_dir's solve_record.json does not name cfg's problem: None when
+    it does, otherwise what it holds (or that it is missing or unreadable)."""
     try:
-        solved_for = json.loads(record.read_text(encoding="utf-8")).get("problem_sha256")
+        solved_for = json.loads((out_dir / SOLVE_RECORD).read_text(
+            encoding="utf-8")).get("problem_sha256")
     except FileNotFoundError:
         found = "is missing"
     except (OSError, ValueError, AttributeError) as exc:
@@ -471,7 +454,23 @@ def _stale_reason(cfg: RunConfig, out_dir: Path, name: str = SOLVE_RECORD):
         if solved_for == cfg.problem_sha256:
             return None
         found = f"records problem sha256 {solved_for}" if solved_for else "is missing"
-    return f"{name} {found}, this config has {cfg.problem_sha256}"
+    return f"{SOLVE_RECORD} {found}, this config has {cfg.problem_sha256}"
+
+
+@contextmanager
+def _claim(cfg: RunConfig, out_dir: Path, *drop: str):
+    """out_dir made cfg's for the block's writes: the files named in drop go,
+    or every ARTIFACTS file when the record is not cfg's, then the record, which
+    the block writes last. A failed removal is an OutputError; the record stays."""
+    gone = ([path for pattern in ARTIFACTS for path in sorted(out_dir.glob(pattern))]
+            if _stale_reason(cfg, out_dir) else [out_dir / name for name in drop])
+    for path in (*gone, out_dir / SOLVE_RECORD):
+        try:
+            path.unlink(missing_ok=True)
+        except OSError as exc:
+            raise OutputError(f"cannot remove '{path}': {exc.strerror or exc}") from None
+    yield
+    write_json(out_dir / SOLVE_RECORD, {"problem_sha256": cfg.problem_sha256})
 
 
 def _build_policy(cfg: RunConfig, name: str, out_dir: Path):
@@ -558,9 +557,10 @@ def cmd_simulate(cfg: RunConfig, policy_name: str, quiet: bool = False) -> int:
                "success_rate_per_mode": [None if np.isnan(r) else r
                                          for r in stats.success_rate_per_mode]}
     safe_name = policy_name.replace(":", "_")
-    write_json(out_dir / f"simstats_{safe_name}.json", payload)
-    if traces is not None:
-        write_traces_csv(traces, out_dir, safe_name)
+    with _claim(cfg, out_dir, f"traces_{safe_name}.csv"):  # no older run's trace stays
+        write_json(out_dir / f"simstats_{safe_name}.json", payload)
+        if traces is not None:
+            write_traces_csv(traces, out_dir, safe_name)
     if not quiet:
         print(f"policy {policy_name}: mean discounted cost "
               f"{_fmt(stats.mean_discounted_cost)} +- {_fmt(stats.stderr)} "

@@ -676,6 +676,21 @@ class TestSimulate:
         assert "config error" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_no_trace_removes_an_old_one_of_its_policy(self, tmp_path):
+        # a trace stays only beside the simstats of the run that wrote it
+        traced, _ = write_cfg(tmp_path, {"output.emit_traces": True, "sim.n_runs": 20})
+        p, _ = write_cfg(tmp_path, name="untraced.yaml")
+        out = tmp_path / "out"
+        for policy in ("never-stop", "stop-now"):
+            assert main(["simulate", "--config", str(traced), "--policy", policy,
+                         "--seed", "1", "--quiet"]) == 0
+        assert main(["simulate", "--config", str(p), "--policy", "never-stop",
+                     "--seed", "2", "--quiet"]) == 0
+        assert sorted(f.name for f in out.iterdir()) == [
+            "simstats_never-stop.json", "simstats_stop-now.json", "solve_record.json",
+            "traces_stop-now.csv"]
+        assert json.loads((out / "simstats_never-stop.json").read_text())["seed"] == 2
+
     def test_threshold_policy_and_traces(self, tmp_path):
         p, _ = write_cfg(tmp_path, {"output.emit_traces": True,
                                     "sim.n_runs": 5, "sim.horizon": 12})
@@ -1153,20 +1168,29 @@ class TestStoredSolution:
         assert len(solves) > n
         assert again[2].startswith("value checks on a new solve: ") and reason in again[2]
 
-    def test_a_partial_solve_leaves_no_record(self, tmp_path, capsys, solves):
-        # config X solved, then config Y's solve stops at q_values.npy after
-        # writing its CSVs: nothing in the directory may pass for X's solution
+    def test_a_partial_solve_leaves_no_record(self, tmp_path, capsys, monkeypatch, solves):
+        # config X solved, then config Y's solve removes X's files and stops at
+        # q_values.npy after writing its CSVs: nothing in the directory may
+        # pass for X's solution
         px, _ = write_cfg(tmp_path, name="x.yaml")
         py, _ = write_cfg(tmp_path, {"channel.lam_bad": 0.6}, name="y.yaml")
         out = tmp_path / "out"
         assert main(["solve", "--config", str(px), "--quiet"]) == 0
         rc, report, _ = self.verify(px, out, capsys)
         policy_x = (out / "value_policy.csv").read_bytes()
-        (out / "q_values.npy").unlink()
-        (out / "q_values.npy").mkdir()
+
+        def csvs_then_blocked(sol, out_dir):
+            write_solution_csvs(sol, out_dir)
+            (out_dir / "q_values.npy").mkdir()
+
+        monkeypatch.setattr("txsched.cli.write_solution_csvs", csvs_then_blocked)
         assert main(["solve", "--config", str(py), "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            f"output error: cannot write '{out / 'q_values.npy'}': Is a directory\n")
+        (out / "q_values.npy").rmdir()
         assert (out / "value_policy.csv").read_bytes() != policy_x
         assert not (out / "solve_record.json").exists()
+        assert not (out / "verify_report.json").exists()
         capsys.readouterr()
         assert main(["simulate", "--config", str(px), "--policy", "solved", "--quiet"]) == 2
         err = capsys.readouterr().err
@@ -1373,13 +1397,17 @@ class TestExitCodes:
         (["simulate", "--policy", "never-stop"], "simstats_never-stop.json"),
     ])
     def test_artifact_that_cannot_be_written(self, tmp_path, capsys, args, artifact):
-        # the fault is in the output directory, not in the config
+        # the fault is in the output directory, not in the config; the record
+        # names the config's problem, so the command removes no artifact
         p, _ = write_cfg(tmp_path)
+        record = tmp_path / "out" / "solve_record.json"
         blocked = tmp_path / "out" / artifact
         blocked.mkdir(parents=True)
+        record.write_text(json.dumps({"problem_sha256": tx.load_config(p).problem_sha256}))
         assert main([args[0], "--config", str(p), *args[1:]]) == 2
         assert capsys.readouterr().err == (
             f"output error: cannot write '{blocked}': Is a directory\n")
+        assert not record.exists()
 
     def test_record_that_cannot_be_removed(self, tmp_path, capsys):
         # solve removes the old record before it writes anything
@@ -1441,35 +1469,79 @@ class TestExitCodes:
         assert main(["solve", "--config", str(p), "--quiet"]) == 0
         assert not (out / "verify_report.json").exists()
 
-    def test_solve_removes_another_problems_report_without_a_record(self, tmp_path):
-        # verify and simulate write no record; the report names its problem
+    def test_solve_after_verify_and_simulate_of_another_problem(self, tmp_path):
+        # verify and simulate write the record that names their problem, so
+        # none of their files stays beside another problem's solve
         out = tmp_path / "out"
         example = ["--config", str(ROOT / "configs/example.yaml"), "--out", str(out), "--quiet"]
         assert main(["verify", *example]) == 0
         assert main(["simulate", *example, "--policy", "never-stop"]) == 0
+        assert sorted(f.name for f in out.iterdir()) == [
+            "simstats_never-stop.json", "solve_record.json", "verify_report.json"]
         assert main(["solve", "--config", str(ROOT / "bench/workloads/general-slow.yaml"),
                      "--out", str(out), "--quiet"]) == 0
-        assert not (out / "verify_report.json").exists()
+        assert sorted(f.name for f in out.iterdir()) == [
+            "q_values.csv", "q_values.npy", "solve_record.json", "value_policy.csv"]
 
+    @pytest.mark.parametrize("record", ["this", "other"])
     @pytest.mark.parametrize("names", ["this", "other", "none", "unreadable"])
-    def test_solve_keeps_only_a_report_that_names_its_problem(self, tmp_path, names):
+    def test_the_record_not_the_report_decides(self, tmp_path, names, record):
+        # the report's problem_sha256 is part of the artifact; solve keeps
+        # the report when the record names its problem, whatever the report says
         p, _ = write_cfg(tmp_path)
         out = tmp_path / "out"
         assert main(["verify", "--config", str(p), "--quiet"]) == 0
         report = out / "verify_report.json"
         data = json.loads(report.read_text())
-        assert sorted(data) == ["checks", "problem_sha256"]
-        assert data["problem_sha256"] == tx.load_config(p).problem_sha256
+        sha = tx.load_config(p).problem_sha256
+        assert sorted(data) == ["checks", "problem_sha256"] and data["problem_sha256"] == sha
+        assert json.loads((out / "solve_record.json").read_text()) == {"problem_sha256": sha}
         if names == "other":
             data["problem_sha256"] = "0" * 64
         elif names == "none":
             del data["problem_sha256"]
         report.write_text("not json" if names == "unreadable" else json.dumps(data))
+        if record == "other":
+            (out / "solve_record.json").write_text(json.dumps({"problem_sha256": "0" * 64}))
         before = report.read_bytes()
-        assert not (out / "solve_record.json").exists()
         assert main(["solve", "--config", str(p), "--quiet"]) == 0
         assert (report.read_bytes() if report.exists() else None) == (
-            before if names == "this" else None)
+            before if record == "this" else None)
+
+    @pytest.mark.parametrize("args, written", [
+        (["verify"], "verify_report.json"),
+        (["simulate", "--policy", "never-stop"], "simstats_never-stop.json")])
+    def test_verify_and_simulate_empty_another_problems_directory(self, tmp_path, args,
+                                                                  written):
+        p, _ = write_cfg(tmp_path)
+        other, _ = write_cfg(tmp_path, {"costs.c_stop": 12.0, "output.emit_traces": True},
+                             name="other.yaml")
+        out = tmp_path / "out"
+        for step in (["solve"], ["verify"], ["simulate", "--policy", "never-stop"]):
+            assert main([step[0], "--config", str(other), "--quiet", *step[1:]]) == 0
+        assert main([args[0], "--config", str(p), "--quiet", *args[1:]]) == 0
+        assert sorted(f.name for f in out.iterdir()) == sorted([written, "solve_record.json"])
+        assert json.loads((out / "solve_record.json").read_text()) == {
+            "problem_sha256": tx.load_config(p).problem_sha256}
+
+    @pytest.mark.parametrize("args", [["verify"], ["simulate", "--policy", "never-stop"]])
+    def test_another_problems_artifact_that_cannot_be_removed(self, tmp_path, capsys, args):
+        # verify and simulate remove another problem's artifacts as solve does,
+        # and a removal that fails keeps the record that names their problem
+        p, _ = write_cfg(tmp_path)
+        other, _ = write_cfg(tmp_path, {"costs.c_stop": 12.0}, name="other.yaml")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(other), "--quiet"]) == 0
+        record = (out / "solve_record.json").read_bytes()
+        blocked = out / "thresholds.csv"
+        blocked.unlink()
+        blocked.mkdir()
+        capsys.readouterr()
+        assert main([args[0], "--config", str(p), *args[1:]]) == 2
+        assert capsys.readouterr() == ("", f"output error: cannot remove '{blocked}': "
+                                           "Is a directory\n")
+        assert sorted(f.name for f in out.iterdir()) == ["solve_record.json", "thresholds.csv"]
+        assert (out / "solve_record.json").read_bytes() == record
 
     def test_report_that_cannot_be_removed(self, tmp_path, capsys):
         # the report goes before the record, which still names its problem
@@ -1538,3 +1610,57 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("model inconsistency: observed a zero-probability branch")
         assert "config error" not in err
+
+
+SOLVED = ("q_values.csv", "value_policy.csv", "q_values.npy", "thresholds.csv")
+WRITES = {"solve": SOLVED, "thresholds": SOLVED, "verify": ("verify_report.json",),
+          "simulate": ("simstats_never-stop.json",)}
+
+
+@pytest.fixture(scope="module")
+def two_problems(tmp_path_factory):
+    """Two tiny stopping problems whose artifacts all differ: the config of
+    each (problem, traces) and, per problem, the bytes of every file its
+    commands write into a fresh directory."""
+    root = tmp_path_factory.mktemp("two_problems")
+    small = {"solver.grid_n": 20, "solver.tau_max": 10, "sim.n_runs": 50}
+    configs, files = {}, {}
+    for name, lam_bad in (("x", 0.2), ("y", 0.5)):
+        for traces in (False, True):
+            configs[name, traces] = write_cfg(
+                root, {**small, "channel.lam_bad": lam_bad, "output.emit_traces": traces},
+                name=f"{name}{int(traces)}.yaml")[0]
+        out = root / name
+        for args in (["solve"], ["verify"], ["simulate", "--policy", "never-stop"]):
+            assert main([args[0], "--config", str(configs[name, True]), "--out", str(out),
+                         "--quiet", *args[1:]]) == 0
+        files[name] = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert len(files["x"]) == 8 and all(files["x"][f] != files["y"][f] for f in files["x"])
+    return configs, files
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(steps=st.lists(st.tuples(st.sampled_from(sorted(WRITES)), st.sampled_from("xy"),
+                                st.booleans()), min_size=1, max_size=8))
+def test_a_directory_holds_the_files_of_the_last_problem(two_problems, tmp_path_factory,
+                                                         steps):
+    # after every command, each file in the directory is what a command of
+    # the record's problem last wrote there, and the record names the problem
+    # of the last command
+    configs, files = two_problems
+    out = tmp_path_factory.mktemp("steps")
+    owner = {}  # file -> the problem whose command last wrote it
+    for command, problem, traces in steps:
+        args = ["--policy", "never-stop"] if command == "simulate" else []
+        assert main([command, "--config", str(configs[problem, traces]), "--out", str(out),
+                     "--quiet", *args]) == 0
+        if owner.get("solve_record.json") != problem:
+            owner.clear()
+        if command == "simulate" and not traces:
+            owner.pop("traces_never-stop.csv", None)
+        if command != "thresholds" or "thresholds.csv" not in owner:
+            written = WRITES[command] + (("traces_never-stop.csv",)
+                                         if command == "simulate" and traces else ())
+            owner.update(dict.fromkeys((*written, "solve_record.json"), problem))
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == {
+            name: files[who][name] for name, who in owner.items()}
