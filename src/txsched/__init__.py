@@ -20,8 +20,8 @@ _EXPORTS = {
                    "verify_value_monotonicity", "weight_profile"),
     "channel": ("ChannelModel", "check_mode_kernel_tp2", "make_gilbert_elliott",
                 "make_persistent_failure"),
-    "config": ("ConfigError", "RunConfig", "SimConfig", "SolverConfig", "load_config",
-               "parse_config"),
+    "config": ("ConfigError", "OutputConfig", "RunConfig", "SimConfig", "SolverConfig",
+               "load_config", "parse_config"),
     "folding": ("FoldEquivalenceReport", "FoldedTP2Report", "composite_kernel",
                 "composite_kernel_folded", "folded_observation", "folded_outcome_prob",
                 "unfolded_tp2_counterexample", "verify_fold_equivalence",

@@ -373,9 +373,10 @@ def success_margin(ch: ChannelModel, spectral_radius: float) -> tuple:
     """(lam_min, bound) of the success margin lam_min > bound = 1 - 1/rho(A)^2:
     the least success probability of the channel, and the bound it must
     exceed for the expected holding cost to stay summable. The bound is
-    negative for a stable plant (-inf at rho = 0), so any channel passes."""
-    rho = spectral_radius
-    return ch.min_success_prob(), -math.inf if rho == 0.0 else 1.0 - 1.0 / rho**2
+    negative for a stable plant (-inf where rho^2 is 0 in floats, as for rho
+    below 1e-162), so any channel passes."""
+    rho2 = spectral_radius**2
+    return ch.min_success_prob(), -math.inf if rho2 == 0.0 else 1.0 - 1.0 / rho2
 
 
 def _require_contraction(ch: ChannelModel, spectral_radius: float, eps: float):

@@ -37,7 +37,9 @@ does not match the config, reported as "stale policy"), or an artifact that
 cannot be written ("output error: cannot write '<path>': <OS reason>") or a
 file a command cannot remove ("output error: cannot remove '<path>': <OS
 reason>"), or an earlier solve's thresholds.csv that cannot be read ("output
-error: cannot read '<path>': <reason>"),
+error: cannot read '<path>': <reason>"), or a standard output that cannot be
+written, as on a full device ("output error: cannot write standard output:
+<OS reason>"),
 3 convergence failure (including a covariance fixed point under which the
 holding cost falls by more than rounding), 4 verification failure (a failed
 verify check, or a solve or thresholds whose stop region is not an upper
@@ -64,7 +66,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import check_mode_kernel_tp2
-from .config import ConfigError, RunConfig, SimConfig, load_config
+from .config import ConfigError, OutputConfig, RunConfig, SimConfig, load_config
 from .lti_estimation import ConvergenceError, holding_cost_table, steady_state_covariance
 from .stochastic_orders import StructureViolationError, ZeroLikelihoodError
 
@@ -292,7 +294,7 @@ def _pipeline(cfg: RunConfig):
 
 
 def cmd_solve(cfg: RunConfig, quiet: bool = False) -> int:
-    out_dir = Path(cfg.out_dir)
+    out_dir = Path(cfg.output.directory)
     t0 = time.perf_counter()
     ss, sol = _pipeline(cfg)
     # a stop region without a threshold fails before any file is removed or
@@ -308,16 +310,16 @@ def cmd_solve(cfg: RunConfig, quiet: bool = False) -> int:
         if th is not None:
             write_thresholds_csv(th, out_dir)
     if not quiet:
-        print(f"steady-state covariance trace: {_fmt(np.trace(ss.Pbar))}")
         after = " and ".join(f"{n} on grid {g}" for g, n in reversed(sol.coarse_levels))
-        print(f"value iteration: {sol.sweeps_used} sweeps on grid {sol.grid_n}"
-              + (f" after {after}" if after else "")
-              + f", certified error {sol.certified_error:.3e}, residual "
-              f"{sol.final_residual:.3e}, {time.perf_counter() - t0:.2f}s"
-              + ("" if sol.certified_error <= cfg.solver.vi_tol else
-                 f"; above solver.vi_tol {cfg.solver.vi_tol:g} (rounding floor)"))
-        print(f"wrote {out_dir}/q_values.csv, {out_dir}/value_policy.csv, {out_dir}/{Q_VALUES}"
-              + (f", {out_dir}/thresholds.csv" if cfg.is_stopping else ""))
+        _say(f"steady-state covariance trace: {_fmt(np.trace(ss.Pbar))}",
+             f"value iteration: {sol.sweeps_used} sweeps on grid {sol.grid_n}"
+             + (f" after {after}" if after else "")
+             + f", certified error {sol.certified_error:.3e}, residual "
+             f"{sol.final_residual:.3e}, {time.perf_counter() - t0:.2f}s"
+             + ("" if sol.certified_error <= cfg.solver.vi_tol else
+                f"; above solver.vi_tol {cfg.solver.vi_tol:g} (rounding floor)"),
+             f"wrote {out_dir}/q_values.csv, {out_dir}/value_policy.csv, {out_dir}/{Q_VALUES}"
+             + (f", {out_dir}/thresholds.csv" if cfg.is_stopping else ""))
     return EXIT_OK
 
 
@@ -393,7 +395,7 @@ def _verify_battery(cfg: RunConfig):
         f"{upd.n_update_checks} update checks, likelihood dominance on all "
         f"{upd.n_fsd_checks} ordered state pairs" + ("" if upd.ok else
                      f"; violations {upd.update_violations[:3] + upd.fsd_violations[:3]}"))
-    out_dir = Path(cfg.out_dir)
+    out_dir = Path(cfg.output.directory)
     sol, why = _stored_solution(cfg, out_dir)
     if sol is None:
         _, sol = _pipeline(cfg)
@@ -425,18 +427,16 @@ def _verify_battery(cfg: RunConfig):
 
 
 def cmd_verify(cfg: RunConfig, quiet: bool = False) -> int:
-    out_dir = Path(cfg.out_dir)
+    out_dir = Path(cfg.output.directory)
     results, source = _verify_battery(cfg)
     with _claim(cfg, out_dir):
         write_json(out_dir / VERIFY_REPORT, {"checks": results,
                                              "problem_sha256": cfg.problem_sha256})
     count = {s: sum(r["status"] == s for r in results) for s in ("pass", "fail", "skip")}
     if not quiet:
-        for r in results:
-            print(f"{r['status'].upper():4s} {r['check']}: {r['detail']}")
-        print(source)
-        print(f"{count['pass']}/{len(results)} checks passed"
-              + (f", {count['skip']} skipped" if count["skip"] else ""))
+        _say(*(f"{r['status'].upper():4s} {r['check']}: {r['detail']}" for r in results),
+             source, f"{count['pass']}/{len(results)} checks passed"
+             + (f", {count['skip']} skipped" if count["skip"] else ""))
     return EXIT_VERIFICATION if count["fail"] else EXIT_OK
 
 
@@ -521,10 +521,11 @@ def _seed(text: str) -> int:
 
 
 def _out_dir(text: str) -> str:
-    """The --out argument; an empty one is a usage error."""
-    if not text:
-        raise argparse.ArgumentTypeError("expected a nonempty string")
-    return text
+    """The --out argument; one that output.directory cannot hold is a usage error."""
+    try:
+        return OutputConfig(directory=text).directory
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc).removeprefix("output.directory: ")) from None
 
 
 def write_traces_csv(traces: dict, out_dir: Path, policy_name: str):
@@ -541,15 +542,15 @@ def cmd_simulate(cfg: RunConfig, policy_name: str, quiet: bool = False) -> int:
     from . import sim
     if cfg.sim is None:
         raise ConfigError("sim", "missing section required by simulate")
-    out_dir = Path(cfg.out_dir)
+    out_dir = Path(cfg.output.directory)
     policy = _build_policy(cfg, policy_name, out_dir)
     ss = steady_state_covariance(cfg.system)
     table = _cost_table(cfg, ss, cfg.sim.horizon, "sim.horizon")
     t0 = time.perf_counter()
     result = sim.run_batch(cfg.channel, table.costs, cfg.c_stop,
                            cfg.solver.gamma, policy, cfg.sim,
-                           collect_traces=cfg.emit_traces)
-    stats, traces = result if cfg.emit_traces else (result, None)
+                           collect_traces=cfg.output.emit_traces)
+    stats, traces = result if cfg.output.emit_traces else (result, None)
     # str keys sort lexicographically, as JSON keys; a NaN rate (no attempts) is null
     payload = {**asdict(stats), "policy": policy_name, "seed": cfg.sim.seed,
                "gamma": cfg.solver.gamma,
@@ -562,52 +563,59 @@ def cmd_simulate(cfg: RunConfig, policy_name: str, quiet: bool = False) -> int:
         if traces is not None:
             write_traces_csv(traces, out_dir, safe_name)
     if not quiet:
-        print(f"policy {policy_name}: mean discounted cost "
-              f"{_fmt(stats.mean_discounted_cost)} +- {_fmt(stats.stderr)} "
-              f"({stats.n_runs} runs, {time.perf_counter() - t0:.2f}s)")
+        _say(f"policy {policy_name}: mean discounted cost "
+             f"{_fmt(stats.mean_discounted_cost)} +- {_fmt(stats.stderr)} "
+             f"({stats.n_runs} runs, {time.perf_counter() - t0:.2f}s)")
     return EXIT_OK
 
 
 def cmd_thresholds(cfg: RunConfig, quiet: bool = False) -> int:
-    out_dir = Path(cfg.out_dir)
+    out_dir = Path(cfg.output.directory)
     path = out_dir / "thresholds.csv"
     if not path.exists() or _stale_reason(cfg, out_dir):
-        rc = cmd_solve(cfg, quiet=True)
-        if rc != EXIT_OK:
-            return rc
+        cmd_solve(cfg, quiet=True)  # returns EXIT_OK or raises
     try:
         lines = path.read_text(encoding="utf-8").strip().split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc  # a decode error has none
         raise OutputError(f"cannot read '{path}': {reason}") from None
     if not quiet:
-        for line in lines:
-            print(line)
+        _say(*lines)
     return EXIT_OK
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    """cfg with --out as output.directory and --seed as sim.seed, in the
-    models and in the normalized dict alike; the seed is checked again by
-    SimConfig."""
-    seed = getattr(args, "seed", None)
-    if args.out is None and seed is None:
-        return cfg
-    raw, changes = cfg.to_dict(), {}
+    """cfg with --out as output.directory and --seed as sim.seed, each put
+    into its section model by dataclasses.replace, which checks it again;
+    to_dict and problem_sha256 read the models, so they follow."""
+    changes, seed = {}, getattr(args, "seed", None)
     if args.out is not None:
-        raw["output"]["directory"] = changes["out_dir"] = args.out
+        changes["output"] = replace(cfg.output, directory=args.out)
     if seed is not None:
         if cfg.sim is None:
             raise ConfigError("sim", "cannot override the seed without a sim section")
         changes["sim"] = replace(cfg.sim, seed=seed)
-        raw["sim"]["seed"] = changes["sim"].seed
-    return replace(cfg, raw=raw, **changes)
+    return replace(cfg, **changes)
+
+
+def _say(*lines):
+    """Print lines to standard output and flush it. A failed write sends
+    stdout to os.devnull, so the flush at exit adds no second message, and is
+    an OutputError, unless the reader has gone (BrokenPipeError, exit 141)."""
+    try:
+        print(*lines, sep="\n")
+        sys.stdout.flush()
+    except OSError as exc:
+        _stdout_to_devnull()
+        if isinstance(exc, BrokenPipeError):
+            raise
+        raise OutputError(f"cannot write standard output: {exc.strerror or exc}") from None
 
 
 def _stdout_to_devnull():
-    """Point standard output at os.devnull once its reader has gone, so the
-    text still buffered, and the interpreter's flush at exit, go nowhere
-    instead of raising BrokenPipeError again."""
+    """Point standard output at os.devnull once a write to it has failed (its
+    reader has gone, or its device is full), so the text still buffered, and
+    the interpreter's flush at exit, go nowhere instead of failing again."""
     devnull = os.open(os.devnull, os.O_WRONLY)
     try:
         os.dup2(devnull, sys.stdout.fileno())
@@ -637,30 +645,22 @@ def main(argv=None) -> int:
     sub.add_parser("thresholds", parents=[common], help="print the threshold table")
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        cfg = _apply_overrides(cfg, args)
+        cfg = _apply_overrides(load_config(args.config), args)
         if args.command in ("simulate", "thresholds") and not cfg.is_stopping:
             parser.error(f"{args.command} needs the stopping formulation, and the config "
                          "sets no costs.c_stop")
         try:
-            Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+            Path(cfg.output.directory).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
-            reason = f"cannot create directory {cfg.out_dir!r}: {exc.strerror}"
+            reason = f"cannot create directory {cfg.output.directory!r}: {exc.strerror}"
             if args.out is not None:
                 parser.error(f"argument --out: {reason}")
             raise ConfigError("output.directory", reason) from None
-        if args.command == "solve":
-            rc = cmd_solve(cfg, quiet=args.quiet)
-        elif args.command == "verify":
-            rc = cmd_verify(cfg, quiet=args.quiet)
-        elif args.command == "simulate":
-            rc = cmd_simulate(cfg, args.policy, quiet=args.quiet)
-        else:
-            rc = cmd_thresholds(cfg, quiet=args.quiet)
-        sys.stdout.flush()  # a reader that has gone shows here, not at exit
-        return rc
-    except BrokenPipeError:
-        _stdout_to_devnull()
+        if args.command == "simulate":
+            return cmd_simulate(cfg, args.policy, quiet=args.quiet)
+        command = {"solve": cmd_solve, "verify": cmd_verify, "thresholds": cmd_thresholds}
+        return command[args.command](cfg, quiet=args.quiet)
+    except BrokenPipeError:  # from _say, which sent stdout to os.devnull
         return EXIT_BROKEN_PIPE
     except StalePolicyError as exc:
         print(f"stale policy: {exc}", file=sys.stderr)

@@ -3,9 +3,11 @@
 The file is a nested mapping with sections system / channel / costs / solver /
 sim / output. Physics parameters (plant matrices, channel tables, costs, the
 discount factor) have no defaults; only solver knobs and output settings do.
-The solver and sim sections become SolverConfig and SimConfig, defined here so
-that loading a config imports neither the solver nor the simulator; each
-checks its own fields, so one built directly names the same dotted path.
+The solver, sim and output sections become SolverConfig, SimConfig and
+OutputConfig, defined here so that loading a config imports neither the
+solver nor the simulator; each checks its own fields, so one built directly
+or by an override names the same dotted path, and RunConfig.to_dict reads
+the normalized mapping back from the models.
 Unknown keys anywhere are rejected, and every validation error names the
 offending field by its dotted path. Array fields are read as the models read
 them: a system matrix given as a scalar is 1x1 and as a list one row, and a
@@ -19,6 +21,7 @@ import json
 import numbers
 import re
 from dataclasses import MISSING, asdict, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -77,13 +80,25 @@ class SimConfig:
         _store(self, "sim.seed", _integer, lo=0, hi=(1 << 64) - 1)
 
 
+@dataclass(frozen=True)
+class OutputConfig:
+    """Where the artifacts go and whether simulate writes traces; checked
+    like SolverConfig, at ``output.<field>``."""
+
+    directory: str = "out"
+    emit_traces: bool = False
+
+    def __post_init__(self):
+        if not isinstance(self.directory, str) or not self.directory:
+            raise ConfigError("output.directory", "expected a nonempty string")
+        if not isinstance(self.emit_traces, bool):
+            raise ConfigError("output.emit_traces", "expected a boolean")
+
+
 def _store(obj, path, check, **bounds):
     """Replace the field that ``path`` names by its value as ``check`` returns it."""
     name = path.rsplit(".", 1)[1]
     object.__setattr__(obj, name, check(getattr(obj, name), path, **bounds))
-
-
-_OUTPUT_DEFAULTS = {"directory": "out", "emit_traces": False}
 
 
 def _require_mapping(obj, path):
@@ -161,34 +176,41 @@ def _finite_array(value, path):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated configuration with constructed models."""
+    """Validated configuration with constructed models, and the channel
+    section as parsed (type and normalized parameters), since a ChannelModel
+    does not record the family that built it."""
 
     system: LtiSystem
     channel: ChannelModel
+    channel_section: dict
     action_costs: np.ndarray
     c_stop: float | None
     solver: SolverConfig
     sim: SimConfig | None
-    out_dir: str
-    emit_traces: bool
-    raw: dict
+    output: OutputConfig
 
     @property
     def is_stopping(self) -> bool:
         return self.c_stop is not None
 
     def to_dict(self) -> dict:
-        """Normalized configuration (defaults applied, numbers canonical);
-        loading the serialized form reproduces this dict exactly."""
-        return copy.deepcopy(self.raw)
+        """Normalized configuration (defaults applied, numbers canonical),
+        built from the models; loading the serialized form reproduces this
+        dict exactly."""
+        stop = {} if self.c_stop is None else {"c_stop": self.c_stop}
+        out = {"system": {k: getattr(self.system, k).tolist() for k in ("A", "C", "Q", "R")},
+               "channel": copy.deepcopy(self.channel_section),
+               "costs": {"c_a": self.action_costs.tolist(), **stop},
+               "solver": asdict(self.solver), "output": asdict(self.output)}
+        return out if self.sim is None else {**out, "sim": asdict(self.sim)}
 
-    @property
+    @cached_property
     def problem_sha256(self) -> str:
         """sha256 of the normalized sections that determine the solution
         (system, channel, costs, solver); the output and sim sections are
         left out, so ``--out`` and ``--seed`` do not change it."""
         import hashlib
-        problem = {k: self.raw[k] for k in ("system", "channel", "costs", "solver")}
+        problem = {k: v for k, v in self.to_dict().items() if k not in ("output", "sim")}
         return hashlib.sha256(json.dumps(problem, sort_keys=True).encode("utf-8")).hexdigest()
 
 
@@ -198,11 +220,9 @@ def _parse_system(section):
     mats = {k: _finite_array(_get(sec, "system", k), f"system.{k}")
             for k in ("A", "C", "Q", "R")}
     try:
-        system = LtiSystem(**mats)
+        return LtiSystem(**mats)
     except ValueError as exc:
         raise ConfigError("system", str(exc)) from None
-    raw = {k: getattr(system, k).tolist() for k in ("A", "C", "Q", "R")}
-    return system, raw
 
 
 # the closed-form channel families: channel.type -> (constructor, its keys)
@@ -258,35 +278,17 @@ def _parse_costs(section, n_actions):
         if costs[0] != 0.0:
             raise ConfigError("costs.c_a", "the continue action must cost 0 "
                                            "in stopping mode")
-    raw = {"c_a": costs.tolist()}
-    if c_stop is not None:
-        raw["c_stop"] = c_stop
-    return costs, c_stop, raw
+    return costs, c_stop
 
 
 def _parse_section(cls, section, path):
-    """``cls`` built (and so checked) from the mapping ``section``, and its dict."""
+    """``cls`` built (and so checked) from the mapping ``section``."""
     sec = _require_mapping(section, path)
     _reject_unknown(sec, path, [f.name for f in fields(cls)])
     for f in fields(cls):
         if f.default is MISSING:
             _get(sec, path, f.name)
-    obj = cls(**sec)
-    return obj, asdict(obj)
-
-
-def _parse_output(section):
-    if section is None:
-        section = {}
-    sec = _require_mapping(section, "output")
-    _reject_unknown(sec, "output", tuple(_OUTPUT_DEFAULTS))
-    directory = sec.get("directory", _OUTPUT_DEFAULTS["directory"])
-    if not isinstance(directory, str) or not directory:
-        raise ConfigError("output.directory", "expected a nonempty string")
-    emit = sec.get("emit_traces", _OUTPUT_DEFAULTS["emit_traces"])
-    if not isinstance(emit, bool):
-        raise ConfigError("output.emit_traces", "expected a boolean")
-    return directory, emit
+    return cls(**sec)
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -297,20 +299,14 @@ def parse_config(data: dict) -> RunConfig:
     for key in ("system", "channel", "costs", "solver"):
         if key not in top:
             raise ConfigError(key, "missing required section")
-    system, raw_system = _parse_system(top["system"])
-    channel, raw_channel = _parse_channel(top["channel"])
-    action_costs, c_stop, raw_costs = _parse_costs(top["costs"], channel.n_actions)
-    solver, raw_solver = _parse_section(SolverConfig, top["solver"], "solver")
-    sim = top.get("sim")
-    simcfg, raw_sim = (None, None) if sim is None else _parse_section(SimConfig, sim, "sim")
-    out_dir, emit = _parse_output(top.get("output"))
-    raw = {"system": raw_system, "channel": raw_channel, "costs": raw_costs,
-           "solver": raw_solver, "output": {"directory": out_dir, "emit_traces": emit}}
-    if raw_sim is not None:
-        raw["sim"] = raw_sim
-    return RunConfig(system=system, channel=channel, action_costs=action_costs,
-                     c_stop=c_stop, solver=solver, sim=simcfg, out_dir=out_dir,
-                     emit_traces=emit, raw=raw)
+    system = _parse_system(top["system"])
+    channel, channel_section = _parse_channel(top["channel"])
+    action_costs, c_stop = _parse_costs(top["costs"], channel.n_actions)
+    sim, output = top.get("sim"), top.get("output")
+    return RunConfig(system, channel, channel_section, action_costs, c_stop,
+                     _parse_section(SolverConfig, top["solver"], "solver"),
+                     None if sim is None else _parse_section(SimConfig, sim, "sim"),
+                     _parse_section(OutputConfig, {} if output is None else output, "output"))
 
 
 def load_config(path) -> RunConfig:

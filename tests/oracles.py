@@ -13,7 +13,8 @@ threshold extraction and its monotonicity check, which the whole-lattice
 passes of ``txsched.stopping`` must equal bit for bit; and the per-matrix
 minor pass and the slice-by-slice folded-TP2 battery, which the stacked
 passes of ``txsched.stochastic_orders`` and ``txsched.folding`` must equal
-check by check.
+check by check; and an exact solve of the lattice problem by policy
+iteration, against which value iteration's certified error is judged.
 """
 
 import warnings
@@ -384,3 +385,60 @@ def loop_verify_folded_tp2(ch: ChannelModel, tau_check: int = 6) -> FoldedTP2Rep
         M = folded_observation(both[:, None], tau, np.arange(tau + 2))
         checks.append(PairCheck("folded_observation", "(delta,y)", *matrix_tp2_pass(M)))
     return FoldedTP2Report(checks=tuple(checks))
+
+
+def policy_iteration(ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
+                     c_stop: float | None = None, max_iter: int = 100):
+    """The lattice problem solved by policy iteration (Howard 1960; Puterman
+    1994, section 6.4), with no sweep and no span rule: one scipy.sparse
+    transition matrix per action, four nonzeros a row, from the solver's own
+    _stencil, and one sparse LU solve of (I - gamma P) V = c per policy. The
+    greedy improvement keeps the current action on ties, so the iteration
+    ends when no action is strictly better anywhere. With c_stop set, the
+    stop action is a last action of cost c_stop and no transition.
+
+    Returns (Q, bound), Q of the solver's (tau, belief, action) shape. Q is
+    the span-rule midpoint T Q_pi + k (max d + min d) / 2 of the last
+    policy's Q_pi, with d = T Q_pi - Q_pi and k = gamma / (1 - gamma), so in
+    exact arithmetic it lies within k * span(d) / 2 of the fixed point; the
+    bound is k * span(d), twice that, to cover the oracle's own rounding."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+    n_tau, n_b = cfg.tau_max + 1, cfg.grid_n + 1
+    n = n_tau * n_b
+    after_failure = np.minimum(np.arange(n_tau) + 1, cfg.tau_max)[:, None] * n_b
+    P, c = [], []
+    for a, (p_succ, p_fail, succ, fail) in enumerate(_stencil(ch, cfg.belief_grid())):
+        cols, vals = [], []
+        for p, (lo, hi, dx, off), start in ((p_succ, succ, 0), (p_fail, fail, after_failure)):
+            w = off / dx  # the interpolation weight of the right end of the cell
+            for col, val in ((start + lo, p * (1.0 - w)), (start + hi, p * w)):
+                cols.append(np.broadcast_to(col, (n_tau, n_b)).ravel())
+                vals.append(np.broadcast_to(val, (n_tau, n_b)).ravel())
+        P.append(sp.csr_matrix((np.concatenate(vals), (np.tile(np.arange(n), 4),
+                                                       np.concatenate(cols))), shape=(n, n)))
+        c.append(np.repeat(cost.holding.costs[:n_tau] + cost.action_costs[a], n_b))
+    if c_stop is not None:
+        P.append(sp.csr_matrix((n, n)))
+        c.append(np.full(n, float(c_stop)))
+
+    def bellman(V):
+        return np.stack([ca + cfg.gamma * (Pa @ V) for Pa, ca in zip(P, c)], axis=1)
+
+    states, eye = np.arange(n), sp.identity(n, format="csc")
+    policy = np.argmin(np.stack(c, axis=1), axis=1)
+    for _ in range(max_iter):
+        P_pi = sum(sp.diags((policy == a).astype(float)) @ Pa for a, Pa in enumerate(P))
+        V = splu((eye - cfg.gamma * P_pi).tocsc()).solve(np.choose(policy, c))
+        Q = bellman(V)
+        better = Q.min(axis=1) < Q[states, policy]
+        if not better.any():
+            break
+        policy = np.where(better, Q.argmin(axis=1), policy)
+    else:
+        raise AssertionError(f"policy iteration did not end in {max_iter} iterations")
+    TQ = bellman(Q.min(axis=1))
+    d = TQ - Q
+    k = cfg.gamma / (1.0 - cfg.gamma)
+    lo, hi = float(d.min()), float(d.max())
+    return (TQ + k * (hi + lo) / 2.0).reshape(n_tau, n_b, -1), k * (hi - lo)

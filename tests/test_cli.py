@@ -1,8 +1,11 @@
 import argparse
+import hashlib
 import io
 import json
+import os
 import pickle
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -743,7 +746,7 @@ class TestOverrides:
         ref = tx.parse_config(raw)
         assert got.to_dict() == ref.to_dict() == raw
         assert got.problem_sha256 == ref.problem_sha256 == cfg.problem_sha256
-        assert (got.sim, got.out_dir) == (ref.sim, ref.out_dir)
+        assert (got.sim, got.output.directory) == (ref.sim, ref.output.directory)
         assert got.sim.seed == (cfg.sim.seed if seed is None else seed)
 
     def test_seed_without_a_sim_section(self, tmp_path, capsys):
@@ -775,6 +778,32 @@ class TestSolvedPolicyProvenance:
         assert main(["solve", "--config", str(p), "--quiet"]) == 0
         record = json.loads((tmp_path / "out" / "solve_record.json").read_text())
         assert record == {"problem_sha256": tx.load_config(p).problem_sha256}
+
+    @pytest.mark.parametrize("path, problem, whole", [
+        ("configs/example.yaml",
+         "f846a77c51721fb8eb4390df4f2bd5b3a4ea43bc5654b502caff83792bd401d8",
+         "b19fa0898ede93719b3568cb4c5485631752e08d2d10c7ec4ff6ca09d1ab2ba1"),
+        ("bench/workloads/ref.yaml",
+         "f846a77c51721fb8eb4390df4f2bd5b3a4ea43bc5654b502caff83792bd401d8",
+         "b19fa0898ede93719b3568cb4c5485631752e08d2d10c7ec4ff6ca09d1ab2ba1"),
+        ("bench/workloads/fine-unstable.yaml",
+         "30574a389e837700f3b8701cfc3952301da6922e8f99eca383c7fa6581b3a9b1",
+         "2c7c59dc5191bfd0d618ce36e140e3b7f92960b695bc2e2dfae85f6db2898e1b"),
+        ("bench/workloads/general-slow.yaml",
+         "d8ef9499c622622233a4b86e34511f5f4735cd777993d52f4ef149c78e9d0fe2",
+         "9371146ed11658c711fe9c7d53c9fcb699017f340e320180c49870bcc0e8be7c")])
+    def test_shipped_configs_keep_their_hashes(self, tmp_path, path, problem, whole):
+        # solve_record.json keys every output directory by problem_sha256, so
+        # a change to how it or to_dict is derived would make the next
+        # command empty every directory written before it
+        cfg = tx.load_config(ROOT / path)
+        assert cfg.problem_sha256 == problem
+        text = json.dumps(cfg.to_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == whole
+        other_seed = None if cfg.sim is None else cfg.sim.seed + 1
+        for out, seed in ((str(tmp_path), None), (None, other_seed), (str(tmp_path), other_seed)):
+            got = _apply_overrides(cfg, argparse.Namespace(out=out, seed=seed))
+            assert got.problem_sha256 == problem
 
     def test_hash_ignores_output_and_sim_sections(self, tmp_path):
         p1, _ = write_cfg(tmp_path, name="a.yaml")
@@ -1388,6 +1417,33 @@ class TestExitCodes:
         assert main(["solve", "--config", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "Is a directory" in err, err
+
+    @staticmethod
+    def run_into_full_device(args):
+        """The CLI in a new interpreter with standard output on /dev/full,
+        so every flush of it fails with ENOSPC."""
+        with open("/dev/full", "w") as full:
+            return subprocess.run([sys.executable, "-m", "txsched.cli", *args], stdout=full,
+                                  stderr=subprocess.PIPE, text=True, timeout=120,
+                                  env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("command", ["solve", "verify", "thresholds"])
+    def test_full_standard_output(self, tmp_path, command):
+        # `txsched solve ... > /dev/full`: the config is valid, the print
+        # fails; no second message follows at interpreter exit
+        p, _ = write_cfg(tmp_path)
+        proc = self.run_into_full_device([command, "--config", str(p)])
+        assert (proc.returncode, proc.stderr) == (
+            2, "output error: cannot write standard output: No space left on device\n")
+        assert (tmp_path / "out" / "solve_record.json").exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_missing_config_with_full_standard_output(self, tmp_path):
+        proc = self.run_into_full_device(["solve", "--config", str(tmp_path / "none.yaml")])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: ") and "none.yaml" in proc.stderr
+        assert proc.stderr.count("\n") == 1, proc.stderr
 
     @pytest.mark.parametrize("args, artifact", [
         (["solve"], "q_values.csv"),

@@ -100,3 +100,11 @@ def test_every_export_resolves():
                    "assert tx.SolverConfig is tx.belief_mdp.SolverConfig\n"
                    "assert tx.SimConfig is tx.sim.SimConfig\n"
                    "assert not hasattr(tx, 'no_such_name')")
+
+
+def test_package_version_is_the_project_version():
+    # the two copies of the version: pyproject.toml's and txsched.__version__
+    tomllib = pytest.importorskip("tomllib")
+    import txsched
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == txsched.__version__

@@ -207,6 +207,12 @@ class TestSuccessMargin:
         lam_min, bound = tx.success_margin(ch, sys_.spectral_radius())
         assert lam_min > bound
 
+    @pytest.mark.parametrize("a", [0.0, 1e-200, -1.75e-248])
+    def test_plant_whose_squared_radius_underflows(self, ge_channel, a):
+        # rho^2 is 0 in floats: the bound is -inf, not a division by zero
+        sys_ = tx.LtiSystem(A=a, C=1.0, Q=0.3, R=0.3)
+        assert tx.success_margin(ge_channel, sys_.spectral_radius()) == (0.2, -np.inf)
+
 
 class TestSystemValidation:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf,
