@@ -58,10 +58,6 @@ class StageCost:
     def n_actions(self) -> int:
         return self.action_costs.size
 
-    @property
-    def spectral_radius(self) -> float:
-        return self.holding.spectral_radius
-
 
 def _weight_base(spectral_radius: float, eps: float) -> float:
     return spectral_radius + eps if spectral_radius >= 1.0 else 1.0
@@ -343,30 +339,30 @@ class Solution:
         return self.Qfun.shape[2]
 
 
-def greedy_policy(Q: np.ndarray, tie_break: str = "low") -> np.ndarray:
-    """Argmin over actions; ties go to the smallest index ('low') or the
-    largest ('high').
+def greedy_policy(Q: np.ndarray, tie_break: str = "low") -> tuple:
+    """(V, policy): the minimum over actions and the argmin, whose ties go to
+    the smallest index ('low') or the largest ('high').
 
     One elementwise pass over the action slices in index order, moving to
     action a on a strict < ('low') or on <= ('high') against the running
-    minimum, as np.argmin does on Q or on Q's reversed actions, which is
+    minimum V, as np.argmin does on Q or on Q's reversed actions, which is
     several times slower over a short action axis. The policy takes a by a
     maximum, since a exceeds every earlier index, in the smallest unsigned
     type that holds the last index. np.argmin takes the first NaN, which no
-    comparison does, so a Q holding a NaN (the running minimum then holds
-    one) goes to np.argmin itself."""
+    comparison does, so a Q holding a NaN (V then holds one) goes to
+    np.argmin and np.minimum.reduce themselves."""
     better = np.less if tie_break == "low" else np.less_equal
     index = np.min_scalar_type(Q.shape[2] - 1).type
-    best = Q[:, :, 0]
+    best = Q[:, :, 0].copy()
     policy = np.zeros(best.shape, dtype=index)
     for a in range(1, Q.shape[2]):
         np.maximum(policy, better(Q[:, :, a], best) * index(a), out=policy)
-        best = np.minimum(best, Q[:, :, a])
-    if not np.isnan(best).any():
-        return policy.astype(np.int64)
-    if tie_break == "low":
-        return np.argmin(Q, axis=2).astype(np.int64)
-    return (Q.shape[2] - 1) - np.argmin(Q[:, :, ::-1], axis=2).astype(np.int64)
+        np.minimum(best, Q[:, :, a], out=best)
+    if np.isnan(best).any():
+        low = tie_break == "low"
+        first = np.argmin(Q if low else Q[:, :, ::-1], axis=2)
+        best, policy = np.minimum.reduce(Q, axis=2), first if low else Q.shape[2] - 1 - first
+    return best, policy.astype(np.int64)
 
 
 def success_margin(ch: ChannelModel, spectral_radius: float) -> tuple:
@@ -405,7 +401,7 @@ def _solve(ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
     """value_iterate; with c_stop set, the solution gains a last action,
     stop, whose Q column is c_stop at every lattice point, and its policy
     stops on ties."""
-    _require_contraction(ch, cost.spectral_radius, cfg.weight_eps)
+    _require_contraction(ch, cost.holding.spectral_radius, cfg.weight_eps)
     _check_problem(ch, cost, cfg)
     Q, sweeps, history, certified, levels = _iterate(ch, cost, cfg, c_stop)
     if c_stop is not None:
@@ -422,9 +418,8 @@ def solution_from_q(Q: np.ndarray, cfg: SolverConfig, stopping: bool, **solve) -
     solve gives the other Solution fields. _solve builds every solution
     here, so a Q read back from a solve's q_values.npy gives the same V and
     policy bit for bit."""
-    return Solution(Qfun=Q, V=_over_actions(np.minimum, Q),
-                    policy=greedy_policy(Q, "high" if stopping else cfg.tie_break),
-                    belief_grid=cfg.belief_grid(), **solve)
+    V, policy = greedy_policy(Q, "high" if stopping else cfg.tie_break)
+    return Solution(Qfun=Q, V=V, policy=policy, belief_grid=cfg.belief_grid(), **solve)
 
 
 def value_iterate(ch: ChannelModel, cost: StageCost, cfg: SolverConfig) -> Solution:

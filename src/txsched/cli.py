@@ -40,8 +40,9 @@ reason>"), or an earlier solve's thresholds.csv that cannot be read ("output
 error: cannot read '<path>': <reason>"), or a standard output that cannot be
 written, as on a full device ("output error: cannot write standard output:
 <OS reason>"),
-3 convergence failure (including a covariance fixed point under which the
-holding cost falls by more than rounding), 4 verification failure (a failed
+3 convergence failure (including a plant with no steady state, as (A, C) is
+not detectable, and a covariance fixed point under which the holding cost
+falls by more than rounding), 4 verification failure (a failed
 verify check, or a solve or thresholds whose stop region is not an upper
 belief interval at some tau; that solve writes no artifact), 5 model
 inconsistency (a simulated observation of zero likelihood: the channel's
@@ -489,7 +490,7 @@ def _build_policy(cfg: RunConfig, name: str, out_dir: Path):
                 f"{path} holds a lattice with tau_max={tau_max}, grid_n={grid_n}, "
                 f"but the config has solver.tau_max={cfg.solver.tau_max}, "
                 f"solver.grid_n={cfg.solver.grid_n}; run solve first")
-        return sim.LatticePolicy(policy, grid_n, tau_max)
+        return sim.LatticePolicy(policy)
     if name == "never-stop":
         return sim.never_stop
     if name == "stop-now":

@@ -164,33 +164,26 @@ def verify_folded_tp2(ch: ChannelModel, tau_check: int = 6) -> FoldedTP2Report:
     shape: a (theta, y) slice at tau holds y in 0..tau+1.
     """
     n_a, T, Y = ch.n_actions, tau_check + 1, tau_check + 2
-    R = max(T, 2)  # rows of a stack that holds both (tau, .) and (theta, .) slices
     taus, ys, both = np.arange(T), np.arange(Y), np.array([0, 1])
     beyond = ys > taus[:, None] + 1  # (tau, y) outside a slice at tau
     F = folded_outcome_prob(ch, both, both[:, None], np.arange(n_a)[:, None, None])
     K = composite_kernel(ch, taus[:, None, None], both[:, None], ys,
                          np.arange(n_a)[:, None, None, None])
     O = np.where(beyond, np.nan, folded_observation(both[:, None, None], taus[:, None], ys))
-    # per action, from F[a, theta, delta]: the (tau, theta) slices at delta 0
-    # and 1, the (tau, delta) slices at theta 0 and 1 and the (theta, delta)
-    # slice; from K[a, tau, theta, y]: the (tau, theta) slices at each y and
-    # the (theta, y) slices at each tau
-    per_action = np.full((n_a, 5 + Y + T, R, Y), np.nan)
-    per_action[:, 0:2, :T, :2] = F.transpose(0, 2, 1)[:, :, None, :]
-    per_action[:, 2:4, :T, :2] = F[:, :, None, :]
-    per_action[:, 4, :2, :2] = F
-    per_action[:, 5:5 + Y, :T, :2] = K.transpose(0, 3, 1, 2)
-    per_action[:, 5 + Y:, :2] = np.where(beyond[:, None, :], np.nan, K)
-    # then, from O[delta, tau, y], the (theta, y) slices at each (delta, tau)
-    # and the (delta, y) slices at each tau
-    observation = np.full((3 * T, R, Y), np.nan)
-    observation[:2 * T, :2] = O.reshape(2 * T, 1, Y)
-    observation[2 * T:, :2] = O.transpose(1, 0, 2)
-    runs = n_a * [("folded_outcome", "(tau,theta)", 2), ("folded_outcome", "(tau,delta)", 2),
-                  ("folded_outcome", "(theta,delta)", 1), ("composite", "(tau,theta)", Y),
-                  ("composite", "(theta,y)", T)] + [("folded_observation", "(theta,y)", 2 * T),
-                                                     ("folded_observation", "(delta,y)", T)]
-    names = [(kernel, pair) for kernel, pair, count in runs for _ in range(count)]
-    results = _tp2_pass(np.concatenate([per_action.reshape(-1, R, Y), observation]))
-    return FoldedTP2Report(checks=tuple(PairCheck(*name, *res)
-                                        for name, res in zip(names, results, strict=True)))
+    # (kernel, pair, its slices) from F[a, theta, delta], K[a, tau, theta, y] and
+    # O[delta, tau, y]: one slice over the pair at each value of the other indices
+    families = [family for a in range(n_a) for family in (
+        ("folded_outcome", "(tau,theta)", F[a].T[:, None].repeat(T, 1)),  # at each delta
+        ("folded_outcome", "(tau,delta)", F[a][:, None].repeat(T, 1)),  # at each theta
+        ("folded_outcome", "(theta,delta)", F[a][None]),
+        ("composite", "(tau,theta)", K[a].transpose(2, 0, 1)),  # at each y
+        ("composite", "(theta,y)", np.where(beyond[:, None], np.nan, K[a])))] + [
+        ("folded_observation", "(theta,y)", O.reshape(2 * T, 1, Y).repeat(2, 1)),
+        ("folded_observation", "(delta,y)", O.transpose(1, 0, 2))]
+    names = [(kernel, pair) for kernel, pair, slices in families for _ in slices]
+    stack, i = np.full((len(names), max(T, 2), Y), np.nan), 0
+    for *_, slices in families:
+        stack[i:i + len(slices), :slices.shape[1], :slices.shape[2]] = slices
+        i += len(slices)
+    return FoldedTP2Report(checks=tuple(PairCheck(*name, *res) for name, res
+                                        in zip(names, _tp2_pass(stack), strict=True)))

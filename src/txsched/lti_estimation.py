@@ -4,7 +4,8 @@ The local estimator runs a standard Kalman filter for
 ``x[t+1] = A x[t] + w[t]``, ``y[t] = C x[t] + v[t]`` and is assumed converged,
 so the remote estimation error depends only on the holding time tau (steps
 since the last delivered packet): it equals the trace of the time-update map
-applied tau times to the steady-state covariance.
+applied tau times to the steady-state covariance. The cost table also
+carries the plant's growth rate rho(A), the one copy that the solver reads.
 
 The module imports nothing from the package, so it also holds the array
 rules of every model: _finite reads a table as finite floats and _frozen
@@ -118,10 +119,14 @@ class LtiSystem:
         sqQ = _psd_sqrt(self.Q)
         ctr = np.hstack([np.linalg.matrix_power(self.A, k) @ sqQ for k in range(n)])
         for label, M in (("(A, C) observability", obs), ("(A, sqrt(Q)) controllability", ctr)):
-            tol = 1e-10 * max(np.linalg.norm(M, 2), 1.0)
-            if np.linalg.matrix_rank(M, tol=tol) < n:
+            if _rank(M) < n:  # stacklevel 4: the caller of the generated __init__
                 warnings.warn(f"{label} rank test failed; steady state may not exist",
-                              stacklevel=3)
+                              stacklevel=4)
+
+
+def _rank(M):
+    """Numerical rank of M, counting singular values above 1e-10 * max(||M||, 1)."""
+    return np.linalg.matrix_rank(M, tol=1e-10 * max(np.linalg.norm(M, 2), 1.0))
 
 
 def _psd_sqrt(X):
@@ -132,10 +137,9 @@ def _psd_sqrt(X):
 
 @dataclass(frozen=True)
 class SteadyStateCov:
-    """Converged local error covariance and the plant's spectral radius."""
+    """Converged local error covariance."""
 
     Pbar: np.ndarray
-    spectral_radius_A: float
 
     def __post_init__(self):
         object.__setattr__(self, "Pbar", _frozen(_as_matrix(_finite(self.Pbar, "Pbar"), "Pbar")))
@@ -144,15 +148,19 @@ class SteadyStateCov:
 @dataclass(frozen=True)
 class HoldingCostTable:
     """Estimation cost per holding time: costs[tau] = tr of the tau-step
-    time-updated steady covariance. Nondecreasing in tau up to rounding."""
+    time-updated steady covariance, nondecreasing in tau up to rounding, and
+    the plant's rho(A), which the solver's contraction hypothesis reads."""
 
     costs: np.ndarray
-    spectral_radius: float = 0.0
+    spectral_radius: float
 
     def __post_init__(self):
         costs = _finite(self.costs, "costs")
         if costs.ndim != 1 or costs.size < 1:
             raise ValueError(f"costs must be a nonempty 1-D array, got shape {costs.shape}")
+        rho = _finite(self.spectral_radius, "spectral_radius")
+        if rho.shape or rho < 0.0:
+            raise ValueError(f"spectral_radius must be a number >= 0, got {rho}")
         object.__setattr__(self, "costs", _frozen(costs))
 
     @property
@@ -190,14 +198,20 @@ def steady_state_covariance(sys: LtiSystem, tol: float = 1e-12,
     """Fixed point of the filter recursion, iterated from X = 0.
 
     Applies measurement_update(time_update(.)) until the sup-norm of the
-    iterate difference drops below tol. Raises ConvergenceError with the last
-    residual if max_iter is exhausted, and at once when the residual is no
-    longer finite (an overflowing or NaN iterate never converges).
+    iterate difference drops below tol. Raises ConvergenceError at once when
+    (A, C) is not detectable (PBH: an eigenvalue lam of a finite A with |lam|
+    >= 1 has rank [A - lam I; C] < n, and that mode's error never settles)
+    or the residual is no longer finite (an overflowing or NaN iterate never
+    converges), and with the last residual if max_iter is exhausted.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
+    for lam in np.linalg.eigvals(sys.A) if np.isfinite(sys.A).all() else ():
+        if abs(lam) >= 1.0 and _rank(np.vstack([sys.A - lam * np.eye(sys.n), sys.C])) < sys.n:
+            raise ConvergenceError(f"no steady state: (A, C) is not detectable; C does not "
+                                   f"observe the eigenvalue {lam if lam.imag else lam.real} of A")
     X = np.zeros((sys.n, sys.n))
     residual = np.inf
     with np.errstate(over="ignore", invalid="ignore"):
@@ -210,7 +224,7 @@ def steady_state_covariance(sys: LtiSystem, tol: float = 1e-12,
                     f"(residual {residual})", residual=residual)
             X = Xn
             if residual < tol:
-                return SteadyStateCov(Pbar=X, spectral_radius_A=sys.spectral_radius())
+                return SteadyStateCov(Pbar=X)
     raise ConvergenceError(
         f"covariance recursion did not converge in {max_iter} iterations "
         f"(last residual {residual:.3e})", residual=residual)
@@ -242,4 +256,4 @@ def holding_cost_table(sys: LtiSystem, ss: SteadyStateCov, tau_max: int) -> Hold
         tau_bad = int(np.argmax(drop)) + 1
         raise ConvergenceError(f"holding cost decreased at tau={tau_bad}; "
                                "steady-state covariance is not a valid fixed point")
-    return HoldingCostTable(costs=costs, spectral_radius=ss.spectral_radius_A)
+    return HoldingCostTable(costs=costs, spectral_radius=sys.spectral_radius())

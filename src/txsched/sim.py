@@ -249,18 +249,16 @@ class FixedThresholdPolicy:
 
 
 class LatticePolicy:
-    """Policy table on the (tau, belief-grid) lattice; off-grid beliefs act
-    by nearest-grid-point lookup (halves round to even, as ``round`` does)
-    and holding times clamp to the lattice."""
+    """Policy table of shape (tau_max + 1, grid_n + 1) on the (tau, belief-grid)
+    lattice; off-grid beliefs act by nearest-grid-point lookup (halves round
+    to even, as ``round`` does) and holding times clamp to the lattice."""
 
-    def __init__(self, policy: np.ndarray, grid_n: int, tau_max: int):
+    def __init__(self, policy: np.ndarray):
         policy = np.asarray(policy)
-        if policy.shape != (tau_max + 1, grid_n + 1):
-            raise ValueError(f"policy must have shape {(tau_max + 1, grid_n + 1)}, "
-                             f"got {policy.shape}")
+        if policy.ndim != 2 or not policy.size:
+            raise ValueError(f"policy must be a nonempty 2-D table, got shape {policy.shape}")
         self.policy = policy.astype(np.int64)
-        self.grid_n = grid_n
-        self.tau_max = tau_max
+        self.tau_max, self.grid_n = (n - 1 for n in policy.shape)
 
     def __call__(self, tau, b):
         i = np.clip(np.rint(np.multiply(b, self.grid_n)), 0, self.grid_n)

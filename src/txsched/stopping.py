@@ -59,32 +59,31 @@ class ThresholdFunction:
     """Per-holding-time stop threshold on the belief grid.
 
     b_th[tau] is the smallest grid belief at which stopping is optimal (ties
-    stop); entries where stopping is never optimal carry NaN and are flagged
-    in is_sentinel (a distinct encoding, since b = 1 can be a genuine
-    threshold). Threshold precision equals the grid resolution.
+    stop); a row where stopping is never optimal carries NaN, the sentinel,
+    which is_sentinel reads (a distinct encoding, since b = 1 can be a
+    genuine threshold). Threshold precision equals the grid resolution.
     """
 
     b_th: np.ndarray
-    is_sentinel: np.ndarray
     grid_resolution: float
 
     def __post_init__(self):
         b = _frozen(self.b_th, float)
-        m = _frozen(self.is_sentinel, bool)
-        if b.shape != m.shape or b.ndim != 1:
-            raise ValueError("b_th and is_sentinel must be 1-D and aligned")
+        if b.ndim != 1:
+            raise ValueError(f"b_th must be 1-D, got shape {b.shape}")
         object.__setattr__(self, "b_th", b)
-        object.__setattr__(self, "is_sentinel", m)
 
     @property
     def tau_max(self) -> int:
         return len(self.b_th) - 1
 
+    @property
+    def is_sentinel(self) -> np.ndarray:
+        return np.isnan(self.b_th)
+
     def as_extended(self) -> np.ndarray:
         """Thresholds with sentinels mapped to +inf, for comparisons."""
-        out = np.array(self.b_th)
-        out[self.is_sentinel] = np.inf
-        return out
+        return np.where(self.is_sentinel, np.inf, self.b_th)
 
 
 def extract_threshold(sol: Solution) -> ThresholdFunction:
@@ -103,9 +102,8 @@ def extract_threshold(sol: Solution) -> ThresholdFunction:
         raise StructureViolationError(
             f"stop region at tau={tau} is not an upper interval: stop at grid "
             f"index {int(stop[tau].argmax())} but continue at {last + 1}", tau=tau)
-    stops = stop.any(axis=1)
-    return ThresholdFunction(b_th=np.where(stops, sol.belief_grid[stop.argmax(axis=1)], np.nan),
-                             is_sentinel=~stops, grid_resolution=1.0 / sol.grid_n)
+    b_th = np.where(stop.any(axis=1), sol.belief_grid[stop.argmax(axis=1)], np.nan)
+    return ThresholdFunction(b_th=b_th, grid_resolution=1.0 / sol.grid_n)
 
 
 def verify_threshold_monotone(th: ThresholdFunction, tol: float = 0.0) -> CheckResult:

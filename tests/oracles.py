@@ -305,7 +305,6 @@ def loop_extract_threshold(sol) -> ThresholdFunction:
     stop index of each row, after checking that every index above it stops."""
     n_tau = sol.tau_max + 1
     b_th = np.full(n_tau, np.nan)
-    sentinel = np.ones(n_tau, dtype=bool)
     for tau in range(n_tau):
         stop = sol.Qfun[tau, :, 1] <= sol.Qfun[tau, :, 0]
         if not stop.any():
@@ -317,9 +316,7 @@ def loop_extract_threshold(sol) -> ThresholdFunction:
                 f"stop region at tau={tau} is not an upper interval: stop at "
                 f"grid index {first} but continue at {hole}", tau=tau)
         b_th[tau] = sol.belief_grid[first]
-        sentinel[tau] = False
-    return ThresholdFunction(b_th=b_th, is_sentinel=sentinel,
-                             grid_resolution=1.0 / sol.grid_n)
+    return ThresholdFunction(b_th=b_th, grid_resolution=1.0 / sol.grid_n)
 
 
 def loop_verify_threshold_monotone(th: ThresholdFunction, tol: float = 0.0) -> CheckResult:

@@ -189,8 +189,7 @@ def test_criterion_10_closed_loop_dominance(plant, steady, ge_channel,
     table = tx.holding_cost_table(plant, steady, 200)
     simcfg = tx.SimConfig(horizon=200, n_runs=10_000, seed=20260811)
     policies = {
-        "solved": tx.LatticePolicy(stopping_solution.policy, stopping_solution.grid_n,
-                                   stopping_solution.tau_max),
+        "solved": tx.LatticePolicy(stopping_solution.policy),
         "never-stop": tx.never_stop,
         "stop-now": tx.stop_immediately,
         "threshold-0.5": tx.FixedThresholdPolicy(0.5),

@@ -565,9 +565,11 @@ SPECIAL_BITS = [0x7FF8000000000000, 0xFFF8000000000ABC, 0x7FF0000000000001,
 
 def assert_argmin_policies(Q):
     """greedy_policy against np.argmin: the first minimizer for tie_break
-    'low', the last for 'high' (the first of the reversed actions)."""
-    low = greedy_policy(Q, "low")
-    high = greedy_policy(Q, "high")
+    'low', the last for 'high' (the first of the reversed actions); its V
+    is Q.min(axis=2) bit for bit."""
+    (v_low, low), (v_high, high) = greedy_policy(Q, "low"), greedy_policy(Q, "high")
+    for v in (v_low, v_high):
+        assert np.array_equal(v.view(np.uint64), Q.min(axis=2).view(np.uint64))
     assert low.dtype == high.dtype == np.int64
     assert np.array_equal(low, np.argmin(Q, axis=2))
     assert np.array_equal(high, Q.shape[2] - 1 - np.argmin(Q[:, :, ::-1], axis=2))
@@ -909,6 +911,21 @@ class TestContraction:
                 call()
             messages.add(str(err.value))
         assert len(messages) == (0 if accepted else 1)
+
+    def test_growth_rate_reaches_the_hypothesis_from_the_cost_table(self):
+        # a table once defaulted rho(A) to 0: the same costs without the
+        # plant's rate solved A = 1.5 as if stable, certifying 4.2e-3 against
+        # vi_tol 1e-9. Both routes to a table now carry rho and are refused
+        sys_ = tx.LtiSystem(A=1.5, C=1.0, Q=0.3, R=0.3)
+        table = tx.holding_cost_table(sys_, tx.steady_state_covariance(sys_), 30)
+        ch = tx.make_gilbert_elliott(0.9, 1.0, 0.5, 0.1)
+        cfg = tx.SolverConfig(gamma=0.95, tau_max=30, grid_n=40)
+        for holding in (table, tx.HoldingCostTable(costs=table.costs, spectral_radius=1.5)):
+            for solve in (lambda: tx.value_iterate(ch, tx.StageCost(holding, [0.0]), cfg),
+                          lambda: tx.solve_stopping(tx.StoppingProblem(ch, holding, cfg, 10.0))):
+                with pytest.raises(ValueError, match=r"^contraction hypothesis violated: "
+                                                     r"\(1-lam_min\)\*\(rho\+eps\)\^2 = 2\.05209"):
+                    solve()
 
     def test_contraction_stage_is_the_sup_over_tau(self):
         # the stage reads only tau = 0; the search that takes the sup over

@@ -317,6 +317,17 @@ def test_stopping_convergence_failure_names_the_span_rule(tmp_path, capsys):
     assert not (tmp_path / "out" / "q_values.csv").exists()
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_plant_without_steady_state_fails_at_once(tmp_path, capsys):
+    # a random walk that C does not observe: its error grows without bound, so
+    # the check comes before the recursion, which would spend about 24 s failing
+    p, _ = write_cfg(tmp_path, {"system.A": [[1.0]], "system.C": [[0.0]]})
+    assert main(["solve", "--config", str(p)]) == 3
+    assert capsys.readouterr().err == (
+        "convergence failure: no steady state: (A, C) is not detectable; C does not observe "
+        "the eigenvalue 1.0 of A\n")
+
+
 class TestSolve:
     def test_writes_artifacts(self, tmp_path, capsys):
         p, data = write_cfg(tmp_path)

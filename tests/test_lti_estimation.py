@@ -74,12 +74,13 @@ class TestMeasurementUpdate:
 
 
 class TestSteadyState:
-    def test_matches_oracle_and_root(self, steady):
+    def test_matches_oracle_and_root(self, plant, steady):
         oracle = fixed_point_oracle(0.85, 1.0, 0.3, 0.3)
         root = (-0.38325 + np.sqrt(0.38325**2 + 4 * 0.7225 * 0.09)) / (2 * 0.7225)
         assert abs(steady.Pbar[0, 0] - oracle) < 1e-9
         assert abs(steady.Pbar[0, 0] - root) < 1e-9
-        assert steady.spectral_radius_A == pytest.approx(0.85, abs=1e-12)
+        assert tx.holding_cost_table(plant, steady, 1).spectral_radius == pytest.approx(
+            0.85, abs=1e-12)
 
     def test_residual_bound(self, plant, steady):
         again = tx.measurement_update(plant, tx.time_update(plant, steady.Pbar))
@@ -111,6 +112,29 @@ class TestSteadyState:
                            match=f"iterate became non-finite at iteration {k} ") as err:
             tx.steady_state_covariance(sys_)
         assert not np.isfinite(err.value.residual)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("A, C, shown", [
+        (1.0, 0.0, "1.0"),  # a random walk that nothing observes
+        ([[1.2, 0.0], [0.0, 0.5]], [[0.0, 1.0]], "1.2"),
+        ([[0.0, -1.0], [1.0, 0.0]], [[0.0, 0.0]], "1j"),  # a rotation: eigenvalues +-i
+    ])
+    def test_undetectable_plant_fails_before_iterating(self, A, C, shown):
+        # the recursion would run all 1 000 000 iterations (about 24 s) first
+        n = np.atleast_2d(A).shape[0]
+        sys_ = tx.LtiSystem(A=A, C=C, Q=0.3 * np.eye(n), R=0.3)
+        with pytest.raises(tx.ConvergenceError,
+                           match=rf"^no steady state: \(A, C\) is not detectable; C does not "
+                                 rf"observe the eigenvalue {shown} of A$") as err:
+            tx.steady_state_covariance(sys_)
+        assert err.value.residual is None
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_unobserved_stable_mode_is_detectable(self):
+        # the mode C misses decays, so its error settles at Q / (1 - a^2)
+        sys_ = tx.LtiSystem(A=[[0.5, 0.0], [0.0, 1.2]], C=[[0.0, 1.0]], Q=0.3 * np.eye(2), R=0.3)
+        ss = tx.steady_state_covariance(sys_)
+        assert ss.Pbar[0, 0] == pytest.approx(0.3 / 0.75, rel=1e-10)
 
     def test_matrix_system(self):
         rng = np.random.default_rng(3)
@@ -168,8 +192,7 @@ class TestHoldingCostTable:
         assert np.all(d >= -4 * np.spacing(table.costs[:-1]))
 
     def test_decrease_beyond_rounding_raises(self, plant, steady):
-        ss = tx.SteadyStateCov(Pbar=10 * steady.Pbar,
-                               spectral_radius_A=steady.spectral_radius_A)
+        ss = tx.SteadyStateCov(Pbar=10 * steady.Pbar)
         with pytest.raises(tx.ConvergenceError, match="decreased at tau=1;"):
             tx.holding_cost_table(plant, ss, 20)
 
@@ -185,7 +208,18 @@ class TestHoldingCostTable:
         shape = np.shape(costs)
         with pytest.raises(ValueError, match=rf"^costs must be a nonempty 1-D array, "
                                              rf"got shape {re.escape(str(shape))}$"):
-            tx.HoldingCostTable(costs=costs)
+            tx.HoldingCostTable(costs=costs, spectral_radius=0.5)
+
+    def test_growth_rate_is_required(self, plant, steady):
+        # rho(A) has one carrier, this table; no default may call a plant stable
+        with pytest.raises(TypeError, match="spectral_radius"):
+            tx.HoldingCostTable(costs=[1.0, 2.0])
+        assert tx.holding_cost_table(plant, steady, 3).spectral_radius == plant.spectral_radius()
+
+    @pytest.mark.parametrize("rho", [-0.5, [1.0, 2.0]])
+    def test_growth_rate_is_a_nonnegative_number(self, rho):
+        with pytest.raises(ValueError, match=r"^spectral_radius must be a number >= 0, got "):
+            tx.HoldingCostTable(costs=[1.0, 2.0], spectral_radius=rho)
 
 
 class TestSuccessMargin:
@@ -241,6 +275,12 @@ class TestSystemValidation:
             tx.LtiSystem(A=np.eye(2), C=np.array([[1.0, 0.0]]),
                          Q=np.eye(2), R=np.eye(1))
 
+    def test_warning_names_the_caller(self):
+        # not the dataclass-generated __init__, which warnings show as <string>
+        with pytest.warns(UserWarning, match="observability") as record:
+            tx.LtiSystem(A=np.eye(2), C=[[1.0, 0.0]], Q=np.eye(2), R=np.eye(1))
+        assert [w.filename for w in record] == [__file__]
+
     def test_immutable(self, plant):
         with pytest.raises(ValueError):
             plant.A[0, 0] = 2.0
@@ -254,13 +294,16 @@ MODEL_TABLES = {
     "lam": lambda v: tx.ChannelModel(lam=[[0.9], [v]],
                                      mode_kernel=[[[0.9, 0.1], [0.0, 1.0]]]),
     "Q": lambda v: tx.LtiSystem(A=0.5, C=1.0, Q=[[v]], R=1.0),
-    "Pbar": lambda v: tx.SteadyStateCov(Pbar=[[1.0, 0.0], [0.0, v]], spectral_radius_A=0.5),
-    "costs": lambda v: tx.HoldingCostTable(costs=[1.0, v, 3.0]),
-    "action_costs": lambda v: tx.StageCost(holding=tx.HoldingCostTable(costs=[1.0, 2.0]),
-                                           action_costs=[0.0, v]),
-    "c_stop": lambda v: tx.StoppingProblem(channel=tx.make_gilbert_elliott(0.9, 1.0, 0.9, 0.2),
-                                           holding=tx.HoldingCostTable(costs=[1.0, 2.0]),
-                                           cfg=tx.SolverConfig(gamma=0.95), c_stop=v),
+    "Pbar": lambda v: tx.SteadyStateCov(Pbar=[[1.0, 0.0], [0.0, v]]),
+    "costs": lambda v: tx.HoldingCostTable(costs=[1.0, v, 3.0], spectral_radius=0.5),
+    "spectral_radius": lambda v: tx.HoldingCostTable(costs=[1.0, 2.0], spectral_radius=v),
+    "action_costs": lambda v: tx.StageCost(
+        holding=tx.HoldingCostTable(costs=[1.0, 2.0], spectral_radius=0.5),
+        action_costs=[0.0, v]),
+    "c_stop": lambda v: tx.StoppingProblem(
+        channel=tx.make_gilbert_elliott(0.9, 1.0, 0.9, 0.2),
+        holding=tx.HoldingCostTable(costs=[1.0, 2.0], spectral_radius=0.5),
+        cfg=tx.SolverConfig(gamma=0.95), c_stop=v),
 }
 
 

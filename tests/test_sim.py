@@ -306,7 +306,7 @@ CHANNELS = {
 
 
 def solved_policy(sol):
-    return tx.LatticePolicy(sol.policy, sol.grid_n, sol.tau_max)
+    return tx.LatticePolicy(sol.policy)
 
 
 def policy_kinds(stopping_solution):
@@ -700,7 +700,7 @@ class TestPolicies:
         # half and the round-half-to-even rule decides the lookup
         grid_n, tau_max = 64, 12
         table = np.random.default_rng(0).integers(0, 2, (tau_max + 1, grid_n + 1))
-        pol = tx.LatticePolicy(table, grid_n, tau_max)
+        pol = tx.LatticePolicy(table)
         halves = (np.arange(grid_n) + 0.5) / grid_n
         assert np.all(halves * grid_n == np.arange(grid_n) + 0.5)
         b = np.concatenate([halves, [0.0, 1.0, 0.3, 0.999]])
@@ -713,6 +713,13 @@ class TestPolicies:
         # round() sends 2.5 to 2 and 3.5 to 4; so must the array lookup
         assert np.array_equal(pol(np.zeros(2, dtype=np.int64), np.array([2.5, 3.5]) / grid_n),
                               table[0, [2, 4]])
+
+    def test_lattice_policy_reads_its_lattice_from_the_table(self):
+        pol = tx.LatticePolicy(np.zeros((13, 65), dtype=np.int8))
+        assert (pol.tau_max, pol.grid_n, pol.policy.dtype) == (12, 64, np.int64)
+        for table in (np.zeros(5), np.zeros((2, 3, 4)), np.zeros((0, 3))):
+            with pytest.raises(ValueError, match=r"^policy must be a nonempty 2-D table, got "):
+                tx.LatticePolicy(table)
 
     def test_fixed_threshold_arrays_ties_stop(self):
         pol = tx.FixedThresholdPolicy(0.5)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import Phase, assume, event, find, given, settings, strategies as st
 
 import txsched as tx
-from conftest import random_channel
+from conftest import channels, random_channel
 from oracles import (belief_update, loop_extract_threshold, loop_verify_threshold_monotone,
                      observation_likelihood)
 from orders import is_submodular
+from txsched.belief_mdp import _require_contraction
 
 
 def small_problem(ge_channel, cost_table, c_stop, grid_n=40, tau_max=20):
@@ -196,21 +197,21 @@ class TestThresholdMonotone:
         assert tx.verify_threshold_monotone(th)
 
     def test_sentinel_treated_as_infinite(self):
-        th = tx.ThresholdFunction(b_th=np.array([np.nan, 1.0, 0.5]),
-                                  is_sentinel=np.array([True, False, False]),
-                                  grid_resolution=0.01)
+        th = tx.ThresholdFunction(b_th=np.array([np.nan, 1.0, 0.5]), grid_resolution=0.01)
         assert tx.verify_threshold_monotone(th)
 
+    def test_sentinel_is_a_nan_threshold(self):
+        # b = 1 is a genuine threshold; only NaN marks a never-stop row
+        th = tx.ThresholdFunction(b_th=[np.nan, 1.0, 0.5], grid_resolution=0.5)
+        assert th.is_sentinel.tolist() == [True, False, False]
+        assert th.as_extended().tolist() == [np.inf, 1.0, 0.5]
+
     def test_constant_threshold(self):
-        th = tx.ThresholdFunction(b_th=np.full(5, 0.4),
-                                  is_sentinel=np.zeros(5, dtype=bool),
-                                  grid_resolution=0.01)
+        th = tx.ThresholdFunction(b_th=np.full(5, 0.4), grid_resolution=0.01)
         assert tx.verify_threshold_monotone(th)
 
     def test_violation_witness(self):
-        th = tx.ThresholdFunction(b_th=np.array([0.5, 0.7]),
-                                  is_sentinel=np.zeros(2, dtype=bool),
-                                  grid_resolution=0.01)
+        th = tx.ThresholdFunction(b_th=np.array([0.5, 0.7]), grid_resolution=0.01)
         res = tx.verify_threshold_monotone(th)
         assert not res
         assert res.witness == (0, 0.5, 0.7)
@@ -290,9 +291,8 @@ class TestClosedFormsMatchLoops:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_THRESHOLDS, st.sampled_from([0.0, 1e-12, 0.1, 0.5]))
     def test_verify_threshold_monotone(self, values, tol):
-        sentinel = np.array([v is None for v in values])
         th = tx.ThresholdFunction(b_th=[np.nan if v is None else v for v in values],
-                                  is_sentinel=sentinel, grid_resolution=0.01)
+                                  grid_resolution=0.01)
         got, ref = tx.verify_threshold_monotone(th, tol), loop_verify_threshold_monotone(th, tol)
         event("holds" if ref else "rises")
         assert repr(got) == repr(ref)  # float repr round-trips, so this is bitwise
@@ -333,3 +333,93 @@ class TestSubmodularity:
         assert not res
         assert res.witness[0] in ("tau", "b")
         assert res.value > 1.0
+
+
+# the theorem's hypotheses, which TestThresholdTheorem drops one at a time
+HYPOTHESES = ("tp2_mode_kernel", "lam_good_ge_lam_bad", "contraction")
+
+
+def _contracts(ch, rho, eps=0.01):
+    try:
+        _require_contraction(ch, rho, eps)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def theorem_instances(draw, drop=None):
+    """A stopping problem on a channel from conftest.channels that meets every
+    hypothesis of the threshold theorem but ``drop``: a TP2 mode kernel,
+    lam_good >= lam_bad, and the solver's contraction hypothesis. The plant
+    is scalar (C = 1, Q = R = 0.3), tau_max 10-20 and grid_n 20-50."""
+    drawn = draw(channels(max_actions=1))
+    lam, kernel = drawn.lam, drawn.mode_kernel  # channels() has lam_good >= lam_bad
+    a = draw(st.floats(1.0, 1.3) if drop == "contraction"
+             else st.one_of(st.floats(-0.95, 0.95), st.floats(1.0, 1.3)))
+    if a >= 1.0 and drop != "contraction":  # success >= 0.5: (1 - lam_min) (rho + eps)^2 < 1
+        lam = 0.5 + 0.5 * lam
+    ch = tx.ChannelModel(lam=lam, mode_kernel=kernel)
+    assume(bool(tx.check_mode_kernel_tp2(ch)) != (drop == "tp2_mode_kernel"))
+    assume(_contracts(ch, abs(a)) != (drop == "contraction"))
+    if drop == "lam_good_ge_lam_bad":
+        assume(lam[0, 0] - lam[1, 0] > 1e-9)
+        object.__setattr__(ch, "lam", lam[::-1].copy())  # past ChannelModel, which refuses it
+    plant = tx.LtiSystem(A=a, C=1.0, Q=0.3, R=0.3)
+    cfg = tx.SolverConfig(gamma=draw(st.floats(0.5, 0.99)), tau_max=draw(st.integers(10, 20)),
+                          grid_n=draw(st.integers(20, 50)))
+    table = tx.holding_cost_table(plant, tx.steady_state_covariance(plant), cfg.tau_max)
+    return tx.StoppingProblem(channel=ch, holding=table, cfg=cfg,
+                              c_stop=draw(st.floats(0.5, 20.0)))
+
+
+def _monotone_value_fails(prob):
+    return not tx.verify_value_monotonicity(tx.solve_stopping(prob))
+
+
+def _solve_refused(prob):
+    try:
+        tx.solve_stopping(prob)
+    except ValueError as exc:
+        return str(exc).startswith("contraction hypothesis violated")
+    return False
+
+
+# per hypothesis, the check that states it in verify failing, and for the
+# channel's two the monotone value the theorem concludes failing with it
+BROKEN_BY_DROPPING = {
+    "tp2_mode_kernel": lambda prob: (
+        not tx.verify_update_monotonicity(prob.channel, prob.cfg.tau_max, prob.cfg.grid_n)
+        and _monotone_value_fails(prob)),
+    "lam_good_ge_lam_bad": lambda prob: (
+        not tx.verify_folded_tp2(prob.channel) and _monotone_value_fails(prob)),
+    "contraction": _solve_refused,
+}
+
+
+class TestThresholdTheorem:
+    """The paper's structural result as a property: on every instance that
+    meets its hypotheses the fold is exact, the folded kernels are TP2, the
+    belief update is monotone, V and Q are monotone, the stop region has a
+    threshold at every tau that does not rise with tau, and the stop
+    advantage is monotone. Dropping any one hypothesis must break the check
+    that states it on some instance."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(prob=theorem_instances())
+    def test_conclusions_hold_under_the_hypotheses(self, prob):
+        ch, cfg = prob.channel, prob.cfg
+        assert tx.verify_fold_equivalence(ch, cfg.tau_max)
+        assert tx.verify_folded_tp2(ch)
+        assert tx.verify_update_monotonicity(ch, cfg.tau_max, cfg.grid_n)
+        sol = tx.solve_stopping(prob)
+        assert tx.verify_value_monotonicity(sol)
+        assert tx.verify_threshold_monotone(tx.extract_threshold(sol))
+        assert tx.verify_submodularity(sol)
+
+    @pytest.mark.parametrize("drop", HYPOTHESES)
+    def test_each_hypothesis_is_needed(self, drop):
+        # find raises NoSuchExample when no instance breaks the check
+        find(theorem_instances(drop), BROKEN_BY_DROPPING[drop],
+             settings=settings(max_examples=100, derandomize=True, database=None,
+                               phases=[Phase.generate]))
