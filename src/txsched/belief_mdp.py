@@ -23,12 +23,13 @@ cfg.vi_tol is the target for that error. A solve starts from the solve on a
 least 20 cells (nested grids: 2000 cells are solved on 20, 200, then 2000).
 One solve path, _solve, serves value_iterate and the stopping problem, whose
 stop action is a Q column pinned to c_stop. One kernel, _bellman, evaluates
-the operator for every solve and check, from a per-solve interpolation
-stencil; _require_contraction states the model's hypothesis, checked
-before every solve and contraction check. The structural checks are closed
-forms over the whole lattice: verify_update_monotonicity decides the
-likelihood order on every ordered pair of states from one suffix minimum
-per action.
+the operator for every solve and check, all actions in one pass over an
+action-major (tau, action, belief) lattice, from a per-solve interpolation
+stencil; the Solution holds Q as (tau, belief, action). _require_contraction
+states the model's hypothesis, checked before every solve and contraction
+check. The structural checks are closed forms over the whole lattice:
+verify_update_monotonicity decides the likelihood order on every ordered
+pair of states from one suffix minimum per action.
 """
 
 import math
@@ -103,40 +104,23 @@ def _cell(t, grid):
 
 
 def _stencil(ch: ChannelModel, grid: np.ndarray):
-    """Per-action interpolation stencil, fixed for a whole solve: the success
-    and failure probabilities and the cells of the two posterior branches."""
-    stencil = []
-    for a in range(ch.n_actions):
-        p_succ, t_succ, t_fail = _action_tables(ch, grid, a)
-        stencil.append((p_succ, 1.0 - p_succ, _cell(t_succ, grid), _cell(t_fail, grid)))
-    return stencil
+    """Interpolation stencil, fixed for a whole solve: the success and
+    failure probabilities and the cells of the two posterior branches, each
+    an (n_actions, grid size) table or a cell of such tables."""
+    p_succ, t_succ, t_fail = (np.stack(t) for t in zip(
+        *(_action_tables(ch, grid, a) for a in range(ch.n_actions))))
+    return p_succ, 1.0 - p_succ, _cell(t_succ, grid), _cell(t_fail, grid)
 
 
-def _over_actions(ufunc, Q, start=None):
-    """ufunc (np.minimum or np.maximum) reduced over the action axis of Q,
-    elementwise across the action slices in index order, from
-    ufunc(Q[:, :, 0], start) when a scalar start is given.
-
-    Without start, bit-identical to ufunc.reduce(Q, axis=2) (Q.min(axis=2),
-    Q.max(axis=2)), signed zeros included, and some 40 times faster over a
-    short inner axis. The reduction can hand back the default NaN in place of
-    a NaN's own payload, so a result over several actions holding a NaN is
-    recomputed by the reduction itself."""
-    out = Q[:, :, 0].copy() if start is None else ufunc(Q[:, :, 0], start)
-    for a in range(1, Q.shape[2]):
-        ufunc(out, Q[:, :, a], out=out)
-    if Q.shape[2] > 1 and np.isnan(out).any():
-        return ufunc.reduce(Q, axis=2, initial=start)
-    return out
-
-
-def _interp(V, cell):
+def _interp(V, cell, w=None, v_lo=None):
     """Piecewise-linear read of the rows of V at the cell's points, in
     numpy.interp's own arithmetic ((V[hi] - V[lo]) / dx * off + V[lo]), so
-    the result matches it bit for bit."""
+    the result matches it bit for bit; into w, with V[lo] held in v_lo, when
+    those buffers are given. The cell's indices lie in the rows' range
+    (_cell), so the gathers clip none."""
     lo, hi, dx, off = cell
-    w = V.take(hi, axis=-1)
-    v_lo = V.take(lo, axis=-1)
+    w = V.take(hi, axis=-1, out=w, mode="clip")
+    v_lo = V.take(lo, axis=-1, out=v_lo, mode="clip")
     w -= v_lo
     w /= dx
     w *= off
@@ -144,21 +128,22 @@ def _interp(V, cell):
     return w
 
 
-def _bellman(V, stencil, cs, ca, gamma):
-    """Bellman expectation on the (tau, grid, action) lattice given the
-    continuation values V[tau, i]: stage cost plus the discounted success
-    branch (back to tau = 0) and failure branch (tau + 1, clamped at tau_max).
-    The only code that evaluates the operator."""
-    tau_max = V.shape[0] - 1
-    out = np.empty(V.shape + (len(stencil),))
-    for a, (p_succ, p_fail, succ, fail) in enumerate(stencil):
-        w = _interp(V[1:], fail)  # row r holds the value after a failure into tau = r + 1
-        w *= p_fail
-        w += p_succ * _interp(V[0], succ)
-        w *= gamma
-        c = cs[:tau_max + 1] + ca[a]
-        np.add(c[:tau_max, None], w, out=out[:tau_max, :, a])
-        np.add(c[tau_max], w[-1], out=out[tau_max, :, a])
+def _bellman(V, stencil, c, gamma, out, w):
+    """Bellman expectation on the action-major (tau, action, belief) lattice
+    into out, given the continuation values V[tau, i] and the stage costs
+    c[tau, a]: stage cost plus the discounted success branch (back to tau =
+    0) and failure branch (tau + 1, clamped at tau_max), every action at
+    once. w is scratch of out[1:]'s shape. The only code that evaluates the
+    operator."""
+    p_succ, p_fail, succ, fail = stencil
+    # row r of w: the value after a failure into tau = r + 1; out's rows hold
+    # V[lo] until the stage cost is added
+    _interp(V[1:], fail, w, out[:-1])
+    w *= p_fail
+    w += p_succ * _interp(V[0], succ)
+    w *= gamma
+    np.add(c[:-1, :, None], w, out=out[:-1])
+    np.add(c[-1, :, None], w[-1], out=out[-1])
     return out
 
 
@@ -172,9 +157,8 @@ _SWEEP_ROUNDING = 16  # bound on one sweep's rounding per entry, in u * M (_magn
 
 def _prolong(Q, coarse_grid, grid):
     """Q on coarse_grid read at the points of grid along the belief axis
-    (axis 1), by piecewise-linear interpolation in np.interp's arithmetic."""
-    out = _interp(Q.swapaxes(1, 2), _cell(grid, coarse_grid)).swapaxes(1, 2)
-    return np.ascontiguousarray(out)
+    (the last), by piecewise-linear interpolation in np.interp's arithmetic."""
+    return _interp(Q, _cell(grid, coarse_grid))
 
 
 def _magnitude(V, Qn):
@@ -200,7 +184,10 @@ def _iterate(ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
     is None), until the error is certified below cfg.vi_tol; returns (Q,
     sweeps, residual history, certified error, coarse levels), where the
     levels list the coarser grids solved first as (grid_n, sweeps) pairs,
-    the coarsest first. Q holds the swept actions only, not the stop column.
+    the coarsest first. Q is action-major, (tau, action, belief), and holds
+    the swept actions only, not the stop column. A grid allocates its sweep
+    buffers once: the increment d is written into the retired iterate, whose
+    buffer then takes the next sweep's output.
 
     The sweep starts from the solve on a grid _COARSEN times coarser, carried
     onto this grid by _prolong, when that grid has at least _MIN_COARSE_GRID
@@ -239,7 +226,7 @@ def _iterate(ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
     """
     grid = cfg.belief_grid()
     stencil = _stencil(ch, grid)
-    cs, ca = cost.holding.costs, cost.action_costs
+    c = cost.holding.costs[:cfg.tau_max + 1, None] + cost.action_costs
     k = cfg.gamma / (1.0 - cfg.gamma)
     if cfg.grid_n // _COARSEN >= _MIN_COARSE_GRID:
         coarse = replace(cfg, grid_n=cfg.grid_n // _COARSEN)
@@ -247,13 +234,14 @@ def _iterate(ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
         Q = _prolong(Qc, coarse.belief_grid(), grid)
         levels += ((coarse.grid_n, sweeps),)
     else:
-        Q, levels = np.zeros((cfg.tau_max + 1, cfg.grid_n + 1, len(ca))), ()
-    d = np.empty_like(Q)
+        Q, levels = np.zeros((cfg.tau_max + 1, cost.n_actions, cfg.grid_n + 1)), ()
+    Qn, w, V = np.empty_like(Q), np.empty_like(Q[1:]), np.empty_like(Q[:, 0])
     history = []
     for sweep in range(1, cfg.max_sweeps + 1):
-        V = _over_actions(np.minimum, Q, c_stop)
-        Qn = _bellman(V, stencil, cs, ca, cfg.gamma)
-        np.subtract(Qn, Q, out=d)
+        np.minimum.reduce(Q, axis=1, out=V)
+        if c_stop is not None:
+            np.minimum(V, c_stop, out=V)
+        d = np.subtract(_bellman(V, stencil, c, cfg.gamma, Qn, w), Q, out=Q)
         lo, hi = float(d.min()), float(d.max())
         history.append(max(hi, -lo))
         if c_stop is not None:
@@ -264,8 +252,9 @@ def _iterate(ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
             rounding = ((1.0 + k) * _SWEEP_ROUNDING * _U * M
                         + _U * (M + 10.0 * k * history[-1]))
             if half < cfg.vi_tol and (half + rounding < cfg.vi_tol or half < rounding):
-                return Qn + k * (hi + lo) / 2.0, sweep, history, half + rounding, levels
-        Q = Qn
+                Qn += k * (hi + lo) / 2.0
+                return Qn, sweep, history, half + rounding, levels
+        Q, Qn = Qn, Q
     if not final:
         return Q, cfg.max_sweeps, history, math.inf, levels
     raise ConvergenceError(
@@ -285,12 +274,12 @@ def _lattice_moduli(stencil, s, gamma, m):
     ||Q1 - Q2|| entrywise, with A_0 = s and A_j = max_a gamma K_a A_{j-1}:
     _bellman with zero costs. L_j = max(A_j / s), exact for the lattice
     operator, so no pair of inputs can show a larger ratio."""
-    n_tau, n_b = s.size, stencil[0][0].size
-    zeros_c, zeros_a = np.zeros(n_tau), np.zeros(len(stencil))
-    A = np.repeat(s[:, None], n_b, axis=1)
+    n_actions, n_b = stencil[0].shape
+    zeros, out = np.zeros((s.size, n_actions)), np.empty((s.size, n_actions, n_b))
+    w, A = np.empty_like(out[1:]), np.repeat(s[:, None], n_b, axis=1)
     moduli = []
     for _ in range(m):
-        A = _over_actions(np.maximum, _bellman(A, stencil, zeros_c, zeros_a, gamma))
+        _bellman(A, stencil, zeros, gamma, out, w).max(axis=1, out=A)
         moduli.append(_weighted_sup(A, s))
     return moduli
 
@@ -404,8 +393,10 @@ def _solve(ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
     _require_contraction(ch, cost.holding.spectral_radius, cfg.weight_eps)
     _check_problem(ch, cost, cfg)
     Q, sweeps, history, certified, levels = _iterate(ch, cost, cfg, c_stop)
+    Q = Q.transpose(0, 2, 1)  # into Solution's (tau, belief, action) layout
     if c_stop is not None:
         Q = np.concatenate([Q, np.full_like(Q[:, :, :1], c_stop)], axis=2)
+    Q = np.ascontiguousarray(Q)  # frees the action-major lattice before the Solution's copies
     return solution_from_q(Q, cfg, c_stop is not None, sweeps_used=sweeps,
                            final_residual=history[-1], residual_history=tuple(history),
                            certified_error=certified, coarse_levels=levels)

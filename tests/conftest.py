@@ -3,7 +3,7 @@ import pytest
 from hypothesis import strategies as st
 
 import txsched as tx
-from oracles import belief_update, observation_likelihood, weighted_norm
+from oracles import bellman_sweep, belief_update, observation_likelihood, weighted_norm
 from orders import FiniteDist, fsd_dominates
 
 # reference configuration used across the suite
@@ -170,22 +170,22 @@ def sampled_contraction_ratio(ch, sys, cost, cfg, m, trials=100, seed=20260811):
     over seeded random bounded Q pairs of the ratio ||T^m Q1 - T^m Q2|| /
     ||Q1 - Q2|| in the solver's weighted norm. It can only find pairs, so it
     must never exceed the exact modulus."""
-    from txsched.belief_mdp import _bellman, _stencil
+    from txsched.belief_mdp import _stencil
     rho = sys.spectral_radius()
     eps = cfg.weight_eps
     rng = np.random.default_rng(seed)
     shape = (cfg.tau_max + 1, cfg.grid_n + 1, ch.n_actions)
     stencil = _stencil(ch, cfg.belief_grid())
-    cs, ca = cost.holding.costs, cost.action_costs
+    c = cost.holding.costs[:cfg.tau_max + 1, None] + cost.action_costs
     worst_ratio = 0.0
     for _ in range(trials):
         Q1 = rng.uniform(0.0, 10.0, size=shape)
         Q2 = rng.uniform(0.0, 10.0, size=shape)
         denom = weighted_norm(Q1 - Q2, rho, eps)
-        A, B = Q1, Q2
+        A, B = Q1.transpose(0, 2, 1), Q2.transpose(0, 2, 1)  # the kernel's action-major layout
         for _ in range(m):
-            A = _bellman(A.min(axis=2), stencil, cs, ca, cfg.gamma)
-            B = _bellman(B.min(axis=2), stencil, cs, ca, cfg.gamma)
+            A = bellman_sweep(A.min(axis=1), stencil, c, cfg.gamma)
+            B = bellman_sweep(B.min(axis=1), stencil, c, cfg.gamma)
         ratio = weighted_norm(A - B, rho, eps) / denom if denom > 0 else 0.0
         worst_ratio = max(worst_ratio, ratio)
     return worst_ratio

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from txsched.belief_mdp import (SolverConfig, StageCost, _bellman, _check_problem,
-                                _over_actions, _stencil, _weighted_sup, weight_profile)
+from txsched.belief_mdp import (SolverConfig, StageCost, _bellman, _check_problem, _stencil,
+                                _weighted_sup, weight_profile)
 from txsched.channel import ChannelModel
 from txsched.cli import StalePolicyError
 from txsched.folding import (FoldedTP2Report, PairCheck, composite_kernel, folded_observation,
@@ -40,6 +40,14 @@ def weighted_norm(f, spectral_radius: float, eps: float) -> float:
     return _weighted_sup(np.abs(f), weight_profile(spectral_radius, eps, f.shape[0] - 1))
 
 
+def bellman_sweep(V: np.ndarray, stencil, c: np.ndarray, gamma: float) -> np.ndarray:
+    """The solver's kernel _bellman into fresh buffers: the action-major
+    (tau, action, belief) lattice from the continuation values V[tau, i]
+    and the stage costs c[tau, a]."""
+    out = np.empty((V.shape[0], c.shape[1], V.shape[1]))
+    return _bellman(V, stencil, c, gamma, out, np.empty_like(out[1:]))
+
+
 def bellman_apply(ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
                   Q: np.ndarray) -> np.ndarray:
     """One application of the Bellman operator on the (tau, grid, action)
@@ -49,15 +57,17 @@ def bellman_apply(ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
     value at the updated belief is read from min over actions of Q by
     piecewise-linear interpolation, and a failure at tau = tau_max is clamped
     back to tau_max. Pure Jacobi update: every output entry depends only on
-    the input Q.
+    the input Q. Q and the result are in Solution's (tau, belief, action)
+    layout; the kernel sweeps the action-major one.
     """
     Q = np.asarray(Q, dtype=float)
     expected = (cfg.tau_max + 1, cfg.grid_n + 1, cost.n_actions)
     if Q.shape != expected:
         raise ValueError(f"Q must have shape {expected}, got {Q.shape}")
     _check_problem(ch, cost, cfg)
-    return _bellman(_over_actions(np.minimum, Q), _stencil(ch, cfg.belief_grid()),
-                    cost.holding.costs, cost.action_costs, cfg.gamma)
+    c = cost.holding.costs[:cfg.tau_max + 1, None] + cost.action_costs
+    return bellman_sweep(Q.min(axis=2), _stencil(ch, cfg.belief_grid()), c,
+                         cfg.gamma).transpose(0, 2, 1)
 
 
 def predictive_belief(ch: ChannelModel, b: float, a: int = 0) -> float:
@@ -405,9 +415,11 @@ def policy_iteration(ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
     n = n_tau * n_b
     after_failure = np.minimum(np.arange(n_tau) + 1, cfg.tau_max)[:, None] * n_b
     P, c = [], []
-    for a, (p_succ, p_fail, succ, fail) in enumerate(_stencil(ch, cfg.belief_grid())):
+    p_succ, p_fail, succ, fail = _stencil(ch, cfg.belief_grid())
+    for a in range(ch.n_actions):
         cols, vals = [], []
-        for p, (lo, hi, dx, off), start in ((p_succ, succ, 0), (p_fail, fail, after_failure)):
+        for p, (lo, hi, dx, off), start in ((p_succ[a], (x[a] for x in succ), 0),
+                                            (p_fail[a], (x[a] for x in fail), after_failure)):
             w = off / dx  # the interpolation weight of the right end of the cell
             for col, val in ((start + lo, p * (1.0 - w)), (start + hi, p * w)):
                 cols.append(np.broadcast_to(col, (n_tau, n_b)).ravel())

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 import txsched as tx
 from conftest import (bayes_enumeration_oracle, channels, random_channel,
                       sampled_contraction_ratio, sampled_update_monotonicity)
-from oracles import (bellman_apply, belief_update, observation_likelihood, policy_iteration,
-                     predictive_belief, weighted_norm)
+from oracles import (bellman_apply, bellman_sweep, belief_update, observation_likelihood,
+                     policy_iteration, predictive_belief, weighted_norm)
 from orders import FiniteDist, fsd_dominates, stage_cost
-from txsched.belief_mdp import (_action_tables, _bellman, _contraction_stage, _lattice_moduli,
-                                _over_actions, _prolong, _stencil, greedy_policy)
+from txsched.belief_mdp import (_action_tables, _cell, _contraction_stage, _lattice_moduli,
+                                _prolong, _stencil, greedy_policy)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -270,7 +271,7 @@ _prob = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
 @st.composite
-def tp2_channels(draw, max_actions=2):
+def tp2_channels(draw, max_actions=4):
     """Channel with one or more actions, each with a TP2 mode kernel
     (p00 + p11 >= 1) and lam_good >= lam_bad."""
     lam, kernels = [], []
@@ -330,10 +331,14 @@ class TestStencilKernel:
                               rowwise_sweep(Q, tables, holding.costs, ca, gamma, grid))
         # the stopping solver's sweep: continuation value min(Q, c_stop), no fee
         Qc = Q[:, :, 0]
-        got = _bellman(np.minimum(Qc, c_stop), _stencil(_first_action(ch), grid),
-                       holding.costs, np.array([0.0]), gamma)
-        assert np.array_equal(got[:, :, 0], rowwise_stopping_sweep(
+        got = bellman_sweep(np.minimum(Qc, c_stop), _stencil(_first_action(ch), grid),
+                            holding.costs[:, None], gamma)
+        assert np.array_equal(got[:, 0], rowwise_stopping_sweep(
             Qc, c_stop, tables[0], holding.costs, gamma, grid))
+        # the kernel's gathers clip their indices, so no cell may need it
+        _, _, succ, fail = _stencil(ch, grid)
+        for lo, hi, _, _ in (succ, fail):
+            assert 0 <= lo.min() and np.all(lo <= hi) and hi.max() <= grid_n
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(ch=tp2_channels(), grid_n=st.integers(2, 300), tau_max=st.integers(1, 30),
@@ -372,11 +377,14 @@ class TestStencilKernel:
     def test_prolongation_equals_rowwise_interp(self, coarse_n, grid_n):
         rng = np.random.default_rng(grid_n)
         coarse_grid, grid = np.linspace(0.0, 1.0, coarse_n + 1), np.linspace(0.0, 1.0, grid_n + 1)
-        for shape in ((5, coarse_n + 1, 1), (3, coarse_n + 1, 3)):
+        lo, hi, _, _ = _cell(grid, coarse_grid)
+        assert 0 <= lo.min() and np.all(lo <= hi) and hi.max() <= coarse_n
+        for shape in ((5, 1, coarse_n + 1), (3, 3, coarse_n + 1)):  # (tau, action, belief)
             Q = rng.uniform(-10.0, 10.0, shape)
             got = _prolong(Q, coarse_grid, grid)
             assert got.flags.c_contiguous
-            assert np.array_equal(got, rowwise_prolong(Q, coarse_grid, grid))
+            assert np.array_equal(got.swapaxes(1, 2),
+                                  rowwise_prolong(Q.swapaxes(1, 2), coarse_grid, grid))
 
 
 def _general_sweep(ch, holding, ca, gamma, grid):
@@ -490,6 +498,30 @@ class TestCertifiedError:
         assert np.isfinite(sol.certified_error)
         with pytest.raises(tx.ConvergenceError):
             tx.solve_stopping(replace(prob, cfg=replace(cfg, grid_n=20)))
+        # the handed-on iterate sits in a buffer the sweep reuses: the solve
+        # equals the row-wise reference, which allocates every array afresh
+        Q, hist, certified, levels = rowwise_solve(
+            lambda grid: _stopping_sweep(ch, table, 10.0, cfg.gamma, grid),
+            lambda Qc: np.minimum(Qc, 10.0), (), cfg, pinned=True)
+        assert np.array_equal(sol.Qfun[:, :, 0], Q)
+        assert (sol.residual_history, sol.certified_error) == (tuple(hist), certified)
+        assert sol.coarse_levels == levels
+        # a general problem with two actions: grids 20 and 200 both run out
+        # of their 60 sweeps (a cold grid 20 needs 133) and hand on
+        cfg = replace(cfg, max_sweeps=60)
+        ch = tx.ChannelModel(lam=np.array([[0.9, 0.95], [0.5, 0.7]]),
+                             mode_kernel=np.array([[[0.9, 0.1], [0.0, 1.0]],
+                                                   [[0.95, 0.05], [0.2, 0.8]]]))
+        ca = np.array([0.0, 1.0])
+        sol = tx.value_iterate(ch, tx.StageCost(holding=table, action_costs=ca), cfg)
+        assert sol.coarse_levels == ((20, 60), (200, 60))
+        assert sol.certified_error < cfg.vi_tol
+        Q, hist, certified, levels = rowwise_solve(
+            lambda grid: _general_sweep(ch, table, ca, cfg.gamma, grid),
+            lambda Q: Q.min(axis=2), (ch.n_actions,), cfg)
+        assert np.array_equal(sol.Qfun, Q)
+        assert (sol.residual_history, sol.certified_error) == (tuple(hist), certified)
+        assert sol.coarse_levels == levels
 
     def test_unstable_solve_computes_no_lattice_moduli(self, monkeypatch):
         # every grid of an unstable plant stops on the span rule, which
@@ -498,7 +530,7 @@ class TestCertifiedError:
         grids = []
 
         def spy(stencil, *args):
-            grids.append(stencil[0][0].size - 1)
+            grids.append(stencil[0].shape[1] - 1)
             return _lattice_moduli(stencil, *args)
 
         monkeypatch.setattr("txsched.belief_mdp._lattice_moduli", spy)
@@ -585,25 +617,15 @@ class TestActionReduction:
             st.one_of(st.sampled_from(SPECIAL_BITS), st.integers(0, 2**64 - 1)),
             min_size=n_tau * n_b * n_actions, max_size=n_tau * n_b * n_actions))
         Q = np.array(words, dtype=np.uint64).view(np.float64).reshape(n_tau, n_b, n_actions)
-        for ufunc, reduced in ((np.minimum, Q.min(axis=2)), (np.maximum, Q.max(axis=2))):
-            got = _over_actions(ufunc, Q)
-            assert got.shape == reduced.shape
-            assert np.array_equal(got.view(np.uint64), reduced.view(np.uint64))
         assert_argmin_policies(Q)
 
     @pytest.mark.parametrize("n_actions", [1, 2, 3, 4])
     def test_every_tuple_of_special_values(self, n_actions):
         cells = list(itertools.product(SPECIAL_BITS, repeat=n_actions))
         Q = np.array(cells, dtype=np.uint64).view(np.float64).reshape(1, -1, n_actions)
-        for ufunc, reduced in ((np.minimum, Q.min(axis=2)), (np.maximum, Q.max(axis=2))):
-            assert np.array_equal(_over_actions(ufunc, Q).view(np.uint64),
-                                  reduced.view(np.uint64))
         assert_argmin_policies(Q)
         # the NaN-free lattice takes the elementwise path, also for a long row
-        finite = np.where(np.isnan(Q), 0.0, Q).repeat(8, axis=1)
-        assert np.array_equal(_over_actions(np.minimum, finite).view(np.uint64),
-                              finite.min(axis=2).view(np.uint64))
-        assert_argmin_policies(finite)
+        assert_argmin_policies(np.where(np.isnan(Q), 0.0, Q).repeat(8, axis=1))
 
 
 class TestExactLatticeOracle:
@@ -719,6 +741,41 @@ class TestValueIterate:
         v1 = tx.value_iterate(ge_channel, cost, cfg1).V
         v2 = tx.value_iterate(ge_channel, cost, cfg2).V
         assert np.max(np.abs(v2[:, ::2] - v1)) < 1e-8
+
+
+class TestSolverMemory:
+    """The solver's own peak allocation, traced by tracemalloc (numpy reports
+    its array buffers to it), in units of one iterate: (tau_max + 1) x
+    (grid_n + 1) floats per swept action. A sweep holds two iterates, one
+    interpolation buffer and V; a stopping solve peaks while its Solution
+    copies Q with the stop column, V and the policy (8 units)."""
+
+    @staticmethod
+    def peak_iterates(workload, solve):
+        cfg = tx.load_config(ROOT / "bench/workloads" / f"{workload}.yaml")
+        table = tx.holding_cost_table(cfg.system, tx.steady_state_covariance(cfg.system),
+                                      cfg.solver.tau_max)
+        unit = (cfg.solver.tau_max + 1) * (cfg.solver.grid_n + 1) * cfg.channel.n_actions * 8
+        solve(cfg, table)  # warm up: first calls may fill lazy caches
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            solve(cfg, table)
+            return (tracemalloc.get_traced_memory()[1] - start) / unit
+        finally:
+            tracemalloc.stop()
+
+    def test_general_solve(self):
+        def solve(cfg, table):
+            cost = tx.StageCost(holding=table, action_costs=cfg.action_costs)
+            return tx.value_iterate(cfg.channel, cost, cfg.solver)
+        assert self.peak_iterates("general-slow", solve) <= 5.0
+
+    def test_stopping_solve(self):
+        def solve(cfg, table):
+            return tx.solve_stopping(tx.StoppingProblem(channel=cfg.channel, holding=table,
+                                                        cfg=cfg.solver, c_stop=cfg.c_stop))
+        assert self.peak_iterates("fine-unstable", solve) <= 8.1
 
 
 class TestUpdateMonotonicity:

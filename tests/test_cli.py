@@ -549,6 +549,40 @@ class TestSolve:
             "2,0.8,10,0"
 
 
+class TestThreeActions:
+    """An explicit channel with three actions through the CLI."""
+
+    CHANNEL = {"type": "explicit", "lam": [[0.6, 0.8, 0.95], [0.1, 0.3, 0.5]],
+               "mode_kernel": [[[0.9, 0.1], [0.0, 1.0]], [[0.92, 0.08], [0.1, 0.9]],
+                               [[0.95, 0.05], [0.2, 0.8]]], "b0": 0.0}
+
+    def test_solve_and_verify(self, tmp_path, capsys):
+        p, _ = write_cfg(tmp_path, {"channel": self.CHANNEL, "sim": None,
+                                    "costs": {"c_a": [0.0, 0.4, 1.0]}})
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(p), "--quiet"]) == 0
+        files = {f: (out / f).read_bytes() for f in ("q_values.csv", "value_policy.csv",
+                                                      "q_values.npy")}
+        assert main(["verify", "--config", str(p), "--quiet"]) == 0
+        Q = np.load(out / "q_values.npy")
+        assert Q.shape == (21, 41, 3) and len(set(np.argmin(Q, axis=2).ravel())) > 1
+        rows = [line.split(",") for line in files["q_values.csv"].decode().splitlines()[1:]]
+        assert [r[2] for r in rows] == ["0", "1", "2"] * (21 * 41)
+        assert [r[:2] for r in rows[::3]] == [r[:2] for r in rows[1::3]] == \
+            [r[:2] for r in rows[2::3]]
+        values = [line.split(",")[2] for line in
+                  files["value_policy.csv"].decode().splitlines()[1:]]
+        assert values == [f"{v:.12g}" for v in Q.min(axis=2).ravel()]
+        assert main(["solve", "--config", str(p), "--quiet"]) == 0
+        assert all((out / f).read_bytes() == b for f, b in files.items())
+        for command in ("simulate", "thresholds"):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--config", str(p)])
+            assert exc.value.code == 2
+            assert f"{command} needs the stopping formulation" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_reference_config_passes(self, tmp_path, capsys):
         p, _ = write_cfg(tmp_path)
@@ -1254,7 +1288,7 @@ class TestContractionModuli:
         calls, real = [], bm._lattice_moduli
 
         def spy(stencil, s, gamma, m):
-            calls.append(stencil[0][0].size - 1)
+            calls.append(stencil[0].shape[1] - 1)
             return real(stencil, s, gamma, m)
 
         monkeypatch.setattr(bm, "_lattice_moduli", spy)
