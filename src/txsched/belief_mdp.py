@@ -299,7 +299,8 @@ class Solution:
     fixed point (inf for a Solution that no solve certified). sweeps_used
     and residual_history are those of the final grid; coarse_levels lists
     the coarser grids solved first to start it, as (grid_n, sweeps) pairs,
-    the coarsest first."""
+    the coarsest first. The arrays are frozen read-only views of the ones
+    given, not copies: the caller hands them over."""
 
     Qfun: np.ndarray
     V: np.ndarray
@@ -313,7 +314,9 @@ class Solution:
 
     def __post_init__(self):
         for name in ("Qfun", "V", "policy", "belief_grid"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+            a = np.asarray(getattr(self, name)).view()
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def tau_max(self) -> int:
@@ -396,7 +399,7 @@ def _solve(ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
     Q = Q.transpose(0, 2, 1)  # into Solution's (tau, belief, action) layout
     if c_stop is not None:
         Q = np.concatenate([Q, np.full_like(Q[:, :, :1], c_stop)], axis=2)
-    Q = np.ascontiguousarray(Q)  # frees the action-major lattice before the Solution's copies
+    Q = np.ascontiguousarray(Q)  # frees the action-major lattice
     return solution_from_q(Q, cfg, c_stop is not None, sweeps_used=sweeps,
                            final_residual=history[-1], residual_history=tuple(history),
                            certified_error=certified, coarse_levels=levels)

@@ -25,15 +25,18 @@ Subcommands:
               the solver's lattice.
   simulate    Monte Carlo batch under --policy; writes simstats_<policy>.json,
               traces_<policy>.csv (or removes it) by output.emit_traces, and
-              solve_record.json. --policy solved refuses a missing or
-              malformed value_policy.csv, or one solved for another config.
+              solve_record.json. --policy solved acts on the policy of the
+              Q in q_values.npy of a solve for this config, read as verify
+              reads it, and refuses the file when it cannot vouch for the
+              config. No command reads value_policy.csv back.
   thresholds  prints the threshold table (from a prior solve of the same
               problem, by solve_record.json, otherwise solving first).
 
 Exit codes: 0 ok, 2 config or usage error (including an empty --out, a
 holding-cost table that overflows float64 before solver.tau_max or
-sim.horizon, and a solved policy that is missing, unreadable, malformed or
-does not match the config, reported as "stale policy"), or an artifact that
+sim.horizon, and a q_values.npy that --policy solved cannot act on: no
+solve for this config, or a file that is missing, unreadable, malformed or
+of another lattice, reported as "stale policy"), or an artifact that
 cannot be written ("output error: cannot write '<path>': <OS reason>") or a
 file a command cannot remove ("output error: cannot remove '<path>': <OS
 reason>"), or an earlier solve's thresholds.csv that cannot be read ("output
@@ -94,8 +97,8 @@ def __getattr__(name):
 
 
 class StalePolicyError(Exception):
-    """The solved policy on disk is missing or was not solved for the current
-    config."""
+    """The q_values.npy on disk cannot vouch for the current config
+    (_stored_solution says why)."""
 
 
 class OutputError(Exception):
@@ -179,88 +182,6 @@ def write_thresholds_csv(th, out_dir: Path):
     for tau in range(th.tau_max + 1):
         lines.append(f"{tau},{_fmt(th.b_th[tau])},{int(th.is_sentinel[tau])}")
     _write_lines(out_dir / "thresholds.csv", lines)
-
-
-_ROW_SEPARATORS = np.frombuffer(b",,,\n", dtype=np.uint32)[0]  # a row's separators, as one word
-
-
-def read_value_policy_csv(path: Path):
-    """Reconstruct (policy lattice, grid_n, tau_max) from a prior solve's
-    value_policy.csv by one byte scan of its tau and policy columns.
-
-    The file must be what solve writes: the header, then rows of four
-    comma-separated fields, each ending in LF, with tau in decimal digits
-    and the policy one byte, 0 or 1, covering tau = 0, ..., tau_max with one
-    row per belief grid point. Besides the separators, no row holds a byte
-    below '-' other than the '+' of an exponent, nor one above 127 (so no
-    CR, blank or '#' line, space or non-ASCII text). Any other file, or one
-    that cannot be read, raises StalePolicyError."""
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise StalePolicyError(f"cannot read '{path}': {exc.strerror or exc}; "
-                               "run solve first") from None
-    try:
-        return _scan_value_policy(data)
-    except ValueError as exc:
-        raise StalePolicyError(f"{path} is malformed ({exc}); run solve first") from None
-
-
-def _scan_value_policy(data: bytes):
-    """read_value_policy_csv on the file's bytes; a ValueError names the rule
-    the file breaks."""
-    body = data.find(b"\n") + 1 or len(data)
-    header = data[:body].removesuffix(b"\n").decode("utf-8", "backslashreplace")
-    if header != "tau,belief,value,policy":
-        raise ValueError(f"unexpected header {header!r}")
-    buf = np.frombuffer(data, dtype=np.uint8, offset=body)
-
-    def line(at):  # 'line <number> <text>' of the line holding buf[at]
-        begin = data.rfind(b"\n", 0, body + at) + 1
-        text = data[begin:begin + 60].partition(b"\n")[0].decode("ascii", "backslashreplace")
-        return f"line {data.count(10, 0, begin) + 1} {text!r}"
-
-    # every byte below '-' and, read as int8, above 127: the separators, the
-    # exponent signs '+' of values, and what no row may hold
-    seps = np.flatnonzero(buf.view(np.int8) < 45)
-    kinds = buf[seps]
-    if (kinds == 43).any():
-        seps, kinds = seps[kinds != 43], kinds[kinds != 43]
-    whole = seps.size - seps.size % 4
-    wrong = kinds[:whole].view(np.uint32) != _ROW_SEPARATORS
-    if wrong.any() or whole < seps.size or (seps[-1] + 1 if seps.size else 0) != buf.size:
-        at = (seps[4 * np.argmax(wrong)] if wrong.any() else seps[whole]
-              if whole < seps.size else buf.size - 1)
-        raise ValueError(f"{line(at)} is not four comma-separated fields and a newline")
-    rows = seps.reshape(-1, 4)  # the three commas and the LF of each row
-    start = np.concatenate(([0], rows[:-1, 3] + 1))
-
-    def tau(r):  # of row r, from its tau field
-        field = data[body + start[r]:body + rows[r, 0]]
-        if not field.isdigit():
-            raise ValueError(f"{line(start[r])}: tau is not an integer")
-        return int(field)
-
-    n_rows = len(rows)
-    n_tau = tau(-1) + 1 if n_rows else 0
-    cover = n_tau and n_rows % n_tau == 0
-    if cover:  # each row starts with the label of its tau, row // n_b, and a comma
-        labels, starts = [b"%d," % t for t in range(n_tau)], start.reshape(n_tau, -1)
-        match = np.ones(starts.shape, dtype=bool)
-        for k in range(len(labels[-1])):  # byte k of the labels that have one
-            lo = 10 ** (k - 1) if k > 1 else 0
-            want = np.frombuffer(b"".join(label[k:k + 1] for label in labels[lo:]), np.uint8)
-            match[lo:] &= buf[starts[lo:] + k] == want[:, None]
-        cover = match.all()
-        if not cover:
-            tau(np.argmin(match))  # the first row at fault, if its tau is not an integer
-    if not cover:
-        raise ValueError(f"{n_rows} rows do not cover tau = 0, ..., "
-                         "tau_max with one row per belief grid point")
-    policy = buf[rows[:, 3] - 1] - np.uint8(48)  # a byte other than 0 or 1 exceeds 1
-    if (policy > 1).any() or (rows[:, 3] - rows[:, 2] != 2).any():
-        raise ValueError("the policy column holds an action other than 0 and 1")
-    return policy.astype(np.int64).reshape(n_tau, -1), n_rows // n_tau - 1, n_tau - 1
 
 
 def write_json(path: Path, obj):
@@ -348,7 +269,8 @@ def _stored_solution(cfg: RunConfig, out_dir: Path):
         return None, f"{path} holds a value that is not finite"
     if cfg.is_stopping and (Q[:, :, -1] != cfg.c_stop).any():
         return None, f"{path} has a stop column other than costs.c_stop = {cfg.c_stop}"
-    return belief_mdp.solution_from_q(np.asarray(Q), s, cfg.is_stopping,
+    # one copy, so no Solution maps a file that a later solve truncates
+    return belief_mdp.solution_from_q(np.array(Q), s, cfg.is_stopping,
                                       sweeps_used=0, final_residual=np.inf), None
 
 
@@ -454,7 +376,10 @@ def _stale_reason(cfg: RunConfig, out_dir: Path):
     else:
         if solved_for == cfg.problem_sha256:
             return None
-        found = f"records problem sha256 {solved_for}" if solved_for else "is missing"
+        if solved_for:
+            return (f"{SOLVE_RECORD} records problem sha256 {solved_for}: the directory was "
+                    f"not solved for this config, which has {cfg.problem_sha256}")
+        found = "is missing"
     return f"{SOLVE_RECORD} {found}, this config has {cfg.problem_sha256}"
 
 
@@ -477,20 +402,10 @@ def _claim(cfg: RunConfig, out_dir: Path, *drop: str):
 def _build_policy(cfg: RunConfig, name: str, out_dir: Path):
     from . import sim
     if name == "solved":
-        path = out_dir / "value_policy.csv"
-        if not path.exists():
-            raise StalePolicyError(f"{path} not found; run solve first")
-        stale = _stale_reason(cfg, out_dir)
-        if stale:
-            raise StalePolicyError(
-                f"{path} was not solved for this config ({stale}); run solve first")
-        policy, grid_n, tau_max = read_value_policy_csv(path)
-        if (tau_max, grid_n) != (cfg.solver.tau_max, cfg.solver.grid_n):
-            raise StalePolicyError(
-                f"{path} holds a lattice with tau_max={tau_max}, grid_n={grid_n}, "
-                f"but the config has solver.tau_max={cfg.solver.tau_max}, "
-                f"solver.grid_n={cfg.solver.grid_n}; run solve first")
-        return sim.LatticePolicy(policy)
+        sol, why = _stored_solution(cfg, out_dir)
+        if why:
+            raise StalePolicyError(f"{why}; run solve first")
+        return sim.LatticePolicy(sol.policy)
     if name == "never-stop":
         return sim.never_stop
     if name == "stop-now":

@@ -7,8 +7,9 @@ which it must equal bit for bit; the scalar episode simulator that the
 lockstep ``run_batch``
 must equal bit for bit, with its per-episode trace; a replay of a
 trace's beliefs through the scalar Bayes update; a reader of
-value_policy.csv by ``np.loadtxt``, which the byte-scan reader of
-``txsched.cli`` must never contradict; the per-tau loops of the
+value_policy.csv by ``np.loadtxt``, whose policy column the policy that
+``simulate --policy solved`` takes from q_values.npy must equal; the
+per-tau loops of the
 threshold extraction and its monotonicity check, which the whole-lattice
 passes of ``txsched.stopping`` must equal bit for bit; and the per-matrix
 minor pass and the slice-by-slice folded-TP2 battery, which the stacked

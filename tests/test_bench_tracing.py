@@ -1,6 +1,7 @@
 """The benchmark's per-layer tracer (``bench/tracing.py``) rebinds attributes
 of ``txsched.cli`` by name. A rename in the package must fail here, not
-silently drop a per-layer metric."""
+silently drop a per-layer metric; only the layers named in RETIRED, whose
+code is gone, may trace nothing."""
 
 import importlib.util
 from pathlib import Path
@@ -9,6 +10,9 @@ import txsched.cli as cli
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "bench" / "tracing.py"
+# spans whose function was removed from the package; the tracer still lists
+# them, and their metrics read 0, until the benchmark drops them
+RETIRED = {"cli.read_value_policy"}  # the CSV policy reader: simulate reads q_values.npy
 
 
 def load_tracing():
@@ -22,7 +26,7 @@ def test_every_trace_target_exists():
     tracing = load_tracing()
     before = cli.load_config
     with tracing.Tracer().installed(cli) as missing:
-        assert missing == []
+        assert missing == [path for path, name, _ in tracing.TARGETS if name in RETIRED]
         assert cli.load_config is not before
     assert cli.load_config is before
 

@@ -12,13 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 import txsched as tx
 from conftest import ULP_NOISE_PLANT, channels, rowlist_write_solution_csvs
 from oracles import _stream, loadtxt_read_value_policy_csv, run_episode
-from txsched.cli import (EXIT_BROKEN_PIPE, EXIT_MODEL, StalePolicyError, _apply_overrides, _fmt,
-                         _pipeline, main, read_value_policy_csv, write_solution_csvs)
+from txsched.cli import (EXIT_BROKEN_PIPE, EXIT_MODEL, StalePolicyError, _apply_overrides,
+                         _build_policy, _fmt, _pipeline, _stored_solution, main,
+                         write_solution_csvs)
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_FILES = ["configs/example.yaml", "bench/workloads/ref.yaml",
@@ -648,7 +649,9 @@ class TestSimulate:
         p, _ = write_cfg(tmp_path)
         assert main(["simulate", "--config", str(p), "--policy", "solved"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("stale policy: ") and "value_policy.csv not found" in err
+        assert err.startswith("stale policy: solve_record.json is missing, this config has ")
+        assert err.endswith("; run solve first\n")
+        assert not (tmp_path / "out" / "simstats_solved.json").exists()
 
     def test_seed_repeat_identical_bytes(self, tmp_path):
         p, _ = write_cfg(tmp_path)
@@ -877,12 +880,14 @@ class TestSolvedPolicyProvenance:
                                      "output.directory": "out2"}, name="b.yaml")
         assert main(["solve", "--config", str(p1), "--quiet"]) == 0
         assert main(["solve", "--config", str(p2), "--quiet"]) == 0
-        (tmp_path / "out2" / "value_policy.csv").write_bytes(
-            (tmp_path / "out" / "value_policy.csv").read_bytes())
+        path = tmp_path / "out2" / "q_values.npy"
+        path.write_bytes((tmp_path / "out" / "q_values.npy").read_bytes())
         capsys.readouterr()
         assert main(["simulate", "--config", str(p2), "--policy", "solved"]) == 2
-        err = capsys.readouterr().err
-        assert "tau_max=20, grid_n=40" in err and "solver.grid_n=30" in err
+        assert capsys.readouterr().err == (
+            f"stale policy: {path} holds float64 (21, 41, 2), not float64 (13, 31, 2); "
+            "run solve first\n")
+        assert not (tmp_path / "out2" / "simstats_solved.json").exists()
 
     def test_missing_record_refused(self, tmp_path, capsys):
         p, _ = write_cfg(tmp_path)
@@ -893,6 +898,8 @@ class TestSolvedPolicyProvenance:
         assert "solve_record.json is missing" in capsys.readouterr().err
 
     def test_reader_returns_the_solved_lattice(self, tmp_path):
+        # the policy simulate acts on is the solver's, and the one that
+        # value_policy.csv publishes
         p, _ = write_cfg(tmp_path)
         assert main(["solve", "--config", str(p), "--quiet"]) == 0
         cfg = tx.load_config(p)
@@ -900,39 +907,41 @@ class TestSolvedPolicyProvenance:
         table = tx.holding_cost_table(cfg.system, ss, cfg.solver.tau_max)
         sol = tx.solve_stopping(tx.StoppingProblem(
             channel=cfg.channel, holding=table, cfg=cfg.solver, c_stop=cfg.c_stop))
-        policy, grid_n, tau_max = read_value_policy_csv(tmp_path / "out" / "value_policy.csv")
-        assert (grid_n, tau_max) == (cfg.solver.grid_n, cfg.solver.tau_max)
+        policy = _build_policy(cfg, "solved", tmp_path / "out").policy
         assert policy.dtype == np.int64 and np.array_equal(policy, sol.policy)
+        published, grid_n, tau_max = loadtxt_read_value_policy_csv(
+            tmp_path / "out" / "value_policy.csv")
+        assert (grid_n, tau_max) == (cfg.solver.grid_n, cfg.solver.tau_max)
+        assert np.array_equal(published, policy)
 
     @pytest.mark.parametrize("edit", ["cut_last_row", "cut_mid_row", "cut_all_rows",
-                                      "action_2"])
-    def test_malformed_policy_file_refused(self, tmp_path, capsys, edit):
+                                      "action_2", "bad_header", "missing", "directory"])
+    def test_value_policy_csv_is_not_read_back(self, tmp_path, capsys, edit):
+        # simulate takes its policy from q_values.npy: whatever becomes of
+        # the published CSV, it runs the same episodes to the same bytes
         p, _ = write_cfg(tmp_path)
+        out = tmp_path / "out"
         assert main(["solve", "--config", str(p), "--quiet"]) == 0
-        path = tmp_path / "out" / "value_policy.csv"
+        assert main(["simulate", "--config", str(p), "--policy", "solved", "--quiet"]) == 0
+        want = (out / "simstats_solved.json").read_bytes()
+        (out / "simstats_solved.json").unlink()
+        path = out / "value_policy.csv"
         lines = path.read_text().split("\n")[:-1]
-        kept = {"cut_last_row": lines[:-1],
-                "cut_mid_row": lines[:-1] + [lines[-1][:5]],
-                "cut_all_rows": lines[:1],
-                "action_2": lines[:-1] + [lines[-1][:-1] + "2"]}[edit]
-        path.write_text("\n".join(kept) + "\n")
+        if edit in ("missing", "directory"):
+            path.unlink()
+            if edit == "directory":
+                path.mkdir()
+        else:
+            kept = {"cut_last_row": lines[:-1],
+                    "cut_mid_row": lines[:-1] + [lines[-1][:5]],
+                    "cut_all_rows": lines[:1],
+                    "action_2": lines[:-1] + [lines[-1][:-1] + "2"],
+                    "bad_header": ["tau,belief,policy,value"] + lines[1:]}[edit]
+            path.write_text("\n".join(kept) + "\n")
         capsys.readouterr()
-        assert main(["simulate", "--config", str(p), "--policy", "solved"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"stale policy: {path} is malformed (")
-        assert err.rstrip().endswith("; run solve first")
-        assert not (tmp_path / "out" / "simstats_solved.json").exists()
-
-    def test_policy_file_with_bad_header_refused(self, tmp_path, capsys):
-        p, _ = write_cfg(tmp_path)
-        assert main(["solve", "--config", str(p), "--quiet"]) == 0
-        path = tmp_path / "out" / "value_policy.csv"
-        path.write_text(path.read_text().replace("tau,belief,value,policy",
-                                                 "tau,belief,policy,value", 1))
-        capsys.readouterr()
-        assert main(["simulate", "--config", str(p), "--policy", "solved"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"stale policy: {path} is malformed (unexpected header")
+        assert main(["simulate", "--config", str(p), "--policy", "solved", "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+        assert (out / "simstats_solved.json").read_bytes() == want
 
     def test_corrupt_record_refused(self, tmp_path, capsys):
         p, _ = write_cfg(tmp_path)
@@ -954,152 +963,38 @@ class TestSolvedPolicyProvenance:
         assert stats["seed"] == 999
 
 
-def _is_canonical_int(field: bytes) -> bool:
-    try:
-        return field == b"%d" % int(field)
-    except ValueError:
-        return True  # no integer: np.loadtxt refuses it as well
-
-
-# The files np.loadtxt reads and the byte scan refuses. solve writes none of
-# them: its rows are ASCII, LF-terminated and four fields long, with tau and
-# the policy in plain decimal.
-STRICTER_THAN_LOADTXT = {
-    "a byte below '-' but ',', '+' and LF: CR (CRLF line ends) or another control "
-    "byte, a space, '#' (a comment) or one of !\"$%&'()*": lambda d: any(
-        b < 45 and b not in b",+\n" for b in d),
-    "a blank line": lambda d: b"\n\n" in d,
-    "no LF after the last row": lambda d: not d.endswith(b"\n"),
-    "a non-ASCII byte": lambda d: not d.isascii(),
-    "a row of more than four fields": lambda d: any(
-        row.count(b",") > 3 for row in d.split(b"\n")),
-    "a sign or a leading zero in tau or the policy": lambda d: any(
-        not _is_canonical_int(f) for row in d.split(b"\n")[1:] if row.count(b",") >= 3
-        for f in (row.split(b",")[0], row.split(b",")[3])),
-}
-
-
-def _mutate(data: bytes, kind: str, i: int, byte: int) -> bytes:
-    i %= len(data)
-    if kind == "delete":
-        return data[:i] + data[i + 1:]
-    if kind == "duplicate":
-        return data[:i + 1] + data[i:]
-    if kind == "replace":
-        return data[:i] + bytes([byte]) + data[i + 1:]
-    if kind == "comma":
-        return data[:i] + b"," + data[i:]
-    if kind == "crlf":
-        return data.replace(b"\n", b"\r\n")
-    if kind == "drop_final_lf":
-        return data[:-1]
-    begin = data.rfind(b"\n", 0, i) + 1  # a blank or comment line before byte i's
-    return data[:begin] + (b"\n" if kind == "blank" else b"# note\n") + data[begin:]
-
-
-def _read(reader, path):
-    try:
-        return reader(path)
-    except StalePolicyError:
-        return None
-
-
 class TestPolicyReader:
-    """The byte-scan reader of value_policy.csv against the np.loadtxt
-    reader it replaced (tests/oracles.py)."""
-
-    @pytest.fixture(scope="class")
-    def solved_files(self, tmp_path_factory):
-        # tau up to 11, so two-digit taus; and a file whose values need an
-        # exponent sign, NaN and infinities
-        tmp = tmp_path_factory.mktemp("policy")
-        p, _ = write_cfg(tmp, {"solver.tau_max": 11, "solver.grid_n": 3})
-        assert main(["solve", "--config", str(p), "--quiet"]) == 0
-        rng = np.random.default_rng(11)
-        V = rng.choice([1e300, -2.5e-300, np.nan, np.inf, -np.inf, -0.0, 3.0], (11, 4))
-        odd = tx.Solution(Qfun=V[:, :, None], V=V, policy=rng.integers(0, 2, (11, 4)),
-                          belief_grid=np.linspace(0.0, 1.0, 4), sweeps_used=1,
-                          final_residual=0.0)
-        (tmp / "odd").mkdir()
-        write_solution_csvs(odd, tmp / "odd")
-        files = [tmp / "out" / "value_policy.csv", tmp / "odd" / "value_policy.csv"]
-        assert b"e+300" in files[1].read_bytes()
-        return [f.read_bytes() for f in files]
-
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(which=st.integers(0, 1),
-           kind=st.sampled_from(["delete", "duplicate", "replace", "comma", "crlf",
-                                 "drop_final_lf", "blank", "comment"]),
-           i=st.integers(0, 2**20),
-           byte=st.one_of(st.sampled_from(b"0123456789,\n\r #+-.e\x0b\x7f"),
-                          st.integers(0, 255)))
-    def test_never_contradicts_loadtxt(self, tmp_path_factory, solved_files, which, kind,
-                                       i, byte):
-        data = _mutate(solved_files[which], kind, i, byte)
-        path = tmp_path_factory.mktemp("mutated") / "value_policy.csv"
-        path.write_bytes(data)
-        want, got = (_read(reader, path) for reader in
-                     (loadtxt_read_value_policy_csv, read_value_policy_csv))
-        if got is not None:
-            assert want is not None
-            assert np.array_equal(got[0], want[0]) and got[0].dtype == want[0].dtype
-            assert got[1:] == want[1:]
-        elif want is not None:
-            cases = [case for case, holds in STRICTER_THAN_LOADTXT.items() if holds(data)]
-            assert cases, data
-            event(f"only np.loadtxt reads it: {cases[0]}")
-        event("both read it" if got is not None else "both refuse it" if want is None
-              else "only np.loadtxt reads it")
-
-    @pytest.mark.parametrize("edit", [
-        lambda d: d.replace(b"\n", b"\r\n"),
-        lambda d: d.replace(b"\n", b"\n# note\n", 1),
-        lambda d: d.replace(b"\n", b"\n\n", 1),
-        lambda d: d[:-1],
-        lambda d: d.replace(b"\n0,", b"\n 0,", 1),
-        lambda d: d.replace(b"\n0,", b"\n+0,", 1),
-        lambda d: d.replace(b"\n0,", b"\n00,", 1),
-        lambda d: d.replace(b",0\n", b",00\n", 1),
-        lambda d: d.replace(b",0\n", b",0,5\n", 1),
-        lambda d: d.replace(b",0\n", b"\xc3\xa9,0\n", 1),
-        lambda d: d.replace(b",0\n", b"!,0\n", 1),
-    ], ids=["crlf", "comment", "blank", "no_final_lf", "space", "sign", "tau_leading_zero",
-            "policy_leading_zero", "fifth_field", "utf8_value", "bang_in_value"])
-    def test_refuses_what_only_loadtxt_reads(self, tmp_path, solved_files, edit):
-        path = tmp_path / "value_policy.csv"
-        path.write_bytes(solved_files[0])
-        want = loadtxt_read_value_policy_csv(path)
-        data = edit(solved_files[0])
-        path.write_bytes(data)
-        got = loadtxt_read_value_policy_csv(path)
-        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
-        with pytest.raises(StalePolicyError, match=" is malformed "):
-            read_value_policy_csv(path)
-        assert any(holds(data) for holds in STRICTER_THAN_LOADTXT.values())
-
-    def test_reads_what_loadtxt_reads_from_solved_files(self, tmp_path, solved_files):
-        for data in solved_files:
-            (tmp_path / "value_policy.csv").write_bytes(data)
-            want = loadtxt_read_value_policy_csv(tmp_path / "value_policy.csv")
-            got = read_value_policy_csv(tmp_path / "value_policy.csv")
-            assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+    """The policy that simulate --policy solved acts on against the one
+    that solve published in value_policy.csv, read by np.loadtxt
+    (tests/oracles.py)."""
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(ch=channels(max_actions=1), grid_n=st.integers(2, 12), tau_max=st.integers(1, 120),
-           gamma=st.floats(0.3, 0.95), c_stop=st.floats(0.5, 20.0),
-           seed=st.integers(0, 2**32 - 1))
-    def test_round_trip(self, tmp_path_factory, ch, grid_n, tau_max, gamma, c_stop, seed):
-        holding = tx.HoldingCostTable(
-            costs=np.cumsum(np.random.default_rng(seed).uniform(0.0, 1.0, tau_max + 1)),
-            spectral_radius=0.85)
-        cfg = tx.SolverConfig(gamma=gamma, tau_max=tau_max, grid_n=grid_n, vi_tol=1e-6)
-        sol = tx.solve_stopping(tx.StoppingProblem(channel=ch, holding=holding, cfg=cfg,
-                                                   c_stop=c_stop))
-        out = tmp_path_factory.mktemp("round_trip")
-        write_solution_csvs(sol, out)
-        policy, got_grid_n, got_tau_max = read_value_policy_csv(out / "value_policy.csv")
+    @given(ch=channels(max_actions=1), a=st.floats(-0.95, 0.95), grid_n=st.integers(2, 12),
+           tau_max=st.integers(1, 120), gamma=st.floats(0.3, 0.95), c_stop=st.floats(0.5, 20.0))
+    @example(ch=tx.ChannelModel(lam=[[0.125], [0.0]], mode_kernel=[[[0.0, 1.0], [1.0, 0.0]]]),
+             a=0.0, grid_n=2, tau_max=1, gamma=0.40625, c_stop=0.5)  # solve exits 4
+    def test_round_trip(self, tmp_path_factory, ch, a, grid_n, tau_max, gamma, c_stop):
+        tmp = tmp_path_factory.mktemp("round_trip")
+        p, _ = write_cfg(tmp, {
+            "system.A": [[a]], "costs.c_stop": c_stop,
+            "channel": {"type": "explicit", "lam": ch.lam.tolist(),
+                        "mode_kernel": ch.mode_kernel.tolist(), "b0": 0.0},
+            "solver": {"gamma": gamma, "tau_max": tau_max, "grid_n": grid_n, "vi_tol": 1e-6}})
+        cfg, out = tx.load_config(p), tmp / "out"
+        rc = main(["solve", "--config", str(p), "--quiet"])
+        event(f"solve exits {rc}")
+        if rc == 4:  # a stop region without a threshold: solve publishes nothing
+            assert not (out / "value_policy.csv").exists()
+            with pytest.raises(StalePolicyError, match="solve_record.json is missing"):
+                _build_policy(cfg, "solved", out)
+            return
+        assert rc == 0
+        policy = _build_policy(cfg, "solved", out).policy
+        published, got_grid_n, got_tau_max = loadtxt_read_value_policy_csv(
+            out / "value_policy.csv")
         assert (got_grid_n, got_tau_max) == (grid_n, tau_max)
-        assert policy.dtype == np.int64 and np.array_equal(policy, sol.policy)
+        assert policy.dtype == published.dtype == np.int64
+        assert np.array_equal(policy, published)
 
 
 GENERAL = {
@@ -1140,10 +1035,45 @@ class _Alarm:
         return _unpickle_alarm, ()
 
 
+def _break_q_values(out: Path, fault: str):
+    """Give the solve in out the named fault of FAULTS."""
+    path = out / "q_values.npy"
+    Q = np.load(path)
+    if fault == "missing":
+        path.unlink()
+    elif fault == "stale_record":
+        (out / "solve_record.json").write_text('{"problem_sha256": "0123"}')
+    elif fault == "shape":
+        np.save(path, Q[:-1])
+    elif fault == "dtype":
+        np.save(path, Q.astype(np.float32))
+    elif fault == "nan":
+        Q[3, 4, 0] = np.nan
+        np.save(path, Q)
+    elif fault == "stop_column":
+        Q[2, 5, 1] = np.nextafter(10.0, 11.0)
+        np.save(path, Q)
+    elif fault == "truncated":
+        path.write_bytes(path.read_bytes()[:-8])
+    elif fault == "pickled":  # loading it unpickled would raise _Unpickled
+        np.save(path, np.array([_Alarm()], dtype=object), allow_pickle=True)
+    elif fault == "pickle_file":
+        path.write_bytes(pickle.dumps(_Alarm()))
+    elif fault == "empty":
+        path.write_bytes(b"")
+    elif fault == "npz":
+        with open(path, "wb") as fh:
+            np.savez(fh, q=Q)
+    else:
+        path.unlink()
+        path.mkdir()
+
+
 class TestStoredSolution:
-    """verify reads the Q that solve wrote for its config (q_values.npy), and
-    solves again, to the same report, whenever that file cannot vouch for
-    the config."""
+    """verify and simulate --policy solved read the Q that solve wrote for
+    their config (q_values.npy). Whenever that file cannot vouch for the
+    config, verify solves again, to the same report, and simulate refuses it
+    as a stale policy."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -1206,41 +1136,46 @@ class TestStoredSolution:
         out = tmp_path / "out"
         assert main(["solve", "--config", str(p), "--quiet"]) == 0
         rc, stored, _ = self.verify(p, out, capsys)
-        path = out / "q_values.npy"
-        Q = np.load(path)
-        if fault == "missing":
-            path.unlink()
-        elif fault == "stale_record":
-            (out / "solve_record.json").write_text('{"problem_sha256": "0123"}')
-        elif fault == "shape":
-            np.save(path, Q[:-1])
-        elif fault == "dtype":
-            np.save(path, Q.astype(np.float32))
-        elif fault == "nan":
-            Q[3, 4, 0] = np.nan
-            np.save(path, Q)
-        elif fault == "stop_column":
-            Q[2, 5, 1] = np.nextafter(10.0, 11.0)
-            np.save(path, Q)
-        elif fault == "truncated":
-            path.write_bytes(path.read_bytes()[:-8])
-        elif fault == "pickled":  # loading it unpickled would raise _Unpickled
-            np.save(path, np.array([_Alarm()], dtype=object), allow_pickle=True)
-        elif fault == "pickle_file":
-            path.write_bytes(pickle.dumps(_Alarm()))
-        elif fault == "empty":
-            path.write_bytes(b"")
-        elif fault == "npz":
-            with open(path, "wb") as fh:
-                np.savez(fh, q=Q)
-        else:
-            path.unlink()
-            path.mkdir()
+        _break_q_values(out, fault)
         n = len(solves)
         again = self.verify(p, out, capsys)
         assert again[:2] == (rc, stored)
         assert len(solves) > n
         assert again[2].startswith("value checks on a new solve: ") and reason in again[2]
+
+    @pytest.mark.parametrize("fault, reason", FAULTS)
+    def test_a_file_that_cannot_vouch_is_a_stale_policy(self, tmp_path, capsys, fault,
+                                                        reason):
+        p, _ = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(p), "--quiet"]) == 0
+        _break_q_values(out, fault)
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(p), "--policy", "solved"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("stale policy: ") and reason in captured.err
+        assert captured.err.endswith("; run solve first\n")
+        assert not (out / "simstats_solved.json").exists()
+
+    def test_solution_arrays_are_read_only(self, tmp_path):
+        p, _ = write_cfg(tmp_path)
+        assert main(["solve", "--config", str(p), "--quiet"]) == 0
+        cfg = tx.load_config(p)
+        stored, why = _stored_solution(cfg, tmp_path / "out")
+        assert why is None
+        for sol in (_pipeline(cfg)[1], stored):
+            for name in ("Qfun", "V", "policy"):
+                a = getattr(sol, name)
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0, 0] = 0
+        # the stored one is a copy in memory, not a map of the file that the
+        # next solve rewrites
+        a = stored.Qfun
+        while a is not None and not isinstance(a, np.memmap):
+            a = a.base
+        assert a is None
 
     def test_a_partial_solve_leaves_no_record(self, tmp_path, capsys, monkeypatch, solves):
         # config X solved, then config Y's solve removes X's files and stops at
@@ -1673,13 +1608,13 @@ class TestExitCodes:
     def test_unreadable_policy_file_is_a_stale_policy(self, tmp_path, capsys):
         p, _ = write_cfg(tmp_path)
         assert main(["solve", "--config", str(p), "--quiet"]) == 0
-        path = tmp_path / "out" / "value_policy.csv"
+        path = tmp_path / "out" / "q_values.npy"
         path.unlink()
         path.mkdir()
         capsys.readouterr()
         assert main(["simulate", "--config", str(p), "--policy", "solved"]) == 2
         assert capsys.readouterr().err == (
-            f"stale policy: cannot read '{path}': Is a directory; run solve first\n")
+            f"stale policy: cannot load '{path}': Is a directory; run solve first\n")
 
     @pytest.mark.parametrize("directory", [True, False])
     def test_unreadable_thresholds_file_is_an_output_error(self, tmp_path, capsys, directory):

@@ -1,7 +1,8 @@
 """Source checks on src/txsched/*.py with the standard library's ast: no
 module imports a name it never reads, and every module-level private
-function or class is named somewhere in src/ outside its own definition.
-Code that nothing uses is then a test failure, not a review finding."""
+function, class or constant is named somewhere in src/ outside its own
+definition. Code that nothing uses is then a test failure, not a review
+finding."""
 
 import ast
 from collections import Counter
@@ -47,14 +48,22 @@ def unused_imports(tree: ast.Module) -> list:
     return unused
 
 
+def _defined(stmt) -> list:
+    """The names a module-level def, class or assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = (stmt.targets if isinstance(stmt, ast.Assign) else
+               [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
 def unnamed_privates(trees: dict) -> list:
-    """(module, name) of each module-level private function or class that no
-    module names outside the definition itself."""
+    """(module, name) of each module-level private function, class or
+    constant that no module names outside the definition itself."""
     named = Counter(n for tree in trees.values() for n in _identifiers(tree))
-    return [(module, stmt.name) for module, tree in trees.items() for stmt in tree.body
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and stmt.name.startswith("_") and not stmt.name.startswith("__")
-            and named[stmt.name] == Counter(_identifiers(stmt))[stmt.name]]
+    return [(module, name) for module, tree in trees.items() for stmt in tree.body
+            for name in _defined(stmt) if name.startswith("_") and not name.startswith("__")
+            and named[name] == Counter(_identifiers(stmt))[name]]
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +77,7 @@ def test_no_unused_imports(trees):
     assert not {m: u for m, u in found.items() if u}
 
 
-def test_every_private_function_and_class_is_used(trees):
+def test_every_private_function_class_and_constant_is_used(trees):
     assert unnamed_privates(trees) == []
 
 
@@ -89,3 +98,9 @@ class TestTheChecksThemselves:
                                 "def _used():\n    return 1\n\nclass _Dead:\n    pass\n"),
                  "b.py": ast.parse("from .a import _used\n\nx = _used()\n")}
         assert unnamed_privates(trees) == [("a.py", "_loop"), ("a.py", "_Dead")]
+
+    def test_private_constant_read_only_by_itself_is_found(self):
+        trees = {"a.py": ast.parse("_SEPS = 1\n_READ = 2\n_X, _Y = 3, 4\n_ANN: int = 5\n"
+                                "_OUT = 6\n__all__ = []\n\ndef f():\n    return _READ + _Y\n"),
+                 "b.py": ast.parse("from .a import _OUT\n\nx = _OUT\n")}
+        assert unnamed_privates(trees) == [("a.py", "_SEPS"), ("a.py", "_X"), ("a.py", "_ANN")]
