@@ -15,7 +15,8 @@ MacQueen/Porteus span bound, certifies every solve in the sup norm; the
 sweep returns the bound's midpoint. The weighted sup-norm, whose weight
 grows along tau only when the plant is unstable, serves the paper's
 contraction check (check_contraction), which computes the exact moduli L_j
-of T^j on the lattice (_lattice_moduli).
+of T^j on the lattice (_lattice_moduli), on the two-point belief grid
+wherever they cannot depend on the grid.
 Every solve reports the error it certifies (Solution.certified_error): an
 exact-arithmetic bound plus a bound on the sweep's float rounding.
 cfg.vi_tol is the target for that error. A solve starts from the solve on a
@@ -265,14 +266,15 @@ def _iterate(ch: ChannelModel, cost: StageCost, cfg: SolverConfig,
 
 
 def _lattice_moduli(stencil, s, gamma, m):
-    """L_1..L_m: the Lipschitz moduli of T, T^2, ..., T^m on the lattice in
-    the weighted sup norm with weights s.
+    """L_1..L_m: the Lipschitz moduli of T, T^2, ..., T^m in the weighted sup
+    norm with weights s, on the lattice of the stencil given (its belief
+    grid, tau up to s's last entry).
 
     T is a stage cost plus gamma times a nonnegative kernel K_a
     (interpolation weights times outcome probabilities) applied to min_a Q,
     and min_a is 1-Lipschitz and monotone. So |T^j Q1 - T^j Q2| <= A_j *
     ||Q1 - Q2|| entrywise, with A_0 = s and A_j = max_a gamma K_a A_{j-1}:
-    _bellman with zero costs. L_j = max(A_j / s), exact for the lattice
+    _bellman with zero costs. L_j = max(A_j / s), exact for that lattice's
     operator, so no pair of inputs can show a larger ratio."""
     n_actions, n_b = stencil[0].shape
     zeros, out = np.zeros((s.size, n_actions)), np.empty((s.size, n_actions, n_b))
@@ -506,7 +508,12 @@ class ValueMonotonicityReport:
 
 def verify_value_monotonicity(sol: Solution, tol: float = 1e-8) -> ValueMonotonicityReport:
     """Check that V and every action slice of Q are nondecreasing in both the
-    holding time and the belief coordinate."""
+    holding time and the belief coordinate.
+
+    n_violations counts the steps that drop by more than tol; worst_drop is
+    the most negative one and witness (surface, axis, i, j, drop) its first
+    position. Each difference array is reduced once, by its minimum; only a
+    minimum below -tol (or NaN) goes on to count and find the witness."""
     n_viol = 0
     worst = 0.0
     witness = None
@@ -515,10 +522,9 @@ def verify_value_monotonicity(sol: Solution, tol: float = 1e-8) -> ValueMonotoni
     for name, F in surfaces:
         for axis, label in ((0, "tau"), (1, "b")):
             d = np.diff(F, axis=axis)
-            bad = d < -tol
-            n_viol += int(bad.sum())
-            if bad.any():
-                drop = float(d.min())
+            drop = float(d.min(initial=0.0))
+            if not drop >= -tol:
+                n_viol += int(np.count_nonzero(d < -tol))
                 if drop < worst:
                     worst = drop
                     ij = np.unravel_index(int(np.argmin(d)), d.shape)
@@ -600,6 +606,27 @@ def check_contraction(ch: ChannelModel, sys: LtiSystem, cfg: SolverConfig,
     Raises ValueError when the solver's contraction hypothesis
     fails (see _require_contraction) and ConvergenceError when no m <= m_max
     qualifies.
+
+    The moduli are read on the two-point belief grid {0, 1} wherever they
+    cannot depend on the grid. The unnormalized Bayes step is linear in b
+    (Smallwood and Sondik, 1973): p_succ(b), p_fail(b) and p(b) *
+    posterior(b) are affine. So with one action, affine rows of A_{j-1}
+    give affine rows of A_j, which interpolation reproduces on any grid,
+    from the constant rows of A_0 = s; an affine row peaks at b = 0 or 1,
+    which every grid holds. At m = 1, whatever the actions, each action's
+    row of A_1 is affine and their maximum is convex, so it peaks at an
+    endpoint too. With several actions at m > 1 that maximum has kinks,
+    the moduli move with the grid (up to about 10%), and the solver's grid
+    is kept.
+
+    The grids round differently. To first order in the unit roundoff u a
+    stage adds at most 8 u of relative error to an entry of A_j (an
+    interpolation of nonnegative values, two products, a sum and gamma;
+    the stencil's own rounding fits in that count), and a nonnegative
+    combination passes relative error on unchanged. So two grids' L_j agree
+    within 16 j u relative (random draws stay below 2 j u). At m = 1 the
+    endpoint entries are the same bits on every grid, since s interpolates
+    exactly.
     """
     lam_min = ch.min_success_prob()
     rho = sys.spectral_radius()
@@ -610,7 +637,8 @@ def check_contraction(ch: ChannelModel, sys: LtiSystem, cfg: SolverConfig,
     m, bound = _contraction_stage(lam_min, base, cfg.gamma, m_max)
     if m is None:
         raise ConvergenceError(f"no contraction stage found up to m={m_max}")
-    moduli = _lattice_moduli(_stencil(ch, cfg.belief_grid()),
-                             weight_profile(rho, eps, cfg.tau_max), cfg.gamma, m)
+    grid = cfg.belief_grid() if ch.n_actions > 1 and m > 1 else np.array([0.0, 1.0])
+    moduli = _lattice_moduli(_stencil(ch, grid), weight_profile(rho, eps, cfg.tau_max),
+                             cfg.gamma, m)
     return ContractionReport(m=m, certified_bound=bound, alpha=alpha,
                              weight_base=base, lattice_modulus=moduli[-1])

@@ -11,7 +11,9 @@ value_policy.csv by ``np.loadtxt``, whose policy column the policy that
 ``simulate --policy solved`` takes from q_values.npy must equal; the
 per-tau loops of the
 threshold extraction and its monotonicity check, which the whole-lattice
-passes of ``txsched.stopping`` must equal bit for bit; and the per-matrix
+passes of ``txsched.stopping`` must equal bit for bit; the counting loop of
+the value monotonicity check, whose report
+``belief_mdp.verify_value_monotonicity`` must equal field by field; and the per-matrix
 minor pass and the slice-by-slice folded-TP2 battery, which the stacked
 passes of ``txsched.stochastic_orders`` and ``txsched.folding`` must equal
 check by check; and an exact solve of the lattice problem by policy
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from txsched.belief_mdp import (SolverConfig, StageCost, _bellman, _check_problem, _stencil,
-                                _weighted_sup, weight_profile)
+from txsched.belief_mdp import (SolverConfig, StageCost, ValueMonotonicityReport, _bellman,
+                                _check_problem, _stencil, _weighted_sup, weight_profile)
 from txsched.channel import ChannelModel
 from txsched.cli import StalePolicyError
 from txsched.folding import (FoldedTP2Report, PairCheck, composite_kernel, folded_observation,
@@ -339,6 +341,30 @@ def loop_verify_threshold_monotone(th: ThresholdFunction, tol: float = 0.0) -> C
             return CheckResult(False, witness=(tau, float(ext[tau]), float(ext[tau + 1])),
                                value=float(ext[tau + 1] - ext[tau]))
     return CheckResult(True)
+
+
+def loop_verify_value_monotonicity(sol, tol: float = 1e-8) -> ValueMonotonicityReport:
+    """``belief_mdp.verify_value_monotonicity`` as it was first written:
+    every difference array compared with -tol, counted and searched for its
+    minimum whenever a step drops by more than tol."""
+    n_viol = 0
+    worst = 0.0
+    witness = None
+    surfaces = [("V", sol.V)] + [(f"Q[a={a}]", sol.Qfun[:, :, a])
+                                 for a in range(sol.n_actions)]
+    for name, F in surfaces:
+        for axis, label in ((0, "tau"), (1, "b")):
+            d = np.diff(F, axis=axis)
+            bad = d < -tol
+            n_viol += int(bad.sum())
+            if bad.any():
+                drop = float(d.min())
+                if drop < worst:
+                    worst = drop
+                    ij = np.unravel_index(int(np.argmin(d)), d.shape)
+                    witness = (name, label, int(ij[0]), int(ij[1]), drop)
+    return ValueMonotonicityReport(ok=(n_viol == 0), n_violations=n_viol,
+                                   worst_drop=worst, witness=witness)
 
 
 def matrix_tp2_pass(M, tol: float = ORDER_TOL) -> tuple[CheckResult, float]:

@@ -5,13 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 import txsched as tx
 from conftest import (bayes_enumeration_oracle, channels, random_channel,
                       sampled_contraction_ratio, sampled_update_monotonicity)
-from oracles import (bellman_apply, bellman_sweep, belief_update, observation_likelihood,
-                     policy_iteration, predictive_belief, weighted_norm)
+from oracles import (bellman_apply, bellman_sweep, belief_update, loop_verify_value_monotonicity,
+                     observation_likelihood, policy_iteration, predictive_belief, weighted_norm)
 from orders import FiniteDist, fsd_dominates, stage_cost
 from txsched.belief_mdp import (_action_tables, _cell, _contraction_stage, _lattice_moduli,
                                 _prolong, _stencil, greedy_policy)
@@ -874,6 +874,89 @@ class TestValueMonotonicity:
             assert tx.verify_value_monotonicity(sol).ok
 
 
+@st.composite
+def plants(draw):
+    """Keyword arguments of a contraction check: a stable plant, or half the
+    time an unstable one with gamma near 1, whose contraction can take
+    several stages."""
+    unstable = draw(st.booleans())
+    return dict(a=draw(st.floats(1.05, 1.25) if unstable else st.floats(0.0, 0.99)),
+                eps=draw(st.floats(1e-3, 0.1)),
+                gamma=draw(st.floats(0.9, 0.999) if unstable else st.floats(0.3, 0.999)),
+                tau_max=draw(st.integers(1, 60)), grid_n=draw(st.integers(2, 400)))
+
+
+def _monotone_surfaces(n_tau, n_b, n_actions, slopes):
+    """V and Q[.., a] rising by slopes[a] along tau and 2 * slopes[a] along
+    b (V takes slopes[-1]); small multiples of powers of two, so every shift
+    below is exact."""
+    tau, b = np.meshgrid(np.arange(n_tau), np.arange(n_b), indexing="ij")
+    F = np.stack([s * tau + 2 * s * b + a for a, s in enumerate(slopes)], axis=0)
+    return F[-1], np.moveaxis(F[:n_actions], 0, 2)
+
+
+def _drop(F, axis, i, fall):
+    """Shift F's entries past index i along axis down, so that step i falls
+    by fall wherever it rose by the most."""
+    step = np.diff(F, axis=axis).take(i, axis=axis)
+    F[(slice(None),) * axis + (slice(i + 1, None),)] -= step.max() + fall
+
+
+class TestValueMonotonicityOracle:
+    """verify_value_monotonicity reduces each difference array once and
+    counts only past -tol; its report equals the counting loop's
+    (oracles.loop_verify_value_monotonicity) field by field."""
+
+    # about 7.5e-9; the surfaces stay below 2^9, so a drop of exactly tol,
+    # or of tol and 2^-43 (one ulp there), is exact in floats
+    TOL, PAST = 2.0 ** -27, 2.0 ** -27 + 2.0 ** -43
+    FALLS = {"at tol": TOL, "past tol": PAST, "large": 0.5, "nan": np.nan}
+
+    @staticmethod
+    def _solution(V, Q):
+        return tx.Solution(Qfun=Q, V=V, policy=np.zeros(V.shape, dtype=int),
+                           belief_grid=np.linspace(0.0, 1.0, V.shape[1]), sweeps_used=1,
+                           final_residual=0.0)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(n_tau=st.integers(2, 6), n_b=st.integers(2, 7), n_actions=st.integers(1, 3),
+           slopes=st.lists(st.sampled_from([0.0, 0.25, 1.0]), min_size=4, max_size=4),
+           drops=st.lists(st.tuples(st.integers(-1, 2), st.integers(0, 1), st.integers(0, 5),
+                                    st.sampled_from(sorted(FALLS))),
+                          min_size=1, max_size=3))
+    def test_equals_the_counting_loop(self, n_tau, n_b, n_actions, slopes, drops):
+        # each drop shifts V (surface -1) or one Q column down past one step
+        # along one axis, so that step falls by exactly tol, by one ulp of
+        # the surface more, or by 0.5; NaN stands for entries no comparison
+        # orders
+        V, Q = _monotone_surfaces(n_tau, n_b, n_actions, slopes)
+        for surface, axis, i, kind in drops:
+            F = V if surface < 0 else Q[:, :, surface % n_actions]
+            _drop(F, axis, i % (F.shape[axis] - 1), self.FALLS[kind])
+            event(kind)
+        sol = self._solution(V, Q)
+        assert (tx.verify_value_monotonicity(sol, tol=self.TOL)
+                == loop_verify_value_monotonicity(sol, tol=self.TOL))
+
+    @pytest.mark.parametrize("surface", [-1, 0, 1])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_a_drop_of_exactly_tol_passes(self, surface, axis):
+        V, Q = _monotone_surfaces(5, 6, 2, [1.0, 0.25, 1.0, 0.25])
+        F = V if surface < 0 else Q[:, :, surface]
+        _drop(F, axis, 2, self.TOL)
+        sol = self._solution(V, Q)
+        assert np.diff(F, axis=axis).min() == -self.TOL
+        rep = tx.verify_value_monotonicity(sol, tol=self.TOL)
+        assert (rep.ok, rep.n_violations, rep.worst_drop, rep.witness) == (True, 0, 0.0, None)
+        _drop(F, axis, 2, self.PAST)
+        rep = tx.verify_value_monotonicity(sol, tol=self.TOL)
+        name = "V" if surface < 0 else f"Q[a={surface}]"
+        ij = (2, 0) if axis == 0 else (0, 2)
+        assert (rep.ok, rep.n_violations, rep.worst_drop, rep.witness) == (
+            False, F.shape[1 - axis], -self.PAST, (name, ("tau", "b")[axis], *ij, -self.PAST))
+        assert rep == loop_verify_value_monotonicity(sol, tol=self.TOL)
+
+
 class TestContraction:
     def test_reference_configuration(self, plant, ge_channel, cost_table, solver_cfg):
         cost = tx.StageCost(holding=cost_table, action_costs=np.array([0.0]))
@@ -908,6 +991,53 @@ class TestContraction:
         assert rep.certified_bound < 1.0
         assert rep.lattice_modulus < 1.0
         assert ratio <= rep.lattice_modulus + 1e-12
+
+    @staticmethod
+    def _moduli_on_two_grids(ch, a, eps, gamma, tau_max, grid_n):
+        """check_contraction's report, and the lattice moduli on the two-point
+        grid and on the solver's; None when the draw breaks the contraction
+        hypothesis or needs more than 60 stages."""
+        sys_ = tx.LtiSystem(A=a, C=1.0, Q=0.3, R=0.3)
+        cfg = tx.SolverConfig(gamma=gamma, tau_max=tau_max, grid_n=grid_n, weight_eps=eps)
+        try:
+            rep = tx.check_contraction(ch, sys_, cfg, m_max=60)
+        except (ValueError, tx.ConvergenceError):
+            return None
+        s = tx.weight_profile(sys_.spectral_radius(), eps, tau_max)
+        return rep, *(_lattice_moduli(_stencil(ch, grid), s, gamma, rep.m)
+                      for grid in (np.array([0.0, 1.0]), cfg.belief_grid()))
+
+    # success probabilities reach down to 0.4, so most unstable draws contract
+    LAM = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.4, 1.0))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(ch=channels(lam_prob=LAM, max_actions=1), plant=plants())
+    def test_one_action_moduli_do_not_depend_on_the_grid(self, ch, plant):
+        # every row of A_j is affine in b, so both grids evaluate the same
+        # moduli; they round differently, by at most 16 j u relative in L_j
+        # (check_contraction's docstring), not at all at m = 1; the check
+        # reads the two-point grid
+        got = self._moduli_on_two_grids(ch, **plant)
+        assume(got is not None)
+        rep, two_point, solver_grid = got
+        event(f"m = {rep.m}" if rep.m < 4 else "m >= 4")
+        assert rep.lattice_modulus == two_point[-1]
+        assert rep.m > 1 or two_point == solver_grid
+        for j, (L2, Ln) in enumerate(zip(two_point, solver_grid), 1):
+            assert abs(L2 - Ln) <= 16 * j * U * Ln
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(ch=channels(lam_prob=LAM, max_actions=3), plant=plants())
+    def test_several_actions_read_the_two_point_grid_at_one_stage(self, ch, plant):
+        # at m = 1 A_0 = s interpolates exactly, and every grid reads the same
+        # endpoint entries; at m > 1 the check stays on the solver's grid
+        got = self._moduli_on_two_grids(ch, **plant)
+        assume(got is not None and ch.n_actions > 1)
+        rep, two_point, solver_grid = got
+        event("m = 1" if rep.m == 1 else "m > 1")
+        if rep.m == 1:
+            assert two_point == solver_grid
+        assert rep.lattice_modulus == solver_grid[-1]
 
     def test_hypothesis_violation(self, ge_channel, cost_table, solver_cfg):
         sys_u = tx.LtiSystem(A=2.0, C=1.0, Q=0.3, R=0.3)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,14 @@ class TestGilbertElliott:
 
 
 class TestPersistentFailure:
+    def test_initial_belief(self):
+        ch = tx.make_persistent_failure(0.1, 0.9, 0.2, b0=0.25)
+        assert ch.initial_belief == 0.25
+        assert np.array_equal(ch.initial_mode_dist, [0.75, 0.25])
+        ch = tx.make_persistent_failure(0.1, 0.9, 0.2)
+        assert ch.initial_belief == 0.0
+        assert np.array_equal(ch.initial_mode_dist, [1.0, 0.0])
+
     def test_absorbing_row(self):
         ch = tx.make_persistent_failure(0.1, 0.9, 0.2)
         assert np.array_equal(ch.mode_kernel[0, 1], [0.0, 1.0])
@@ -129,10 +139,41 @@ class TestSampling:
 
 
 class TestValidation:
+    """ChannelModel refuses each malformed field on its own, so a check that
+    looks at one action or one entry only cannot pass here."""
+
+    EYE2 = np.array([np.eye(2), np.eye(2)])
+
     def test_lambda_monotone_enforced(self):
         with pytest.raises(ValueError):
             tx.ChannelModel(lam=np.array([[0.2], [0.9]]),
                             mode_kernel=np.array([[[0.9, 0.1], [0.0, 1.0]]]))
+
+    def test_one_action_of_two_inverted(self):
+        # only action 1 breaks lam[0] >= lam[1]; the message names its entries
+        lam = np.array([[0.9, 0.3], [0.2, 0.4]])
+        with pytest.raises(ValueError, match=re.escape(
+                "success probability in the favorable mode must dominate: "
+                "lam[0,1]=0.3 < lam[1,1]=0.4") + "$"):
+            tx.ChannelModel(lam=lam, mode_kernel=self.EYE2)
+
+    @pytest.mark.parametrize("entry, value", [((0, 1), 1.2), ((1, 0), -0.1)])
+    def test_one_success_probability_out_of_range(self, entry, value):
+        lam = np.array([[0.9, 0.8], [0.2, 0.4]])
+        lam[entry] = value
+        with pytest.raises(ValueError, match=r"^success probabilities must lie in \[0, 1\]$"):
+            tx.ChannelModel(lam=lam, mode_kernel=self.EYE2)
+
+    def test_initial_law_with_a_negative_entry(self):
+        # it sums to 1, but it is no pmf
+        with pytest.raises(ValueError, match="^initial_mode_dist must be a length-2 pmf$"):
+            tx.ChannelModel(lam=np.array([0.9, 0.2]), mode_kernel=np.eye(2),
+                            initial_mode_dist=np.array([1.5, -0.5]))
+
+    def test_no_actions(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "lam must have shape (2, n_actions), got (2, 0)") + "$"):
+            tx.ChannelModel(lam=np.zeros((2, 0)), mode_kernel=np.zeros((0, 2, 2)))
 
     def test_rows_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to 1"):

@@ -17,6 +17,7 @@ from hypothesis import event, example, given, settings, strategies as st
 import txsched as tx
 from conftest import ULP_NOISE_PLANT, channels, rowlist_write_solution_csvs
 from oracles import _stream, loadtxt_read_value_policy_csv, run_episode
+from txsched.belief_mdp import _lattice_moduli, _stencil
 from txsched.cli import (EXIT_BROKEN_PIPE, EXIT_MODEL, StalePolicyError, _apply_overrides,
                          _build_policy, _fmt, _pipeline, _stored_solution, main,
                          write_solution_csvs)
@@ -1212,7 +1213,10 @@ class TestStoredSolution:
 
 class TestContractionModuli:
     """The lattice moduli L_1..L_m serve the contraction check alone: verify
-    computes them once, and no solve computes them."""
+    computes them once, and no solve computes them. They are read on the
+    two-point belief grid {0, 1} (grid_n 1) wherever they cannot depend on
+    the grid, that is with one action or at m = 1, and on the solver's grid
+    otherwise (belief_mdp.check_contraction says why)."""
 
     UNSTABLE = {"system.A": [[1.05]], "channel.lam_bad": 0.5, "solver.grid_n": 200}
 
@@ -1234,7 +1238,7 @@ class TestContractionModuli:
         assert main(["solve", "--config", str(p), "--quiet"]) == 0
         assert grids == []  # the solve stops on the span rule, which needs none
         assert main(["verify", "--config", str(p), "--quiet"]) == 0
-        assert grids == [200]  # the contraction check's, on the final grid only
+        assert grids == [1]  # the contraction check's, on the two-point grid only
         report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
         row = next(r for r in report["checks"] if r["check"] == "contraction")
         assert row["status"] == "pass" and row["detail"].startswith("m=4, ")
@@ -1245,7 +1249,7 @@ class TestContractionModuli:
         _pipeline(cfg)
         assert grids == []
         report = tx.check_contraction(cfg.channel, cfg.system, cfg.solver)
-        assert grids == [200] and report.m == 4 and report.lattice_modulus < 1.0
+        assert grids == [1] and report.m == 4 and report.lattice_modulus < 1.0
 
     def test_stable_plant_computes_them(self, tmp_path, grids):
         p, _ = write_cfg(tmp_path)
@@ -1253,7 +1257,28 @@ class TestContractionModuli:
         _pipeline(cfg)
         assert grids == []
         report = tx.check_contraction(cfg.channel, cfg.system, cfg.solver)
-        assert grids == [40] and report.lattice_modulus < 1.0
+        assert grids == [1] and report.m == 1 and report.lattice_modulus < 1.0
+
+    # two actions on an unstable plant, at m = 2 and m = 4: the maximum over
+    # actions has kinks, and the two-point grid would misread the modulus
+    @pytest.mark.parametrize("m, lam, kernels", [
+        (2, [[0.98, 0.73], [0.57, 0.62]], [[[0.01, 0.99], [0.56, 0.44]],
+                                           [[0.5, 0.5], [0.54, 0.46]]]),
+        (4, [[0.98, 0.72], [0.5, 0.68]], [[[0.09, 0.91], [0.85, 0.15]],
+                                          [[0.68, 0.32], [0.49, 0.51]]]),
+    ])
+    def test_several_actions_keep_the_solver_grid(self, tmp_path, grids, m, lam, kernels):
+        p, _ = write_cfg(tmp_path, {"system.A": [[1.05]], "costs": {"c_a": [0.0, 1.0]},
+                                    "channel": {"type": "explicit", "lam": lam,
+                                                "mode_kernel": kernels, "b0": 0.0}})
+        cfg = tx.load_config(p)
+        report = tx.check_contraction(cfg.channel, cfg.system, cfg.solver)
+        assert grids == [BASE["solver"]["grid_n"]] and report.m == m
+        s = tx.weight_profile(cfg.system.spectral_radius(), cfg.solver.weight_eps,
+                              cfg.solver.tau_max)
+        two_point = _lattice_moduli(_stencil(cfg.channel, np.array([0.0, 1.0])), s,
+                                    cfg.solver.gamma, m)[-1]
+        assert abs(two_point - report.lattice_modulus) > 1e-3 * report.lattice_modulus
 
 
 class TestCostOverflow:

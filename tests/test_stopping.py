@@ -334,6 +334,34 @@ class TestSubmodularity:
         assert res.witness[0] in ("tau", "b")
         assert res.value > 1.0
 
+    @staticmethod
+    def _with_stop_advantage(D):
+        """A two-action Solution whose stop advantage Q[.., 1] - Q[.., 0] is D."""
+        Q = np.stack([np.zeros_like(D), D], axis=2)
+        return tx.Solution(Qfun=Q, V=Q.min(axis=2), policy=np.zeros(D.shape, dtype=int),
+                           belief_grid=np.linspace(0.0, 1.0, D.shape[1]),
+                           sweeps_used=1, final_residual=0.0)
+
+    @pytest.mark.parametrize("slopes, witness", [
+        ((1.0, 3.0), ("tau", 2, 4)),  # steep along b: the bump rises along tau only
+        ((3.0, 1.0), ("b", 3, 3)),  # steep along tau: it rises along b only
+    ])
+    def test_rise_along_one_axis(self, slopes, witness):
+        tau, b = np.meshgrid(np.arange(6.0), np.arange(7.0), indexing="ij")
+        D = -slopes[0] * tau - slopes[1] * b
+        D[3, 4] += 1.5  # 0.5 above its predecessor along one axis, below it along the other
+        assert (tx.verify_submodularity(self._with_stop_advantage(D))
+                == tx.CheckResult(False, witness=witness, value=0.5))
+
+    def test_rise_of_exactly_tol_passes(self):
+        tol = 1e-8
+        D = np.zeros((6, 7))
+        D[3, 4] = tol
+        assert tx.verify_submodularity(self._with_stop_advantage(D), tol=tol)
+        D[3, 4] = np.nextafter(tol, 1.0)
+        assert (tx.verify_submodularity(self._with_stop_advantage(D), tol=tol)
+                == tx.CheckResult(False, witness=("tau", 2, 4), value=D[3, 4]))
+
 
 # the theorem's hypotheses, which TestThresholdTheorem drops one at a time
 HYPOTHESES = ("tp2_mode_kernel", "lam_good_ge_lam_bad", "contraction")
